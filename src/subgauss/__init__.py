@@ -76,6 +76,7 @@ from .game import (
     project_to_beta,
     required_n,
     run_game,
+    run_games,
     sample_instance,
     wilson_interval,
 )

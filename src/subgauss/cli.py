@@ -287,6 +287,8 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     try:
         trials = args.trials or int(raw.get("trials", 300))
+        if trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {trials}")
         seed = SeedSpec(args.seed if args.seed is not None else int(raw.get("seed", 0)))
         prior = DirichletParams(tuple(raw["prior"]["alphas"]))
         n = raw.get("n")
@@ -310,13 +312,11 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
 def _cmd_game(args) -> tuple[dict, list, bool]:
     config, trials, seed = _load_game_config(args)
     _log(f"game: n={config.n}, q={config.q}, analyst={config.analyst}, trials={trials}")
-    rows, failures = [], 0
-    for t in range(trials):
-        transcript = game_mod.run_game(config, seed.derived(t), record_rounds=False)
-        failures += 0 if transcript.win else 1
-        rows.append(
-            {"trial": t, "max_error": transcript.max_error, "win": transcript.win}
-        )
+    rows = [
+        {"trial": t, "max_error": float(error), "win": bool(error <= config.epsilon)}
+        for t, error in enumerate(game_mod.run_games(config, trials, seed))
+    ]
+    failures = sum(not row["win"] for row in rows)
     low, high = game_mod.wilson_interval(failures, trials)
     ok = low <= config.delta
     summary = {
@@ -413,6 +413,20 @@ _COMMANDS = {
 }
 
 
+def _trial_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _master_seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subgauss",
@@ -430,9 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in _COMMANDS:
         sp = sub.add_parser(name, help=help_text[name])
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        sp.add_argument("--seed", type=_master_seed, default=0, help="master seed (u64)")
         sp.add_argument("--out", default="reports", help="output directory")
-        sp.add_argument("--trials", type=int, default=None, help="trial/draw override")
+        sp.add_argument(
+            "--trials", type=_trial_count, default=None, help="trial/draw override (>= 1)"
+        )
         sp.add_argument(
             "--format", choices=("json", "csv", "both"), default="both", dest="fmt"
         )

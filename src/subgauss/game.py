@@ -7,6 +7,14 @@ after seeing every previous answer. The curator wins a round when its answer
 is within epsilon of the population value; it wins the game when every round
 is. Analysts see the prior, n, q, and all previous answers, never the data
 or the true parameter.
+
+Games are played on two paths. ``run_games`` is the batch path: it plays
+many independent trials in lockstep, one round of every trial per step as a
+few (trials, k) array operations, and returns each trial's largest error;
+``estimate_failure_rate`` and the ``game`` CLI subcommand use it.
+``run_game`` is the transcript path: it plays one trial through the analyst
+and curator objects and can record every round. Both give bit-identical
+``max_error`` for the same (config, seed), and the tests hold them to that.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ __all__ = [
     "make_analyst",
     "make_curator",
     "run_game",
+    "run_games",
     "required_n",
     "estimate_failure_rate",
     "wilson_interval",
@@ -304,6 +313,22 @@ class StaticRandomAnalyst:
         pass
 
 
+def _balanced_subset(prior: DirichletParams, n: int) -> list[int]:
+    """The ``VarianceMaximizerAnalyst`` subset, in the order it was packed."""
+    alphas = np.asarray(prior.alphas)
+    weights = alphas * (1.0 + n / prior.total)
+    target = weights.sum() / 2.0
+    order = sorted(range(prior.k), key=lambda i: (-weights[i], i))
+    chosen, mass = [], 0.0
+    for i in order:
+        if mass + weights[i] <= target * (1.0 + 1e-12):
+            chosen.append(i)
+            mass += weights[i]
+    if not chosen:  # one category dominates; take everything else
+        chosen = order[1:]
+    return chosen
+
+
 class VarianceMaximizerAnalyst:
     """Greedy subset balancing expected posterior mass toward half the total.
 
@@ -314,18 +339,7 @@ class VarianceMaximizerAnalyst:
     """
 
     def __init__(self, k: int, prior: DirichletParams, n: int):
-        alphas = np.asarray(prior.alphas)
-        weights = alphas * (1.0 + n / prior.total)
-        target = weights.sum() / 2.0
-        order = sorted(range(k), key=lambda i: (-weights[i], i))
-        chosen, mass = [], 0.0
-        for i in order:
-            if mass + weights[i] <= target * (1.0 + 1e-12):
-                chosen.append(i)
-                mass += weights[i]
-        if not chosen:  # one category dominates; take everything else
-            chosen = order[1:]
-        self._query = QuerySpec.counting(chosen)
+        self._query = QuerySpec.counting(_balanced_subset(prior, n))
 
     def next_query(self) -> QuerySpec:
         return self._query
@@ -454,6 +468,7 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
     The truth for a query is its value on the drawn true parameter, not on
     the sample. Deterministic given (config, seed).
     """
+    _check_enough_data(config)
     rng = seed.generator()
     true_p, counts, samples = _sample_instance(rng, config.prior, config.n)
     curator = make_curator(config, counts, samples)
@@ -483,6 +498,133 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
         win=max_error <= config.epsilon,
         n_rounds=config.q,
     )
+
+
+# Trials played together by ``run_games``: bounds the (trials, n) samples and
+# (trials, q, k) static masks held at once, whatever the trial count.
+_TRIAL_BLOCK = 1024
+
+
+def _check_enough_data(config: GameConfig) -> None:
+    """Raise the curator's own error for data it could never answer from."""
+    if config.curator == "empirical_mean" and config.n == 0:
+        raise ValueError("the empirical-mean curator cannot answer with no data")
+    if config.curator == "sample_split" and config.n < config.q:
+        raise ValueError("sample-split fold is empty (need n >= q)")
+
+
+def _random_masks(rng: np.random.Generator, k: int, q: int) -> np.ndarray:
+    """The static-random analyst's q subsets as a (q, k) mask, drawn in row blocks.
+
+    ``rng.random((rows, k))`` yields the same numbers as ``rows`` calls of
+    ``rng.random(k)``, so keeping the accepted rows in order reproduces
+    ``StaticRandomAnalyst``. Rows drawn past the q-th accepted one are
+    discarded; nothing draws from the generator after the analyst.
+    """
+    accept = 1.0 - 2.0 ** (1 - k)
+    blocks, found = [], 0
+    while found < q:
+        rows = rng.random((int((q - found) / accept) + 8, k)) < 0.5
+        size = rows.sum(axis=1)
+        rows = rows[(size > 0) & (size < k)]
+        blocks.append(rows)
+        found += len(rows)
+    return np.concatenate(blocks)[:q]
+
+
+def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row sums of ``values`` over ``mask``, added left to right.
+
+    A sequential cumsum matches Python's ``sum`` over sorted indices bit for
+    bit; a pairwise ``.sum`` would not.
+    """
+    return np.cumsum(np.where(mask, values, 0.0), axis=1)[:, -1]
+
+
+def _play_block(config: GameConfig, seeds: Sequence[SeedSpec]) -> np.ndarray:
+    """Largest round error of one game per seed, all played round by round together."""
+    k, q, n = config.k, config.q, config.n
+    static = config.analyst == "static_random"
+    adaptive = config.analyst == "adaptive_correlator"
+    split = config.curator == "sample_split"
+    true_p, counts, samples, masks = [], [], [], []
+    for spec in seeds:
+        rng = spec.generator()
+        p, c, x = _sample_instance(rng, config.prior, n)
+        true_p.append(p)
+        counts.append(c)
+        if split:
+            samples.append(x)
+        if static:
+            masks.append(_random_masks(rng, k, q))
+    true_p = np.array(true_p)
+    trials = len(seeds)
+
+    if config.curator == "posterior_mean":
+        post = np.asarray(config.prior.alphas) + np.array(counts, dtype=float)
+        answers = post / post.sum(axis=1, keepdims=True)
+    elif config.curator == "empirical_mean":
+        answers = np.array(counts, dtype=float) / n
+    else:
+        samples = np.array(samples)
+        size = n // q
+    if static:
+        masks = np.array(masks)
+    elif adaptive:
+        prior_mean = np.asarray(config.prior.alphas) / config.prior.total
+        scores = np.zeros((trials, k))
+        half = max(1, k // 2)
+        rows = np.arange(trials)[:, None]
+    else:
+        fixed = np.zeros(k, dtype=bool)
+        fixed[_balanced_subset(config.prior, n)] = True
+        fixed = np.broadcast_to(fixed, (trials, k))
+
+    max_error = np.zeros(trials)
+    for r in range(q):
+        if static:
+            mask = masks[:, r]
+        elif not adaptive:
+            mask = fixed
+        elif r < k:  # probe the singleton {r}
+            mask = np.broadcast_to(np.arange(k) == r, (trials, k))
+        else:  # the top half by score, ties to the lowest index
+            mask = np.zeros((trials, k), dtype=bool)
+            mask[rows, np.argsort(-scores, axis=1, kind="stable")[:, :half]] = True
+        if split:
+            fold = samples[:, r * size : (r + 1) * size if r < q - 1 else n]
+            answer = np.take_along_axis(mask, fold, axis=1).mean(axis=1)
+        else:
+            answer = _masked_sums(mask, answers)
+        error = np.abs(answer - _masked_sums(mask, true_p))
+        np.maximum(max_error, error, out=max_error)
+        if adaptive and r < k:
+            scores[:, r] = answer - prior_mean[r]
+        elif adaptive:
+            share = (answer - _masked_sums(mask, prior_mean + scores)) / half
+            scores = np.where(mask, scores + share[:, None], scores)
+    return max_error
+
+
+def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
+    """Largest round error of each of ``trials`` games, played in lockstep.
+
+    RNG contract: trial t uses ``seed.derived(t).generator()`` alone. Its
+    instance (true parameter, then the n samples) is drawn first, then the
+    analyst's draws (the static-random masks, drawn in blocks whose rows past
+    the q-th accepted one are never used). Entry t therefore equals
+    ``run_game(config, seed.derived(t)).max_error`` exactly. Raises
+    ``ValueError`` before drawing anything when the curator cannot answer
+    from n samples (empirical mean with n = 0, sample split with n < q).
+    """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    _check_enough_data(config)
+    max_error = np.empty(trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        stop = min(start + _TRIAL_BLOCK, trials)
+        max_error[start:stop] = _play_block(config, [seed.derived(t) for t in range(start, stop)])
+    return max_error
 
 
 def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
@@ -538,14 +680,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def estimate_failure_rate(
     config: GameConfig, trials: int, seed: SeedSpec
 ) -> FailureRateEstimate:
-    """Fraction of lost games over independent derived seed streams, with Wilson 95% CI."""
+    """Fraction of lost games over independent derived seed streams, with Wilson 95% CI.
+
+    The games are ``run_games(config, trials, seed)``: trial t draws its
+    instance and then its analyst's queries from ``seed.derived(t)`` alone
+    (over-drawn static-random mask rows are never used), and loses when its
+    largest error exceeds epsilon, exactly as ``run_game(config,
+    seed.derived(t))`` would.
+    """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate estimate")
-    failures = 0
-    for t in range(trials):
-        transcript = run_game(config, seed.derived(t), record_rounds=False)
-        if not transcript.win:
-            failures += 1
+    failures = int(np.count_nonzero(run_games(config, trials, seed) > config.epsilon))
     low, high = wilson_interval(failures, trials)
     return FailureRateEstimate(
         rate=failures / trials,

@@ -30,6 +30,28 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert cli_dispatch([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--trials", "0"],
+            ["game", "--trials", "-5"],
+            ["martingale", "--trials", "0"],
+            ["martingale", "--seed", "-1"],
+            ["verify-chi", "--seed", str(2**64)],
+            ["game", "--seed", "-1"],
+        ],
+    )
+    def test_out_of_range_trials_and_seed(self, argv, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli_dispatch(argv + ["--out", str(out)]) == 2
+        assert "error: argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_trials_must_be_positive(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"trials": 0}))
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+
     def test_failing_checks_exit_one(self, tmp_path, capsys):
         # with no data and a tiny epsilon the prior-mean answer almost surely
         # misses, so the Wilson lower bound exceeds delta and the run fails

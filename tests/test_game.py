@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgauss import (
     BetaParams,
@@ -20,10 +22,13 @@ from subgauss import (
     project_to_beta,
     required_n,
     run_game,
+    run_games,
     sample_instance,
     wilson_interval,
 )
 from subgauss.game import (
+    ANALYST_KINDS,
+    CURATOR_KINDS,
     AdaptiveCorrelatorAnalyst,
     StaticRandomAnalyst,
     VarianceMaximizerAnalyst,
@@ -272,6 +277,101 @@ class TestRunGame:
     def test_record_rounds_off(self):
         transcript = run_game(make_config(), SeedSpec(5), record_rounds=False)
         assert transcript.rounds == () and transcript.n_rounds == 5
+
+
+def loop_max_errors(config, trials, seed):
+    return [run_game(config, seed.derived(t), record_rounds=False).max_error for t in range(trials)]
+
+
+ALL_PAIRS = [(a, c) for a in ANALYST_KINDS for c in CURATOR_KINDS]
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew an instance before rejecting the configuration")
+
+
+class TestRunGames:
+    @pytest.mark.parametrize("analyst,curator", ALL_PAIRS)
+    def test_equals_run_game_loop(self, analyst, curator):
+        # k >= 8, where numpy's pairwise row sums stop being sequential
+        config = GameConfig(
+            k=10,
+            prior=DirichletParams((0.5, 1.0, 2.0, 1.0, 3.0, 0.7, 1.5, 0.2, 2.5, 1.1)),
+            n=37,
+            q=16,
+            epsilon=0.1,
+            delta=0.05,
+            analyst=analyst,
+            curator=curator,
+        )
+        seed = SeedSpec(21, 7)
+        assert run_games(config, 30, seed).tolist() == loop_max_errors(config, 30, seed)
+
+    @pytest.mark.parametrize("curator", CURATOR_KINDS)
+    def test_static_random_two_categories(self, curator):
+        # half of the k=2 mask rows are rejected, so the block draws must keep
+        # the accepted rows in stream order
+        config = make_config(k=2, prior=DirichletParams((1.0, 2.0)), n=40, q=25, curator=curator)
+        assert run_games(config, 20, SeedSpec(3)).tolist() == loop_max_errors(config, 20, SeedSpec(3))
+
+    @pytest.mark.parametrize("k,q", [(7, 3), (7, 20), (5, 4), (2, 9), (3, 9)])
+    @pytest.mark.parametrize("curator", CURATOR_KINDS)
+    def test_adaptive_correlator_short_and_odd(self, k, q, curator):
+        config = make_config(
+            k=k, prior=DirichletParams((1.0,) * k), n=45, q=q,
+            analyst="adaptive_correlator", curator=curator,
+        )
+        assert run_games(config, 20, SeedSpec(4)).tolist() == loop_max_errors(config, 20, SeedSpec(4))
+
+    @pytest.mark.parametrize("analyst", ANALYST_KINDS)
+    def test_posterior_mean_without_data(self, analyst):
+        config = make_config(n=0, q=6, analyst=analyst)
+        assert run_games(config, 20, SeedSpec(5)).tolist() == loop_max_errors(config, 20, SeedSpec(5))
+
+    @pytest.mark.parametrize("n", [8, 29])
+    @pytest.mark.parametrize("analyst", ANALYST_KINDS)
+    def test_sample_split_fold_sizes(self, n, analyst):
+        # n == q gives one sample per fold; n = 29 leaves a remainder for the last fold
+        config = make_config(n=n, q=8, analyst=analyst, curator="sample_split")
+        assert run_games(config, 20, SeedSpec(6)).tolist() == loop_max_errors(config, 20, SeedSpec(6))
+
+    def test_trial_blocks_join_seamlessly(self, monkeypatch):
+        config = make_config(q=4, analyst="adaptive_correlator")
+        whole = run_games(config, 25, SeedSpec(8))
+        monkeypatch.setattr("subgauss.game._TRIAL_BLOCK", 7)
+        assert run_games(config, 25, SeedSpec(8)).tolist() == whole.tolist()
+
+    def test_sample_split_needs_n_at_least_q(self, monkeypatch):
+        monkeypatch.setattr("subgauss.game._sample_instance", _no_draws)
+        config = make_config(curator="sample_split", n=4, q=5)
+        with pytest.raises(ValueError, match=r"need n >= q"):
+            run_games(config, 10, SeedSpec(2))
+        with pytest.raises(ValueError, match=r"need n >= q"):
+            run_game(config, SeedSpec(2))
+
+    def test_empirical_mean_needs_data(self, monkeypatch):
+        monkeypatch.setattr("subgauss.game._sample_instance", _no_draws)
+        config = make_config(curator="empirical_mean", n=0)
+        with pytest.raises(ValueError, match="cannot answer with no data"):
+            run_games(config, 10, SeedSpec(2))
+        with pytest.raises(ValueError, match="cannot answer with no data"):
+            run_game(config, SeedSpec(2))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        n=st.integers(0, 60),
+        q=st.integers(1, 30),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_property_all_pairs(self, k, n, q, master):
+        prior = DirichletParams(tuple(0.5 + i for i in range(k)))
+        seed = SeedSpec(master)
+        for analyst, curator in ALL_PAIRS:
+            if (curator == "empirical_mean" and n == 0) or (curator == "sample_split" and n < q):
+                continue
+            config = make_config(k=k, prior=prior, n=n, q=q, analyst=analyst, curator=curator)
+            assert run_games(config, 4, seed).tolist() == loop_max_errors(config, 4, seed)
 
 
 class TestRequiredN:
