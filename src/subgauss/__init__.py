@@ -83,12 +83,10 @@ from .game import (
 from .martingale import (
     AzumaTotals,
     PathSimulationReport,
-    PosteriorPath,
     StabilityReport,
     StepIncrement,
     azuma_total,
     simulate_paths,
-    simulate_recorded_paths,
     stability_diagnostics,
     step_increment,
     step_variance_proxy,

@@ -1,0 +1,294 @@
+"""The paper's acceptance criteria, each implemented once.
+
+`subgauss verify-beta`, `verify-dirichlet`, `verify-chi`, `lemma-checks` and
+`martingale` write what these functions return, and the acceptance tests
+assert on it. A check takes at most a master seed and a count (the CLI's
+`--seed` and `--trials`; a count of None means the default) and returns a
+`CheckResult`. The criteria's tolerances are pinned here and nowhere else.
+
+`import subgauss` does not import this module, because it loads
+`scipy.stats`.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import special, stats
+
+from . import concentration as conc
+from . import martingale as mart
+from .distributions import (
+    BetaParams, DirichletParams, MomentSequence, SeedSpec, beta_mean_var,
+    beta_moment_sequence, chi_raw_moment, sample, sample_chi,
+)
+from .game import project_to_beta
+
+__all__ = [
+    "GRID", "CheckResult", "verify_beta", "verify_dirichlet", "verify_chi",
+    "lemma_checks", "martingale",
+]
+
+# alpha and beta values of the (alpha, beta) grid the Beta criteria sweep
+GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """What a check reports: the summary and data rows, and what failed.
+
+    `failures` holds the failing data rows, or a row naming the failed
+    quantity (with a "check" column) where the criterion is not per row.
+    """
+
+    summary: dict
+    rows: list[dict]
+    passed: bool
+    failures: list[dict]
+
+
+def _failed_rows(rows: list[dict]) -> list[dict]:
+    return [row for row in rows if not row["passed"]]
+
+
+def _result(summary: dict, rows: list[dict], failures: list[dict]) -> CheckResult:
+    passed = not failures
+    return CheckResult({**summary, "all_passed": passed}, rows, passed, failures)
+
+
+def _expect(failures: list[dict], ok: bool, check: str, **cells) -> bool:
+    """Record a failure row naming `check` and its quantities unless `ok`."""
+    if not ok:
+        failures.append({"check": check, **cells})
+    return ok
+
+
+def verify_beta() -> CheckResult:
+    """AC1/AC2 on GRID x GRID: Var - 1e-6 <= tau2_est <= 1/(4(a+b)+2) (1 + 1e-6),
+    and tau2_est <= 1/(4(a+b+1)) (1 + 1e-3)."""
+    rows = []
+    for a in GRID:
+        for b in GRID:
+            p = BetaParams(a, b)
+            est = conc.beta_proxy_estimate(p)
+            _, var = beta_mean_var(p)
+            bound = conc.beta_proxy_bound(p)
+            tight = conc.beta_tight_proxy_bound(p)
+            ratio = est.value / tight
+            rows.append(
+                {
+                    "alpha": a,
+                    "beta": b,
+                    "variance": var,
+                    "tau2_est": est.value,
+                    "bound": bound,
+                    "tight_bound": tight,
+                    "ratio": ratio,
+                    "passed": var - 1e-6 <= est.value <= bound * (1.0 + 1e-6)
+                    and ratio <= 1.0 + 1e-3,
+                }
+            )
+    worst = max(rows, key=lambda row: row["ratio"])
+    summary = {
+        "points": len(rows),
+        "max_tight_ratio": worst["ratio"],
+        "argmax_point": [worst["alpha"], worst["beta"]],
+    }
+    return _result(summary, rows, _failed_rows(rows))
+
+
+def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
+    """AC7: a Dirichlet counting query is Beta(sum_S alpha, sum_rest alpha).
+
+    `trials` random (Dirichlet, subset) pairs (default 20, k <= 8), drawn from
+    substream 999; pair i samples 1e5 draws from `seed.derived(i + 1)`, and
+    their KS statistic must lie below the 1e-3 critical value.
+    """
+    pairs = trials or 20
+    n_draws = 10**5
+    rng = seed.generator(999)
+    critical = float(special.kolmogi(1e-3)) / math.sqrt(n_draws)
+    rows = []
+    for i in range(pairs):
+        k = int(rng.integers(2, 9))
+        alphas = tuple(np.round(rng.uniform(0.2, 8.0, size=k), 3))
+        while True:
+            mask = rng.random(k) < 0.5
+            if mask.any() and not mask.all():
+                break
+        subset = tuple(int(j) for j in np.nonzero(mask)[0])
+        d = DirichletParams(alphas)
+        projected = project_to_beta(d, subset)
+        draws = sample(d, seed.derived(i + 1), n_draws)[:, list(subset)].sum(axis=1)
+        ks = float(
+            stats.kstest(draws, stats.beta(projected.alpha, projected.beta).cdf).statistic
+        )
+        rows.append(
+            {
+                "k": k,
+                "alphas": ";".join(str(a) for a in alphas),
+                "subset": ";".join(str(s) for s in subset),
+                "projected_alpha": projected.alpha,
+                "projected_beta": projected.beta,
+                "ks_stat": ks,
+                "critical": critical,
+                "passed": ks < critical,
+            }
+        )
+    summary = {"pairs": pairs, "draws": n_draws, "critical": critical}
+    return _result(summary, rows, _failed_rows(rows))
+
+
+def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
+    """AC9 for Chi(k), k = 1..20: moment recurrence m_{j+2} = (k+j) m_j to a
+    relative error below 1e-12, E[X]^2 - (k-1) > 0, the unit-sigma raw-moment
+    criterion, and upper-tail frequencies of `trials` draws (default 1e6, from
+    `seed.derived(k)`) at most exp(-eps^2/2) + 4 SE."""
+    draws = trials or 10**6
+    rows = []
+    for k in range(1, 21):
+        moments = [chi_raw_moment(k, j) for j in range(103)]
+        rec_err = max(
+            abs(moments[j + 2] - (k + j) * moments[j]) / moments[j + 2]
+            for j in range(101)
+        )
+        margin = moments[1] ** 2 - (k - 1)
+        criterion = conc.raw_moment_criterion(MomentSequence(tuple(moments)), 1.0)
+        samples = sample_chi(k, seed.derived(k), draws)
+        tail_ok = True
+        tail_cells = {}
+        for eps in (0.5, 1.0, 2.0):
+            freq = float((samples - moments[1] >= eps).mean())
+            bound = math.exp(-eps * eps / 2.0)
+            se = math.sqrt(max(freq * (1 - freq), 1.0 / draws) / draws)
+            tail_ok &= freq <= bound + 4 * se
+            tail_cells[f"tail_freq_{eps}"] = freq
+            tail_cells[f"tail_bound_{eps}"] = bound
+        rows.append(
+            {
+                "k": k,
+                "recurrence_rel_err": rec_err,
+                "mean_sq_minus_km1": margin,
+                "criterion_passed": criterion.passed,
+                "empirical_mean": float(samples.mean()),
+                **tail_cells,
+                "passed": rec_err < 1e-12 and margin > 0 and criterion.passed and tail_ok,
+            }
+        )
+    return _result({"dims": 20, "draws": draws}, rows, _failed_rows(rows))
+
+
+def lemma_checks() -> CheckResult:
+    """AC3-AC5 on GRID x GRID.
+
+    Per point: no consecutive-moment-ratio violation (j <= 100, 1e-12
+    absolute), the raw-moment criterion at sigma^2 = 1/(2(a+b+1)) with
+    J_max = 200, and no termwise MGF-coefficient violation at that sigma^2
+    (40 terms, 1e-12 relative). Then the counterexample: for Beta(1, 2) at
+    the halved exponent sigma^2 = 1/16 the lambda^4 coefficients are 1/360 >
+    1363/497664, each to 1e-12 relative.
+    """
+    rows = []
+    for a in GRID:
+        for b in GRID:
+            p = BetaParams(a, b)
+            sigma2 = 1.0 / (2.0 * (p.total + 1.0))
+            pair_rows = conc.beta_moment_pair_bounds(p, 100, strict=False)
+            pair_viol = sum(1 for _, lhs, rhs in pair_rows if lhs > rhs + 1e-12)
+            crit = conc.raw_moment_criterion(beta_moment_sequence(p, 200), sigma2)
+            termwise = conc.termwise_mgf_comparison(p, sigma2, 40)
+            term_viol = sum(1 for _, lhs, rhs in termwise if lhs > rhs * (1 + 1e-12))
+            rows.append(
+                {
+                    "alpha": a,
+                    "beta": b,
+                    "pair_bound_violations": pair_viol,
+                    "criterion_passed": crit.passed,
+                    "termwise_violations": term_viol,
+                    "passed": pair_viol == 0 and crit.passed and term_viol == 0,
+                }
+            )
+    failures = _failed_rows(rows)
+    _, w_lhs, w_rhs = conc.termwise_mgf_comparison(BetaParams(1.0, 2.0), 1.0 / 16.0, 6)[4]
+    lhs_exact, rhs_exact = 1.0 / 360.0, 1363.0 / 497664.0
+    flip_ok = (
+        abs(w_lhs - lhs_exact) <= 1e-12 * lhs_exact
+        and abs(w_rhs - rhs_exact) <= 1e-12 * rhs_exact
+        and w_lhs > w_rhs
+    )
+    _expect(failures, flip_ok, "halved_exponent_power4", lhs=w_lhs, rhs=w_rhs)
+    summary = {
+        "grid_points": len(rows),
+        "halved_exponent_power4_lhs": w_lhs,
+        "halved_exponent_power4_rhs": w_rhs,
+        "halved_exponent_flips": flip_ok,
+    }
+    return _result(summary, rows, failures)
+
+
+def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
+    """AC6 and the posterior-mean path simulation.
+
+    - Telescoped Azuma totals of Beta(s/2, s/2), s in {1, 2, 10}, lie within
+      [1/(4s + 2 + 1/(3s)) - 1e-9, 1/(4s+2) + 1e-12].
+    - Step proxies of 1000 log-uniform Beta(a, b), a, b in [1e-2, 1e3] (from
+      substream 7), are at most 1/(4(a+b+1)^2) + 1e-15.
+    - `trials` paths (default 2000) of horizon 1e4 from Beta(1, 1), drawn from
+      `seed.derived(1)`: mean total increment within 4 SE of 0, tail
+      frequencies at most their Azuma bound + 4 SE, and the mean absolute
+      deviation non-increasing over checkpoints up to 0.01.
+    """
+    count = trials or 2000
+    failures = []
+    azuma_cells = {}
+    for s in (1.0, 2.0, 10.0):
+        totals = mart.azuma_total(BetaParams(s / 2, s / 2), 10**6)
+        grand = totals.partial_sum + totals.tail_remainder
+        lower = 1.0 / (4.0 * s + 2.0 + 1.0 / (3.0 * s))
+        bound = totals.theorem_bound
+        ok = lower - 1e-9 <= grand <= bound + 1e-12
+        _expect(failures, ok, "azuma_total", s=s, total=grand, lower=lower, bound=bound)
+        azuma_cells[f"azuma_total_s{s:g}"] = grand
+        azuma_cells[f"azuma_bound_s{s:g}"] = bound
+
+    rng = seed.generator(7)
+    step_ok = True
+    for _ in range(1000):
+        a, b = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), size=2))
+        p = BetaParams(float(a), float(b))
+        proxy, bound = mart.step_variance_proxy(p), 0.25 / (p.total + 1.0) ** 2
+        step_ok &= _expect(
+            failures, proxy <= bound + 1e-15, "step_variance_proxy",
+            alpha=p.alpha, beta=p.beta, proxy=proxy, bound=bound,
+        )
+
+    report = mart.simulate_paths(BetaParams(1.0, 1.0), 10**4, count, seed.derived(1))
+    mean, se = report.mean_total_increment, report.se_total_increment
+    _expect(failures, abs(mean) <= 4 * se, "mean_total_increment", mean=mean, se=se)
+    for eps, freq, bound, tail_se in report.tail_rows:
+        ok = freq <= bound + 4 * tail_se
+        _expect(failures, ok, "tail_frequency", eps=eps, freq=freq, bound=bound, se=tail_se)
+    checkpoints = report.checkpoint_mean_abs_dev
+    for (_, previous), (step, dev) in zip(checkpoints, checkpoints[1:]):
+        ok = dev <= previous + 0.01
+        _expect(failures, ok, "checkpoint_mean_abs_dev", step=step, dev=dev, previous=previous)
+
+    rows = [
+        {
+            "trial": t,
+            "true_p": float(report.true_p[t]),
+            "final_mean": float(report.final_mean[t]),
+            "deviation": float(report.deviation[t]),
+        }
+        for t in range(count)
+    ]
+    summary = {
+        **azuma_cells,
+        "step_proxy_bound_ok": step_ok,
+        "mean_total_increment": mean,
+        "se_total_increment": se,
+        "tail_rows": [list(r) for r in report.tail_rows],
+        "checkpoint_mean_abs_dev": [list(c) for c in checkpoints],
+    }
+    return _result(summary, rows, failures)

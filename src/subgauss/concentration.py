@@ -55,7 +55,7 @@ def beta_proxy_bound(p: BetaParams) -> float:
 
 
 def beta_tight_proxy_bound(p: BetaParams) -> float:
-    """Tight (numerically supported, unproven) bound 1/(4(alpha+beta+1))."""
+    """Tight bound 1/(4(alpha+beta+1)) (Marchal & Arbel 2017, arXiv:1705.00048)."""
     return 1.0 / (4.0 * (p.total + 1.0))
 
 
@@ -213,8 +213,9 @@ def check_beta_bound(p: BetaParams, *, lambda_cap: float | None = None) -> BetaB
 def check_beta_tight_bound(p: BetaParams, *, lambda_cap: float | None = None) -> BetaTightBoundCheck:
     """Report tau^2 against the tight bound 1/(4(alpha+beta+1)).
 
-    Report-only: the tight bound has numerical support but no proof, so no
-    hard pass/fail is attached.
+    Marchal & Arbel 2017 (arXiv:1705.00048) prove it is a variance proxy
+    of every Beta, attained at alpha = beta. The check returns the ratio;
+    callers apply their own tolerance to it.
     """
     est = beta_proxy_estimate(p, lambda_cap=lambda_cap)
     bound = beta_tight_proxy_bound(p)

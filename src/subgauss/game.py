@@ -128,10 +128,6 @@ class CuratorState:
             tuple(a + c for a, c in zip(self.prior.alphas, self.counts))
         )
 
-    def posterior_mean(self) -> np.ndarray:
-        post = np.asarray(self.prior.alphas) + np.asarray(self.counts, dtype=float)
-        return post / post.sum()
-
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -237,14 +233,10 @@ def sample_instance(
 
 def answer_query(state: CuratorState, query: QuerySpec, kind: str = "posterior_mean") -> float:
     """Answer one query from the curator's state (stateless curator kinds only)."""
-    w = query.as_weights(state.prior.k)
-    if kind == "posterior_mean":
-        return float(w @ state.posterior_mean())
-    if kind == "empirical_mean":
-        if state.n_seen == 0:
-            raise ValueError("the empirical-mean curator cannot answer with no data")
-        return float(w @ (np.asarray(state.counts, dtype=float) / state.n_seen))
-    raise ValueError(f"unsupported curator kind {kind!r} for stateless answering")
+    query.as_weights(state.prior.k)  # raises for a query of another dimension
+    if kind not in ("posterior_mean", "empirical_mean"):
+        raise ValueError(f"unsupported curator kind {kind!r} for stateless answering")
+    return _mean_curator(kind, state.prior, state.counts).answer(query)
 
 
 def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) -> BetaParams:
@@ -399,10 +391,11 @@ def make_analyst(kind: str, config: GameConfig, rng: np.random.Generator) -> Ana
 # ---------------------------------------------------------------------------
 
 
-class PosteriorMeanCurator:
-    def __init__(self, prior: DirichletParams, counts: np.ndarray):
-        post = np.asarray(prior.alphas) + np.asarray(counts, dtype=float)
-        self._mean = (post / post.sum()).tolist()
+class FixedMeanCurator:
+    """Answers every query by its value on one fixed mean vector."""
+
+    def __init__(self, mean: np.ndarray):
+        self._mean = mean.tolist()
 
     def answer(self, query: QuerySpec) -> float:
         if query.is_counting:
@@ -411,18 +404,16 @@ class PosteriorMeanCurator:
         return float(np.dot(query.weights, self._mean))
 
 
-class EmpiricalMeanCurator:
-    def __init__(self, counts: np.ndarray):
-        n = int(np.sum(counts))
-        if n == 0:
-            raise ValueError("the empirical-mean curator cannot answer with no data")
-        self._freq = (np.asarray(counts, dtype=float) / n).tolist()
-
-    def answer(self, query: QuerySpec) -> float:
-        if query.is_counting:
-            freq = self._freq
-            return sum(freq[i] for i in query.indices)
-        return float(np.dot(query.weights, self._freq))
+def _mean_curator(kind: str, prior: DirichletParams, counts) -> FixedMeanCurator:
+    """The posterior-mean or empirical-mean curator of the given counts."""
+    counts = np.asarray(counts, dtype=float)
+    if kind == "posterior_mean":
+        post = np.asarray(prior.alphas) + counts
+        return FixedMeanCurator(post / post.sum())
+    n = int(np.sum(counts))
+    if n == 0:
+        raise ValueError("the empirical-mean curator cannot answer with no data")
+    return FixedMeanCurator(counts / n)
 
 
 class SampleSplitCurator:
@@ -448,10 +439,8 @@ class SampleSplitCurator:
 
 
 def make_curator(config: GameConfig, counts: np.ndarray, samples: np.ndarray):
-    if config.curator == "posterior_mean":
-        return PosteriorMeanCurator(config.prior, counts)
-    if config.curator == "empirical_mean":
-        return EmpiricalMeanCurator(counts)
+    if config.curator in ("posterior_mean", "empirical_mean"):
+        return _mean_curator(config.curator, config.prior, counts)
     if config.curator == "sample_split":
         return SampleSplitCurator(config.k, samples, config.q)
     raise ValueError(f"unknown curator {config.curator!r}")

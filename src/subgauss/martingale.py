@@ -19,7 +19,6 @@ from .distributions import BetaParams, DirichletParams, SeedSpec, draw
 
 __all__ = [
     "StepIncrement",
-    "PosteriorPath",
     "AzumaTotals",
     "PathSimulationReport",
     "StabilityReport",
@@ -28,7 +27,6 @@ __all__ = [
     "step_variance_proxy",
     "azuma_total",
     "simulate_paths",
-    "simulate_recorded_paths",
     "stability_diagnostics",
     "compositions",
 ]
@@ -42,16 +40,6 @@ class StepIncrement:
     up_prob: float
     down_value: float
     down_prob: float
-
-
-@dataclass(frozen=True)
-class PosteriorPath:
-    """One simulated trajectory of Bernoulli updates from a Beta prior."""
-
-    prior: BetaParams
-    true_p: float
-    steps: tuple[tuple[int, BetaParams, float], ...]  # (observation, posterior, mean)
-    horizon: int
 
 
 @dataclass(frozen=True)
@@ -220,29 +208,6 @@ def simulate_paths(
         final_mean=final_mean,
         deviation=np.abs(final_mean - true_p),
     )
-
-
-def simulate_recorded_paths(
-    prior: BetaParams, horizon: int, trials: int, seed: SeedSpec
-) -> list[PosteriorPath]:
-    """Step-by-step trajectories with every posterior recorded (small runs only)."""
-    rng = seed.generator()
-    paths = []
-    for _ in range(trials):
-        true_p = float(draw(prior, rng, 1)[0])
-        current = prior
-        steps = []
-        for _ in range(horizon):
-            obs = int(rng.random() < true_p)
-            if obs:
-                current = BetaParams(current.alpha + 1.0, current.beta)
-            else:
-                current = BetaParams(current.alpha, current.beta + 1.0)
-            steps.append((obs, current, current.alpha / current.total))
-        paths.append(
-            PosteriorPath(prior=prior, true_p=true_p, steps=tuple(steps), horizon=horizon)
-        )
-    return paths
 
 
 def compositions(n: int, k: int):

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: exit codes, artifacts, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,9 @@ class TestExitCodes:
             ["game", "--config", str(path), "--out", str(tmp_path / "r")]
         )
         assert code == 1
+        err = capsys.readouterr().err
+        assert "failed: wilson_low <= delta: wilson_low=" in err
+        assert err.index("wilson_low") < err.index("CHECKS FAILED")
 
 
 class TestArtifacts:
@@ -124,6 +128,44 @@ class TestArtifacts:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 120
         assert {"trial", "max_error", "win"} <= set(rows[0])
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-chi", "--trials", "20000"], ["martingale", "--trials", "200"]]
+)
+def test_check_subcommand_reports(argv, tmp_path, capsys):
+    command = argv[0]
+    digests = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        code = cli_dispatch(argv + ["--out", str(out)])
+        summary = read_json(out / f"{command}-summary.json")
+        assert code == (0 if summary["all_passed"] else 1)
+        digests.append([sha256(out / f"{command}-{kind}") for kind in ("summary.json", "data.csv")])
+    assert digests[0] == digests[1]
+
+
+class TestGameSeed:
+    CONFIG = {"k": 4, "prior": {"alphas": [1.0] * 4}, "n": 40, "q": 25, "epsilon": 0.3,
+              "delta": 0.1, "trials": 50}
+
+    def run(self, tmp_path, name, seed_key, flags=()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**self.CONFIG, "seed": seed_key}))
+        out = tmp_path / name
+        cli_dispatch(["game", "--config", str(path), "--out", str(out), *flags])
+        return sha256(out / "game-data.csv"), read_json(out / "manifest.json")["master_seed"]
+
+    def test_config_seed_is_used(self, tmp_path, capsys):
+        zero, five = self.run(tmp_path, "zero", 0), self.run(tmp_path, "five", 5)
+        assert zero[0] != five[0]
+        assert (zero[1], five[1]) == (0, 5)
+
+    def test_flag_overrides_config_seed(self, tmp_path, capsys):
+        assert self.run(tmp_path, "flag", 0, ["--seed", "5"]) == self.run(tmp_path, "key", 5)
 
 
 class TestDeterminism:

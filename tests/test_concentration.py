@@ -28,9 +28,8 @@ from subgauss import (
     termwise_mgf_comparison,
     variance_proxy_sup,
 )
+from subgauss.checks import GRID
 from subgauss.distributions import MomentSequence
-
-GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
 
 
 class TestVarianceProxySup:

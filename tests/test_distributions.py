@@ -25,9 +25,8 @@ from subgauss import (
     sample,
     sample_chi,
 )
+from subgauss.checks import GRID
 from subgauss.game import project_to_beta
-
-GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
 
 
 class TestParams:
