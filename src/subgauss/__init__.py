@@ -37,7 +37,6 @@ from .conjugate_models import (
     geometric_query_poly,
     mc_moments,
     model_q_draws,
-    moment_series_log_mgf,
     multinomial_query_moments,
     poisson_query_moments,
     poly_raw_moments_under_beta,

@@ -182,15 +182,13 @@ def _cmd_conjectures(args) -> CheckResult:
 
 
 _COMMANDS = {
-    "verify-beta": (lambda args: checks.verify_beta(), False),
-    "verify-dirichlet": (
-        lambda args: checks.verify_dirichlet(SeedSpec(args.seed), args.trials), False
-    ),
-    "verify-chi": (lambda args: checks.verify_chi(SeedSpec(args.seed), args.trials), False),
-    "lemma-checks": (lambda args: checks.lemma_checks(), False),
-    "martingale": (lambda args: checks.martingale(SeedSpec(args.seed), args.trials), False),
-    "game": (_cmd_game, True),
-    "conjectures": (_cmd_conjectures, True),
+    "verify-beta": lambda args: checks.verify_beta(),
+    "verify-dirichlet": lambda args: checks.verify_dirichlet(SeedSpec(args.seed), args.trials),
+    "verify-chi": lambda args: checks.verify_chi(SeedSpec(args.seed), args.trials),
+    "lemma-checks": lambda args: checks.lemma_checks(),
+    "martingale": lambda args: checks.martingale(SeedSpec(args.seed), args.trials),
+    "game": _cmd_game,
+    "conjectures": _cmd_conjectures,
 }
 
 
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in _COMMANDS:
         sp = sub.add_parser(name, help=help_text[name])
-        # only `game` has a second seed source, its config's "seed"
+        # only `game` reads a config, which is a second seed source
         seed_default = None if name == "game" else 0
         sp.add_argument(
             "--seed", type=_master_seed, default=seed_default, help="master seed (u64)"
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--format", choices=("json", "csv", "both"), default="both", dest="fmt"
         )
-        if _COMMANDS[name][1]:
+        if name == "game":
             sp.add_argument("--config", default=None, help="JSON config path")
     return parser
 
@@ -253,9 +251,8 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
-    handler, _ = _COMMANDS[args.command]
     try:
-        result = handler(args)
+        result = _COMMANDS[args.command](args)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2

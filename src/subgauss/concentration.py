@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     BetaParams,
@@ -376,6 +375,34 @@ def affine_scaling_check(
     )
 
 
+def weighted_log_mgf(
+    values: np.ndarray, weights: np.ndarray
+) -> tuple[Callable[[float], float], float, float]:
+    """(log_mgf, mean, cap) of the law with weight w_i (summing to 1) on v_i.
+
+    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered:
+    for |lam| * range <= 1 it is log1p(sum_i w_i expm1(lam x_i)), so the ratio
+    2 log_mgf/lam^2 stays a lower estimate as lam -> 0. Since log_mgf(lam) <=
+    |lam| max(x) for lam > 0 (|lam| max(-x) for lam < 0), the ratio is below
+    Var, its limit at 0, beyond cap = 2 max|x| / Var: a scan to the cap
+    contains the supremum (an infinite cap when Var = 0).
+    """
+    v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    mean = float(w @ v)
+    x = v - mean
+    hi, lo = float(x.max()), float(x.min())
+    var = float(w @ (x * x))
+    cap = 2.0 * max(hi, -lo) / var if var > 0 else math.inf
+
+    def log_mgf(lam: float) -> float:
+        if abs(lam) * (hi - lo) <= 1.0:
+            return math.log1p(float(w @ np.expm1(lam * x)))
+        shift = lam * (hi if lam > 0 else lo)
+        return shift + math.log(float(w @ np.exp(lam * x - shift)))
+
+    return log_mgf, mean, cap
+
+
 def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], float]:
     """Empirical log-MGF of bounded samples, plus the usable |lambda| cap.
 
@@ -388,10 +415,5 @@ def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], fl
     n = values.size
     if n < 100:
         raise ValueError("empirical MGF needs at least 100 samples")
-    cap = math.log(1e6 / math.sqrt(n))
-    log_n = math.log(n)
-
-    def log_mgf(lam: float) -> float:
-        return float(logsumexp(lam * values) - log_n)
-
-    return log_mgf, cap
+    centered, mean, _ = weighted_log_mgf(values, np.full(n, 1.0 / n))
+    return (lambda lam: centered(lam) + lam * mean), math.log(1e6 / math.sqrt(n))

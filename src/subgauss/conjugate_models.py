@@ -2,14 +2,15 @@
 
 Counting queries about binomial, geometric, multinomial, and Poisson data
 project the parameter prior (Beta, Dirichlet, or Gamma) onto [0,1]-valued
-functionals: polynomials in p for the discrete-parameter models and
+functionals Q: polynomials in p for the discrete-parameter models and
 exponential-polynomial functionals of the rate for Poisson. The variance
 proxies of these projections appear (numerically) to scale like m/(alpha+beta),
-1/alpha, m/sum(alpha), and 1/beta respectively; this module computes their
-raw moments exactly where closed forms exist, estimates tau^2, and reports
-ratios against those conjectured scales. Nothing here proves anything: the
-scales are implemented literally, with constants reported, and results are
-regression evidence only.
+1/alpha, m/sum(alpha), and 1/beta respectively; this module estimates tau^2
+by evaluating Q at weighted points of the prior (a Gauss rule in exact mode,
+prior draws in Monte Carlo mode) and reports ratios against those scales. The
+closed-form raw moments are the exact reference the rule is tested against.
+Nothing here proves anything: the scales are implemented literally, with
+constants reported, and results are regression evidence only.
 """
 from __future__ import annotations
 
@@ -19,13 +20,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
 
 from .concentration import (
     VarianceProxyEstimate,
     empirical_log_mgf,
     raw_moment_criterion,
     variance_proxy_sup,
+    weighted_log_mgf,
 )
 from .distributions import (
     BetaParams,
@@ -49,7 +51,6 @@ __all__ = [
     "poisson_query_moments",
     "model_q_draws",
     "mc_moments",
-    "moment_series_log_mgf",
     "conjectured_scale",
     "evaluate_model",
 ]
@@ -59,7 +60,10 @@ MODEL_KINDS = ("beta_binomial", "geometric", "multinomial", "poisson_gamma")
 _MAX_BINOMIAL_M = 30
 _MAX_GEOMETRIC_OUTCOME = 60
 _MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
-_MC_TAIL_TOL = 1e-8
+# Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
+# instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
+_RULE_NODES = 128
+_MAX_RULE_NODES = 2**15
 
 
 class ExactModeError(ValueError):
@@ -100,7 +104,6 @@ class ConjugateModelReport:
     scale: float
     ratio: float
     method: str  # "exact_moments" | "monte_carlo"
-    j_max_used: int
     smallest_passing_multiplier: float | None
     estimate: VarianceProxyEstimate
 
@@ -224,18 +227,13 @@ def multinomial_query_moments(
     subset: Iterable[Sequence[int]],
     prior: DirichletParams,
     j_max: int,
-    *,
-    mode: str = "exact",
-    draws: int = 10**6,
-    seed: SeedSpec | None = None,
-) -> MomentSequence | tuple[MomentSequence, tuple[float, ...]]:
+) -> MomentSequence:
     """E[Q^j] for Q the prior-projected probability of a multinomial count set.
 
-    Q(p) = sum_{x in S} m!/(x_1! ... x_k!) p_1^x_1 ... p_k^x_k. Exact mode
-    expands Q^j into monomials (integer coefficients, so no cancellation) and
-    applies E[prod p_i^d_i] = prod (alpha_i)_{d_i} / (A)_{sum d}; it is only
-    offered for k <= 4, m <= 5, j_max <= 8. Monte Carlo mode returns
-    (moments, standard errors) instead.
+    Q(p) = sum_{x in S} m!/(x_1! ... x_k!) p_1^x_1 ... p_k^x_k. Q^j is
+    expanded into monomials (integer coefficients, so no cancellation) and
+    E[prod p_i^d_i] = prod (alpha_i)_{d_i} / (A)_{sum d} is applied; this is
+    only offered for k <= 4, m <= 5, j_max <= 8.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
@@ -243,16 +241,9 @@ def multinomial_query_moments(
     vectors = _check_count_vectors(subset, m, k)
     if not vectors:
         raise ValueError("subset must be nonempty")
-    if mode == "monte_carlo":
-        q = model_q_draws(
-            "multinomial", prior, vectors, m=m, draws=draws, seed=seed or SeedSpec(0)
-        )
-        return mc_moments(q, j_max)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if k > 4 or m > 5 or j_max > 8:
         raise ExactModeError(
-            "exact mode needs k <= 4, m <= 5, j_max <= 8; use mode='monte_carlo'"
+            "exact moments need k <= 4, m <= 5, j_max <= 8; use Monte Carlo"
         )
 
     base: dict[tuple[int, ...], int] = {}
@@ -339,8 +330,69 @@ def poisson_query_moments(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# Q at weighted points: a Gauss rule of the prior, or prior draws
 # ---------------------------------------------------------------------------
+
+
+def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
+    """Q at parameter points: p for Beta, rows of p for Dirichlet, rates for Gamma."""
+    if model == "beta_binomial":
+        return binomial_query_poly(m, subset)(points)
+    if model == "geometric":
+        return geometric_query_poly(subset)(points)
+    if model == "multinomial":
+        vectors = _check_count_vectors(subset, m, points.shape[1])
+        x = np.asarray(vectors, dtype=float)  # (s, k)
+        log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
+        return np.exp(np.log(points) @ x.T + log_coeff).sum(axis=1)
+    if model == "poisson_gamma":
+        counts = np.asarray(sorted(set(int(c) for c in subset)), dtype=float)
+        log_terms = (
+            np.log(points)[:, None] * counts[None, :]
+            - points[:, None]
+            - gammaln(counts + 1.0)[None, :]
+        )
+        return np.exp(log_terms).sum(axis=1)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def _beta_rule(alpha: float, beta: float, nodes: int) -> tuple:
+    """Gauss-Jacobi rule of Beta(alpha, beta): (p, 1 - p, weights summing to 1)."""
+    x, w = roots_jacobi(nodes, beta - 1.0, alpha - 1.0)
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), w / w.sum()
+
+
+def _prior_rule(
+    prior: BetaParams | DirichletParams | GammaParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (points, weights) of the prior, weights summing to 1.
+
+    Points are p for Beta, rates for Gamma (generalized Gauss-Laguerre in
+    beta * rate) and (N, k) probability rows for a Dirichlet, built from
+    independent stick-breaking coordinates u_i ~ Beta(alpha_i, sum_{j>i}
+    alpha_j) with p_i = u_i prod_{j<i} (1 - u_j).
+    """
+    if isinstance(prior, BetaParams):
+        points, _, weights = _beta_rule(prior.alpha, prior.beta, _RULE_NODES)
+    elif isinstance(prior, GammaParams):
+        x, weights = roots_genlaguerre(_RULE_NODES, prior.alpha - 1.0)
+        points = x / prior.beta
+    elif prior.k > 4:
+        raise ExactModeError(f"exact mode needs k <= 4, got k={prior.k}; use Monte Carlo")
+    else:
+        dims = prior.k - 1
+        nodes = min(_RULE_NODES, int(_MAX_RULE_NODES ** (1.0 / dims) + 1e-9))
+        points = np.ones((1, 1))  # columns p_1 .. p_i, then the stick left over
+        weights = np.ones(1)
+        for i in range(dims):
+            u, rest, w = _beta_rule(prior.alphas[i], sum(prior.alphas[i + 1 :]), nodes)
+            stick = points[:, -1:]
+            head = np.repeat(points[:, :-1], nodes, axis=0)
+            points = np.column_stack([head, (stick * u).ravel(), (stick * rest).ravel()])
+            weights = np.outer(weights, w).ravel()
+    if not np.isfinite(weights).all():  # scipy's weight normalisation overflows
+        raise ExactModeError(f"no Gauss rule for {prior}; use Monte Carlo")
+    return points, weights / weights.sum()
 
 
 def model_q_draws(
@@ -354,43 +406,13 @@ def model_q_draws(
     chunk: int = 200_000,
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model {model!r}")
     rng = seed.generator()
     out = np.empty(draws)
-    if model == "beta_binomial":
-        poly = binomial_query_poly(m, subset)
-        p = draw(prior, rng, draws)
-        out[:] = poly(p)
-    elif model == "geometric":
-        poly = geometric_query_poly(subset)
-        p = draw(prior, rng, draws)
-        out[:] = poly(p)
-    elif model == "multinomial":
-        vectors = _check_count_vectors(subset, m, prior.k)
-        x = np.asarray(vectors, dtype=float)  # (s, k)
-        log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
-        pos = 0
-        while pos < draws:
-            step = min(chunk, draws - pos)
-            p = draw(prior, rng, step)
-            log_terms = np.log(p) @ x.T + log_coeff  # (step, s)
-            out[pos : pos + step] = np.exp(log_terms).sum(axis=1)
-            pos += step
-    elif model == "poisson_gamma":
-        counts = np.asarray(sorted(set(int(c) for c in subset)), dtype=float)
-        log_fact = gammaln(counts + 1.0)
-        pos = 0
-        while pos < draws:
-            step = min(chunk, draws - pos)
-            rate = draw(prior, rng, step)
-            log_terms = (
-                np.log(rate)[:, None] * counts[None, :]
-                - rate[:, None]
-                - log_fact[None, :]
-            )
-            out[pos : pos + step] = np.exp(log_terms).sum(axis=1)
-            pos += step
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    for pos in range(0, draws, chunk):
+        step = min(chunk, draws - pos)
+        out[pos : pos + step] = _query_values(model, subset, m, draw(prior, rng, step))
     return out
 
 
@@ -406,57 +428,6 @@ def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[MomentSequence, tuple[f
         values.append(float(power.mean()))
         errors.append(float(power.std(ddof=1) / math.sqrt(n)))
     return MomentSequence(tuple(values)), tuple(errors)
-
-
-# ---------------------------------------------------------------------------
-# tau^2 from finitely many moments
-# ---------------------------------------------------------------------------
-
-
-def _series_tail(lam: float, j_from: int) -> float:
-    """sum_{j >= j_from} lam^j / j! for lam > 0."""
-    term = math.exp(j_from * math.log(lam) - gammaln(j_from + 1.0))
-    total = term
-    j = j_from
-    while term > 1e-25 * total:
-        j += 1
-        term *= lam / j
-        total += term
-    return total
-
-
-def moment_series_log_mgf(moments: MomentSequence) -> tuple:
-    """(log_mgf, lambda_cap) from a truncated moment sequence of a [0,1] variable.
-
-    The MGF series is summed through j_max; since 0 <= Q <= 1, the discarded
-    tail is at most sum_{j > j_max} lam^j/j!, and lambda_cap is chosen so that
-    tail < 1e-8. The truncation error is therefore explicit rather than
-    silent, and it shrinks like lam^(j_max+1) below the cap.
-    """
-    values = moments.as_array()
-    j = np.arange(values.size)  # integer exponents: lam ** j must allow lam < 0
-    inv_fact = np.exp(-gammaln(j + 1.0))
-    j_max = moments.j_max
-    if j_max < 4:
-        raise ValueError("need at least 4 moments for a usable series")
-
-    lo, hi = 1e-2, float(j_max + 1)
-    if _series_tail(hi, j_max + 1) < _MC_TAIL_TOL:
-        cap = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _series_tail(mid, j_max + 1) < _MC_TAIL_TOL:
-                lo = mid
-            else:
-                hi = mid
-        cap = lo
-
-    def log_mgf(lam: float) -> float:
-        powers = lam ** j
-        return math.log(math.fsum(values * inv_fact * powers))
-
-    return log_mgf, cap
 
 
 def conjectured_scale(
@@ -488,12 +459,17 @@ def evaluate_model(
 ) -> ConjugateModelReport:
     """Estimate tau^2 of a projected conjugate-model query and compare to its scale.
 
-    Exact mode builds the raw moments in closed form, converts them to a
-    truncated MGF series with an explicit tail-controlled lambda range, and
-    runs the grid supremum. Monte Carlo mode estimates the MGF empirically
-    with the |lambda| cap keeping sampling error controlled. The raw-moment
-    criterion is additionally run at sigma^2 = c*scale for each multiplier,
-    reporting the smallest passing c (the conjectured scales hide constants).
+    Q is evaluated at weighted points: exact mode at the prior's Gauss rule
+    (`_prior_rule`; Dirichlet priors need k <= 4), Monte Carlo mode at
+    ``draws`` prior draws with equal weights. The criterion moments are the
+    weighted means of Q^j, j <= j_max, and tau^2 is the grid supremum of
+    2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the certified cap
+    of `weighted_log_mgf`, past which the ratio is below Var(Q), Monte Carlo
+    mode to ln(1e6/sqrt(draws)). A constant Q reports tau^2 = 0 unscanned.
+    The closed-form moment functions are the tests' exact reference for the
+    rule, not a second path. The raw-moment criterion is additionally run at
+    sigma^2 = c*scale for each multiplier, reporting the smallest passing c
+    (the conjectured scales hide constants).
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model {model!r}")
@@ -502,40 +478,24 @@ def evaluate_model(
     scale = conjectured_scale(model, prior, m)
 
     if method == "exact_moments":
-        if model == "beta_binomial":
-            poly = binomial_query_poly(m, subset)
-            if not poly.values_in_unit_interval():
-                raise ValueError("query polynomial leaves [0, 1]; invalid subset")
-            j_use = min(j_max, _MAX_POLY_WORK // max(poly.degree, 1))
-            moments = poly_raw_moments_under_beta(poly, prior, j_use)
-        elif model == "geometric":
-            poly = geometric_query_poly(subset)
-            if not poly.values_in_unit_interval():
-                raise ValueError("query polynomial leaves [0, 1]; invalid subset")
-            j_use = min(j_max, _MAX_POLY_WORK // max(poly.degree, 1))
-            moments = poly_raw_moments_under_beta(poly, prior, j_use)
-        elif model == "multinomial":
-            j_use = min(j_max, 8)
-            moments = multinomial_query_moments(m, subset, prior, j_use)
-        else:
-            j_use = min(j_max, 20)
-            moments = poisson_query_moments(subset, prior, j_use)
-        log_mgf, cap = moment_series_log_mgf(moments)
-        estimate = variance_proxy_sup(
-            log_mgf, moments[1], cap, method="exact_mgf"
-        )
+        points, weights = _prior_rule(prior)
+        q = _query_values(model, subset, m, points)
+        moments = MomentSequence([1.0] + [weights @ q**j for j in range(1, j_max + 1)])
+        log_mgf, _, cap = weighted_log_mgf(q, weights)
+        mean, kind = 0.0, "exact_mgf"  # log_mgf is already centered
     elif method == "monte_carlo":
         q = model_q_draws(
             model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0)
         )
-        j_use = j_max
-        moments, _ = mc_moments(q, j_use)
+        moments, _ = mc_moments(q, j_max)
         log_mgf, cap = empirical_log_mgf(q)
-        estimate = variance_proxy_sup(
-            log_mgf, float(q.mean()), cap, method="empirical_mgf"
-        )
+        mean, kind = float(q.mean()), "empirical_mgf"
     else:
         raise ValueError(f"unknown method {method!r}")
+    if q.min() == q.max():
+        estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0)
+    else:
+        estimate = variance_proxy_sup(log_mgf, mean, cap, method=kind)
 
     smallest = None
     if all(v > 0 for v in moments.values):
@@ -553,7 +513,6 @@ def evaluate_model(
         scale=scale,
         ratio=estimate.value / scale,
         method=method,
-        j_max_used=j_use,
         smallest_passing_multiplier=smallest,
         estimate=estimate,
     )

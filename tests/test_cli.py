@@ -48,6 +48,13 @@ class TestExitCodes:
         assert "error: argument" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_only_game_takes_a_config(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["conjectures", "--config", str(tmp_path / "nope.json"), "--trials", "100"]
+        assert cli_dispatch(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_trials_must_be_positive(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"trials": 0}))
@@ -145,6 +152,17 @@ def test_check_subcommand_reports(argv, tmp_path, capsys):
         summary = read_json(out / f"{command}-summary.json")
         assert code == (0 if summary["all_passed"] else 1)
         digests.append([sha256(out / f"{command}-{kind}") for kind in ("summary.json", "data.csv")])
+    assert digests[0] == digests[1]
+
+
+def test_conjectures_pass_and_reproduce(tmp_path, capsys):
+    digests = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli_dispatch(["conjectures", "--trials", "20000", "--out", str(out)]) == 0
+        assert read_json(out / "conjectures-summary.json")["all_passed"] is True
+        with open(out / "conjectures-data.csv", newline="", encoding="utf-8") as fh:
+            assert len(list(csv.DictReader(fh))) == 60  # 30 instances x 2 methods
+        digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
 
 

@@ -29,6 +29,7 @@ from subgauss import (
     variance_proxy_sup,
 )
 from subgauss.checks import GRID
+from subgauss.concentration import weighted_log_mgf
 from subgauss.distributions import MomentSequence
 
 
@@ -285,3 +286,21 @@ class TestEmpiricalLogMgf:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             empirical_log_mgf(np.ones(10))
+
+
+class TestWeightedLogMgf:
+    def test_bernoulli_law_and_certified_cap(self):
+        p = 0.2
+        log_mgf, mean, cap = weighted_log_mgf(np.array([0.0, 1.0]), np.array([1 - p, p]))
+        assert mean == pytest.approx(p, rel=1e-15)
+        assert cap == pytest.approx(2 * (1 - p) / (p * (1 - p)), rel=1e-14)
+        for lam in (-40.0, -1.5, 1e-3, 0.7, 40.0):  # both branches
+            want = math.log1p(p * math.expm1(lam)) - lam * p
+            assert log_mgf(lam) == pytest.approx(want, rel=1e-12)
+        # past the cap the ratio is below Var, its limit at 0
+        for lam in (-cap * 1.01, cap * 1.01):
+            assert 2 * log_mgf(lam) / lam**2 < p * (1 - p)
+
+    def test_constant_law_has_infinite_cap(self):
+        log_mgf, mean, cap = weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))
+        assert (mean, cap, log_mgf(3.0)) == (0.5, math.inf, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,20 +13,19 @@ from subgauss import (
     GammaParams,
     PolynomialInP,
     SeedSpec,
-    beta_log_mgf,
     beta_proxy_bound,
+    beta_proxy_estimate,
     beta_raw_moments,
     binomial_query_poly,
     evaluate_model,
     geometric_query_poly,
     mc_moments,
     model_q_draws,
-    moment_series_log_mgf,
     multinomial_query_moments,
     poisson_query_moments,
     poly_raw_moments_under_beta,
 )
-from subgauss.distributions import beta_moment_sequence
+from subgauss.conjugate_models import _prior_rule, _query_values
 
 
 class TestBinomialPoly:
@@ -141,16 +141,6 @@ class TestMultinomialMoments:
         with pytest.raises(ExactModeError):
             multinomial_query_moments(1, [(1, 0, 0, 0, 0)], prior, 2)
 
-    def test_monte_carlo_mode_agrees(self):
-        prior = DirichletParams((1.0, 2.0, 3.0))
-        subset = [(1, 1, 0), (0, 1, 1)]
-        exact = multinomial_query_moments(2, subset, prior, 4)
-        mc, ses = multinomial_query_moments(
-            2, subset, prior, 4, mode="monte_carlo", draws=4 * 10**5, seed=SeedSpec(6)
-        )
-        for j in range(1, 5):
-            assert abs(exact[j] - mc[j]) <= 3.0 * ses[j]
-
     def test_count_vector_validation(self):
         with pytest.raises(ValueError):
             multinomial_query_moments(2, [(1, 0)], DirichletParams((1.0, 1.0, 1.0)), 2)
@@ -198,17 +188,45 @@ class TestPoissonMoments:
             poisson_query_moments({0}, GammaParams(1, 1), 21)
 
 
-class TestMomentSeriesLogMgf:
-    def test_matches_exact_beta_log_mgf(self):
-        p = BetaParams(1, 1)
-        log_mgf, cap = moment_series_log_mgf(beta_moment_sequence(p, 16))
-        assert cap > 1.0
-        for lam in (-cap, -0.5, 0.3, cap):
-            assert log_mgf(lam) == pytest.approx(beta_log_mgf(p, lam), abs=2e-8)
+# AC10's instances; the rule's moments must reproduce the exact rational ones.
+AC10_INSTANCES = [
+    ("beta_binomial", BetaParams(1.0, 1.0), {1}, 2),
+    ("beta_binomial", BetaParams(1.0, 2.0), {0, 1}, 5),
+    ("beta_binomial", BetaParams(0.5, 0.5), {3}, 3),
+    ("beta_binomial", BetaParams(2.0, 5.0), {2, 3, 5}, 5),
+    ("geometric", BetaParams(2.0, 1.0), {0}, None),
+    ("geometric", BetaParams(1.0, 1.0), {0, 1, 2, 5}, None),
+    ("multinomial", DirichletParams((1.0, 1.0, 1.0)), {(1, 1, 1), (3, 0, 0)}, 3),
+    ("multinomial", DirichletParams((2.0, 3.0)), {(1, 1)}, 2),
+    ("multinomial", DirichletParams((1.0, 2.0, 3.0)), {(0, 1, 0)}, 1),
+    ("poisson_gamma", GammaParams(1.0, 1.0), {0}, None),
+    ("poisson_gamma", GammaParams(2.0, 5.0), {0, 1, 5}, None),
+    ("poisson_gamma", GammaParams(0.5, 2.0), {3}, None),
+]
 
-    def test_needs_enough_moments(self):
-        with pytest.raises(ValueError):
-            moment_series_log_mgf(beta_moment_sequence(BetaParams(1, 1), 3))
+
+@pytest.mark.parametrize("model, prior, subset, m", AC10_INSTANCES)
+def test_rule_moments_match_exact_moments(model, prior, subset, m):
+    if model == "beta_binomial":
+        exact = poly_raw_moments_under_beta(binomial_query_poly(m, subset), prior, 16)
+    elif model == "geometric":
+        exact = poly_raw_moments_under_beta(geometric_query_poly(subset), prior, 16)
+    elif model == "multinomial":
+        exact = multinomial_query_moments(m, subset, prior, 8)  # its j_max cap
+    else:
+        exact = poisson_query_moments(subset, prior, 16)
+    points, weights = _prior_rule(prior)
+    q = _query_values(model, subset, m, points)
+    rule = [weights @ q**j for j in range(exact.j_max + 1)]
+    np.testing.assert_allclose(rule, exact.as_array(), rtol=1e-11, atol=0)
+
+
+def _mp_ratio(q, density, lam):
+    """2 ln E[e^(lam (Q - E Q))] / lam^2 under a [0,1] density, by mpmath.quad."""
+    with mpmath.workdps(30):
+        mean = mpmath.quad(lambda p: q(p) * density(p), [0, 1])
+        mgf = mpmath.quad(lambda p: mpmath.exp(lam * (q(p) - mean)) * density(p), [0, 1])
+        return float(2 * mpmath.log(mgf) / mpmath.mpf(lam) ** 2)
 
 
 class TestEvaluateModel:
@@ -257,8 +275,75 @@ class TestEvaluateModel:
         assert mc.estimate.method == "empirical_mgf"
         assert abs(mc.tau2_est - exact.tau2_est) <= 0.3 * exact.tau2_est
 
+    def test_large_argmax_instances_match_quadrature(self):
+        # both suprema lie near |lambda| = 12
+        half = mpmath.mpf(1) / 2
+        cases = [
+            (
+                evaluate_model("beta_binomial", BetaParams(0.5, 1.5), {5}, m=5),
+                0.06899738474259982,
+                lambda p: p**5,
+                lambda p: p ** (-half) * (1 - p) ** half / mpmath.beta(half, 3 * half),
+            ),
+            (
+                evaluate_model("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}),
+                0.05787424105896481,
+                lambda p: sum(p * (1 - p) ** c for c in (0, 1, 2, 3, 5)),
+                lambda p: 2 * p,
+            ),
+        ]
+        for report, want, q, density in cases:
+            assert report.tau2_est == pytest.approx(want, rel=1e-8)
+            lam = report.estimate.argmax_lambda
+            assert _mp_ratio(q, density, lam) == pytest.approx(report.tau2_est, rel=1e-10)
+
+    @pytest.mark.parametrize("alphas", [(1.0, 2.0, 0.5), (0.5, 1.5, 2.0, 3.0)])
+    def test_projection_reduces_to_beta(self, alphas):
+        # Q = p1 + p2 under Dir(alphas) is Beta(a1 + a2, rest)
+        k = len(alphas)
+        subset = {tuple(int(i == c) for i in range(k)) for c in (0, 1)}
+        report = evaluate_model("multinomial", DirichletParams(alphas), subset, m=1)
+        beta = BetaParams(alphas[0] + alphas[1], sum(alphas[2:]))
+        assert report.tau2_est == pytest.approx(beta_proxy_estimate(beta).value, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_symmetric_reductions_are_strictly_subgaussian(self, s):
+        var = 1.0 / (4.0 * (2.0 * s + 1.0))  # Var of Beta(s, s), its tau^2
+        for report in (
+            evaluate_model("beta_binomial", BetaParams(s, s), {1}, m=1),
+            evaluate_model("geometric", BetaParams(s, s), {0}),
+            evaluate_model("multinomial", DirichletParams((s, s)), {(1, 0)}, m=1),
+        ):
+            assert var * (1 - 1e-6) <= report.tau2_est <= var * (1 + 1e-12)
+
+    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    def test_constant_query_has_zero_proxy(self, method):
+        report = evaluate_model(
+            "beta_binomial", BetaParams(1, 1), {0, 1, 2}, m=2, method=method, draws=1000
+        )
+        assert report.tau2_est == 0.0
+
+    @pytest.mark.parametrize(
+        "model, prior, subset, m, tau2",
+        [
+            ("beta_binomial", BetaParams(0.5, 1.5), {5}, 5, 0.05998378826245062),
+            ("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}, None, 0.046181840017718245),
+            ("multinomial", DirichletParams((2.0, 1.0, 0.5)), {(2, 0, 0)}, 2, 0.07158881758502755),
+            ("poisson_gamma", GammaParams(2.0, 5.0), {0, 1, 2, 4}, None, 0.0007325726938262688),
+        ],
+    )
+    def test_monte_carlo_values_pinned(self, model, prior, subset, m, tau2):
+        # seeded Monte Carlo results stay put when the log-MGF code changes
+        report = evaluate_model(
+            model, prior, subset, m=m, method="monte_carlo",
+            draws=200_000, seed=SeedSpec(1), j_max=6,
+        )
+        assert report.tau2_est == pytest.approx(tau2, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             evaluate_model("beta_binomial", BetaParams(1, 1), {1})  # missing m
         with pytest.raises(ValueError):
             evaluate_model("nonsense", BetaParams(1, 1), {1}, m=1)
+        with pytest.raises(ExactModeError):  # the product rule stops at k = 4
+            evaluate_model("multinomial", DirichletParams((1.0,) * 5), {(1, 0, 0, 0, 0)}, m=1)
