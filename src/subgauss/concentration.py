@@ -385,14 +385,17 @@ def weighted_log_mgf(
     2 log_mgf/lam^2 stays a lower estimate as lam -> 0. Since log_mgf(lam) <=
     |lam| max(x) for lam > 0 (|lam| max(-x) for lam < 0), the ratio is below
     Var, its limit at 0, beyond cap = 2 max|x| / Var: a scan to the cap
-    contains the supremum (an infinite cap when Var = 0).
+    contains the supremum. Constant values (Var = 0) have no cap: refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    v, w = v[w > 0], w[w > 0]  # the law's support
     mean = float(w @ v)
     x = v - mean
     hi, lo = float(x.max()), float(x.min())
     var = float(w @ (x * x))
-    cap = 2.0 * max(hi, -lo) / var if var > 0 else math.inf
+    if var == 0.0:
+        raise ValueError("constant values: Var = 0 leaves no lambda cap")
+    cap = 2.0 * max(hi, -lo) / var
 
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .concentration import (
     VarianceProxyEstimate,
@@ -35,7 +36,6 @@ from .distributions import (
     GammaParams,
     MomentSequence,
     SeedSpec,
-    beta_raw_moments,
     draw,
 )
 
@@ -57,13 +57,18 @@ __all__ = [
 
 MODEL_KINDS = ("beta_binomial", "geometric", "multinomial", "poisson_gamma")
 
+# Expanded coefficients stay exact in float64: |c| <= 3^30, C(56, 28) < 2^53.
 _MAX_BINOMIAL_M = 30
-_MAX_GEOMETRIC_OUTCOME = 60
+_MAX_GEOMETRIC_OUTCOME = 55
+_MAX_POISSON_OUTCOME = 60
 _MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
 _RULE_NODES = 128
 _MAX_RULE_NODES = 2**15
+# A query whose values spread by at most this is constant: by Hoeffding's
+# lemma its tau^2 is at most spread^2 / 4 <= 2.5e-25, reported as 0.
+_CONSTANT_SPREAD = 1e-12
 
 
 class ExactModeError(ValueError):
@@ -117,8 +122,9 @@ def binomial_query_poly(m: int, subset: Iterable[int]) -> PolynomialInP:
     """Probability that an m-trial binomial count lands in ``subset``, as a polynomial.
 
     Expands sum_{c in S} C(m,c) p^c (1-p)^(m-c) in integer arithmetic; the
-    coefficients stay exact in float64 for m <= 30, beyond which exact mode
-    is refused (use Monte Carlo instead).
+    coefficients stay exact in float64 for m <= 30, beyond which it is
+    refused. It serves the exact moment reference; `evaluate_model` sums
+    the terms directly instead.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -137,12 +143,17 @@ def binomial_query_poly(m: int, subset: Iterable[int]) -> PolynomialInP:
     return PolynomialInP(tuple(float(v) for v in coeffs))
 
 
-def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
-    """Probability that a geometric failure count lands in ``subset``:
-    sum_{c in S} p (1-p)^c expanded into monomials."""
+def _outcome_counts(subset: Iterable[int]) -> list[int]:
     counts = sorted(set(int(c) for c in subset))
     if not counts or counts[0] < 0:
         raise ValueError("subset must be a nonempty set of nonnegative integers")
+    return counts
+
+
+def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
+    """Probability that a geometric failure count lands in ``subset``:
+    sum_{c in S} p (1-p)^c expanded into monomials, exact for outcomes <= 55."""
+    counts = _outcome_counts(subset)
     if counts[-1] > _MAX_GEOMETRIC_OUTCOME:
         raise ExactModeError(
             f"max(subset)={counts[-1]} exceeds the exact-mode cap "
@@ -160,26 +171,16 @@ def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
 # ---------------------------------------------------------------------------
 
 
-def _int_convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def poly_raw_moments_under_beta(
     poly: PolynomialInP, prior: BetaParams, j_max: int
 ) -> MomentSequence:
     """E[Q(p)^j] for j = 0..j_max with p ~ Beta(prior), exact up to float64.
 
     Q^j is built by repeated coefficient convolution and integrated term by
-    term against the Beta raw moments. Integer coefficients (the query
-    constructors always produce them) are convolved in exact integer
-    arithmetic and paired with exact rational moment ratios, because the
-    float sum cancels catastrophically once the coefficients reach ~1e12;
-    only the final moment is rounded.
+    term against the Beta raw moments, all in exact rational arithmetic (a
+    float coefficient is an exact rational), because the float sum cancels
+    catastrophically once the coefficients reach ~1e12; only the final
+    moment is rounded.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
@@ -188,27 +189,16 @@ def poly_raw_moments_under_beta(
             f"j_max*degree = {j_max * poly.degree} exceeds the exact-mode cap "
             f"{_MAX_POLY_WORK}; lower j_max or use Monte Carlo"
         )
-    max_degree = max(j_max * poly.degree, 1)
-    if all(float(c).is_integer() for c in poly.coefficients):
-        alpha, total = Fraction(prior.alpha), Fraction(prior.alpha) + Fraction(prior.beta)
-        ratios = [Fraction(1)]
-        for d in range(max_degree):
-            ratios.append(ratios[-1] * (alpha + d) / (total + d))
-        base = [int(c) for c in poly.coefficients]
-        values = [1.0]
-        power = [1]
-        for _ in range(j_max):
-            power = _int_convolve(power, base)
-            values.append(float(sum(c * ratios[d] for d, c in enumerate(power) if c)))
-        return MomentSequence(tuple(values))
-
-    base = np.asarray(poly.coefficients)
-    table = beta_raw_moments(prior, max_degree)
+    alpha, total = Fraction(prior.alpha), Fraction(prior.alpha) + Fraction(prior.beta)
+    ratios = [Fraction(1)]  # E[p^d]
+    for d in range(max(j_max * poly.degree, 1)):
+        ratios.append(ratios[-1] * (alpha + d) / (total + d))
+    exact = [int(c) if c.is_integer() else Fraction(c) for c in poly.coefficients]
+    base, power = np.array(exact, dtype=object), np.ones(1, dtype=object)
     values = [1.0]
-    power = np.ones(1)
     for _ in range(j_max):
         power = np.convolve(power, base)
-        values.append(math.fsum(c * m for c, m in zip(power, table)))
+        values.append(float(sum(c * ratios[d] for d, c in enumerate(power) if c)))
     return MomentSequence(tuple(values))
 
 
@@ -301,13 +291,11 @@ def poisson_query_moments(
     E[rate^s e^{-j rate}] = beta^alpha Gamma(alpha+s) / (Gamma(alpha) (beta+j)^(alpha+s)).
     Everything is evaluated in log space, so no intermediate overflows.
     """
-    counts = sorted(set(int(c) for c in subset))
-    if not counts or counts[0] < 0:
-        raise ValueError("subset must be a nonempty set of nonnegative integers")
-    if counts[-1] > _MAX_GEOMETRIC_OUTCOME:
+    counts = _outcome_counts(subset)
+    if counts[-1] > _MAX_POISSON_OUTCOME:
         raise ExactModeError(
             f"max(subset)={counts[-1]} exceeds the exact-mode cap "
-            f"{_MAX_GEOMETRIC_OUTCOME}"
+            f"{_MAX_POISSON_OUTCOME}"
         )
     if not 0 <= j_max <= 20:
         raise ExactModeError("exact Poisson moments need 0 <= j_max <= 20")
@@ -335,31 +323,60 @@ def poisson_query_moments(
 
 
 def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
-    """Q at parameter points: p for Beta, rows of p for Dirichlet, rates for Gamma."""
-    if model == "beta_binomial":
-        return binomial_query_poly(m, subset)(points)
-    if model == "geometric":
-        return geometric_query_poly(subset)(points)
+    """Q at parameter points: p for Beta, rows of p for Dirichlet, rates for Gamma.
+
+    Q sums its nonnegative terms, each formed in log space, so no size cap
+    applies; the expanded polynomials would lose ~2^degree * eps near p = 1.
+    """
+    if model in ("beta_binomial", "geometric"):
+        c, p = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        if model == "geometric":  # p (1-p)^c
+            return np.exp(xlogy(1.0, p) + xlog1py(c, -p)).sum(axis=1)
+        if c[-1] > m:
+            raise ValueError("subset entries must lie in 0..m")
+        log_coeff = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
+        return np.exp(log_coeff + xlogy(c, p) + xlog1py(m - c, -p)).sum(axis=1)
     if model == "multinomial":
         vectors = _check_count_vectors(subset, m, points.shape[1])
         x = np.asarray(vectors, dtype=float)  # (s, k)
         log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
         return np.exp(np.log(points) @ x.T + log_coeff).sum(axis=1)
     if model == "poisson_gamma":
-        counts = np.asarray(sorted(set(int(c) for c in subset)), dtype=float)
-        log_terms = (
-            np.log(points)[:, None] * counts[None, :]
-            - points[:, None]
-            - gammaln(counts + 1.0)[None, :]
-        )
-        return np.exp(log_terms).sum(axis=1)
+        c, rate = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        return np.exp(xlogy(c, rate) - rate - gammaln(c + 1.0)).sum(axis=1)
     raise ValueError(f"unknown model {model!r}")
 
 
+def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of a probability law from its Jacobi matrix (orthonormal recurrence).
+
+    Nodes are the eigenvalues (Golub-Welsch); weights are 1 / sum_k p_k(x)^2
+    over the orthonormal polynomials, which, unlike squared eigenvector
+    components, keeps tail weights accurate. No normalising constant is
+    formed, so none overflows; a node whose sum overflows gets weight 0.
+    """
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    prev, cur, total = np.zeros_like(nodes), np.ones_like(nodes), np.ones_like(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(off)):
+            back = off[k - 1] * prev if k else 0.0
+            prev, cur = cur, ((nodes - diag[k]) * cur - back) / off[k]
+            total += cur * cur
+    return nodes, np.where(np.isfinite(total), 1.0 / total, 0.0)
+
+
 def _beta_rule(alpha: float, beta: float, nodes: int) -> tuple:
-    """Gauss-Jacobi rule of Beta(alpha, beta): (p, 1 - p, weights summing to 1)."""
-    x, w = roots_jacobi(nodes, beta - 1.0, alpha - 1.0)
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), w / w.sum()
+    """Gauss rule of Beta(alpha, beta): (p, 1 - p, weights), from the Jacobi
+    recurrence in t = 2p - 1, weight (1-t)^a (1+t)^b with a = beta - 1, b = alpha - 1."""
+    a, b = beta - 1.0, alpha - 1.0
+    k = np.arange(1, nodes, dtype=float)
+    s = 2.0 * k + a + b  # >= alpha + beta > 0
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b - a) * (b + a) / (s * (s + 2.0))])
+    # (k + a + b) / (s - 1) is 1 at k = 1, where both vanish when a + b = -1
+    ratio = np.concatenate([[1.0], (k[1:] + a + b) / (s[1:] - 1.0)])
+    off = 2.0 / s * np.sqrt(k * (k + a) * (k + b) / (s + 1.0) * ratio)
+    t, weights = _gauss_rule(diag, off)
+    return 0.5 * (1.0 + t), 0.5 * (1.0 - t), weights
 
 
 def _prior_rule(
@@ -375,23 +392,23 @@ def _prior_rule(
     if isinstance(prior, BetaParams):
         points, _, weights = _beta_rule(prior.alpha, prior.beta, _RULE_NODES)
     elif isinstance(prior, GammaParams):
-        x, weights = roots_genlaguerre(_RULE_NODES, prior.alpha - 1.0)
+        k = np.arange(_RULE_NODES, dtype=float)  # Laguerre recurrence, weight x^(alpha-1) e^-x
+        off = np.sqrt(k[1:] * (k[1:] + prior.alpha - 1.0))
+        x, weights = _gauss_rule(2.0 * k + prior.alpha, off)
         points = x / prior.beta
     elif prior.k > 4:
         raise ExactModeError(f"exact mode needs k <= 4, got k={prior.k}; use Monte Carlo")
     else:
         dims = prior.k - 1
         nodes = min(_RULE_NODES, int(_MAX_RULE_NODES ** (1.0 / dims) + 1e-9))
-        points = np.ones((1, 1))  # columns p_1 .. p_i, then the stick left over
-        weights = np.ones(1)
+        # columns p_1 .. p_i, then the stick left over
+        points, weights = np.ones((1, 1)), np.ones(1)
         for i in range(dims):
             u, rest, w = _beta_rule(prior.alphas[i], sum(prior.alphas[i + 1 :]), nodes)
             stick = points[:, -1:]
             head = np.repeat(points[:, :-1], nodes, axis=0)
             points = np.column_stack([head, (stick * u).ravel(), (stick * rest).ravel()])
             weights = np.outer(weights, w).ravel()
-    if not np.isfinite(weights).all():  # scipy's weight normalisation overflows
-        raise ExactModeError(f"no Gauss rule for {prior}; use Monte Carlo")
     return points, weights / weights.sum()
 
 
@@ -434,12 +451,10 @@ def conjectured_scale(
     model: str, prior: BetaParams | DirichletParams | GammaParams, m: int | None
 ) -> float:
     """The conjectured variance-proxy scale, implemented literally (constants reported separately)."""
-    if model == "beta_binomial":
+    if model in ("beta_binomial", "multinomial"):
         return m / prior.total
     if model == "geometric":
         return 1.0 / prior.alpha
-    if model == "multinomial":
-        return m / prior.total
     if model == "poisson_gamma":
         return 1.0 / prior.beta
     raise ValueError(f"unknown model {model!r}")
@@ -465,7 +480,8 @@ def evaluate_model(
     weighted means of Q^j, j <= j_max, and tau^2 is the grid supremum of
     2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the certified cap
     of `weighted_log_mgf`, past which the ratio is below Var(Q), Monte Carlo
-    mode to ln(1e6/sqrt(draws)). A constant Q reports tau^2 = 0 unscanned.
+    mode to ln(1e6/sqrt(draws)). A Q whose values spread by at most 1e-12
+    reports tau^2 = 0 unscanned (Hoeffding bounds it by 2.5e-25).
     The closed-form moment functions are the tests' exact reference for the
     rule, not a second path. The raw-moment criterion is additionally run at
     sigma^2 = c*scale for each multiplier, reporting the smallest passing c
@@ -481,21 +497,20 @@ def evaluate_model(
         points, weights = _prior_rule(prior)
         q = _query_values(model, subset, m, points)
         moments = MomentSequence([1.0] + [weights @ q**j for j in range(1, j_max + 1)])
-        log_mgf, _, cap = weighted_log_mgf(q, weights)
-        mean, kind = 0.0, "exact_mgf"  # log_mgf is already centered
     elif method == "monte_carlo":
-        q = model_q_draws(
-            model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0)
-        )
+        q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0))
         moments, _ = mc_moments(q, j_max)
-        log_mgf, cap = empirical_log_mgf(q)
-        mean, kind = float(q.mean()), "empirical_mgf"
     else:
         raise ValueError(f"unknown method {method!r}")
-    if q.min() == q.max():
+    kind = "exact_mgf" if method == "exact_moments" else "empirical_mgf"
+    if q.max() - q.min() <= _CONSTANT_SPREAD:
         estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0)
+    elif method == "exact_moments":
+        log_mgf, _, cap = weighted_log_mgf(q, weights)  # log_mgf is centered
+        estimate = variance_proxy_sup(log_mgf, 0.0, cap, method=kind)
     else:
-        estimate = variance_proxy_sup(log_mgf, mean, cap, method=kind)
+        log_mgf, cap = empirical_log_mgf(q)
+        estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap, method=kind)
 
     smallest = None
     if all(v > 0 for v in moments.values):

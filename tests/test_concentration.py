@@ -301,6 +301,6 @@ class TestWeightedLogMgf:
         for lam in (-cap * 1.01, cap * 1.01):
             assert 2 * log_mgf(lam) / lam**2 < p * (1 - p)
 
-    def test_constant_law_has_infinite_cap(self):
-        log_mgf, mean, cap = weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))
-        assert (mean, cap, log_mgf(3.0)) == (0.5, math.inf, 0.0)
+    def test_constant_law_is_refused(self):
+        with pytest.raises(ValueError):  # Var = 0: no cap; evaluate_model reports 0
+            weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))

@@ -77,6 +77,14 @@ class TestGeometricPoly:
         with pytest.raises(ExactModeError):
             geometric_query_poly({61})
 
+    def test_coefficients_exact_up_to_the_cap(self):
+        # coefficient of p^(1+i) over outcomes 0..55 is (-1)^i C(56, i+1) <= 2^53
+        poly = geometric_query_poly(set(range(56)))
+        want = [0] + [(-1) ** i * math.comb(56, i + 1) for i in range(56)]
+        assert [int(c) for c in poly.coefficients] == want
+        with pytest.raises(ExactModeError):  # C(57, 28) > 2^53
+            geometric_query_poly({56})
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             geometric_query_poly(set())
@@ -188,39 +196,6 @@ class TestPoissonMoments:
             poisson_query_moments({0}, GammaParams(1, 1), 21)
 
 
-# AC10's instances; the rule's moments must reproduce the exact rational ones.
-AC10_INSTANCES = [
-    ("beta_binomial", BetaParams(1.0, 1.0), {1}, 2),
-    ("beta_binomial", BetaParams(1.0, 2.0), {0, 1}, 5),
-    ("beta_binomial", BetaParams(0.5, 0.5), {3}, 3),
-    ("beta_binomial", BetaParams(2.0, 5.0), {2, 3, 5}, 5),
-    ("geometric", BetaParams(2.0, 1.0), {0}, None),
-    ("geometric", BetaParams(1.0, 1.0), {0, 1, 2, 5}, None),
-    ("multinomial", DirichletParams((1.0, 1.0, 1.0)), {(1, 1, 1), (3, 0, 0)}, 3),
-    ("multinomial", DirichletParams((2.0, 3.0)), {(1, 1)}, 2),
-    ("multinomial", DirichletParams((1.0, 2.0, 3.0)), {(0, 1, 0)}, 1),
-    ("poisson_gamma", GammaParams(1.0, 1.0), {0}, None),
-    ("poisson_gamma", GammaParams(2.0, 5.0), {0, 1, 5}, None),
-    ("poisson_gamma", GammaParams(0.5, 2.0), {3}, None),
-]
-
-
-@pytest.mark.parametrize("model, prior, subset, m", AC10_INSTANCES)
-def test_rule_moments_match_exact_moments(model, prior, subset, m):
-    if model == "beta_binomial":
-        exact = poly_raw_moments_under_beta(binomial_query_poly(m, subset), prior, 16)
-    elif model == "geometric":
-        exact = poly_raw_moments_under_beta(geometric_query_poly(subset), prior, 16)
-    elif model == "multinomial":
-        exact = multinomial_query_moments(m, subset, prior, 8)  # its j_max cap
-    else:
-        exact = poisson_query_moments(subset, prior, 16)
-    points, weights = _prior_rule(prior)
-    q = _query_values(model, subset, m, points)
-    rule = [weights @ q**j for j in range(exact.j_max + 1)]
-    np.testing.assert_allclose(rule, exact.as_array(), rtol=1e-11, atol=0)
-
-
 def _mp_ratio(q, density, lam):
     """2 ln E[e^(lam (Q - E Q))] / lam^2 under a [0,1] density, by mpmath.quad."""
     with mpmath.workdps(30):
@@ -318,10 +293,54 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
     def test_constant_query_has_zero_proxy(self, method):
-        report = evaluate_model(
-            "beta_binomial", BetaParams(1, 1), {0, 1, 2}, m=2, method=method, draws=1000
-        )
-        assert report.tau2_est == 0.0
+        every_composition = {(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        for model, prior, subset, m in [
+            ("beta_binomial", BetaParams(1, 1), {0, 1, 2}, 2),  # Q == 1 exactly
+            ("multinomial", DirichletParams((1.0, 2.0, 0.5)), every_composition, 2),  # 1 +- ulp
+        ]:
+            report = evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
+            assert report.tau2_est == 0.0
+
+    def test_rule_moments_exact_for_large_outcomes(self):
+        # Q is summed from positive terms: the expanded polynomials lose ~2^degree eps
+        cases = [
+            ("geometric", BetaParams(2.0, 1.0), {40}, None, geometric_query_poly({40})),
+            ("beta_binomial", BetaParams(1.0, 1.0), {15}, 30, binomial_query_poly(30, {15})),
+            ("beta_binomial", BetaParams(0.5, 2.0), {0, 29, 30}, 30, binomial_query_poly(30, {0, 29, 30})),
+        ]
+        for model, prior, subset, m, poly in cases:
+            exact = poly_raw_moments_under_beta(poly, prior, 6)  # degree * 6 <= 255: rule-exact
+            points, weights = _prior_rule(prior)
+            q = _query_values(model, subset, m, points)
+            rule = [weights @ q**j for j in range(7)]
+            np.testing.assert_allclose(rule, exact.as_array(), rtol=1e-11, atol=0)
+
+    def test_monte_carlo_has_no_size_cap(self):
+        # under Beta(1, 1) every binomial count has probability 1/(m+1), and
+        # E[p (1-p)^80] = 1/(81 * 82)
+        for model, subset, m, mean in [
+            ("beta_binomial", {0, 50}, 100, 2.0 / 101.0),
+            ("geometric", {80}, None, 1.0 / (81.0 * 82.0)),
+        ]:
+            q = model_q_draws(model, BetaParams(1.0, 1.0), subset, m=m, draws=10**5, seed=SeedSpec(4))
+            assert ((q >= 0) & (q <= 1)).all()
+            assert abs(q.mean() - mean) <= 4.0 * q.std() / math.sqrt(q.size)
+
+    def test_rule_survives_extreme_priors(self):
+        # no normalising constant overflows: Beta(1, 2000) and Gamma shape 200
+        cases = [
+            ("beta_binomial", BetaParams(1.0, 2000.0), {1}, 1, beta_raw_moments(BetaParams(1.0, 2000.0), 4)),
+            ("poisson_gamma", GammaParams(200.0, 100.0), {2}, None,
+             poisson_query_moments({2}, GammaParams(200.0, 100.0), 4).as_array()),
+        ]
+        for model, prior, subset, m, exact in cases:
+            points, weights = _prior_rule(prior)
+            q = _query_values(model, subset, m, points)
+            rule = [weights @ q**j for j in range(5)]
+            np.testing.assert_allclose(rule, exact, rtol=1e-10, atol=0)
+            report = evaluate_model(model, prior, subset, m=m)
+            var = exact[2] - exact[1] ** 2
+            assert math.isfinite(report.tau2_est) and report.tau2_est >= var * (1 - 1e-6)
 
     @pytest.mark.parametrize(
         "model, prior, subset, m, tau2",
