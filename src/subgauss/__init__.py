@@ -10,7 +10,6 @@ curator answers adaptively chosen queries at the static sample complexity.
 from .concentration import (
     AffineScalingCheck,
     BetaBoundCheck,
-    BetaTightBoundCheck,
     MomentCriterionReport,
     TailBoundResult,
     VarianceProxyEstimate,
@@ -21,7 +20,6 @@ from .concentration import (
     beta_tight_proxy_bound,
     centered_moment_criterion,
     check_beta_bound,
-    check_beta_tight_bound,
     empirical_log_mgf,
     raw_moment_criterion,
     tail_bound,

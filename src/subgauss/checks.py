@@ -65,27 +65,27 @@ def _expect(failures: list[dict], ok: bool, check: str, **cells) -> bool:
 
 
 def verify_beta() -> CheckResult:
-    """AC1/AC2 on GRID x GRID: Var - 1e-6 <= tau2_est <= 1/(4(a+b)+2) (1 + 1e-6),
-    and tau2_est <= 1/(4(a+b+1)) (1 + 1e-3)."""
+    """AC1/AC2 on GRID x GRID: Var - 1e-6 <= tau2_est, `check_beta_bound`
+    passes (tau2_est <= 1/(4(a+b)+2) (1 + 1e-6)), and tau2_est <= 1/(4(a+b+1))
+    (1 + 1e-3)."""
     rows = []
     for a in GRID:
         for b in GRID:
             p = BetaParams(a, b)
-            est = conc.beta_proxy_estimate(p)
+            check = conc.check_beta_bound(p)
             _, var = beta_mean_var(p)
-            bound = conc.beta_proxy_bound(p)
             tight = conc.beta_tight_proxy_bound(p)
-            ratio = est.value / tight
+            ratio = check.tau2_est / tight
             rows.append(
                 {
                     "alpha": a,
                     "beta": b,
                     "variance": var,
-                    "tau2_est": est.value,
-                    "bound": bound,
+                    "tau2_est": check.tau2_est,
+                    "bound": check.bound,
                     "tight_bound": tight,
                     "ratio": ratio,
-                    "passed": var - 1e-6 <= est.value <= bound * (1.0 + 1e-6)
+                    "passed": var - 1e-6 <= check.tau2_est and check.passed
                     and ratio <= 1.0 + 1e-3,
                 }
             )

@@ -5,10 +5,11 @@ martingale, game, conjectures. The first five run the criteria in
 `subgauss.checks`, the same functions the acceptance tests call; `game` and
 `conjectures` are defined here. Every run is deterministic given (config,
 --seed); `game` takes its seed from --seed, else the config's "seed", else 0,
-and every other subcommand from --seed, else 0. Exit codes: 0 all checks
-passed, 1 at least one check failed (its first failing rows are logged), 2
-usage or configuration error. Progress goes to stderr; data goes only to the
-output files.
+and every other subcommand that draws random numbers from --seed, else 0.
+`verify-beta` and `lemma-checks` draw none and take neither --seed nor
+--trials. Exit codes: 0 all checks passed, 1 at least one check failed (its
+first failing rows are logged), 2 usage or configuration error. Progress goes
+to stderr; data goes only to the output files.
 """
 from __future__ import annotations
 
@@ -50,27 +51,40 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _integer(raw: dict, key: str) -> int:
+    """The config's integer ``key``; 2.5, "3" or true are refused, not truncated."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
     raw = dict(_DEFAULT_GAME)
     if args.config is not None:
         try:
-            raw.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {args.config!r} must hold a JSON object, not {loaded!r}")
+        raw.update(loaded)
     try:
-        trials = args.trials or int(raw.get("trials", 300))
+        trials = args.trials or _integer(raw, "trials")
         if trials < 1:
             raise ValueError(f"trials must be a positive integer, got {trials}")
-        seed = SeedSpec(args.seed if args.seed is not None else int(raw.get("seed", 0)))
+        seed = SeedSpec(args.seed if args.seed is not None else _integer(raw, "seed"))
         prior = DirichletParams(tuple(raw["prior"]["alphas"]))
-        n = raw.get("n")
-        if n is None:
-            n = game_mod.required_n(raw["epsilon"], raw["delta"], raw["q"], prior.total)
+        q = _integer(raw, "q")
+        if raw["n"] is None:
+            n = game_mod.required_n(raw["epsilon"], raw["delta"], q, prior.total)
+        else:
+            n = _integer(raw, "n")
         config = game_mod.GameConfig(
-            k=raw["k"],
+            k=_integer(raw, "k"),
             prior=prior,
-            n=int(n),
-            q=int(raw["q"]),
+            n=n,
+            q=q,
             epsilon=float(raw["epsilon"]),
             delta=float(raw["delta"]),
             analyst=raw.get("analyst", "adaptive_correlator"),
@@ -181,6 +195,9 @@ def _cmd_conjectures(args) -> CheckResult:
     return CheckResult(summary, rows, not failures, failures)
 
 
+# Subcommands whose check draws random numbers: only these take --seed and --trials.
+_SEEDED = ("verify-dirichlet", "verify-chi", "martingale", "game", "conjectures")
+
 _COMMANDS = {
     "verify-beta": lambda args: checks.verify_beta(),
     "verify-dirichlet": lambda args: checks.verify_dirichlet(SeedSpec(args.seed), args.trials),
@@ -228,15 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in _COMMANDS:
         sp = sub.add_parser(name, help=help_text[name])
-        # only `game` reads a config, which is a second seed source
-        seed_default = None if name == "game" else 0
-        sp.add_argument(
-            "--seed", type=_master_seed, default=seed_default, help="master seed (u64)"
-        )
+        if name in _SEEDED:
+            # only `game` reads a config, which is a second seed source
+            seed_default = None if name == "game" else 0
+            sp.add_argument(
+                "--seed", type=_master_seed, default=seed_default, help="master seed (u64)"
+            )
+            sp.add_argument(
+                "--trials", type=_trial_count, default=None, help="trial/draw override (>= 1)"
+            )
         sp.add_argument("--out", default="reports", help="output directory")
-        sp.add_argument(
-            "--trials", type=_trial_count, default=None, help="trial/draw override (>= 1)"
-        )
         sp.add_argument(
             "--format", choices=("json", "csv", "both"), default="both", dest="fmt"
         )
@@ -264,7 +282,7 @@ def cli_dispatch(argv: list[str]) -> int:
             args.out,
             args.fmt,
             config={"argv": argv},
-            master_seed=args.seed,
+            master_seed=getattr(args, "seed", None),  # None: the check draws nothing
         )
     except OSError as exc:
         _log(f"error: could not write reports: {exc}")

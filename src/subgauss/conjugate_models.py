@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .concentration import (
     raw_moment_criterion,
     variance_proxy_sup,
     weighted_log_mgf,
+    weighted_proxy_sup,
 )
 from .distributions import (
     BetaParams,
@@ -55,7 +57,14 @@ __all__ = [
     "evaluate_model",
 ]
 
-MODEL_KINDS = ("beta_binomial", "geometric", "multinomial", "poisson_gamma")
+# The prior family each model's query is projected from.
+_PRIOR_FAMILY = {
+    "beta_binomial": BetaParams,
+    "geometric": BetaParams,
+    "multinomial": DirichletParams,
+    "poisson_gamma": GammaParams,
+}
+MODEL_KINDS = tuple(_PRIOR_FAMILY)
 
 # Expanded coefficients stay exact in float64: |c| <= 3^30, C(56, 28) < 2^53.
 _MAX_BINOMIAL_M = 30
@@ -64,8 +73,13 @@ _MAX_POISSON_OUTCOME = 60
 _MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
+# Q is evaluated on at most _MAX_RULE_NODES points at a time.
 _RULE_NODES = 128
 _MAX_RULE_NODES = 2**15
+# Exact mode refuses a tau^2 whose ratio at the argmax moves by more than
+# this on a rule with twice the nodes per coordinate (2^(k-1) times the
+# points in all for a Dirichlet prior).
+_RULE_AGREEMENT = 1e-8
 # A query whose values spread by at most this is constant: by Hoeffding's
 # lemma its tau^2 is at most spread^2 / 4 <= 2.5e-25, reported as 0.
 _CONSTANT_SPREAD = 1e-12
@@ -365,8 +379,17 @@ def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return nodes, np.where(np.isfinite(total), 1.0 / total, 0.0)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+# The 1-D rules are cached (a few KB each): `conjectures` scans each prior
+# several times, and every exact-mode estimate also builds the doubled rule.
+@lru_cache(maxsize=64)
 def _beta_rule(alpha: float, beta: float, nodes: int) -> tuple:
-    """Gauss rule of Beta(alpha, beta): (p, 1 - p, weights), from the Jacobi
+    """Gauss rule of Beta(alpha, beta): (p, 1 - p, weights), read-only, from the Jacobi
     recurrence in t = 2p - 1, weight (1-t)^a (1+t)^b with a = beta - 1, b = alpha - 1."""
     a, b = beta - 1.0, alpha - 1.0
     k = np.arange(1, nodes, dtype=float)
@@ -376,31 +399,38 @@ def _beta_rule(alpha: float, beta: float, nodes: int) -> tuple:
     ratio = np.concatenate([[1.0], (k[1:] + a + b) / (s[1:] - 1.0)])
     off = 2.0 / s * np.sqrt(k * (k + a) * (k + b) / (s + 1.0) * ratio)
     t, weights = _gauss_rule(diag, off)
-    return 0.5 * (1.0 + t), 0.5 * (1.0 - t), weights
+    return _read_only(0.5 * (1.0 + t), 0.5 * (1.0 - t), weights)
+
+
+@lru_cache(maxsize=64)
+def _gamma_rule(alpha: float, nodes: int) -> tuple:
+    """Generalized Gauss-Laguerre rule (x, weights), read-only: weight x^(alpha-1) e^-x."""
+    k = np.arange(nodes, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + alpha - 1.0))
+    return _read_only(*_gauss_rule(2.0 * k + alpha, off))
 
 
 def _prior_rule(
-    prior: BetaParams | DirichletParams | GammaParams,
+    prior: BetaParams | DirichletParams | GammaParams, refine: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (points, weights) of the prior, weights summing to 1.
 
     Points are p for Beta, rates for Gamma (generalized Gauss-Laguerre in
     beta * rate) and (N, k) probability rows for a Dirichlet, built from
     independent stick-breaking coordinates u_i ~ Beta(alpha_i, sum_{j>i}
-    alpha_j) with p_i = u_i prod_{j<i} (1 - u_j).
+    alpha_j) with p_i = u_i prod_{j<i} (1 - u_j). ``refine`` multiplies the
+    nodes per coordinate.
     """
     if isinstance(prior, BetaParams):
-        points, _, weights = _beta_rule(prior.alpha, prior.beta, _RULE_NODES)
+        points, _, weights = _beta_rule(prior.alpha, prior.beta, refine * _RULE_NODES)
     elif isinstance(prior, GammaParams):
-        k = np.arange(_RULE_NODES, dtype=float)  # Laguerre recurrence, weight x^(alpha-1) e^-x
-        off = np.sqrt(k[1:] * (k[1:] + prior.alpha - 1.0))
-        x, weights = _gauss_rule(2.0 * k + prior.alpha, off)
+        x, weights = _gamma_rule(prior.alpha, refine * _RULE_NODES)
         points = x / prior.beta
     elif prior.k > 4:
         raise ExactModeError(f"exact mode needs k <= 4, got k={prior.k}; use Monte Carlo")
     else:
         dims = prior.k - 1
-        nodes = min(_RULE_NODES, int(_MAX_RULE_NODES ** (1.0 / dims) + 1e-9))
+        nodes = refine * min(_RULE_NODES, int(_MAX_RULE_NODES ** (1.0 / dims) + 1e-9))
         # columns p_1 .. p_i, then the stick left over
         points, weights = np.ones((1, 1)), np.ones(1)
         for i in range(dims):
@@ -423,14 +453,24 @@ def model_q_draws(
     chunk: int = 200_000,
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model {model!r}")
+    _check_prior(model, prior)
     rng = seed.generator()
     out = np.empty(draws)
     for pos in range(0, draws, chunk):
         step = min(chunk, draws - pos)
         out[pos : pos + step] = _query_values(model, subset, m, draw(prior, rng, step))
     return out
+
+
+def _check_prior(model: str, prior) -> None:
+    """Refuse an unknown model or a prior outside the model's family."""
+    family = _PRIOR_FAMILY.get(model)
+    if family is None:
+        raise ValueError(f"unknown model {model!r}")
+    if not isinstance(prior, family):
+        raise ValueError(
+            f"model {model!r} needs a {family.__name__} prior, got {type(prior).__name__}"
+        )
 
 
 def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[MomentSequence, tuple[float, ...]]:
@@ -460,6 +500,24 @@ def conjectured_scale(
     raise ValueError(f"unknown model {model!r}")
 
 
+def _check_rule_resolves(model, prior, subset, m, estimate: VarianceProxyEstimate) -> None:
+    """Raise ExactModeError unless a rule with twice the nodes per coordinate
+    agrees with the estimate's ratio at its argmax to _RULE_AGREEMENT."""
+    points, weights = _prior_rule(prior, refine=2)
+    q = np.concatenate([
+        _query_values(model, subset, m, points[i : i + _MAX_RULE_NODES])
+        for i in range(0, len(points), _MAX_RULE_NODES)
+    ])
+    log_mgf, _, _ = weighted_log_mgf(q, weights)
+    lam = estimate.argmax_lambda
+    moved = abs(2.0 * log_mgf(lam) / (lam * lam) / estimate.value - 1.0)
+    if moved > _RULE_AGREEMENT:
+        raise ExactModeError(
+            f"the Gauss rule does not resolve e^(lambda Q) at lambda = {lam:.6g}: "
+            f"the ratio moves {moved:.3g} relative with twice the nodes; use Monte Carlo"
+        )
+
+
 def evaluate_model(
     model: str,
     prior: BetaParams | DirichletParams | GammaParams,
@@ -480,23 +538,34 @@ def evaluate_model(
     weighted means of Q^j, j <= j_max, and tau^2 is the grid supremum of
     2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the certified cap
     of `weighted_log_mgf`, past which the ratio is below Var(Q), Monte Carlo
-    mode to ln(1e6/sqrt(draws)). A Q whose values spread by at most 1e-12
-    reports tau^2 = 0 unscanned (Hoeffding bounds it by 2.5e-25).
+    mode to ln(1e6/sqrt(draws)). Exact mode stops each sign of the scan
+    once Q's range certifies that no larger ratio remains
+    (`weighted_proxy_sup`), and raises ExactModeError when the ratio at the
+    argmax moves by more than 1e-8 relative on a rule with twice the nodes
+    per coordinate: the rule then does not resolve e^(lam Q). A Q whose
+    values spread by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding
+    bounds it by 2.5e-25). The prior must be of the model's family, j_max
+    at least 2, and Monte Carlo mode needs at least 100 draws.
     The closed-form moment functions are the tests' exact reference for the
     rule, not a second path. The raw-moment criterion is additionally run at
     sigma^2 = c*scale for each multiplier, reporting the smallest passing c
     (the conjectured scales hide constants).
     """
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model {model!r}")
+    _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
         raise ValueError(f"model {model!r} needs a positive trial count m")
+    if j_max < 2:
+        raise ValueError(f"j_max must be at least 2, got {j_max}")
+    if method == "monte_carlo" and draws < 100:
+        raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
     scale = conjectured_scale(model, prior, m)
 
     if method == "exact_moments":
         points, weights = _prior_rule(prior)
         q = _query_values(model, subset, m, points)
-        moments = MomentSequence([1.0] + [weights @ q**j for j in range(1, j_max + 1)])
+        moments = MomentSequence(
+            [1.0] + [np.einsum("i,i->", weights, q**j) for j in range(1, j_max + 1)]
+        )
     elif method == "monte_carlo":
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0))
         moments, _ = mc_moments(q, j_max)
@@ -506,8 +575,8 @@ def evaluate_model(
     if q.max() - q.min() <= _CONSTANT_SPREAD:
         estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0)
     elif method == "exact_moments":
-        log_mgf, _, cap = weighted_log_mgf(q, weights)  # log_mgf is centered
-        estimate = variance_proxy_sup(log_mgf, 0.0, cap, method=kind)
+        estimate = weighted_proxy_sup(q, weights, kind)
+        _check_rule_resolves(model, prior, subset, m, estimate)
     else:
         log_mgf, cap = empirical_log_mgf(q)
         estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap, method=kind)

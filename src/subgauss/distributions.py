@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,7 +16,6 @@ from scipy import integrate
 from scipy.special import gammaln
 
 __all__ = [
-    "MGF_LAMBDA_CAP",
     "BetaParams",
     "DirichletParams",
     "GammaParams",
@@ -28,6 +26,7 @@ __all__ = [
     "beta_raw_moments",
     "beta_moment_sequence",
     "beta_mean_var",
+    "beta_centered_log_mgf",
     "beta_log_mgf",
     "beta_mgf",
     "beta_expect",
@@ -39,11 +38,14 @@ __all__ = [
     "sample_chi",
 ]
 
-#: Largest |lambda| accepted by the Beta MGF series; beyond this the series
-#: cost and precision are unbounded.
-MGF_LAMBDA_CAP = 1e5
-
-_SERIES_REL_TOL = 1e-16
+# Central-moment terms of the centered Beta series; past them (|lam| sigma
+# above ~11 near the Gaussian limit) the windowed raw series takes over.
+_CENTRAL_TERMS = 256
+# Series terms below exp(-_WINDOW_LOG) ~ 4e-18 of the largest are dropped.
+_WINDOW_LOG = 40.0
+# Longest raw-series window summed (its arrays take ~20 MB). A tau^2 scan
+# needs ~5e4 terms at most for alpha + beta <= 1e6; past about 5e7 it raises.
+_MAX_TERMS = 2**18
 
 
 def _check_positive_finite(name: str, value: float) -> float:
@@ -230,76 +232,154 @@ def beta_mean_var(p: BetaParams) -> tuple[float, float]:
     return mean, var
 
 
-def _table_size(n: int) -> int:
-    return max(64, 1 << (max(n, 1) - 1).bit_length())
+def _stirling_tail(y):
+    """ln Gamma(y) - ((y - 1/2) ln y - y + ln(2 pi)/2) for y >= 20, to ~1e-17."""
+    z = 1.0 / (y * y)
+    return (
+        1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (1 / 1680 - z * (1 / 1188 - z * 691 / 360360))))
+    ) / y
 
 
-@lru_cache(maxsize=None)
-def _log_factorial_table(size: int) -> np.ndarray:
-    table = gammaln(np.arange(size, dtype=float) + 1.0)
-    table.setflags(write=False)
-    return table
+def _log_rising(x: float, k):
+    """ln Gamma(x+k)/Gamma(x) for k >= 0 to ~eps * k ln(x+k), also where ln Gamma(x) is huge."""
+    if x < 20.0:
+        return gammaln(x + k) - gammaln(x)
+    y = x + k
+    return (x - 0.5) * np.log1p(k / x) + k * (np.log(y) - 1.0) + _stirling_tail(y) - _stirling_tail(x)
 
 
-@lru_cache(maxsize=256)
-def _log_moment_table(alpha: float, beta: float, size: int) -> np.ndarray:
-    r = np.arange(size - 1, dtype=float)
-    table = np.concatenate(
-        ([0.0], np.cumsum(np.log((alpha + r) / (alpha + beta + r))))
-    )
-    table.setflags(write=False)
-    return table
+def _raw_log_mgf(a: float, b: float, lam: float) -> float:
+    """ln E[exp(lam X)] for X ~ Beta(a, b) and lam > 0, from the raw series.
+
+    The terms t_k = lam^k E[X^k]/k! rise while t_{k+1}/t_k = lam (a+k) /
+    ((a+b+k)(k+1)) > 1, so they peak at k = 0 or at the larger root of
+    (k+1)(a+b+k) = lam (a+k), in a bump of width w = 1/sqrt(curvature of
+    ln t_k). Only the terms within exp(-_WINDOW_LOG) of the peak count,
+    O(sqrt(lam)) of them. The window starts 16 + 9 w terms either side of an
+    interior peak (64 terms for a peak at k = 0, where the decay need not be
+    quadratic) and doubles until both ends are negligible. It is summed
+    pairwise, its first term from `_log_rising` and the rest from the term
+    ratios; t_0 = 1 is a second local peak, so the sum restarts at k = 0
+    when it matters. A window past _MAX_TERMS raises OverflowError.
+    """
+    s = a + b
+    bq, c = s + 1.0 - lam, s - lam * a  # (k+1)(s+k) - lam (a+k) = k^2 + bq k + c
+    disc = bq * bq - 4.0 * c
+    if disc <= 0.0 or (c > 0.0 and bq >= 0.0):
+        peak = 0.0
+    elif bq > 0.0:
+        peak = -2.0 * c / (bq + math.sqrt(disc))
+    else:
+        peak = (math.sqrt(disc) - bq) / 2.0
+    curvature = 1.0 / (peak + 1.0) + 1.0 / (s + peak) - 1.0 / (a + peak)
+    half = 16 + int(9.0 / math.sqrt(curvature)) if peak > 0.0 and curvature > 0.0 else 64
+    lo = max(0, int(peak) - half)
+    while True:
+        if int(peak) + half - lo > _MAX_TERMS:
+            raise OverflowError(
+                f"the Beta({a:g}, {b:g}) series at lambda={lam:g} needs more than {_MAX_TERMS} terms"
+            )
+        k = np.arange(lo, int(peak) + half, dtype=float)
+        steps = np.log(lam * (a + k) / ((s + k) * (k + 1.0)))  # ln t_{k+1}/t_k
+        rel = np.concatenate(([0.0], np.cumsum(steps)))  # ln t_k / t_lo
+        top = float(rel.max())
+        anchor = lo * math.log(lam) + float(_log_rising(a, lo) - _log_rising(s, lo) - gammaln(lo + 1.0))
+        if lo > 0 and anchor + top < _WINDOW_LOG:  # t_0 = 1 is not negligible
+            lo = 0
+        elif (lo == 0 or rel[0] < top - _WINDOW_LOG) and rel[-1] < top - _WINDOW_LOG:
+            return anchor + top + math.log(float(np.sum(np.exp(rel - top))))
+        else:
+            half *= 2
+            lo = max(0, int(peak) - half) if lo > 0 else 0
 
 
-def beta_log_mgf(p: BetaParams, lam: float, *, lambda_cap: float = MGF_LAMBDA_CAP) -> float:
-    """ln E[exp(lam * X)] for X ~ Beta(p), via the power series in lam.
+def _central_log_terms(a: float, b: float) -> np.ndarray:
+    """ln(c_k / k!) for k = 0.._CENTRAL_TERMS, c_k = E[(X - mu)^k], X ~ Beta(a, b), a <= b.
 
-    The series sum_k lam^k/k! * E[X^k] is truncated once the relative term
-    drops below 1e-16 *and* k exceeds 2|lam|+50 (terms peak near k ~ lam, so
-    both conditions are required). Negative lam is routed through the
-    reflection X -> 1 - X, which swaps the shape parameters and keeps every
-    series term positive; a direct alternating sum loses all precision for
-    lam below about -40. Summation is exact (math.fsum) after a max-term
-    shift, so the result stays finite for any lam up to the cap even though
-    exp(result) may overflow float64.
+    Stein's identity for the Beta law gives c_0 = 1, c_1 = 0 and c_{k+1} =
+    k [(1 - 2 mu) c_k + mu (1 - mu) c_{k-1}] / (a + b + k). With mu <= 1/2
+    every coefficient is >= 0, so every c_k is, and the recurrence runs on
+    rescaled floats without cancellation; a zero c_k (odd k at mu = 1/2)
+    gives -inf.
+    """
+    s = a + b
+    skew, spread = (b - a) / s, a * b / (s * s)  # 1 - 2 mu and mu (1 - mu)
+    out = np.full(_CENTRAL_TERMS + 1, -math.inf)
+    out[0] = 0.0
+    prev, cur, scale = 1.0, 0.0, 0.0  # e_{k-1}, e_k (e_j = c_j / j!) over e^scale
+    for k in range(1, _CENTRAL_TERMS):
+        prev, cur = cur, (k * skew * cur + spread * prev) / ((k + 1.0) * (s + k))
+        if cur > 0.0:
+            out[k + 1] = scale + math.log(cur)
+            if cur < 1e-200:  # rescale before the floats underflow
+                scale += math.log(cur)
+                prev, cur = prev / cur, 1.0
+    return out
+
+
+def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
+    """lam -> ln E[exp(lam (X - mu))] for X ~ Beta(p), computed centered.
+
+    Let Z be X or 1 - X, whichever has mean mu_Z <= 1/2; the central
+    moments of Z are all >= 0 (`_central_log_terms`). On the side where
+    every term lam^k c_k/k! is >= 0, the log-MGF is log1p of their sum, with
+    no cancellation at any lam. On the other side the terms alternate; their
+    sum is used while its rounding error, eps * sum|t_k| / sum t_k, is below
+    that of the raw series minus lam * mean (`_raw_log_mgf`), about
+    eps * |lam| * mean. The raw series also takes over wherever the central
+    terms have not converged within _CENTRAL_TERMS; there |lam| is far past
+    1/sigma and the subtraction loses little. No form is ln M - lam mu near 0.
+    """
+    flip = p.alpha > p.beta
+    za, zb = (p.beta, p.alpha) if flip else (p.alpha, p.beta)
+    s = za + zb
+    table = _central_log_terms(za, zb)[2:]
+    k = np.arange(2, _CENTRAL_TERMS + 1, dtype=float)
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
+
+    def log_mgf(lam: float) -> float:
+        lam = float(lam)
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
+        if lam == 0.0:
+            return 0.0
+        lz = -lam if flip else lam  # the argument for Z - mu_Z
+        mag = abs(lz)
+        logs = k * math.log(mag) + table
+        top = float(logs.max())
+        # the central terms converged within the table, at a representable size
+        if top < 700.0 and max(logs[-1], logs[-2]) < top - _WINDOW_LOG:
+            scaled = np.exp(logs - top)
+            total = math.exp(top) * float(np.sum(scaled))  # sum |t_k|
+            signed = total if lz > 0.0 else math.exp(top) * float(np.sum(signs * scaled))
+            # alternating terms: keep their sum while its error beats the raw series'
+            if lz > 0.0 or (signed > -1.0 and total / (1.0 + signed) <= mag * zb / s):
+                return math.log1p(signed)
+        if lz > 0.0:
+            return _raw_log_mgf(za, zb, mag) - mag * (za / s)
+        return _raw_log_mgf(zb, za, mag) - mag * (zb / s)  # Z at -mag is 1 - Z at mag
+
+    return log_mgf
+
+
+def beta_log_mgf(p: BetaParams, lam: float) -> float:
+    """ln E[exp(lam * X)] for X ~ Beta(p): lam * mean plus the centered log-MGF.
+
+    The result stays finite even where exp(result) overflows float64; see
+    `beta_centered_log_mgf` for how the series is summed. It raises
+    OverflowError where the raw series needs more than 2^18 terms, which a
+    tau^2 scan reaches once alpha + beta is past about 5e7. Each call rebuilds the central-moment table, so a scan over
+    many lam should call `beta_centered_log_mgf` once instead.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
-    if abs(lam) > lambda_cap:
-        raise OverflowError(
-            f"|lambda| = {abs(lam):g} exceeds the series cap {lambda_cap:g}"
-        )
-    if lam == 0.0:
-        return 0.0
-    if lam < 0.0:
-        return lam + beta_log_mgf(p.swapped(), -lam, lambda_cap=lambda_cap)
-
-    min_k = 2.0 * lam + 50.0
-    size = _table_size(int(min_k) + 130)
-    log_lam = math.log(lam)
-    while True:
-        k = np.arange(size, dtype=float)
-        logs = (
-            k * log_lam
-            - _log_factorial_table(size)
-            + _log_moment_table(p.alpha, p.beta, size)
-        )
-        shift = float(logs.max())
-        terms = np.exp(logs - shift)
-        partial = np.cumsum(terms)
-        small = terms[1:] < _SERIES_REL_TOL * partial[:-1]
-        past_peak = np.arange(1, size, dtype=float) > min_k
-        stop = np.nonzero(small & past_peak)[0]
-        if stop.size:
-            last = stop[0] + 1  # index of the first negligible term
-            return shift + math.log(math.fsum(terms[: last + 1]))
-        size = _table_size(size * 2)
+    return lam * (p.alpha / p.total) + beta_centered_log_mgf(p)(lam)
 
 
-def beta_mgf(p: BetaParams, lam: float, *, lambda_cap: float = MGF_LAMBDA_CAP) -> float:
+def beta_mgf(p: BetaParams, lam: float) -> float:
     """E[exp(lam * X)] for X ~ Beta(p). Raises OverflowError if it exceeds float64."""
-    return math.exp(beta_log_mgf(p, lam, lambda_cap=lambda_cap))
+    return math.exp(beta_log_mgf(p, lam))
 
 
 def beta_expect(

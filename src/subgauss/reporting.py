@@ -21,7 +21,7 @@ ARTIFACT_VERSION = "0.1.0"
 class RunManifest:
     command: str
     config: dict
-    master_seed: int
+    master_seed: int | None
     artifact_version: str
     outputs: tuple[dict, ...]
     created_at: str = field(default="")
@@ -74,7 +74,7 @@ def emit_report(
     fmt: str,
     *,
     config: dict | None = None,
-    master_seed: int = 0,
+    master_seed: int | None = 0,
 ) -> RunManifest:
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 

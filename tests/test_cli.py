@@ -55,6 +55,46 @@ class TestExitCodes:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-beta", "--seed", "9"],
+            ["verify-beta", "--trials", "3"],
+            ["lemma-checks", "--trials", "3", "--seed", "9"],
+            ["lemma-checks", "--seed", "0"],
+        ],
+    )
+    def test_seedless_checks_refuse_seed_and_trials(self, argv, tmp_path, capsys):
+        # neither check draws a random number, so both flags would be ignored
+        out = tmp_path / "r"
+        assert cli_dispatch(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"game"'])
+    def test_config_must_be_an_object(self, text, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"q": 2.5}, {"n": 40.5}, {"k": 4.5}, {"trials": 2.5}, {"q": "10"}, {"trials": True},
+         {"seed": 1.5}],
+    )
+    def test_config_integers_are_not_truncated(self, entry, tmp_path, capsys):
+        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "n": 40, "q": 10, "epsilon": 0.3,
+                  "delta": 0.1, "trials": 20, **entry}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_trials_must_be_positive(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"trials": 0}))

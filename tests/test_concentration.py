@@ -1,10 +1,19 @@
 """Tests for variance-proxy estimation and the subgaussianity criteria."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import subgauss
 from subgauss import (
     BetaParams,
     SeedSpec,
@@ -19,7 +28,6 @@ from subgauss import (
     beta_tight_proxy_bound,
     centered_moment_criterion,
     check_beta_bound,
-    check_beta_tight_bound,
     chi_raw_moment,
     empirical_log_mgf,
     raw_moment_criterion,
@@ -88,15 +96,72 @@ class TestBetaBoundChecks:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0])
     def test_symmetric_is_strictly_subgaussian(self, a):
-        check = check_beta_tight_bound(BetaParams(a, a))
-        _, var = beta_mean_var(BetaParams(a, a))
+        p = BetaParams(a, a)
+        bound = beta_tight_proxy_bound(p)
+        _, var = beta_mean_var(p)
         # at alpha=beta the tight bound equals the variance and is attained
-        assert check.bound == pytest.approx(var, rel=1e-12)
-        assert check.ratio == pytest.approx(1.0, abs=1e-3)
+        assert bound == pytest.approx(var, rel=1e-12)
+        assert beta_proxy_estimate(p).value / bound == pytest.approx(1.0, abs=1e-3)
 
     def test_asymmetric_tight_ratio(self):
-        check = check_beta_tight_bound(BetaParams(1, 9))
-        assert check.ratio <= 1.0 + 1e-3
+        p = BetaParams(1, 9)
+        assert beta_proxy_estimate(p).value / beta_tight_proxy_bound(p) <= 1.0 + 1e-3
+
+
+def mpmath_ratio(a, b, lam):
+    """2 (ln 1F1(a; a+b; lam) - lam a/(a+b)) / lam^2 at 50 digits: the exact Beta ratio."""
+    with mpmath.workdps(50):
+        a, b, lam = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(lam)
+        m = mpmath.hyp1f1(a, a + b, lam, maxterms=10**6, maxprec=20000)
+        return float(2 * (mpmath.log(m) - lam * a / (a + b)) / lam**2)
+
+
+class TestBetaProxyProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_a=st.floats(math.log(1e-2), math.log(1e5)),
+        log_b=st.floats(math.log(1e-2), math.log(1e5)),
+        symmetric=st.booleans(),
+    )
+    @example(log_a=math.log(5e5), log_b=math.log(5e5), symmetric=True)
+    @example(log_a=math.log(1e5), log_b=math.log(9e5), symmetric=False)
+    @example(log_a=math.log(9.9e5), log_b=math.log(1e4), symmetric=False)
+    @example(log_a=math.log(0.01), log_b=math.log(1e5), symmetric=False)
+    @example(log_a=math.log(0.5), log_b=math.log(3000.0), symmetric=False)
+    @example(log_a=math.log(2e4), log_b=math.log(2e4), symmetric=True)
+    @example(log_a=math.log(50.0), log_b=math.log(50.0), symmetric=True)
+    def test_estimate_is_the_supremum(self, log_a, log_b, symmetric):
+        a = math.exp(log_a)
+        b = a if symmetric else math.exp(log_b)
+        p = BetaParams(a, b)
+        est = beta_proxy_estimate(p)
+        _, var = beta_mean_var(p)
+        assert var * (1 - 1e-6) <= est.value <= (1 + 1e-12) / (4 * (a + b + 1))
+        if a == b:  # strictly subgaussian: the supremum is Var, at lambda -> 0
+            assert est.value <= var * (1 + 1e-12)
+        if abs(est.argmax_lambda) <= 1e4:
+            want = mpmath_ratio(a, b, est.argmax_lambda)
+            assert est.value == pytest.approx(want, rel=1e-10)
+
+    def test_default_arguments_cover_large_totals(self):
+        assert check_beta_bound(BetaParams(2e4, 2e4)).passed
+        for p in (BetaParams(0.5, 3000), BetaParams(0.01, 1e5), BetaParams(5e5, 5e5)):
+            start = time.perf_counter()
+            est = beta_proxy_estimate(p)
+            assert math.isfinite(est.value) and time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1e14), (1.0, 1e10), (5e11, 5e11)])
+    def test_far_totals_raise_in_bounded_time(self, a, b):
+        # the raw series needs O(sqrt(lambda)) terms; past 2^18 it raises
+        # rather than building arrays that grow with alpha + beta
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="terms"):
+            beta_proxy_estimate(BetaParams(a, b))
+        assert time.perf_counter() - start < 1.0
+
+    def test_underflowed_variance_is_refused(self):
+        with pytest.raises(ValueError, match="no lambda cap"):
+            beta_proxy_estimate(BetaParams(1e150, 1.0))
 
 
 class TestRawMomentCriterion:
@@ -300,6 +365,26 @@ class TestWeightedLogMgf:
         # past the cap the ratio is below Var, its limit at 0
         for lam in (-cap * 1.01, cap * 1.01):
             assert 2 * log_mgf(lam) / lam**2 < p * (1 - p)
+
+    def test_independent_of_blas_threads(self):
+        # a threaded BLAS dot product rounds differently with the thread count
+        code = (
+            "import numpy as np\n"
+            "from subgauss.concentration import weighted_log_mgf\n"
+            "rng = np.random.default_rng(3)\n"
+            "v, w = rng.random(20000), rng.random(20000)\n"
+            "log_mgf, mean, cap = weighted_log_mgf(v, w / w.sum())\n"
+            "print(repr((mean, cap, log_mgf(0.3), log_mgf(-7.0))))\n"
+        )
+        src = str(Path(subgauss.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_constant_law_is_refused(self):
         with pytest.raises(ValueError):  # Var = 0: no cap; evaluate_model reports 0

@@ -338,9 +338,36 @@ class TestEvaluateModel:
             q = _query_values(model, subset, m, points)
             rule = [weights @ q**j for j in range(5)]
             np.testing.assert_allclose(rule, exact, rtol=1e-10, atol=0)
-            report = evaluate_model(model, prior, subset, m=m)
-            var = exact[2] - exact[1] ** 2
-            assert math.isfinite(report.tau2_est) and report.tau2_est >= var * (1 - 1e-6)
+            # the moments are right, but the argmax sits in the prior's far tail,
+            # where a 256-node rule moves the ratio by 37% and 0.13%: refused
+            with pytest.raises(ExactModeError, match="does not resolve"):
+                evaluate_model(model, prior, subset, m=m)
+
+    def test_unresolved_rule_is_refused_or_right(self):
+        # Q = p under Beta(1, 500): the 128-node rule put tau^2 7.6% low
+        prior = BetaParams(1.0, 500.0)
+        try:
+            report = evaluate_model("beta_binomial", prior, {1}, m=1)
+        except ExactModeError:
+            return
+        assert report.tau2_est == pytest.approx(beta_proxy_estimate(prior).value, rel=1e-8)
+
+    def test_query_blocks_stay_bounded(self, monkeypatch):
+        # the refinement check's k = 4 rule has 64^3 points: Q is evaluated in
+        # blocks no larger than the base rule's cap
+        from subgauss import conjugate_models
+
+        rows, query = [], conjugate_models._query_values
+
+        def counted(model, subset, m, points):
+            rows.append(len(points))
+            return query(model, subset, m, points)
+
+        monkeypatch.setattr(conjugate_models, "_query_values", counted)
+        subset = {(1, 1, 0, 0), (0, 0, 2, 0)}
+        evaluate_model("multinomial", DirichletParams((2.0, 1.0, 3.0, 2.0)), subset, m=2)
+        assert sum(rows) == 32**3 + 64**3
+        assert max(rows) <= conjugate_models._MAX_RULE_NODES
 
     @pytest.mark.parametrize(
         "model, prior, subset, m, tau2",
@@ -358,6 +385,30 @@ class TestEvaluateModel:
             draws=200_000, seed=SeedSpec(1), j_max=6,
         )
         assert report.tau2_est == pytest.approx(tau2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, prior, subset, m, message",
+        [
+            ("poisson_gamma", BetaParams(1, 1), {0}, None, "GammaParams prior"),
+            ("multinomial", BetaParams(1, 1), {(1, 0)}, 1, "DirichletParams prior"),
+            ("beta_binomial", GammaParams(1, 1), {0}, 1, "BetaParams prior"),
+            ("geometric", DirichletParams((1.0, 1.0)), {0}, None, "BetaParams prior"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    def test_prior_family_is_checked(self, model, prior, subset, m, message, method):
+        with pytest.raises(ValueError, match=message):
+            evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
+
+    @pytest.mark.parametrize("j_max", [-1, 0, 1])
+    def test_j_max_below_two_is_refused(self, j_max):
+        with pytest.raises(ValueError, match="j_max"):
+            evaluate_model("geometric", BetaParams(2, 1), {0}, j_max=j_max)
+
+    @pytest.mark.parametrize("draws", [0, 99])
+    def test_too_few_draws_are_refused(self, draws):
+        with pytest.raises(ValueError, match="at least 100 draws"):
+            evaluate_model("geometric", BetaParams(2, 1), {0}, method="monte_carlo", draws=draws)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -164,8 +164,15 @@ class TestBetaMgf:
     def test_lambda_cap(self):
         with pytest.raises(OverflowError):
             beta_mgf(BetaParams(1, 1), 2e5)
-        with pytest.raises(OverflowError):
-            beta_log_mgf(BetaParams(1, 1), 50.0, lambda_cap=10.0)
+
+    @pytest.mark.parametrize("a,b,lam", [(2.0, 3.0, 2e5), (1e5, 1e5, -4e5)])
+    def test_wide_series_matches_every_term(self, a, b, lam):
+        # at such |lam| the raw series is summed over a window around its peak only
+        s, top, mag = a + b, (a if lam > 0 else b), abs(lam)  # X or 1 - X at |lam|
+        k = np.arange(3 * int(mag), dtype=float)
+        log_moments = np.concatenate(([0.0], np.cumsum(np.log((top + k[:-1]) / (s + k[:-1])))))
+        want = min(lam, 0.0) + special.logsumexp(k * math.log(mag) + log_moments - special.gammaln(k + 1.0))
+        assert beta_log_mgf(BetaParams(a, b), lam) == pytest.approx(want, rel=1e-13)
 
     def test_non_finite_lambda_rejected(self):
         with pytest.raises(ValueError):
