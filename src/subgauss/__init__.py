@@ -7,6 +7,8 @@ adaptive curator/analyst query game demonstrating that the posterior-mean
 curator answers adaptively chosen queries at the static sample complexity.
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .concentration import (
     AffineScalingCheck,
     BetaBoundCheck,
@@ -89,5 +91,3 @@ from .martingale import (
     step_variance_proxy,
     two_point_variance_proxy,
 )
-
-__version__ = "0.1.0"

@@ -16,8 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import (
+    _TAYLOR_ORDER,
     BetaParams,
     MomentSequence,
+    _taylor_log_mgf,
     beta_centered_log_mgf,
     beta_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
     beta_mean_var,
@@ -67,7 +69,9 @@ class VarianceProxyEstimate:
     """Best ratio 2 (ln M(lam) - lam mean) / lam^2 found by a scan: a lower estimate of tau^2.
 
     ``grid_spec`` names the grid and the |lambda| actually scanned on each
-    sign; ``slack`` is the ratio's change to the best grid point's neighbors.
+    sign; ``slack`` is the ratio's change to the best grid point's neighbors;
+    ``evaluations`` counts the log-MGF calls the scan made (grid, bracket
+    neighbors and refinement), 0 for an estimate made without a scan.
     """
 
     value: float
@@ -75,6 +79,7 @@ class VarianceProxyEstimate:
     method: str  # "exact_mgf" | "empirical_mgf" | "moment_criterion"
     grid_spec: str
     slack: float
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,10 @@ def _scan(
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
+    calls = [0]
 
     def ratio(lam: float) -> float:
+        calls[0] += 1
         value = log_mgf(lam)
         if not math.isfinite(value):
             raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
@@ -192,7 +199,8 @@ def _scan(
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
     return VarianceProxyEstimate(
-        value=val, argmax_lambda=arg, method=method, grid_spec=spec, slack=float(slack)
+        value=val, argmax_lambda=arg, method=method, grid_spec=spec, slack=float(slack),
+        evaluations=calls[0],
     )
 
 
@@ -416,17 +424,28 @@ def affine_scaling_check(
 
 
 def _weighted_law(values: np.ndarray, weights: np.ndarray):
-    """(log_mgf, mean, reach, var) of the law with weight w_i on v_i; see `weighted_log_mgf`."""
+    """(log_mgf, mean, reach, var) of the law with weight w_i on v_i; see `weighted_log_mgf`.
+
+    The near-zero branch's table sum_i w_i x_i^k / k!, k = 1..21, is built on
+    its first call: `_check_rule_resolves` builds a law of up to 2^18 points
+    to evaluate it once, which may fall past the branch.
+    """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     v, w = v[w > 0], w[w > 0]  # the law's support
     mean = float(np.einsum("i,i->", w, v))
     x = v - mean
     hi, lo = float(x.max()), float(x.min())
     var = float(np.einsum("i,i->", w, x * x))
+    near: list[float] = []  # e_21 .. e_1 once built
 
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:
-            return math.log1p(np.einsum("i,i->", w, np.expm1(lam * x)))
+            if not near:
+                term = np.ones_like(x)
+                for k in range(1, _TAYLOR_ORDER + 1):
+                    term = term * x / k  # x^k / k!
+                    near.insert(0, float(np.einsum("i,i->", w, term)))
+            return _taylor_log_mgf(near, lam)
         shift = lam * (hi if lam > 0 else lo)
         return shift + math.log(np.einsum("i,i->", w, np.exp(lam * x - shift)))
 
@@ -438,9 +457,15 @@ def weighted_log_mgf(
 ) -> tuple[Callable[[float], float], float, float]:
     """(log_mgf, mean, cap) of the law with weight w_i (summing to 1) on v_i.
 
-    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered:
-    for |lam| * range <= 1 it is log1p(sum_i w_i expm1(lam x_i)), so the ratio
-    2 log_mgf/lam^2 stays a lower estimate as lam -> 0. Since log_mgf(lam) <=
+    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered.
+    For |lam| * range <= 1 it is the series log1p(sum_{k=1}^{21} lam^k e_k),
+    e_k = sum_i w_i x_i^k / k!, by Horner's rule on a table built once
+    (`distributions._taylor_log_mgf`): its truncation error is at most
+    1.3e-20 relative, and no term cancels against a leading 1, so the ratio
+    2 log_mgf/lam^2 stays a lower estimate as lam -> 0. e_1 is the
+    centering's rounding residual, kept so that both branches describe the
+    same points. Past that range the sum is shifted by lam max(x) (lam > 0)
+    or lam min(x) (lam < 0) so no exponential overflows. Since log_mgf(lam) <=
     |lam| max(x) for lam > 0 (|lam| max(-x) for lam < 0), the ratio is below
     Var, its limit at 0, beyond cap = 2 max|x| / Var: a scan to the cap
     contains the supremum. Constant values (Var = 0) have no cap: refused.

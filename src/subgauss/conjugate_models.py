@@ -33,6 +33,7 @@ from .concentration import (
     weighted_proxy_sup,
 )
 from .distributions import (
+    _SAMPLE_BLOCK,
     BetaParams,
     DirichletParams,
     GammaParams,
@@ -86,7 +87,12 @@ _CONSTANT_SPREAD = 1e-12
 
 
 class ExactModeError(ValueError):
-    """Exact mode refused: the instance exceeds the exact-arithmetic size caps."""
+    """Exact mode refused the instance; Monte Carlo mode still answers it.
+
+    Raised when a closed-form moment reference exceeds its size caps, when a
+    Dirichlet prior has k > 4, and when the Gauss rule does not resolve
+    e^(lam Q) at the argmax (`_check_rule_resolves`).
+    """
 
 
 @dataclass(frozen=True)
@@ -450,14 +456,13 @@ def model_q_draws(
     m: int | None = None,
     draws: int = 10**6,
     seed: SeedSpec = SeedSpec(0),
-    chunk: int = 200_000,
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
     _check_prior(model, prior)
     rng = seed.generator()
     out = np.empty(draws)
-    for pos in range(0, draws, chunk):
-        step = min(chunk, draws - pos)
+    for pos in range(0, draws, _SAMPLE_BLOCK):
+        step = min(_SAMPLE_BLOCK, draws - pos)
         out[pos : pos + step] = _query_values(model, subset, m, draw(prior, rng, step))
     return out
 
@@ -573,7 +578,7 @@ def evaluate_model(
         raise ValueError(f"unknown method {method!r}")
     kind = "exact_mgf" if method == "exact_moments" else "empirical_mgf"
     if q.max() - q.min() <= _CONSTANT_SPREAD:
-        estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0)
+        estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0, 0)
     elif method == "exact_moments":
         estimate = weighted_proxy_sup(q, weights, kind)
         _check_rule_resolves(model, prior, subset, m, estimate)

@@ -46,6 +46,11 @@ _WINDOW_LOG = 40.0
 # Longest raw-series window summed (its arrays take ~20 MB). A tau^2 scan
 # needs ~5e4 terms at most for alpha + beta <= 1e6; past about 5e7 it raises.
 _MAX_TERMS = 2**18
+# Highest power of the near-zero series of a bounded law's log-MGF
+# (`_taylor_log_mgf`), used where |lam| * (support width) <= 1.
+_TAYLOR_ORDER = 21
+# Variates drawn per block by the samplers, bounding their working memory.
+_SAMPLE_BLOCK = 200_000
 
 
 def _check_positive_finite(name: str, value: float) -> float:
@@ -228,7 +233,7 @@ def beta_mean_var(p: BetaParams) -> tuple[float, float]:
     """Mean alpha/(alpha+beta) and variance alpha*beta/((alpha+beta)^2 (alpha+beta+1))."""
     s = p.total
     mean = p.alpha / s
-    var = p.alpha * p.beta / (s * s * (s + 1.0))
+    var = mean * (p.beta / s) / (s + 1.0)  # (alpha + beta)^2 underflows below 1e-154
     return mean, var
 
 
@@ -303,7 +308,7 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
     gives -inf.
     """
     s = a + b
-    skew, spread = (b - a) / s, a * b / (s * s)  # 1 - 2 mu and mu (1 - mu)
+    skew, spread = (b - a) / s, (a / s) * (b / s)  # 1 - 2 mu and mu (1 - mu)
     out = np.full(_CENTRAL_TERMS + 1, -math.inf)
     out[0] = 0.0
     prev, cur, scale = 1.0, 0.0, 0.0  # e_{k-1}, e_k (e_j = c_j / j!) over e^scale
@@ -317,11 +322,33 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
     return out
 
 
+def _taylor_log_mgf(coeffs: Sequence[float], lam: float) -> float:
+    """log1p(sum_{k=1}^{21} lam^k e_k) by Horner's rule, ``coeffs`` = (e_21, ..., e_1).
+
+    With e_k = c_k / k!, c_k = E[(X - mu)^k], this is the log-MGF of X - mu
+    near 0. If X has support width w and |lam| w <= 1, then |c_k| <= w^(k-2)
+    sigma^2, so the terms past k = 21 sum to at most lam^2 sigma^2 e / 22!,
+    while the whole sum S = E e^(lam (X - mu)) - 1 = E[e^y - 1 - y] >=
+    lam^2 sigma^2 / (2e), as e^y - 1 - y >= y^2 / (2e) for |y| <= 1. So the
+    truncation error is at most 2e^2/22! ~ 1.3e-20 relative, and the
+    terms' rounding is amplified by sum|t_k| / S <= 2e(e - 2) < e^2 at most.
+    e_1 = 0 for an exactly centered law; a law centered in floats passes its
+    rounding residual.
+    """
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * lam + c
+    return math.log1p(acc * lam)
+
+
 def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     """lam -> ln E[exp(lam (X - mu))] for X ~ Beta(p), computed centered.
 
     Let Z be X or 1 - X, whichever has mean mu_Z <= 1/2; the central
-    moments of Z are all >= 0 (`_central_log_terms`). On the side where
+    moments of Z are all >= 0 (`_central_log_terms`). For |lam| <= 1 (Z has
+    support width 1) the log-MGF is the series through lam^21, by Horner's
+    rule on a table built once (`_taylor_log_mgf`, which bounds its
+    truncation by 1.3e-20 relative). Past that, on the side where
     every term lam^k c_k/k! is >= 0, the log-MGF is log1p of their sum, with
     no cancellation at any lam. On the other side the terms alternate; their
     sum is used while its rounding error, eps * sum|t_k| / sum t_k, is below
@@ -336,15 +363,16 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     table = _central_log_terms(za, zb)[2:]
     k = np.arange(2, _CENTRAL_TERMS + 1, dtype=float)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
+    near = np.exp(table[_TAYLOR_ORDER - 2 :: -1]).tolist() + [0.0]  # e_21 .. e_2, e_1 = 0
 
     def log_mgf(lam: float) -> float:
         lam = float(lam)
         if not math.isfinite(lam):
             raise ValueError(f"lambda must be finite, got {lam!r}")
-        if lam == 0.0:
-            return 0.0
         lz = -lam if flip else lam  # the argument for Z - mu_Z
         mag = abs(lz)
+        if mag <= 1.0:
+            return _taylor_log_mgf(near, lz)
         logs = k * math.log(mag) + table
         top = float(logs.max())
         # the central terms converged within the table, at a representable size
@@ -536,16 +564,14 @@ def sample(
     return draw(dist, seed.generator(), count)
 
 
-def sample_chi(k_dim: int, seed: SeedSpec, count: int, *, chunk: int = 200_000) -> np.ndarray:
+def sample_chi(k_dim: int, seed: SeedSpec, count: int) -> np.ndarray:
     """Chi variates as Euclidean norms of k_dim independent standard normals."""
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
     rng = seed.generator()
     out = np.empty(count)
-    pos = 0
-    while pos < count:
-        step = min(chunk, count - pos)
+    for pos in range(0, count, _SAMPLE_BLOCK):
+        step = min(_SAMPLE_BLOCK, count - pos)
         z = rng.standard_normal((step, k_dim))
         out[pos : pos + step] = np.sqrt((z * z).sum(axis=1))
-        pos += step
     return out

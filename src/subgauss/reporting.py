@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
+import scipy
+
+from . import __version__
 
 __all__ = ["RunManifest", "format_float", "emit_report"]
 
@@ -24,6 +30,7 @@ class RunManifest:
     master_seed: int | None
     artifact_version: str
     outputs: tuple[dict, ...]
+    versions: dict  # of Python and the libraries the run used
     created_at: str = field(default="")
 
     def to_json(self) -> dict:
@@ -33,6 +40,7 @@ class RunManifest:
             "master_seed": self.master_seed,
             "artifact_version": self.artifact_version,
             "outputs": list(self.outputs),
+            "versions": self.versions,
             "created_at": self.created_at,
         }
 
@@ -79,8 +87,8 @@ def emit_report(
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 
     CSV: header row, comma separator, '.' decimal point. JSON: stable key
-    ordering. The manifest lists each payload file with its sha256 and is
-    written last.
+    ordering. The manifest lists each payload file with its sha256 and the
+    versions of Python, numpy, scipy and subgauss, and is written last.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -109,6 +117,12 @@ def emit_report(
         master_seed=master_seed,
         artifact_version=ARTIFACT_VERSION,
         outputs=tuple(outputs),
+        versions={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "subgauss": __version__,
+        },
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
     manifest_path = out / "manifest.json"

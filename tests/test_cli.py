@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import subgauss
 from subgauss.cli import cli_dispatch
 from subgauss.reporting import format_float
 
@@ -138,6 +140,9 @@ class TestArtifacts:
             str(out / "lemma-checks-summary.json"),
             str(out / "lemma-checks-data.csv"),
         }
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "subgauss"}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["versions"]["subgauss"] == subgauss.__version__
         with open(out / "lemma-checks-data.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 81

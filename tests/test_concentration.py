@@ -38,7 +38,7 @@ from subgauss import (
 )
 from subgauss.checks import GRID
 from subgauss.concentration import weighted_log_mgf
-from subgauss.distributions import MomentSequence
+from subgauss.distributions import MomentSequence, beta_centered_log_mgf
 
 
 class TestVarianceProxySup:
@@ -74,6 +74,17 @@ class TestVarianceProxySup:
         assert est.method == "exact_mgf"
         assert "log grid" in est.grid_spec
         assert est.slack >= 0.0
+
+    def test_evaluations_count_the_log_mgf_calls(self):
+        calls = []
+
+        def log_mgf(lam):  # Beta(1, 2), whose supremum is inside the grid
+            calls.append(lam)
+            return beta_log_mgf(BetaParams(1, 2), lam)
+
+        est = variance_proxy_sup(log_mgf, 1.0 / 3.0, 20.0)
+        assert est.evaluations == len(calls)
+        assert est.evaluations > 2 * 200  # the grid, then the bracket and its refinement
 
 
 class TestBetaBoundChecks:
@@ -159,9 +170,25 @@ class TestBetaProxyProperty:
             beta_proxy_estimate(BetaParams(a, b))
         assert time.perf_counter() - start < 1.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_a=st.floats(math.log(1e-300), math.log(1e-2)),
+        log_b=st.floats(math.log(1e-300), math.log(1e-2)),
+    )
+    @example(log_a=math.log(1e-300), log_b=math.log(1e-300))
+    @example(log_a=math.log(1e-300), log_b=math.log(2e-300))
+    def test_tiny_shapes_stay_between_var_and_the_tight_bound(self, log_a, log_b):
+        # (alpha + beta)^2 underflows below 1e-154; Var and the series avoid forming it
+        p = BetaParams(math.exp(log_a), math.exp(log_b))
+        _, var = beta_mean_var(p)
+        est = beta_proxy_estimate(p)
+        assert var * (1 - 1e-6) <= est.value <= beta_tight_proxy_bound(p) * (1 + 1e-12)
+
     def test_underflowed_variance_is_refused(self):
+        # Var(Beta(1e150, 1)) = 1e-300 is representable; that of Beta(1e300, 1) is not
+        assert beta_mean_var(BetaParams(1e150, 1.0))[1] == pytest.approx(1e-300, rel=1e-15)
         with pytest.raises(ValueError, match="no lambda cap"):
-            beta_proxy_estimate(BetaParams(1e150, 1.0))
+            beta_proxy_estimate(BetaParams(1e300, 1.0))
 
 
 class TestRawMomentCriterion:
@@ -353,6 +380,18 @@ class TestEmpiricalLogMgf:
             empirical_log_mgf(np.ones(10))
 
 
+@st.composite
+def weighted_laws(draw):
+    """2-40 points in [0, 1], two of them at least 1e-3 apart, with weights spread over e^6."""
+    n = draw(st.integers(2, 40))
+    low = draw(st.floats(0.0, 0.999))
+    gap = draw(st.floats(1e-3, 1.0 - low))
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    log_w = draw(st.lists(st.floats(-6.0, 0.0), min_size=n, max_size=n))
+    w = np.exp(log_w)
+    return np.array([low, low + gap, *rest]), w / w.sum()
+
+
 class TestWeightedLogMgf:
     def test_bernoulli_law_and_certified_cap(self):
         p = 0.2
@@ -389,3 +428,41 @@ class TestWeightedLogMgf:
     def test_constant_law_is_refused(self):
         with pytest.raises(ValueError):  # Var = 0: no cap; evaluate_model reports 0
             weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=weighted_laws(), scale=st.floats(0.1, 10.0), negative=st.booleans())
+    def test_matches_mpmath_on_both_sides_of_the_series_switch(self, law, scale, negative):
+        # the near-zero series serves |lam| (max v - min v) <= 1, the shifted sum the rest
+        v, w = law
+        log_mgf, mean, _ = weighted_log_mgf(v, w)
+        lam = (-scale if negative else scale) / (v.max() - v.min())
+        with mpmath.workdps(50):
+            lam_mp, mean_mp = mpmath.mpf(lam), mpmath.mpf(mean)
+            terms = [mpmath.mpf(wi) * mpmath.exp(lam_mp * (mpmath.mpf(vi) - mean_mp))
+                     for vi, wi in zip(v, w)]
+            want = float(mpmath.log(mpmath.fsum(terms) / mpmath.fsum(map(mpmath.mpf, w))))
+        assert log_mgf(lam) == pytest.approx(want, rel=1e-12)
+
+
+def continuity_gap(log_mgf, switch):
+    """Relative jump of log_mgf across |lam| = switch on each sign, the near side extrapolated."""
+    step, gaps = 1e-12 * switch, []
+    for edge in (switch, -switch):
+        inner, outer = edge * (1 - 1e-12), edge * (1 + 1e-12)
+        predicted = 2 * log_mgf(inner) - log_mgf(inner - math.copysign(2 * step, edge))
+        gaps.append(abs(log_mgf(outer) / predicted - 1))
+    return max(gaps)
+
+
+class TestSeriesSwitchContinuity:
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 5), (5, 2), (0.3, 40), (1e3, 10), (2e5, 3e5)])
+    def test_beta(self, a, b):
+        assert continuity_gap(beta_centered_log_mgf(BetaParams(a, b)), 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_weighted(self, n):
+        rng = np.random.default_rng(n)
+        v = np.concatenate([[0.0, 1.0], rng.random(n - 2)]) * rng.uniform(1e-3, 1.0)
+        w = rng.random(n) ** 3
+        log_mgf, _, _ = weighted_log_mgf(v, w / w.sum())
+        assert continuity_gap(log_mgf, 1.0 / (v.max() - v.min())) <= 1e-13

@@ -300,6 +300,7 @@ class TestEvaluateModel:
         ]:
             report = evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
             assert report.tau2_est == 0.0
+            assert report.estimate.evaluations == 0
 
     def test_rule_moments_exact_for_large_outcomes(self):
         # Q is summed from positive terms: the expanded polynomials lose ~2^degree eps
