@@ -160,7 +160,7 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
         tail_cells = {}
         for eps in (0.5, 1.0, 2.0):
             freq = float((samples - moments[1] >= eps).mean())
-            bound = math.exp(-eps * eps / 2.0)
+            bound = conc.tail_bound(1.0, eps)
             se = math.sqrt(max(freq * (1 - freq), 1.0 / draws) / draws)
             tail_ok &= freq <= bound + 4 * se
             tail_cells[f"tail_freq_{eps}"] = freq
@@ -227,8 +227,41 @@ def lemma_checks() -> CheckResult:
     return _result(summary, rows, failures)
 
 
+def _stability_sweep(failures: list[dict]) -> dict:
+    """AC11 cells: `stability_diagnostics` for k in {2, 3, 4}, uniform
+    Dirichlet priors at 1.0 and 0.5, n = 1..12 and every nonempty proper
+    subset, 528 cells in all. A cell fails when any of its three bounds does.
+    """
+    cells, add_ratio, replace_ratio, defect = 0, 0.0, 0.0, 0.0
+    for k in (2, 3, 4):
+        for level in (1.0, 0.5):
+            prior = DirichletParams((level,) * k)
+            for n in range(1, 13):
+                for mask in range(1, 2**k - 1):
+                    subset = [i for i in range(k) if mask >> i & 1]
+                    cell = mart.stability_diagnostics(prior, n, subset)
+                    add = cell.max_add_one_change
+                    replace = cell.max_replace_one_change
+                    add_ratio = max(add_ratio, add / cell.add_one_bound)
+                    replace_ratio = max(replace_ratio, replace / cell.replace_one_bound)
+                    defect = max(defect, cell.max_linearity_defect)
+                    ok = cell.add_one_ok and cell.replace_one_ok and cell.lipschitz_ok
+                    _expect(
+                        failures, ok, "stability", k=k, alpha=level, n=n,
+                        subset=";".join(map(str, subset)), add_one=add, replace_one=replace,
+                        linearity_defect=cell.max_linearity_defect,
+                    )
+                    cells += 1
+    return {
+        "stability_cells": cells,
+        "stability_max_add_one_ratio": add_ratio,
+        "stability_max_replace_one_ratio": replace_ratio,
+        "stability_max_linearity_defect": defect,
+    }
+
+
 def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
-    """AC6 and the posterior-mean path simulation.
+    """AC6 and the posterior-mean path simulation, then AC11.
 
     - Telescoped Azuma totals of Beta(s/2, s/2), s in {1, 2, 10}, lie within
       [1/(4s + 2 + 1/(3s)) - 1e-9, 1/(4s+2) + 1e-12].
@@ -238,6 +271,10 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
       `seed.derived(1)`: mean total increment within 4 SE of 0, tail
       frequencies at most their Azuma bound + 4 SE, and the mean absolute
       deviation non-increasing over checkpoints up to 0.01.
+    - AC11 (`_stability_sweep`): on every cell one added sample moves the
+      posterior-mean answer by at most 1/(A+n+1), one replaced sample by at
+      most 1/(A+n), both to 1e-12, and the answer is linear in the empirical
+      mean to 1e-12 with slope n/(A+n) <= 1.
     """
     count = trials or 2000
     failures = []
@@ -273,6 +310,7 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     for (_, previous), (step, dev) in zip(checkpoints, checkpoints[1:]):
         ok = dev <= previous + 0.01
         _expect(failures, ok, "checkpoint_mean_abs_dev", step=step, dev=dev, previous=previous)
+    stability_cells = _stability_sweep(failures)
 
     rows = [
         {
@@ -290,5 +328,6 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
         "se_total_increment": se,
         "tail_rows": [list(r) for r in report.tail_rows],
         "checkpoint_mean_abs_dev": [list(c) for c in checkpoints],
+        **stability_cells,
     }
     return _result(summary, rows, failures)

@@ -7,7 +7,8 @@ martingale, game, conjectures. The first five run the criteria in
 --seed); `game` takes its seed from --seed, else the config's "seed", else 0,
 and every other subcommand that draws random numbers from --seed, else 0.
 `verify-beta` and `lemma-checks` draw none and take neither --seed nor
---trials. Exit codes: 0 all checks passed, 1 at least one check failed (its
+--trials; `conjectures` reads --trials as its Monte Carlo draw count, at least
+100. Exit codes: 0 all checks passed, 1 at least one check failed (its
 first failing rows are logged), 2 usage or configuration error. Progress goes
 to stderr; data goes only to the output files.
 """
@@ -214,11 +215,16 @@ def _describe(row: dict) -> str:
     return f"{row['check']}: {cells}" if "check" in row else cells
 
 
-def _trial_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _count_at_least(floor: int):
+    """An argparse type: an integer of at least ``floor``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return count
 
 
 def _master_seed(text: str) -> int:
@@ -251,8 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--seed", type=_master_seed, default=seed_default, help="master seed (u64)"
             )
+            floor = 100 if name == "conjectures" else 1  # the Monte Carlo log-MGF's floor
             sp.add_argument(
-                "--trials", type=_trial_count, default=None, help="trial/draw override (>= 1)"
+                "--trials", type=_count_at_least(floor), default=None,
+                help=f"trial/draw override (>= {floor})",
             )
         sp.add_argument("--out", default="reports", help="output directory")
         sp.add_argument(

@@ -4,14 +4,14 @@ A centered random variable X is sigma^2-subgaussian when
 E[exp(lam*X)] <= exp(lam^2 sigma^2 / 2) for every lam; the smallest such
 sigma^2 is the variance proxy tau^2(X). This module estimates tau^2 by
 maximizing the log-MGF ratio over a lambda grid, and provides the
-raw-moment, paired-moment, termwise-coefficient, and centered-moment
-sufficient criteria along with the resulting exponential tail bound.
+raw-moment, paired-moment and termwise-coefficient sufficient criteria
+along with the resulting exponential tail bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,18 +29,14 @@ from .distributions import (
 __all__ = [
     "VarianceProxyEstimate",
     "MomentCriterionReport",
-    "TailBoundResult",
     "BetaBoundCheck",
-    "AffineScalingCheck",
     "variance_proxy_sup",
     "beta_proxy_estimate",
     "check_beta_bound",
     "raw_moment_criterion",
     "beta_moment_pair_bounds",
     "termwise_mgf_comparison",
-    "centered_moment_criterion",
     "tail_bound",
-    "affine_scaling_check",
     "empirical_log_mgf",
     "beta_proxy_bound",
     "beta_tight_proxy_bound",
@@ -93,27 +89,11 @@ class MomentCriterionReport:
 
 
 @dataclass(frozen=True)
-class TailBoundResult:
-    epsilon: float
-    sigma2: float
-    bound: float
-
-
-@dataclass(frozen=True)
 class BetaBoundCheck:
     tau2_est: float
     bound: float
     passed: bool
     estimate: VarianceProxyEstimate
-
-
-@dataclass(frozen=True)
-class AffineScalingCheck:
-    tau2_base: float
-    tau2_affine: float
-    expected: float
-    rel_error: float
-    passed: bool
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -240,17 +220,6 @@ def _support_cap(reach: tuple[float, float], var: float) -> float:
     return 2.0 * max(reach) / var
 
 
-def _beta_scan(p: BetaParams, scale: float = 1.0) -> VarianceProxyEstimate:
-    """Certified scan of scale * X, X ~ Beta(p), on its centered log-MGF."""
-    mean, var = beta_mean_var(p)
-    centered = beta_centered_log_mgf(p)
-    reach = ((1.0 - mean) * abs(scale), mean * abs(scale))
-    if scale < 0.0:
-        reach = reach[::-1]
-    cap = _support_cap(reach, var * scale * scale)
-    return _scan(lambda lam: centered(scale * lam), 0.0, cap, reach, "exact_mgf")
-
-
 def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     """Variance-proxy estimate for Beta(p) from its exact centered (series) log-MGF.
 
@@ -263,7 +232,9 @@ def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     more than 2^18 terms and raises OverflowError; a variance that
     underflows raises ValueError.
     """
-    return _beta_scan(p)
+    mean, var = beta_mean_var(p)
+    reach = (1.0 - mean, mean)
+    return _scan(beta_centered_log_mgf(p), 0.0, _support_cap(reach, var), reach, "exact_mgf")
 
 
 def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
@@ -359,68 +330,11 @@ def termwise_mgf_comparison(
     return rows
 
 
-def centered_moment_criterion(
-    centered_moments: Sequence[float], sigma2: float, symmetric: bool
-) -> MomentCriterionReport:
-    """Check E[(X-mu)^(2k)] <= (sigma2/sqrt(3.1))^k (2k-1)!! for k = 1..K.
-
-    ``centered_moments`` holds the even centered moments in order k = 1..K.
-    For symmetric X the sqrt(3.1) factor is dropped. Sufficient check only;
-    equality at every k is attained by the Gaussian when symmetric.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    base = sigma2 if symmetric else sigma2 / math.sqrt(3.1)
-    violations = []
-    double_factorial = 1.0
-    for k, lhs in enumerate(centered_moments, start=1):
-        double_factorial *= 2 * k - 1
-        rhs = base**k * double_factorial
-        if lhs > rhs * (1.0 + 1e-12):
-            violations.append((k, float(lhs), float(rhs)))
-    return MomentCriterionReport(
-        sigma2_tested=float(sigma2),
-        j_max=len(centered_moments),
-        violations=tuple(violations),
-        passed=not violations,
-    )
-
-
-def tail_bound(sigma2: float, epsilon: float) -> TailBoundResult:
-    """One-sided subgaussian tail bound exp(-eps^2/(2 sigma^2)), clamped to <= 1."""
+def tail_bound(sigma2: float, epsilon: float) -> float:
+    """One-sided subgaussian tail bound P(X - E X >= eps) <= exp(-eps^2/(2 sigma^2))."""
     if sigma2 <= 0 or epsilon < 0:
         raise ValueError("sigma2 must be positive and epsilon nonnegative")
-    bound = min(1.0, math.exp(-epsilon * epsilon / (2.0 * sigma2)))
-    return TailBoundResult(epsilon=float(epsilon), sigma2=float(sigma2), bound=bound)
-
-
-def affine_scaling_check(
-    p: BetaParams,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-4,
-) -> AffineScalingCheck:
-    """Verify tau^2(aX + b) = a^2 tau^2(X) from the exact MGFs.
-
-    The variance proxy is a squared norm, so it scales quadratically and is
-    translation invariant. Both sides are estimated by the certified scan of
-    a centered log-MGF; that of aX + b is lam -> K_X(a lam), on its own grid
-    and with its own support, so b drops out exactly.
-    """
-    if a == 0:
-        raise ValueError("scale factor a must be nonzero")
-    base = _beta_scan(p)
-    affine = _beta_scan(p, a)
-    expected = a * a * base.value
-    rel_error = abs(affine.value - expected) / expected
-    return AffineScalingCheck(
-        tau2_base=base.value,
-        tau2_affine=affine.value,
-        expected=expected,
-        rel_error=rel_error,
-        passed=rel_error <= rel_tol,
-    )
+    return math.exp(-epsilon * epsilon / (2.0 * sigma2))
 
 
 def _weighted_law(values: np.ndarray, weights: np.ndarray):

@@ -7,8 +7,7 @@ exponential-polynomial functionals of the rate for Poisson. The variance
 proxies of these projections appear (numerically) to scale like m/(alpha+beta),
 1/alpha, m/sum(alpha), and 1/beta respectively; this module estimates tau^2
 by evaluating Q at weighted points of the prior (a Gauss rule in exact mode,
-prior draws in Monte Carlo mode) and reports ratios against those scales. The
-closed-form raw moments are the exact reference the rule is tested against.
+prior draws in Monte Carlo mode) and reports ratios against those scales.
 Nothing here proves anything: the scales are implemented literally, with
 constants reported, and results are regression evidence only.
 """
@@ -16,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .concentration import (
     VarianceProxyEstimate,
@@ -44,14 +42,8 @@ from .distributions import (
 
 __all__ = [
     "ExactModeError",
-    "PolynomialInP",
     "ConjugateModelReport",
     "MODEL_KINDS",
-    "binomial_query_poly",
-    "geometric_query_poly",
-    "poly_raw_moments_under_beta",
-    "multinomial_query_moments",
-    "poisson_query_moments",
     "model_q_draws",
     "mc_moments",
     "conjectured_scale",
@@ -67,11 +59,6 @@ _PRIOR_FAMILY = {
 }
 MODEL_KINDS = tuple(_PRIOR_FAMILY)
 
-# Expanded coefficients stay exact in float64: |c| <= 3^30, C(56, 28) < 2^53.
-_MAX_BINOMIAL_M = 30
-_MAX_GEOMETRIC_OUTCOME = 55
-_MAX_POISSON_OUTCOME = 60
-_MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
 # Q is evaluated on at most _MAX_RULE_NODES points at a time.
@@ -89,35 +76,9 @@ _CONSTANT_SPREAD = 1e-12
 class ExactModeError(ValueError):
     """Exact mode refused the instance; Monte Carlo mode still answers it.
 
-    Raised when a closed-form moment reference exceeds its size caps, when a
-    Dirichlet prior has k > 4, and when the Gauss rule does not resolve
-    e^(lam Q) at the argmax (`_check_rule_resolves`).
+    Raised when a Dirichlet prior has k > 4, and when the Gauss rule does not
+    resolve e^(lam Q) at the argmax (`_check_rule_resolves`).
     """
-
-
-@dataclass(frozen=True)
-class PolynomialInP:
-    """Polynomial in the success probability p, coefficients by ascending degree."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))
-
-    def values_in_unit_interval(self, *, samples: int = 2001, tol: float = 1e-9) -> bool:
-        """Dense-sampling check that the polynomial maps [0,1] into [0,1]."""
-        values = self(np.linspace(0.0, 1.0, samples))
-        return bool((values >= -tol).all() and (values <= 1.0 + tol).all())
 
 
 @dataclass(frozen=True)
@@ -138,31 +99,6 @@ class ConjugateModelReport:
 # ---------------------------------------------------------------------------
 
 
-def binomial_query_poly(m: int, subset: Iterable[int]) -> PolynomialInP:
-    """Probability that an m-trial binomial count lands in ``subset``, as a polynomial.
-
-    Expands sum_{c in S} C(m,c) p^c (1-p)^(m-c) in integer arithmetic; the
-    coefficients stay exact in float64 for m <= 30, beyond which it is
-    refused. It serves the exact moment reference; `evaluate_model` sums
-    the terms directly instead.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if m > _MAX_BINOMIAL_M:
-        raise ExactModeError(
-            f"m={m} exceeds the exact-mode cap {_MAX_BINOMIAL_M}; use Monte Carlo"
-        )
-    counts = sorted(set(int(c) for c in subset))
-    if any(c < 0 or c > m for c in counts):
-        raise ValueError("subset entries must lie in 0..m")
-    coeffs = [0] * (m + 1)
-    for c in counts:
-        base = math.comb(m, c)
-        for i in range(m - c + 1):  # expand (1-p)^(m-c)
-            coeffs[c + i] += base * ((-1) ** i) * math.comb(m - c, i)
-    return PolynomialInP(tuple(float(v) for v in coeffs))
-
-
 def _outcome_counts(subset: Iterable[int]) -> list[int]:
     counts = sorted(set(int(c) for c in subset))
     if not counts or counts[0] < 0:
@@ -170,171 +106,16 @@ def _outcome_counts(subset: Iterable[int]) -> list[int]:
     return counts
 
 
-def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
-    """Probability that a geometric failure count lands in ``subset``:
-    sum_{c in S} p (1-p)^c expanded into monomials, exact for outcomes <= 55."""
-    counts = _outcome_counts(subset)
-    if counts[-1] > _MAX_GEOMETRIC_OUTCOME:
-        raise ExactModeError(
-            f"max(subset)={counts[-1]} exceeds the exact-mode cap "
-            f"{_MAX_GEOMETRIC_OUTCOME}; use Monte Carlo"
-        )
-    coeffs = [0] * (counts[-1] + 2)
-    for c in counts:
-        for i in range(c + 1):  # p * (1-p)^c
-            coeffs[1 + i] += ((-1) ** i) * math.comb(c, i)
-    return PolynomialInP(tuple(float(v) for v in coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Exact moments
-# ---------------------------------------------------------------------------
-
-
-def poly_raw_moments_under_beta(
-    poly: PolynomialInP, prior: BetaParams, j_max: int
-) -> MomentSequence:
-    """E[Q(p)^j] for j = 0..j_max with p ~ Beta(prior), exact up to float64.
-
-    Q^j is built by repeated coefficient convolution and integrated term by
-    term against the Beta raw moments, all in exact rational arithmetic (a
-    float coefficient is an exact rational), because the float sum cancels
-    catastrophically once the coefficients reach ~1e12; only the final
-    moment is rounded.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    if j_max * poly.degree > _MAX_POLY_WORK:
-        raise ExactModeError(
-            f"j_max*degree = {j_max * poly.degree} exceeds the exact-mode cap "
-            f"{_MAX_POLY_WORK}; lower j_max or use Monte Carlo"
-        )
-    alpha, total = Fraction(prior.alpha), Fraction(prior.alpha) + Fraction(prior.beta)
-    ratios = [Fraction(1)]  # E[p^d]
-    for d in range(max(j_max * poly.degree, 1)):
-        ratios.append(ratios[-1] * (alpha + d) / (total + d))
-    exact = [int(c) if c.is_integer() else Fraction(c) for c in poly.coefficients]
-    base, power = np.array(exact, dtype=object), np.ones(1, dtype=object)
-    values = [1.0]
-    for _ in range(j_max):
-        power = np.convolve(power, base)
-        values.append(float(sum(c * ratios[d] for d, c in enumerate(power) if c)))
-    return MomentSequence(tuple(values))
-
-
 def _check_count_vectors(subset, m: int, k: int) -> list[tuple[int, ...]]:
     vectors = sorted(set(tuple(int(v) for v in x) for x in subset))
+    if not vectors:
+        raise ValueError("subset must be a nonempty set of count vectors")
     for x in vectors:
         if len(x) != k or any(v < 0 for v in x) or sum(x) != m:
             raise ValueError(
                 f"count vector {x!r} is not a length-{k} composition of {m}"
             )
     return vectors
-
-
-def multinomial_query_moments(
-    m: int,
-    subset: Iterable[Sequence[int]],
-    prior: DirichletParams,
-    j_max: int,
-) -> MomentSequence:
-    """E[Q^j] for Q the prior-projected probability of a multinomial count set.
-
-    Q(p) = sum_{x in S} m!/(x_1! ... x_k!) p_1^x_1 ... p_k^x_k. Q^j is
-    expanded into monomials (integer coefficients, so no cancellation) and
-    E[prod p_i^d_i] = prod (alpha_i)_{d_i} / (A)_{sum d} is applied; this is
-    only offered for k <= 4, m <= 5, j_max <= 8.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    k = prior.k
-    vectors = _check_count_vectors(subset, m, k)
-    if not vectors:
-        raise ValueError("subset must be nonempty")
-    if k > 4 or m > 5 or j_max > 8:
-        raise ExactModeError(
-            "exact moments need k <= 4, m <= 5, j_max <= 8; use Monte Carlo"
-        )
-
-    base: dict[tuple[int, ...], int] = {}
-    m_fact = math.factorial(m)
-    for x in vectors:
-        coeff = m_fact
-        for v in x:
-            coeff //= math.factorial(v)
-        base[x] = base.get(x, 0) + coeff
-
-    alphas = np.asarray(prior.alphas)
-    a_total = prior.total
-    log_alpha = gammaln(alphas)
-
-    def monomial_expectation(exponents: tuple[int, ...]) -> float:
-        d_sum = sum(exponents)
-        log_num = sum(
-            gammaln(alphas[i] + e) - log_alpha[i] for i, e in enumerate(exponents)
-        )
-        return math.exp(log_num - (gammaln(a_total + d_sum) - gammaln(a_total)))
-
-    values = [1.0]
-    power: dict[tuple[int, ...], int] = {tuple([0] * k): 1}
-    for _ in range(j_max):
-        nxt: dict[tuple[int, ...], int] = {}
-        for expo_a, ca in power.items():
-            for expo_b, cb in base.items():
-                key = tuple(a + b for a, b in zip(expo_a, expo_b))
-                nxt[key] = nxt.get(key, 0) + ca * cb
-        power = nxt
-        values.append(
-            math.fsum(c * monomial_expectation(e) for e, c in power.items())
-        )
-    return MomentSequence(tuple(values))
-
-
-def _log_poly_convolve(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Convolution of polynomials given as log-coefficients (all terms >= 0)."""
-    n = len(c1) + len(c2) - 1
-    out = np.full(n, -np.inf)
-    for s in range(n):
-        lo = max(0, s - len(c2) + 1)
-        hi = min(len(c1) - 1, s)
-        chunk = c1[lo : hi + 1] + c2[s - hi : s - lo + 1][::-1]
-        out[s] = logsumexp(chunk)
-    return out
-
-
-def poisson_query_moments(
-    subset: Iterable[int], prior: GammaParams, j_max: int
-) -> MomentSequence:
-    """E[Q^j] for Q(rate) = sum_{c in S} rate^c e^-rate / c!, rate ~ Gamma(prior).
-
-    Q^j = P_j(rate) e^{-j rate} with P_j a positive-coefficient polynomial, and
-    E[rate^s e^{-j rate}] = beta^alpha Gamma(alpha+s) / (Gamma(alpha) (beta+j)^(alpha+s)).
-    Everything is evaluated in log space, so no intermediate overflows.
-    """
-    counts = _outcome_counts(subset)
-    if counts[-1] > _MAX_POISSON_OUTCOME:
-        raise ExactModeError(
-            f"max(subset)={counts[-1]} exceeds the exact-mode cap "
-            f"{_MAX_POISSON_OUTCOME}"
-        )
-    if not 0 <= j_max <= 20:
-        raise ExactModeError("exact Poisson moments need 0 <= j_max <= 20")
-
-    log_base = np.full(counts[-1] + 1, -np.inf)
-    for c in counts:
-        log_base[c] = -gammaln(c + 1.0)
-
-    a, b = prior.alpha, prior.beta
-    values = [1.0]
-    log_power = np.zeros(1)
-    for j in range(1, j_max + 1):
-        log_power = _log_poly_convolve(log_power, log_base)
-        s = np.arange(len(log_power), dtype=float)
-        log_expect = (
-            a * math.log(b) + gammaln(a + s) - gammaln(a) - (a + s) * np.log(b + j)
-        )
-        values.append(float(np.exp(logsumexp(log_power + log_expect))))
-    return MomentSequence(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +127,8 @@ def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.n
     """Q at parameter points: p for Beta, rows of p for Dirichlet, rates for Gamma.
 
     Q sums its nonnegative terms, each formed in log space, so no size cap
-    applies; the expanded polynomials would lose ~2^degree * eps near p = 1.
+    applies; Q expanded into powers of p would lose ~2^degree * eps near p = 1.
+    An empty subset is refused with ValueError.
     """
     if model in ("beta_binomial", "geometric"):
         c, p = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
@@ -550,11 +332,10 @@ def evaluate_model(
     per coordinate: the rule then does not resolve e^(lam Q). A Q whose
     values spread by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding
     bounds it by 2.5e-25). The prior must be of the model's family, j_max
-    at least 2, and Monte Carlo mode needs at least 100 draws.
-    The closed-form moment functions are the tests' exact reference for the
-    rule, not a second path. The raw-moment criterion is additionally run at
-    sigma^2 = c*scale for each multiplier, reporting the smallest passing c
-    (the conjectured scales hide constants).
+    at least 2, the subset nonempty, and Monte Carlo mode needs at least
+    100 draws. The raw-moment criterion is additionally run at sigma^2 =
+    c*scale for each multiplier, reporting the smallest passing c (the
+    conjectured scales hide constants).
     """
     _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):

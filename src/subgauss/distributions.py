@@ -8,7 +8,7 @@ from a master seed so parallel experiments never share RNG state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,17 +21,12 @@ __all__ = [
     "GammaParams",
     "MomentSequence",
     "SeedSpec",
-    "log_gamma",
-    "beta_raw_moment",
     "beta_raw_moments",
     "beta_moment_sequence",
     "beta_mean_var",
     "beta_centered_log_mgf",
     "beta_log_mgf",
-    "beta_mgf",
     "beta_expect",
-    "beta_centered_moments",
-    "dirichlet_log_density",
     "chi_raw_moment",
     "draw",
     "sample",
@@ -75,16 +70,8 @@ class BetaParams:
     def total(self) -> float:
         return self.alpha + self.beta
 
-    def swapped(self) -> "BetaParams":
-        """Parameters of 1 - X when X has these parameters."""
-        return BetaParams(self.beta, self.alpha)
-
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BetaParams":
-        return cls(obj["alpha"], obj["beta"])
 
 
 @dataclass(frozen=True)
@@ -116,10 +103,6 @@ class DirichletParams:
     def to_json(self) -> dict:
         return {"alphas": list(self.alphas)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DirichletParams":
-        return cls(tuple(obj["alphas"]))
-
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -134,10 +117,6 @@ class GammaParams:
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GammaParams":
-        return cls(obj["alpha"], obj["beta"])
 
 
 @dataclass(frozen=True)
@@ -194,26 +173,8 @@ class SeedSpec:
 
 
 # ---------------------------------------------------------------------------
-# Special functions and exact Beta quantities
+# Exact Beta quantities
 # ---------------------------------------------------------------------------
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (relative error well below 1e-13 on (0, 1e6])."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"log_gamma requires a positive finite argument, got {x!r}")
-    return math.lgamma(x)
-
-
-def beta_raw_moment(p: BetaParams, j: int) -> float:
-    """E[X^j] for X ~ Beta(p): the running product of (alpha+r)/(alpha+beta+r)."""
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
-    out = 1.0
-    for r in range(j):
-        out *= (p.alpha + r) / (p.total + r)
-    return out
 
 
 def beta_raw_moments(p: BetaParams, j_max: int) -> np.ndarray:
@@ -396,18 +357,14 @@ def beta_log_mgf(p: BetaParams, lam: float) -> float:
     The result stays finite even where exp(result) overflows float64; see
     `beta_centered_log_mgf` for how the series is summed. It raises
     OverflowError where the raw series needs more than 2^18 terms, which a
-    tau^2 scan reaches once alpha + beta is past about 5e7. Each call rebuilds the central-moment table, so a scan over
-    many lam should call `beta_centered_log_mgf` once instead.
+    tau^2 scan reaches once alpha + beta is past about 5e7. Each call
+    rebuilds the central-moment table, so a scan over many lam should call
+    `beta_centered_log_mgf` once instead.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     return lam * (p.alpha / p.total) + beta_centered_log_mgf(p)(lam)
-
-
-def beta_mgf(p: BetaParams, lam: float) -> float:
-    """E[exp(lam * X)] for X ~ Beta(p). Raises OverflowError if it exceeds float64."""
-    return math.exp(beta_log_mgf(p, lam))
 
 
 def beta_expect(
@@ -457,44 +414,6 @@ def beta_expect(
     return norm * (i_left + i_right)
 
 
-def beta_centered_moments(p: BetaParams, k_max: int) -> list[float]:
-    """Centered even moments E[(X-mu)^(2k)] for k = 1..k_max, by quadrature.
-
-    Quadrature rather than binomial expansion of the raw moments: the
-    expansion cancels catastrophically once alpha+beta is large.
-    """
-    mu, _ = beta_mean_var(p)
-    return [beta_expect(lambda x, n=2 * k: (x - mu) ** n, p) for k in range(1, k_max + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet density
-# ---------------------------------------------------------------------------
-
-
-def dirichlet_log_density(d: DirichletParams, x: Sequence[float]) -> float:
-    """Log density of Dir(d) at a simplex point x (exponents alpha_i - 1).
-
-    Boundary points are admitted: with some alpha_i != 1 the density diverges
-    to 0 or infinity there, and the signed infinity is returned rather than
-    raising.
-    """
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (d.k,):
-        raise ValueError(f"x must have length {d.k}, got shape {xv.shape}")
-    if (xv < 0.0).any():
-        raise ValueError("x must have nonnegative coordinates")
-    if abs(float(xv.sum()) - 1.0) > 1e-12:
-        raise ValueError("x must sum to 1 within 1e-12")
-    alphas = np.asarray(d.alphas)
-    log_norm = float(gammaln(d.total) - gammaln(alphas).sum())
-    exponents = alphas - 1.0
-    with np.errstate(divide="ignore"):
-        log_x = np.log(xv)
-    terms = np.where(exponents == 0.0, 0.0, exponents * log_x)
-    return log_norm + float(terms.sum())
-
-
 # ---------------------------------------------------------------------------
 # Chi moments
 # ---------------------------------------------------------------------------
@@ -512,8 +431,8 @@ def chi_raw_moment(k_dim: int, j: int) -> float:
         raise ValueError("moment order must be nonnegative")
     return math.exp(
         0.5 * j * math.log(2.0)
-        + log_gamma(0.5 * (k_dim + j))
-        - log_gamma(0.5 * k_dim)
+        + math.lgamma(0.5 * (k_dim + j))
+        - math.lgamma(0.5 * k_dim)
     )
 
 

@@ -1,9 +1,9 @@
 """Two-player curator/analyst query game under a shared Dirichlet prior.
 
 A true categorical parameter is drawn from the prior, the curator receives n
-samples, and the analyst then asks q statistical queries (weight vectors in
-[0,1]^k, with counting queries the 0/1 special case), choosing each query
-after seeing every previous answer. The curator wins a round when its answer
+samples, and the analyst then asks q counting queries (the total probability
+of a subset of the categories), choosing each query after seeing every
+previous answer. The curator wins a round when its answer
 is within epsilon of the population value; it wins the game when every round
 is. Analysts see the prior, n, q, and all previous answers, never the data
 or the true parameter.
@@ -29,7 +29,6 @@ from .distributions import BetaParams, DirichletParams, SeedSpec, draw
 __all__ = [
     "DegenerateQueryError",
     "QuerySpec",
-    "CuratorState",
     "GameConfig",
     "RoundRecord",
     "GameTranscript",
@@ -37,7 +36,6 @@ __all__ = [
     "ANALYST_KINDS",
     "CURATOR_KINDS",
     "sample_instance",
-    "answer_query",
     "project_to_beta",
     "make_analyst",
     "make_curator",
@@ -46,7 +44,6 @@ __all__ = [
     "required_n",
     "estimate_failure_rate",
     "wilson_interval",
-    "decompose_into_counting",
 ]
 
 ANALYST_KINDS = ("static_random", "variance_maximizer", "adaptive_correlator")
@@ -59,74 +56,29 @@ class DegenerateQueryError(ValueError):
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A statistical query: weights in [0,1]^k, or a counting-query subset."""
+    """A counting query: the total probability of a subset of the categories."""
 
-    weights: tuple[float, ...] | None = None
-    subset: frozenset[int] | None = None
+    subset: frozenset[int]
     indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if (self.weights is None) == (self.subset is None):
-            raise ValueError("provide exactly one of weights or subset")
-        if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
-            if any(not (0.0 <= w <= 1.0) for w in weights):
-                raise ValueError("weights must lie in [0, 1]")
-            object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "indices", ())
-        else:
-            subset = frozenset(int(i) for i in self.subset)
-            if any(i < 0 for i in subset):
-                raise ValueError("category indices must be nonnegative")
-            object.__setattr__(self, "subset", subset)
-            object.__setattr__(self, "indices", tuple(sorted(subset)))
+        subset = frozenset(int(i) for i in self.subset)
+        if any(i < 0 for i in subset):
+            raise ValueError("category indices must be nonnegative")
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "indices", tuple(sorted(subset)))
 
     @classmethod
     def counting(cls, subset: Sequence[int] | frozenset[int]) -> "QuerySpec":
         return cls(subset=frozenset(subset))
 
-    @classmethod
-    def from_weights(cls, weights: Sequence[float]) -> "QuerySpec":
-        return cls(weights=tuple(weights))
-
-    @property
-    def is_counting(self) -> bool:
-        return self.subset is not None
-
     def as_weights(self, k: int) -> np.ndarray:
-        if self.weights is not None:
-            if len(self.weights) != k:
-                raise ValueError(f"query has {len(self.weights)} weights, expected {k}")
-            return np.asarray(self.weights)
-        w = np.zeros(k)
+        """The query's 0/1 indicator vector over k categories."""
         if self.indices and self.indices[-1] >= k:
             raise ValueError("subset contains an out-of-range category")
+        w = np.zeros(k)
         w[list(self.indices)] = 1.0
         return w
-
-
-@dataclass(frozen=True)
-class CuratorState:
-    """Prior parameters plus observed counts: everything the curator knows."""
-
-    prior: DirichletParams
-    counts: tuple[int, ...]
-    n_seen: int
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != self.prior.k:
-            raise ValueError("counts length must match the number of categories")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(counts) != self.n_seen:
-            raise ValueError("counts must sum to n_seen")
-        object.__setattr__(self, "counts", counts)
-
-    def posterior(self) -> DirichletParams:
-        return DirichletParams(
-            tuple(a + c for a, c in zip(self.prior.alphas, self.counts))
-        )
 
 
 @dataclass(frozen=True)
@@ -166,19 +118,6 @@ class GameConfig:
             "curator": self.curator,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GameConfig":
-        return cls(
-            k=obj["k"],
-            prior=DirichletParams.from_json(obj["prior"]),
-            n=obj["n"],
-            q=obj["q"],
-            epsilon=obj["epsilon"],
-            delta=obj["delta"],
-            analyst=obj.get("analyst", "static_random"),
-            curator=obj.get("curator", "posterior_mean"),
-        )
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -207,7 +146,7 @@ class FailureRateEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Instance sampling and answering
+# Instance sampling and projection
 # ---------------------------------------------------------------------------
 
 
@@ -231,14 +170,6 @@ def sample_instance(
     return true_p, counts
 
 
-def answer_query(state: CuratorState, query: QuerySpec, kind: str = "posterior_mean") -> float:
-    """Answer one query from the curator's state (stateless curator kinds only)."""
-    query.as_weights(state.prior.k)  # raises for a query of another dimension
-    if kind not in ("posterior_mean", "empirical_mean"):
-        raise ValueError(f"unsupported curator kind {kind!r} for stateless answering")
-    return _mean_curator(kind, state.prior, state.counts).answer(query)
-
-
 def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) -> BetaParams:
     """Law of sum_{i in S} p_i under Dir(d): Beta(sum_S alpha_i, sum_rest alpha_i).
 
@@ -253,24 +184,6 @@ def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) 
         )
     inside = sum(d.alphas[i] for i in subset)
     return BetaParams(inside, d.total - inside)
-
-
-def decompose_into_counting(weights: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
-    """Layer-cake decomposition of a weights query into counting queries.
-
-    Returns (coefficient, level-set indices) pairs with nonnegative
-    coefficients summing to max(weights); any linear answering rule gives
-    answer(weights) = sum coeff * answer(level set) exactly.
-    """
-    w = np.asarray(weights, dtype=float)
-    levels = np.unique(w[w > 0])
-    parts = []
-    previous = 0.0
-    for level in levels:
-        idx = tuple(int(i) for i in np.nonzero(w >= level - 1e-15)[0])
-        parts.append((float(level - previous), idx))
-        previous = float(level)
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +311,8 @@ class FixedMeanCurator:
         self._mean = mean.tolist()
 
     def answer(self, query: QuerySpec) -> float:
-        if query.is_counting:
-            mean = self._mean
-            return sum(mean[i] for i in query.indices)
-        return float(np.dot(query.weights, self._mean))
+        mean = self._mean
+        return sum(mean[i] for i in query.indices)
 
 
 def _mean_curator(kind: str, prior: DirichletParams, counts) -> FixedMeanCurator:
@@ -469,10 +380,7 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
     for _ in range(config.q):
         query = analyst.next_query()
         answer = curator.answer(query)
-        if query.is_counting:
-            truth = sum(true_list[i] for i in query.indices)
-        else:
-            truth = float(np.dot(query.weights, true_list))
+        truth = sum(true_list[i] for i in query.indices)
         error = abs(answer - truth)
         if error > max_error:
             max_error = error

@@ -9,12 +9,12 @@ stability diagnostics for the Dirichlet/categorical analogue.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import tail_bound
 from .distributions import BetaParams, DirichletParams, SeedSpec, draw
 
 __all__ = [
@@ -69,7 +69,6 @@ class StabilityReport:
 
     prior_mass: float
     n: int
-    mode: str  # "exhaustive" | "random_probe"
     max_add_one_change: float
     add_one_bound: float
     max_replace_one_change: float
@@ -192,7 +191,7 @@ def simulate_paths(
     tail_rows = []
     for eps in eps_grid:
         freq = float((np.abs(total_increment) >= eps).mean())
-        bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma2)))
+        bound = min(1.0, 2.0 * tail_bound(sigma2, eps))
         se = math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
         tail_rows.append((float(eps), freq, bound, se))
 
@@ -228,10 +227,6 @@ def stability_diagnostics(
     prior: DirichletParams,
     n: int,
     subset: frozenset[int] | set[int],
-    *,
-    exhaustive_n_limit: int = 12,
-    probes: int = 2000,
-    seed: SeedSpec | None = None,
 ) -> StabilityReport:
     """Measure how much one sample can move the posterior-mean answer.
 
@@ -241,12 +236,13 @@ def stability_diagnostics(
     sample changes a by at most 1/(A+n), and a is an exactly linear function
     of the empirical mean with slope n/(A+n) <= 1.
 
-    Datasets are enumerated exhaustively (all count vectors, which suffices by
-    exchangeability) when n and k are small; otherwise random datasets are
-    probed.
+    Every dataset is enumerated (all count vectors, which suffices by
+    exchangeability), so n > 12 or k > 4 is refused with ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= 12 or prior.k > 4:
+        raise ValueError(
+            f"the exhaustive sweep needs 1 <= n <= 12 and k <= 4, got n={n}, k={prior.k}"
+        )
     subset = frozenset(subset)
     if not subset or not subset < set(range(prior.k)):
         raise ValueError("subset must be a nonempty proper subset of the categories")
@@ -256,16 +252,7 @@ def stability_diagnostics(
     in_s[list(subset)] = True
     alpha_s = float(alphas[in_s].sum())
 
-    exhaustive = n <= exhaustive_n_limit and prior.k <= 4
-    if exhaustive:
-        counts = np.array(list(compositions(n, prior.k)), dtype=float)
-        mode = "exhaustive"
-    else:
-        rng = (seed or SeedSpec(0)).generator()
-        probs = rng.dirichlet(np.ones(prior.k), size=probes)
-        counts = np.array([rng.multinomial(n, q) for q in probs], dtype=float)
-        mode = "random_probe"
-
+    counts = np.array(list(compositions(n, prior.k)), dtype=float)
     counts_s = counts[:, in_s].sum(axis=1)
     answers = _subset_answer(alpha_s, a_total, counts_s, n)
 
@@ -302,7 +289,6 @@ def stability_diagnostics(
     return StabilityReport(
         prior_mass=a_total,
         n=n,
-        mode=mode,
         max_add_one_change=max_add,
         add_one_bound=add_bound,
         max_replace_one_change=max_replace,

@@ -1,0 +1,217 @@
+"""Closed-form raw moments of the conjugate-model queries, for the tests.
+
+These are the exact references that the Gauss rule of
+`subgauss.conjugate_models` is checked against: Q is expanded into
+polynomials (binomial, geometric), monomials (multinomial) or
+exponential-polynomials (Poisson), and integrated term by term against
+the prior. Each is exact only up to a size cap, past which it raises
+SizeCapError.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.special import gammaln, logsumexp
+
+from subgauss.conjugate_models import _check_count_vectors, _outcome_counts
+from subgauss.distributions import BetaParams, DirichletParams, GammaParams, MomentSequence
+
+# Expanded coefficients stay exact in float64: |c| <= 3^30, C(56, 28) < 2^53.
+_MAX_BINOMIAL_M = 30
+_MAX_GEOMETRIC_OUTCOME = 55
+_MAX_POISSON_OUTCOME = 60
+_MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
+
+
+class SizeCapError(ValueError):
+    """The instance is past the size cap within which a reference is exact."""
+
+
+@dataclass(frozen=True)
+class PolynomialInP:
+    """Polynomial in the success probability p, coefficients by ascending degree."""
+
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if not coeffs:
+            raise ValueError("a polynomial needs at least one coefficient")
+        object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
+
+    def __call__(self, x):
+        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))
+
+
+def binomial_query_poly(m: int, subset: Iterable[int]) -> PolynomialInP:
+    """Probability that an m-trial binomial count lands in ``subset``, as a polynomial.
+
+    Expands sum_{c in S} C(m,c) p^c (1-p)^(m-c) in integer arithmetic; the
+    coefficients stay exact in float64 for m <= 30, beyond which it is
+    refused. `evaluate_model` sums the terms directly instead.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if m > _MAX_BINOMIAL_M:
+        raise SizeCapError(f"m={m} exceeds the exact-coefficient cap {_MAX_BINOMIAL_M}")
+    counts = sorted(set(int(c) for c in subset))
+    if any(c < 0 or c > m for c in counts):
+        raise ValueError("subset entries must lie in 0..m")
+    coeffs = [0] * (m + 1)
+    for c in counts:
+        base = math.comb(m, c)
+        for i in range(m - c + 1):  # expand (1-p)^(m-c)
+            coeffs[c + i] += base * ((-1) ** i) * math.comb(m - c, i)
+    return PolynomialInP(tuple(float(v) for v in coeffs))
+
+
+def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
+    """Probability that a geometric failure count lands in ``subset``:
+    sum_{c in S} p (1-p)^c expanded into monomials, exact for outcomes <= 55."""
+    counts = _outcome_counts(subset)
+    if counts[-1] > _MAX_GEOMETRIC_OUTCOME:
+        raise SizeCapError(
+            f"max(subset)={counts[-1]} exceeds the exact-coefficient cap "
+            f"{_MAX_GEOMETRIC_OUTCOME}"
+        )
+    coeffs = [0] * (counts[-1] + 2)
+    for c in counts:
+        for i in range(c + 1):  # p * (1-p)^c
+            coeffs[1 + i] += ((-1) ** i) * math.comb(c, i)
+    return PolynomialInP(tuple(float(v) for v in coeffs))
+
+
+def poly_raw_moments_under_beta(
+    poly: PolynomialInP, prior: BetaParams, j_max: int
+) -> MomentSequence:
+    """E[Q(p)^j] for j = 0..j_max with p ~ Beta(prior), exact up to float64.
+
+    Q^j is built by repeated coefficient convolution and integrated term by
+    term against the Beta raw moments, all in exact rational arithmetic (a
+    float coefficient is an exact rational), because the float sum cancels
+    catastrophically once the coefficients reach ~1e12; only the final
+    moment is rounded.
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    if j_max * poly.degree > _MAX_POLY_WORK:
+        raise SizeCapError(
+            f"j_max*degree = {j_max * poly.degree} exceeds the cap {_MAX_POLY_WORK}"
+        )
+    alpha, total = Fraction(prior.alpha), Fraction(prior.alpha) + Fraction(prior.beta)
+    ratios = [Fraction(1)]  # E[p^d]
+    for d in range(max(j_max * poly.degree, 1)):
+        ratios.append(ratios[-1] * (alpha + d) / (total + d))
+    exact = [int(c) if c.is_integer() else Fraction(c) for c in poly.coefficients]
+    base, power = np.array(exact, dtype=object), np.ones(1, dtype=object)
+    values = [1.0]
+    for _ in range(j_max):
+        power = np.convolve(power, base)
+        values.append(float(sum(c * ratios[d] for d, c in enumerate(power) if c)))
+    return MomentSequence(tuple(values))
+
+
+def multinomial_query_moments(
+    m: int,
+    subset: Iterable[Sequence[int]],
+    prior: DirichletParams,
+    j_max: int,
+) -> MomentSequence:
+    """E[Q^j] for Q the prior-projected probability of a multinomial count set.
+
+    Q(p) = sum_{x in S} m!/(x_1! ... x_k!) p_1^x_1 ... p_k^x_k. Q^j is
+    expanded into monomials (integer coefficients, so no cancellation) and
+    E[prod p_i^d_i] = prod (alpha_i)_{d_i} / (A)_{sum d} is applied; this is
+    only offered for k <= 4, m <= 5, j_max <= 8.
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    k = prior.k
+    vectors = _check_count_vectors(subset, m, k)
+    if k > 4 or m > 5 or j_max > 8:
+        raise SizeCapError("exact moments need k <= 4, m <= 5, j_max <= 8")
+
+    base: dict[tuple[int, ...], int] = {}
+    m_fact = math.factorial(m)
+    for x in vectors:
+        coeff = m_fact
+        for v in x:
+            coeff //= math.factorial(v)
+        base[x] = base.get(x, 0) + coeff
+
+    alphas = np.asarray(prior.alphas)
+    a_total = prior.total
+    log_alpha = gammaln(alphas)
+
+    def monomial_expectation(exponents: tuple[int, ...]) -> float:
+        d_sum = sum(exponents)
+        log_num = sum(
+            gammaln(alphas[i] + e) - log_alpha[i] for i, e in enumerate(exponents)
+        )
+        return math.exp(log_num - (gammaln(a_total + d_sum) - gammaln(a_total)))
+
+    values = [1.0]
+    power: dict[tuple[int, ...], int] = {tuple([0] * k): 1}
+    for _ in range(j_max):
+        nxt: dict[tuple[int, ...], int] = {}
+        for expo_a, ca in power.items():
+            for expo_b, cb in base.items():
+                key = tuple(a + b for a, b in zip(expo_a, expo_b))
+                nxt[key] = nxt.get(key, 0) + ca * cb
+        power = nxt
+        values.append(
+            math.fsum(c * monomial_expectation(e) for e, c in power.items())
+        )
+    return MomentSequence(tuple(values))
+
+
+def _log_poly_convolve(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Convolution of polynomials given as log-coefficients (all terms >= 0)."""
+    n = len(c1) + len(c2) - 1
+    out = np.full(n, -np.inf)
+    for s in range(n):
+        lo = max(0, s - len(c2) + 1)
+        hi = min(len(c1) - 1, s)
+        chunk = c1[lo : hi + 1] + c2[s - hi : s - lo + 1][::-1]
+        out[s] = logsumexp(chunk)
+    return out
+
+
+def poisson_query_moments(
+    subset: Iterable[int], prior: GammaParams, j_max: int
+) -> MomentSequence:
+    """E[Q^j] for Q(rate) = sum_{c in S} rate^c e^-rate / c!, rate ~ Gamma(prior).
+
+    Q^j = P_j(rate) e^{-j rate} with P_j a positive-coefficient polynomial, and
+    E[rate^s e^{-j rate}] = beta^alpha Gamma(alpha+s) / (Gamma(alpha) (beta+j)^(alpha+s)).
+    Everything is evaluated in log space, so no intermediate overflows.
+    """
+    counts = _outcome_counts(subset)
+    if counts[-1] > _MAX_POISSON_OUTCOME:
+        raise SizeCapError(f"max(subset)={counts[-1]} exceeds the cap {_MAX_POISSON_OUTCOME}")
+    if not 0 <= j_max <= 20:
+        raise SizeCapError("exact Poisson moments need 0 <= j_max <= 20")
+
+    log_base = np.full(counts[-1] + 1, -np.inf)
+    for c in counts:
+        log_base[c] = -gammaln(c + 1.0)
+
+    a, b = prior.alpha, prior.beta
+    values = [1.0]
+    log_power = np.zeros(1)
+    for j in range(1, j_max + 1):
+        log_power = _log_poly_convolve(log_power, log_base)
+        s = np.arange(len(log_power), dtype=float)
+        log_expect = (
+            a * math.log(b) + gammaln(a + s) - gammaln(a) - (a + s) * np.log(b + j)
+        )
+        values.append(float(np.exp(logsumexp(log_power + log_expect))))
+    return MomentSequence(tuple(values))

@@ -42,6 +42,7 @@ class TestExitCodes:
             ["martingale", "--seed", "-1"],
             ["verify-chi", "--seed", str(2**64)],
             ["game", "--seed", "-1"],
+            ["conjectures", "--trials", "50"],
         ],
     )
     def test_out_of_range_trials_and_seed(self, argv, tmp_path, capsys):

@@ -17,8 +17,6 @@ import subgauss
 from subgauss import (
     BetaParams,
     SeedSpec,
-    affine_scaling_check,
-    beta_centered_moments,
     beta_log_mgf,
     beta_mean_var,
     beta_moment_pair_bounds,
@@ -26,7 +24,6 @@ from subgauss import (
     beta_proxy_bound,
     beta_proxy_estimate,
     beta_tight_proxy_bound,
-    centered_moment_criterion,
     check_beta_bound,
     chi_raw_moment,
     empirical_log_mgf,
@@ -37,7 +34,8 @@ from subgauss import (
     variance_proxy_sup,
 )
 from subgauss.checks import GRID
-from subgauss.concentration import weighted_log_mgf
+from subgauss.concentration import weighted_log_mgf, weighted_proxy_sup
+from subgauss.conjugate_models import _prior_rule
 from subgauss.distributions import MomentSequence, beta_centered_log_mgf
 
 
@@ -271,41 +269,20 @@ class TestTermwiseComparison:
             termwise_mgf_comparison(BetaParams(1, 1), 0.1, 1)
 
 
-class TestCenteredMomentCriterion:
-    def test_gaussian_equality_when_symmetric(self):
-        s = 0.37
-        moments, dfact = [], 1.0
-        for k in range(1, 12):
-            dfact *= 2 * k - 1
-            moments.append(s**k * dfact)
-        assert centered_moment_criterion(moments, s, symmetric=True).passed
-
-    def test_beta_3_3_at_tight_sigma2(self):
-        moments = beta_centered_moments(BetaParams(3, 3), 20)
-        assert centered_moment_criterion(moments, 1.0 / 28.0, symmetric=True).passed
-
-    def test_fails_below_variance(self):
-        p = BetaParams(2, 5)
-        _, var = beta_mean_var(p)
-        moments = beta_centered_moments(p, 3)
-        report = centered_moment_criterion(moments, 0.9 * var, symmetric=False)
-        assert not report.passed and report.violations[0][0] == 1
-
-
 class TestTailBound:
     def test_values(self):
-        assert tail_bound(0.1, 0.3).bound == pytest.approx(math.exp(-0.45), rel=1e-14)
-        assert tail_bound(1.0 / 400.0, 0.1).bound == pytest.approx(math.exp(-2.0), rel=1e-14)
+        assert tail_bound(0.1, 0.3) == pytest.approx(math.exp(-0.45), rel=1e-14)
+        assert tail_bound(1.0 / 400.0, 0.1) == pytest.approx(math.exp(-2.0), rel=1e-14)
 
     def test_epsilon_zero_gives_one(self):
-        assert tail_bound(0.2, 0.0).bound == 1.0
+        assert tail_bound(0.2, 0.0) == 1.0
 
     def test_monotonicities(self):
         eps = np.linspace(0.05, 1.0, 30)
-        bounds = [tail_bound(0.05, e).bound for e in eps]
+        bounds = [tail_bound(0.05, e) for e in eps]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
         sig = np.linspace(0.01, 1.0, 30)
-        bounds = [tail_bound(s, 0.4).bound for s in sig]
+        bounds = [tail_bound(s, 0.4) for s in sig]
         assert all(b1 <= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_empirical_tail_beta_2_3(self):
@@ -316,29 +293,36 @@ class TestTailBound:
         for eps in (0.1, 0.2, 0.3):
             freq = float((draws - mean >= eps).mean())
             se = math.sqrt(max(freq * (1 - freq), 1e-7) / draws.size)
-            assert freq <= tail_bound(sigma2, eps).bound + 4.0 * se
+            assert freq <= tail_bound(sigma2, eps) + 4.0 * se
 
 
 class TestAffineScaling:
+    # tau^2(aX + b) = a^2 tau^2(X): the scan of a weighted law (here a Beta
+    # prior's Gauss rule) is equivariant, and so is the Beta series under X -> 1 - X
     def test_translation_invariance(self):
-        check = affine_scaling_check(BetaParams(2, 5), 1.0, 0.37)
-        assert check.passed
-        assert check.tau2_affine == pytest.approx(check.tau2_base, rel=1e-6)
+        points, weights = _prior_rule(BetaParams(2, 5))
+        base = weighted_proxy_sup(points, weights, "exact_mgf")
+        moved = weighted_proxy_sup(points + 0.37, weights, "exact_mgf")
+        assert moved.value == pytest.approx(base.value, rel=1e-6)
 
     def test_doubling_quadruples(self):
-        check = affine_scaling_check(BetaParams(1, 1), 2.0, 0.0)
-        assert check.passed
-        assert check.tau2_affine == pytest.approx(4.0 * check.tau2_base, rel=1e-4)
-
-    def test_reflection_matches_swapped_params(self):
-        check = affine_scaling_check(BetaParams(1, 3), -1.0, 1.0)
-        assert check.passed
-        swapped = beta_proxy_estimate(BetaParams(3, 1))
-        assert check.tau2_affine == pytest.approx(swapped.value, rel=1e-6)
+        points, weights = _prior_rule(BetaParams(1, 1))
+        base = weighted_proxy_sup(points, weights, "exact_mgf")
+        doubled = weighted_proxy_sup(2.0 * points, weights, "exact_mgf")
+        assert doubled.value == pytest.approx(4.0 * base.value, rel=1e-4)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            affine_scaling_check(BetaParams(1, 1), 0.0, 0.0)
+        # 0 * X is constant: Var = 0 leaves the scan no cap
+        points, weights = _prior_rule(BetaParams(1, 1))
+        with pytest.raises(ValueError, match="no lambda cap"):
+            weighted_proxy_sup(0.0 * points, weights, "exact_mgf")
+
+    def test_reflection_matches_swapped_params(self):
+        for a in GRID:
+            for b in GRID:
+                left = beta_proxy_estimate(BetaParams(a, b)).value
+                right = beta_proxy_estimate(BetaParams(b, a)).value
+                assert left == pytest.approx(right, rel=1e-12)
 
 
 class TestProxyNormProperties:

@@ -6,24 +6,27 @@ import mpmath
 import numpy as np
 import pytest
 
+from closed_form import (
+    PolynomialInP,
+    SizeCapError,
+    binomial_query_poly,
+    geometric_query_poly,
+    multinomial_query_moments,
+    poisson_query_moments,
+    poly_raw_moments_under_beta,
+)
 from subgauss import (
     BetaParams,
     DirichletParams,
     ExactModeError,
     GammaParams,
-    PolynomialInP,
     SeedSpec,
     beta_proxy_bound,
     beta_proxy_estimate,
     beta_raw_moments,
-    binomial_query_poly,
     evaluate_model,
-    geometric_query_poly,
     mc_moments,
     model_q_draws,
-    multinomial_query_moments,
-    poisson_query_moments,
-    poly_raw_moments_under_beta,
 )
 from subgauss.conjugate_models import _prior_rule, _query_values
 
@@ -50,10 +53,11 @@ class TestBinomialPoly:
             assert poly(p) == pytest.approx(direct, rel=1e-12)
 
     def test_unit_range_check(self):
-        assert binomial_query_poly(5, {2, 3}).values_in_unit_interval()
+        values = binomial_query_poly(5, {2, 3})(np.linspace(0.0, 1.0, 2001))
+        assert (values >= -1e-9).all() and (values <= 1.0 + 1e-9).all()
 
     def test_size_cap(self):
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             binomial_query_poly(31, {0})
 
     def test_subset_validation(self):
@@ -74,7 +78,7 @@ class TestGeometricPoly:
             assert poly(p) == pytest.approx(1.0 - (1.0 - p) ** 21, rel=1e-10)
 
     def test_size_cap(self):
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             geometric_query_poly({61})
 
     def test_coefficients_exact_up_to_the_cap(self):
@@ -82,7 +86,7 @@ class TestGeometricPoly:
         poly = geometric_query_poly(set(range(56)))
         want = [0] + [(-1) ** i * math.comb(56, i + 1) for i in range(56)]
         assert [int(c) for c in poly.coefficients] == want
-        with pytest.raises(ExactModeError):  # C(57, 28) > 2^53
+        with pytest.raises(SizeCapError):  # C(57, 28) > 2^53
             geometric_query_poly({56})
 
     def test_empty_rejected(self):
@@ -114,7 +118,7 @@ class TestPolyMomentsUnderBeta:
             assert abs(moments[j] - mc[j]) <= 3.0 * ses[j]
 
     def test_work_cap(self):
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             poly_raw_moments_under_beta(PolynomialInP((0.0,) * 40 + (1.0,)), BetaParams(1, 1), 11)
 
 
@@ -146,7 +150,7 @@ class TestMultinomialMoments:
 
     def test_exact_caps(self):
         prior = DirichletParams((1.0,) * 5)
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             multinomial_query_moments(1, [(1, 0, 0, 0, 0)], prior, 2)
 
     def test_count_vector_validation(self):
@@ -190,9 +194,9 @@ class TestPoissonMoments:
             assert abs(exact[j] - mc[j]) <= 3.0 * ses[j]
 
     def test_caps(self):
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             poisson_query_moments({61}, GammaParams(1, 1), 2)
-        with pytest.raises(ExactModeError):
+        with pytest.raises(SizeCapError):
             poisson_query_moments({0}, GammaParams(1, 1), 21)
 
 
@@ -410,6 +414,20 @@ class TestEvaluateModel:
     def test_too_few_draws_are_refused(self, draws):
         with pytest.raises(ValueError, match="at least 100 draws"):
             evaluate_model("geometric", BetaParams(2, 1), {0}, method="monte_carlo", draws=draws)
+
+    @pytest.mark.parametrize(
+        "model, prior, m",
+        [
+            ("beta_binomial", BetaParams(1, 1), 2),
+            ("geometric", BetaParams(1, 1), None),
+            ("multinomial", DirichletParams((1.0, 1.0, 1.0)), 2),
+            ("poisson_gamma", GammaParams(1, 1), None),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    def test_empty_subset_is_refused(self, model, prior, m, method):
+        with pytest.raises(ValueError, match="subset must be a nonempty"):
+            evaluate_model(model, prior, set(), m=m, method=method, draws=1000)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from subgauss import (
     BetaParams,
-    CuratorState,
     DegenerateQueryError,
     DirichletParams,
     GameConfig,
     QuerySpec,
     SeedSpec,
-    answer_query,
     beta_mean_var,
-    decompose_into_counting,
     estimate_failure_rate,
     project_to_beta,
     required_n,
@@ -32,6 +29,7 @@ from subgauss.game import (
     AdaptiveCorrelatorAnalyst,
     StaticRandomAnalyst,
     VarianceMaximizerAnalyst,
+    make_curator,
 )
 
 
@@ -51,20 +49,10 @@ def make_config(**overrides):
 
 
 class TestQuerySpec:
-    def test_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            QuerySpec()
-        with pytest.raises(ValueError):
-            QuerySpec(weights=(0.5,), subset=frozenset({0}))
-
-    def test_weight_range(self):
-        with pytest.raises(ValueError):
-            QuerySpec.from_weights((0.5, 1.2))
-
     def test_counting_as_weights(self):
         q = QuerySpec.counting({0, 2})
         np.testing.assert_array_equal(q.as_weights(4), [1.0, 0.0, 1.0, 0.0])
-        assert q.is_counting and q.indices == (0, 2)
+        assert q.indices == (0, 2)
 
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError):
@@ -91,29 +79,24 @@ class TestSampleInstance:
         assert np.all(np.abs(freqs - true_p) <= 4.0 * se + 1e-12)
 
 
+def curator_answer(prior, counts, subset, kind="posterior_mean"):
+    """The answer of a fresh ``kind`` curator holding ``counts`` to the counting query."""
+    config = make_config(k=prior.k, prior=prior, n=int(sum(counts)), curator=kind)
+    return make_curator(config, np.asarray(counts), None).answer(QuerySpec.counting(subset))
+
+
 class TestAnswerQuery:
     def test_prior_mean(self):
-        state = CuratorState(DirichletParams((1.0, 1.0, 1.0)), (0, 0, 0), 0)
-        assert answer_query(state, QuerySpec.counting({0})) == pytest.approx(1.0 / 3.0)
+        answer = curator_answer(DirichletParams((1.0, 1.0, 1.0)), (0, 0, 0), {0})
+        assert answer == pytest.approx(1.0 / 3.0)
 
     def test_posterior_mean_after_updates(self):
-        state = CuratorState(DirichletParams((1.0, 1.0, 1.0)), (7, 2, 1), 10)
-        answer = answer_query(state, QuerySpec.counting({0, 1}))
+        answer = curator_answer(DirichletParams((1.0, 1.0, 1.0)), (7, 2, 1), {0, 1})
         assert answer == pytest.approx(11.0 / 13.0)
 
-    def test_constant_weights_answer_exactly(self):
-        state = CuratorState(DirichletParams((2.0, 3.0, 5.0)), (4, 0, 6), 10)
-        for w in (0.0, 0.25, 1.0):
-            q = QuerySpec.from_weights((w, w, w))
-            assert answer_query(state, q) == pytest.approx(w, abs=1e-15)
-            assert answer_query(state, q, kind="empirical_mean") == pytest.approx(
-                w, abs=1e-15
-            )
-
     def test_empirical_needs_data(self):
-        state = CuratorState(DirichletParams((1.0, 1.0)), (0, 0), 0)
         with pytest.raises(ValueError):
-            answer_query(state, QuerySpec.counting({0}), kind="empirical_mean")
+            curator_answer(DirichletParams((1.0, 1.0)), (0, 0), {0}, kind="empirical_mean")
 
     def test_posterior_mean_equals_projected_beta_mean(self):
         rng = np.random.default_rng(31)
@@ -121,12 +104,11 @@ class TestAnswerQuery:
             k = int(rng.integers(2, 7))
             alphas = tuple(np.round(rng.uniform(0.2, 6.0, size=k), 3))
             counts = tuple(int(c) for c in rng.integers(0, 9, size=k))
-            state = CuratorState(DirichletParams(alphas), counts, sum(counts))
             size = int(rng.integers(1, k))
             subset = frozenset(int(i) for i in rng.choice(k, size=size, replace=False))
-            answer = answer_query(state, QuerySpec(subset=subset))
-            projected = project_to_beta(state.posterior(), subset)
-            mean, _ = beta_mean_var(projected)
+            answer = curator_answer(DirichletParams(alphas), counts, subset)
+            posterior = DirichletParams(tuple(a + c for a, c in zip(alphas, counts)))
+            mean, _ = beta_mean_var(project_to_beta(posterior, subset))
             assert answer == pytest.approx(mean, rel=1e-12)
 
     def test_order_invariance(self):
@@ -137,10 +119,7 @@ class TestAnswerQuery:
         c1 = np.bincount(samples, minlength=3)
         c2 = np.bincount(shuffled, minlength=3)
         d = DirichletParams((1.0, 2.0, 0.5))
-        s1 = CuratorState(d, tuple(c1), 40)
-        s2 = CuratorState(d, tuple(c2), 40)
-        q = QuerySpec.counting({1, 2})
-        assert answer_query(s1, q) == answer_query(s2, q)
+        assert curator_answer(d, c1, {1, 2}) == curator_answer(d, c2, {1, 2})
 
 
 class TestProjectToBeta:
@@ -160,25 +139,6 @@ class TestProjectToBeta:
             project_to_beta(d, set())
         with pytest.raises(DegenerateQueryError):
             project_to_beta(d, {0, 1, 2})
-
-
-class TestConvexityReduction:
-    def test_weights_query_equals_level_set_combination(self):
-        # any [0,1]-weights query is a convex combination of counting queries,
-        # and linear answering matches it exactly
-        rng = np.random.default_rng(12)
-        state = CuratorState(DirichletParams((1.0, 2.0, 3.0, 0.5)), (3, 1, 0, 6), 10)
-        for _ in range(25):
-            w = np.round(rng.random(4), 3)
-            if w.max() == 0:
-                continue
-            direct = answer_query(state, QuerySpec.from_weights(w))
-            parts = decompose_into_counting(w)
-            recombined = sum(
-                coeff * answer_query(state, QuerySpec.counting(idx))
-                for coeff, idx in parts
-            )
-            assert direct == pytest.approx(recombined, abs=1e-12)
 
 
 class TestAnalysts:

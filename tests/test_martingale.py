@@ -1,5 +1,6 @@
 """Tests for the posterior-mean step law, telescoping totals, and stability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from subgauss import (
     step_variance_proxy,
     two_point_variance_proxy,
 )
-from subgauss import checks
+from subgauss import checks, martingale
 from subgauss.martingale import compositions
 
 
@@ -145,7 +146,6 @@ class TestSimulatePaths:
 class TestStabilityDiagnostics:
     def test_replace_one_reaches_bound(self):
         report = stability_diagnostics(DirichletParams((1.0, 1.0)), 1, {0})
-        assert report.mode == "exhaustive"
         assert report.max_replace_one_change == pytest.approx(1.0 / 3.0)
         assert report.replace_one_bound == pytest.approx(1.0 / 3.0)
         assert report.replace_one_ok
@@ -174,12 +174,28 @@ class TestStabilityDiagnostics:
                 report = stability_diagnostics(DirichletParams((1.0,) * 3), n, subset)
                 assert report.max_add_one_change <= report.replace_one_bound
 
-    def test_random_probe_mode(self):
-        report = stability_diagnostics(
-            DirichletParams((1.0,) * 6), 500, {0, 2, 4}, seed=SeedSpec(5)
-        )
-        assert report.mode == "random_probe"
-        assert report.add_one_ok and report.replace_one_ok and report.lipschitz_ok
+    @pytest.mark.parametrize("k, n", [(3, 0), (3, 13), (5, 1)])
+    def test_refuses_past_the_exhaustive_sweep(self, k, n):
+        with pytest.raises(ValueError, match="exhaustive sweep"):
+            stability_diagnostics(DirichletParams((1.0,) * k), n, {0})
+
+    def test_sweep_names_a_failing_cell(self, monkeypatch):
+        # a diagnostic whose add-one bound is too small fails AC11 on the
+        # martingale check, with its (k, alpha, n, subset) named
+        def loose(prior, n, subset):
+            report = stability_diagnostics(prior, n, subset)
+            if prior.k == 3 and n == 7 and prior.alphas[0] == 0.5:
+                return dataclasses.replace(report, add_one_ok=False)
+            return report
+
+        monkeypatch.setattr(martingale, "stability_diagnostics", loose)
+        failures = []
+        summary = checks._stability_sweep(failures)
+        assert summary["stability_cells"] == 528
+        assert len(failures) == 6  # the six proper subsets of 3 categories
+        cells = {(f["check"], f["k"], f["alpha"], f["n"]) for f in failures}
+        assert cells == {("stability", 3, 0.5, 7)}
+        assert sorted(f["subset"] for f in failures) == ["0", "0;1", "0;2", "1", "1;2", "2"]
 
     def test_subset_validation(self):
         d = DirichletParams((1.0, 1.0))
