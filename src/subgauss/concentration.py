@@ -131,14 +131,22 @@ def _scan(
     2 (mean - min X) / |lam| for lam < 0. Each sign's grid is walked outward
     and stops once that bound falls below the best ratio so far, so the
     skipped points cannot hold the grid's best; ``lambda_cap`` ends the grid.
+
+    A kernel with an array form ``log_mgf.grid(lams)`` (the bounded-law
+    kernels) gives its values at all grid points in one call before the
+    walk; the walk reads them, and calls ``log_mgf`` itself where the array
+    form gave NaN, so points past the stop are still never evaluated by the
+    scalar form. The golden-section refinement calls ``log_mgf``.
+    ``evaluations`` counts the values read, whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
     calls = [0]
 
-    def ratio(lam: float) -> float:
+    def ratio(lam: float, value: float = math.nan) -> float:
         calls[0] += 1
-        value = log_mgf(lam)
+        if math.isnan(value):
+            value = log_mgf(lam)
         if not math.isfinite(value):
             raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
         return 2.0 * (value - lam * mean) / (lam * lam)
@@ -146,16 +154,21 @@ def _scan(
     n = _POINTS_PER_SIGN
     magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
     lams = np.concatenate([-magnitudes[::-1], magnitudes])
-    values = np.full(2 * n, -np.inf)
+    grid = getattr(log_mgf, "grid", None)
+    # Python floats round as numpy's float64 does, and are faster to index and combine
+    points = lams.tolist()
+    readings = grid(lams).tolist() if grid is not None else [math.nan] * (2 * n)
+    values = [-math.inf] * (2 * n)
     scanned = [0.0, 0.0]  # largest |lambda| evaluated on the - and + sides
-    live, best_value = [True, True], -np.inf
-    for i, m in enumerate(magnitudes):
+    live, best_value = [True, True], -math.inf
+    for i, m in enumerate(magnitudes.tolist()):
         for side, index in ((1, n + i), (0, n - 1 - i)):
             live[side] = live[side] and 2.0 * reach[1 - side] / m >= best_value
             if live[side]:
-                values[index] = ratio(lams[index])
+                values[index] = ratio(points[index], readings[index])
                 best_value = max(best_value, values[index])
                 scanned[side] = m
+    values = np.array(values)
 
     best = int(np.argmax(values))
     # Same-sign bracket around the best grid point (never refine across 0).
@@ -163,7 +176,7 @@ def _scan(
     neighbors = [i for i in (best - 1, best + 1) if sign_lo <= i <= sign_hi]
     for i in neighbors:
         if values[i] == -np.inf:  # past the stop: evaluate it for the bracket's slack
-            values[i] = ratio(lams[i])
+            values[i] = ratio(points[i], readings[i])
     lo = lams[max(best - 1, sign_lo)]
     hi = lams[min(best + 1, sign_hi)]
     if lo > hi:
@@ -203,6 +216,11 @@ def variance_proxy_sup(
     all lam only if the caller's cap is certified. Laws whose support is
     known are scanned by `beta_proxy_estimate` and
     `conjugate_models.evaluate_model` with a certified stop instead.
+
+    A ``log_mgf`` with an array form ``log_mgf.grid`` (the kernels of
+    `weighted_log_mgf` and `empirical_log_mgf`) gives the grid's values in
+    one call, == those of the scalar calls it saves; a plain callable is
+    called once per grid point, as `_scan` describes.
     """
     return _scan(log_mgf, mean, lambda_cap, (math.inf, math.inf), method)
 
@@ -342,7 +360,10 @@ def _weighted_law(values: np.ndarray, weights: np.ndarray):
 
     The near-zero branch's table sum_i w_i x_i^k / k!, k = 1..21, is built on
     its first call: `_check_rule_resolves` builds a law of up to 2^18 points
-    to evaluate it once, which may fall past the branch.
+    to evaluate it once, which may fall past the branch. ``log_mgf.grid`` is
+    that branch on an array of lam (NaN past it); the far branch sums over
+    all N points per lam, so it stays scalar and is reached only by the
+    scan's walk, which stops early.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     v, w = v[w > 0], w[w > 0]  # the law's support
@@ -352,17 +373,28 @@ def _weighted_law(values: np.ndarray, weights: np.ndarray):
     var = float(np.einsum("i,i->", w, x * x))
     near: list[float] = []  # e_21 .. e_1 once built
 
+    def taylor_terms() -> list[float]:
+        if not near:
+            term = np.ones_like(x)
+            for k in range(1, _TAYLOR_ORDER + 1):
+                term = term * x / k  # x^k / k!
+                near.insert(0, float(np.einsum("i,i->", w, term)))
+        return near
+
+    def grid(lams: np.ndarray) -> np.ndarray:
+        out = np.full(lams.shape, math.nan)
+        close = abs(lams) * (hi - lo) <= 1.0
+        if close.any():
+            out[close] = _taylor_log_mgf(taylor_terms(), lams[close])
+        return out
+
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:
-            if not near:
-                term = np.ones_like(x)
-                for k in range(1, _TAYLOR_ORDER + 1):
-                    term = term * x / k  # x^k / k!
-                    near.insert(0, float(np.einsum("i,i->", w, term)))
-            return _taylor_log_mgf(near, lam)
+            return _taylor_log_mgf(taylor_terms(), lam)
         shift = lam * (hi if lam > 0 else lo)
         return shift + math.log(np.einsum("i,i->", w, np.exp(lam * x - shift)))
 
+    log_mgf.grid = grid  # refers to no log_mgf: no reference cycle holds the N points
     return log_mgf, mean, (hi, -lo), var
 
 
@@ -385,7 +417,9 @@ def weighted_log_mgf(
     contains the supremum. Constant values (Var = 0) have no cap: refused.
     Every weighted sum is an `np.einsum` reduction: unlike `w @ v`, it never
     calls BLAS, whose threaded dot product rounds differently with the
-    thread count.
+    thread count. ``log_mgf.grid(lams)`` evaluates the series branch on an
+    array of lam in one numpy pass, with values == log_mgf's, and gives NaN
+    where |lam| * range > 1.
     """
     log_mgf, mean, reach, var = _weighted_law(values, weights)
     return log_mgf, mean, _support_cap(reach, var)
@@ -411,11 +445,17 @@ def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], fl
     Returns (log_mgf, cap), where cap bounds |lambda| so that e^|lambda| stays
     below 1e6/sqrt(N), keeping the Monte Carlo relative error of the MGF
     controlled. Best effort: intended for exploratory estimates, not for
-    tight assertions.
+    tight assertions. log_mgf keeps the array form ``grid`` of
+    `weighted_log_mgf`'s kernel, shifted by lam times the sample mean.
     """
     values = np.asarray(samples, dtype=float)
     n = values.size
     if n < 100:
         raise ValueError("empirical MGF needs at least 100 samples")
     centered, mean, _ = weighted_log_mgf(values, np.full(n, 1.0 / n))
-    return (lambda lam: centered(lam) + lam * mean), math.log(1e6 / math.sqrt(n))
+
+    def log_mgf(lam: float) -> float:
+        return centered(lam) + lam * mean
+
+    log_mgf.grid = lambda lams: centered.grid(lams) + lams * mean
+    return log_mgf, math.log(1e6 / math.sqrt(n))

@@ -31,7 +31,6 @@ from .concentration import (
     weighted_proxy_sup,
 )
 from .distributions import (
-    _SAMPLE_BLOCK,
     BetaParams,
     DirichletParams,
     GammaParams,
@@ -58,6 +57,8 @@ _PRIOR_FAMILY = {
     "poisson_gamma": GammaParams,
 }
 MODEL_KINDS = tuple(_PRIOR_FAMILY)
+# Prior draws per block in `model_q_draws`, bounding its working memory.
+_SAMPLE_BLOCK = 200_000
 
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.

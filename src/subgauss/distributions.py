@@ -44,8 +44,6 @@ _MAX_TERMS = 2**18
 # Highest power of the near-zero series of a bounded law's log-MGF
 # (`_taylor_log_mgf`), used where |lam| * (support width) <= 1.
 _TAYLOR_ORDER = 21
-# Variates drawn per block by the samplers, bounding their working memory.
-_SAMPLE_BLOCK = 200_000
 
 
 def _check_positive_finite(name: str, value: float) -> float:
@@ -265,12 +263,14 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
     Stein's identity for the Beta law gives c_0 = 1, c_1 = 0 and c_{k+1} =
     k [(1 - 2 mu) c_k + mu (1 - mu) c_{k-1}] / (a + b + k). With mu <= 1/2
     every coefficient is >= 0, so every c_k is, and the recurrence runs on
-    rescaled floats without cancellation; a zero c_k (odd k at mu = 1/2)
-    gives -inf.
+    rescaled floats without cancellation. A zero c_k (odd k at mu = 1/2,
+    or every k once the variance underflows) gives -1e300 rather than -inf,
+    so that the terms minus the largest of them stay defined; its
+    exponential is 0 all the same.
     """
     s = a + b
     skew, spread = (b - a) / s, (a / s) * (b / s)  # 1 - 2 mu and mu (1 - mu)
-    out = np.full(_CENTRAL_TERMS + 1, -math.inf)
+    out = np.full(_CENTRAL_TERMS + 1, -1e300)
     out[0] = 0.0
     prev, cur, scale = 1.0, 0.0, 0.0  # e_{k-1}, e_k (e_j = c_j / j!) over e^scale
     for k in range(1, _CENTRAL_TERMS):
@@ -283,9 +283,23 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
     return out
 
 
-def _taylor_log_mgf(coeffs: Sequence[float], lam: float) -> float:
+def _each(fn: Callable[..., float], *args):
+    """fn(*args) for scalar args, or fn of each element of array args.
+
+    numpy's exp and log1p differ from `math`'s in the last bit on a few
+    percent of inputs, so the array forms call `math` per element: their
+    values stay == the scalar forms'.
+    """
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+    return fn(*args)
+
+
+def _taylor_log_mgf(coeffs: Sequence[float], lam):
     """log1p(sum_{k=1}^{21} lam^k e_k) by Horner's rule, ``coeffs`` = (e_21, ..., e_1).
 
+    ``lam`` is a float or an array; an array is evaluated by the same
+    operations, element by element, so each value is == the float's.
     With e_k = c_k / k!, c_k = E[(X - mu)^k], this is the log-MGF of X - mu
     near 0. If X has support width w and |lam| w <= 1, then |c_k| <= w^(k-2)
     sigma^2, so the terms past k = 21 sum to at most lam^2 sigma^2 e / 22!,
@@ -299,7 +313,7 @@ def _taylor_log_mgf(coeffs: Sequence[float], lam: float) -> float:
     acc = 0.0
     for c in coeffs:
         acc = acc * lam + c
-    return math.log1p(acc * lam)
+    return _each(math.log1p, acc * lam)
 
 
 def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
@@ -317,6 +331,12 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     eps * |lam| * mean. The raw series also takes over wherever the central
     terms have not converged within _CENTRAL_TERMS; there |lam| is far past
     1/sigma and the subtraction loses little. No form is ln M - lam mu near 0.
+
+    The returned function has an array form ``grid(lams)``: the Taylor
+    and central-series branches, whose cost does not grow with the law's
+    size, for a whole array of lam in one numpy pass, with NaN where the raw
+    series takes over. Both forms run the same code for those branches, so
+    every value the array form gives is == the scalar form's.
     """
     flip = p.alpha > p.beta
     za, zb = (p.beta, p.alpha) if flip else (p.alpha, p.beta)
@@ -326,6 +346,45 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     near = np.exp(table[_TAYLOR_ORDER - 2 :: -1]).tolist() + [0.0]  # e_21 .. e_2, e_1 = 0
 
+    def central(lz, rising: bool):
+        """log1p of the central series at lz, a float or an array, all > 1 if ``rising``, else < -1.
+
+        NaN where the series has not converged or loses to the raw series.
+        """
+        logs = np.multiply.outer(_each(math.log, abs(lz)), k)
+        logs += table
+        top = logs.max(axis=-1)
+        tail = np.maximum(logs[..., -1], logs[..., -2])
+        logs -= top[..., None]
+        scaled = np.exp(logs, out=logs)
+        plain = scaled.sum(axis=-1)
+        alternating = plain if rising else (signs * scaled).sum(axis=-1)
+        return _each(settle, lz, top, tail, plain, alternating)
+
+    def settle(lz: float, top: float, tail: float, plain: float, alternating: float) -> float:
+        """One lz's value from its row of scaled terms (summed plain and alternating), or NaN."""
+        # the central terms converged within the table, at a representable size
+        if not (top < 700.0 and tail < top - _WINDOW_LOG):
+            return math.nan
+        total = math.exp(top) * plain  # sum |t_k|
+        if lz > 0.0:
+            return math.log1p(total)
+        signed = math.exp(top) * alternating
+        # alternating terms: keep their sum while its error beats the raw series'
+        if signed > -1.0 and total / (1.0 + signed) <= -lz * zb / s:
+            return math.log1p(signed)
+        return math.nan
+
+    def grid(lams: np.ndarray) -> np.ndarray:
+        lz = -lams if flip else lams
+        out = np.full(lz.shape, math.nan)
+        close, rising = np.abs(lz) <= 1.0, lz > 1.0
+        falling = ~(close | rising)
+        out[close] = _taylor_log_mgf(near, lz[close])
+        out[rising] = central(lz[rising], True)
+        out[falling] = central(lz[falling], False)
+        return out
+
     def log_mgf(lam: float) -> float:
         lam = float(lam)
         if not math.isfinite(lam):
@@ -334,20 +393,14 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
         mag = abs(lz)
         if mag <= 1.0:
             return _taylor_log_mgf(near, lz)
-        logs = k * math.log(mag) + table
-        top = float(logs.max())
-        # the central terms converged within the table, at a representable size
-        if top < 700.0 and max(logs[-1], logs[-2]) < top - _WINDOW_LOG:
-            scaled = np.exp(logs - top)
-            total = math.exp(top) * float(np.sum(scaled))  # sum |t_k|
-            signed = total if lz > 0.0 else math.exp(top) * float(np.sum(signs * scaled))
-            # alternating terms: keep their sum while its error beats the raw series'
-            if lz > 0.0 or (signed > -1.0 and total / (1.0 + signed) <= mag * zb / s):
-                return math.log1p(signed)
+        value = central(lz, lz > 0.0)
+        if not math.isnan(value):
+            return value
         if lz > 0.0:
             return _raw_log_mgf(za, zb, mag) - mag * (za / s)
         return _raw_log_mgf(zb, za, mag) - mag * (zb / s)  # Z at -mag is 1 - Z at mag
 
+    log_mgf.grid = grid  # refers to no log_mgf: no reference cycle holds the kernel
     return log_mgf
 
 
@@ -484,13 +537,14 @@ def sample(
 
 
 def sample_chi(k_dim: int, seed: SeedSpec, count: int) -> np.ndarray:
-    """Chi variates as Euclidean norms of k_dim independent standard normals."""
+    """Chi variates, the Euclidean norm of k_dim independent standard normals.
+
+    The squared norm is Chi^2(k_dim) = 2 Gamma(k_dim / 2), so each variate is
+    drawn as sqrt(2 G), G ~ Gamma(k_dim / 2): one draw per variate, whatever
+    k_dim is.
+    """
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
-    rng = seed.generator()
-    out = np.empty(count)
-    for pos in range(0, count, _SAMPLE_BLOCK):
-        step = min(_SAMPLE_BLOCK, count - pos)
-        z = rng.standard_normal((step, k_dim))
-        out[pos : pos + step] = np.sqrt((z * z).sum(axis=1))
-    return out
+    out = seed.generator().standard_gamma(0.5 * k_dim, size=count)
+    out *= 2.0
+    return np.sqrt(out, out=out)

@@ -1,10 +1,12 @@
 """Tests for variance-proxy estimation and the subgaussianity criteria."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -34,7 +36,13 @@ from subgauss import (
     variance_proxy_sup,
 )
 from subgauss.checks import GRID
-from subgauss.concentration import weighted_log_mgf, weighted_proxy_sup
+from subgauss.concentration import (
+    _scan,
+    _support_cap,
+    _weighted_law,
+    weighted_log_mgf,
+    weighted_proxy_sup,
+)
 from subgauss.conjugate_models import _prior_rule
 from subgauss.distributions import MomentSequence, beta_centered_log_mgf
 
@@ -450,3 +458,118 @@ class TestSeriesSwitchContinuity:
         w = rng.random(n) ** 3
         log_mgf, _, _ = weighted_log_mgf(v, w / w.sum())
         assert continuity_gap(log_mgf, 1.0 / (v.max() - v.min())) <= 1e-13
+
+
+def scan_grid(cap):
+    """The scan's signed grid, |lambda| log-spaced from 1e-3 to ``cap``, 200 points per sign."""
+    magnitudes = np.geomspace(1e-3, cap, 200)
+    return np.concatenate([-magnitudes[::-1], magnitudes])
+
+
+def around(*edges):
+    """Each edge, its float neighbours and their mirror images."""
+    points = [q for e in edges for q in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+    return np.array(points + [-q for q in points])
+
+
+def handovers(log_mgf, lams):
+    """Adjacent floats either side of each switch between a value and NaN in the array form."""
+    nan = np.isnan(log_mgf.grid(lams))
+    points = []
+    for i in np.flatnonzero((nan[:-1] != nan[1:]) & (lams[:-1] * lams[1:] > 0)):
+        a, b = float(lams[i]), float(lams[i + 1])
+        while math.nextafter(a, b) != b:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if np.isnan(log_mgf.grid(np.array([mid])))[0] == nan[i]:
+                a = mid
+            else:
+                b = mid
+        points += [a, b]
+    return np.array(points)
+
+
+def assert_array_form_is_scalar_form(log_mgf, lams):
+    """The array form's value at each lam is == the scalar form's, or NaN; returns the NaN points."""
+    values = log_mgf.grid(lams)
+    for lam, value in zip(lams.tolist(), values.tolist()):
+        if not math.isnan(value):
+            assert value == log_mgf(lam), lam
+    return lams[np.isnan(values)]
+
+
+def scalar_only(log_mgf):
+    """``log_mgf`` without its array form, so a scan evaluates every point by the scalar form."""
+    return lambda lam: log_mgf(lam)
+
+
+class TestArrayForm:
+    """The scan reads a bounded-law kernel's array form; its values and the estimates are ==."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_a=st.floats(math.log(1e-3), math.log(1e6)),
+        log_b=st.floats(math.log(1e-3), math.log(1e6)),
+    )
+    @example(log_a=math.log(1e-3), log_b=math.log(1e6))
+    @example(log_a=math.log(1e6), log_b=math.log(1e-3))
+    @example(log_a=math.log(1e6), log_b=math.log(1e6))
+    @example(log_a=math.log(2.0), log_b=math.log(5.0))
+    @example(log_a=math.log(5.0), log_b=math.log(2.0))
+    def test_beta(self, log_a, log_b):
+        p = BetaParams(math.exp(log_a), math.exp(log_b))
+        log_mgf = beta_centered_log_mgf(p)
+        mean, var = beta_mean_var(p)
+        reach = (1.0 - mean, mean)
+        cap = _support_cap(reach, var)
+        grid = scan_grid(cap)
+        lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
+        # NaN only past the Taylor branch, where the raw series may take over
+        assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
+        assert beta_proxy_estimate(p) == _scan(scalar_only(log_mgf), 0.0, cap, reach, "exact_mgf")
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=weighted_laws())
+    def test_weighted(self, law):
+        v, w = law
+        log_mgf, _, reach, var = _weighted_law(v, w)
+        cap = _support_cap(reach, var)
+        width = sum(reach)
+        lams = np.concatenate([scan_grid(cap), around(1.0 / width)])
+        # the far branch sums over every point, so it stays scalar
+        assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) * width > 1.0).all()
+        plain = _scan(scalar_only(log_mgf), 0.0, cap, reach, "exact_mgf")
+        assert weighted_proxy_sup(v, w, "exact_mgf") == plain
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_empirical(self, seed):
+        p = BetaParams(*np.random.default_rng(seed).uniform(0.5, 20.0, 2))
+        draws = sample(p, SeedSpec(seed), 5000)
+        log_mgf, cap = empirical_log_mgf(draws)
+        assert_array_form_is_scalar_form(log_mgf, scan_grid(cap))
+        mean = float(draws.mean())
+        plain = variance_proxy_sup(scalar_only(log_mgf), mean, cap)
+        assert variance_proxy_sup(log_mgf, mean, cap) == plain
+
+
+class TestKernelLifetime:
+    """A kernel is freed by reference counting alone: no reference cycle keeps its points alive."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: beta_centered_log_mgf(BetaParams(2.0, 5.0)),
+        lambda: weighted_log_mgf(np.linspace(0.0, 1.0, 50), np.full(50, 0.02))[0],
+        lambda: empirical_log_mgf(np.linspace(0.0, 1.0, 500))[0],
+    ], ids=["beta", "weighted", "empirical"])
+    def test_del_frees_the_kernel(self, make):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kernel = make()
+            kernel(0.5), kernel(30.0), kernel.grid(scan_grid(100.0))  # build the lazy tables
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

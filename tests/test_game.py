@@ -112,14 +112,25 @@ class TestAnswerQuery:
             assert answer == pytest.approx(mean, rel=1e-12)
 
     def test_order_invariance(self):
-        # conjugate updates depend on counts only, never on sample order
+        # n one-sample Dirichlet updates of the posterior mean, in sample order and
+        # permuted, land on the answer the curator computes from the counts alone
         rng = np.random.default_rng(8)
         samples = rng.integers(0, 3, size=40)
-        shuffled = rng.permutation(samples)
-        c1 = np.bincount(samples, minlength=3)
-        c2 = np.bincount(shuffled, minlength=3)
-        d = DirichletParams((1.0, 2.0, 0.5))
-        assert curator_answer(d, c1, {1, 2}) == curator_answer(d, c2, {1, 2})
+        d, subset = DirichletParams((1.0, 2.0, 0.5)), [1, 2]
+
+        def sequential_answer(order):
+            total = d.total
+            mean = np.asarray(d.alphas) / total
+            for x in order:
+                mean = total * mean
+                mean[x] += 1.0
+                total += 1.0
+                mean = mean / total
+            return float(mean[subset].sum())
+
+        want = curator_answer(d, np.bincount(samples, minlength=3), set(subset))
+        for order in (samples, rng.permutation(samples)):
+            assert sequential_answer(order) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestProjectToBeta:
