@@ -503,17 +503,19 @@ def draw(
 
     Dirichlet variates are normalized independent Gamma draws and Beta is the
     two-category special case of that construction, so a single Gamma sampler
-    (valid for all shapes, including below 1) backs the whole family.
+    (valid for all shapes, including below 1) backs the whole family. It is
+    ``rng.standard_gamma``, which gives the same stream as ``rng.gamma`` at
+    scale 1 without its per-call scale broadcast.
     Categorical probabilities (a plain sequence) yield integer category
     indices.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if isinstance(dist, BetaParams):
-        g = rng.gamma(np.array([dist.alpha, dist.beta]), size=(count, 2))
+        g = rng.standard_gamma(np.array([dist.alpha, dist.beta]), size=(count, 2))
         return g[:, 0] / g.sum(axis=1)
     if isinstance(dist, DirichletParams):
-        g = rng.gamma(np.asarray(dist.alphas), size=(count, dist.k))
+        g = rng.standard_gamma(np.asarray(dist.alphas), size=(count, dist.k))
         return g / g.sum(axis=1, keepdims=True)
     if isinstance(dist, GammaParams):
         return rng.gamma(dist.alpha, scale=1.0 / dist.beta, size=count)

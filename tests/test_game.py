@@ -23,6 +23,7 @@ from subgauss import (
     sample_instance,
     wilson_interval,
 )
+from subgauss import game
 from subgauss.game import (
     ANALYST_KINDS,
     CURATOR_KINDS,
@@ -258,7 +259,11 @@ ALL_PAIRS = [(a, c) for a in ANALYST_KINDS for c in CURATOR_KINDS]
 
 
 def _no_draws(*args, **kwargs):
-    raise AssertionError("drew an instance before rejecting the configuration")
+    raise AssertionError("made a generator before rejecting the configuration")
+
+
+# A non-uniform prior on 10 categories; the long-game tests take its first k.
+SKEWED = (0.5, 1.0, 2.0, 1.0, 3.0, 0.7, 1.5, 0.2, 2.5, 1.1)
 
 
 class TestRunGames:
@@ -313,7 +318,7 @@ class TestRunGames:
         assert run_games(config, 25, SeedSpec(8)).tolist() == whole.tolist()
 
     def test_sample_split_needs_n_at_least_q(self, monkeypatch):
-        monkeypatch.setattr("subgauss.game._sample_instance", _no_draws)
+        monkeypatch.setattr(SeedSpec, "generator", _no_draws)
         config = make_config(curator="sample_split", n=4, q=5)
         with pytest.raises(ValueError, match=r"need n >= q"):
             run_games(config, 10, SeedSpec(2))
@@ -321,12 +326,38 @@ class TestRunGames:
             run_game(config, SeedSpec(2))
 
     def test_empirical_mean_needs_data(self, monkeypatch):
-        monkeypatch.setattr("subgauss.game._sample_instance", _no_draws)
+        monkeypatch.setattr(SeedSpec, "generator", _no_draws)
         config = make_config(curator="empirical_mean", n=0)
         with pytest.raises(ValueError, match="cannot answer with no data"):
             run_games(config, 10, SeedSpec(2))
         with pytest.raises(ValueError, match="cannot answer with no data"):
             run_game(config, SeedSpec(2))
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("q", [200, 1000])
+    @pytest.mark.parametrize(
+        "curator,n", [("posterior_mean", 0), ("posterior_mean", 37), ("empirical_mean", 37)]
+    )
+    def test_adaptive_correlator_long_games(self, curator, n, q, k):
+        # long enough for every trial's scores to cycle, so the cycle exit acts
+        config = make_config(
+            k=k, prior=DirichletParams(SKEWED[:k]), n=n, q=q,
+            analyst="adaptive_correlator", curator=curator,
+        )
+        seed = SeedSpec(12, 100 * k + n)
+        assert run_games(config, 12, seed).tolist() == loop_max_errors(config, 12, seed)
+
+    @pytest.mark.parametrize("curator", CURATOR_KINDS)
+    @pytest.mark.parametrize("analyst", ["static_random", "variance_maximizer"])
+    def test_non_adaptive_long_games_in_small_blocks(self, monkeypatch, analyst, curator):
+        # n = 523 leaves a 23-sample remainder in the last sample-split fold
+        monkeypatch.setattr("subgauss.game._TRIAL_BLOCK", 7)
+        config = make_config(
+            k=10, prior=DirichletParams(SKEWED), n=523, q=500,
+            analyst=analyst, curator=curator,
+        )
+        seed = SeedSpec(13)
+        assert run_games(config, 16, seed).tolist() == loop_max_errors(config, 16, seed)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -343,6 +374,66 @@ class TestRunGames:
                 continue
             config = make_config(k=k, prior=prior, n=n, q=q, analyst=analyst, curator=curator)
             assert run_games(config, 4, seed).tolist() == loop_max_errors(config, 4, seed)
+
+
+# Posterior-mean instances (prior alphas, counts, true p) on which the
+# adaptive correlator's query changes after the first round past the probes:
+# its scores tie up to rounding, so rounding residuals reorder them. The true p
+# makes that late query's error the game's largest.
+LATE_QUERIES = [
+    (
+        (0.5, 2.0, 0.5, 1.0, 2.0, 2.0, 1.0, 0.5, 1.0, 1.5),
+        (0, 0, 0, 0, 1, 0, 0, 1, 0, 0),
+        (0.16, 0.01, 0.21, 0.0, 0.2, 0.02, 0.21, 0.08, 0.01, 0.1),
+    ),
+    (
+        (0.5, 1.5, 3.0, 1.5, 3.0, 0.5, 0.5, 2.0),
+        (2, 1, 0, 1, 4, 1, 0, 0),
+        (0.0, 0.27, 0.05, 0.16, 0.04, 0.04, 0.09, 0.34),
+    ),
+    ((3.0, 0.5, 1.0, 0.5, 0.5), (2, 7, 1, 2, 2), (0.21, 0.01, 0.52, 0.25, 0.01)),
+]
+
+
+class TestCycleExit:
+    @pytest.mark.parametrize("alphas,counts,true_p", LATE_QUERIES)
+    def test_counts_the_error_of_a_late_query(self, monkeypatch, alphas, counts, true_p):
+        # both paths play the given instance; the batch path must still reach
+        # the round of the late query before the trial's scores cycle
+        k, true_p, counts = len(alphas), np.array(true_p), np.array(counts)
+        config = make_config(
+            k=k, prior=DirichletParams(alphas), n=int(counts.sum()), q=40,
+            analyst="adaptive_correlator",
+        )
+
+        def instance(rng, prior, n):
+            return true_p, counts, np.empty(0, dtype=int)
+
+        def block(config, seeds):
+            rows = (len(seeds), 1)
+            return np.tile(true_p, rows), np.tile(counts, rows), np.empty((len(seeds), 0), dtype=int), None
+
+        monkeypatch.setattr(game, "_sample_instance", instance)
+        monkeypatch.setattr(game, "_draw_block", block)
+        errors = [r.error for r in run_game(config, SeedSpec(0)).rounds]
+        assert errors.index(max(errors)) > k  # the largest error is a late query's
+        assert run_games(config, 3, SeedSpec(0)).tolist() == [max(errors)] * 3
+
+    def test_ends_the_round_loop(self, monkeypatch):
+        # every trial cycles long before round 1000: the loop ends early
+        calls = []
+        masked_sums = game._masked_sums
+
+        def counted(mask, values):
+            calls.append(len(mask))
+            return masked_sums(mask, values)
+
+        monkeypatch.setattr(game, "_masked_sums", counted)
+        config = make_config(
+            k=10, prior=DirichletParams(SKEWED), n=37, q=1000, analyst="adaptive_correlator",
+        )
+        run_games(config, 12, SeedSpec(14))
+        assert 0 < len(calls) / 3 < 100  # three sums per round, of the 990 past the probes
 
 
 class TestRequiredN:
