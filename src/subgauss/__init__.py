@@ -9,6 +9,10 @@ curator answers adaptively chosen queries at the static sample complexity.
 
 __version__ = "0.1.0"  # set before the submodules import it
 
+import time as _time
+
+_import_started = _time.perf_counter()
+
 from .concentration import (
     BetaBoundCheck,
     MomentCriterionReport,
@@ -37,7 +41,6 @@ from .distributions import (
     GammaParams,
     MomentSequence,
     SeedSpec,
-    beta_expect,
     beta_log_mgf,
     beta_mean_var,
     beta_moment_sequence,
@@ -73,3 +76,7 @@ from .martingale import (
     step_variance_proxy,
     two_point_variance_proxy,
 )
+
+# seconds this package's import block took; `subgauss.cli` adds its own to
+# the run manifest's "import_s"
+_IMPORT_S = _time.perf_counter() - _import_started

@@ -3,11 +3,12 @@
 `subgauss verify-beta`, `verify-dirichlet`, `verify-chi`, `lemma-checks` and
 `martingale` write what these functions return, and the acceptance tests
 assert on it. A check takes at most a master seed and a count (the CLI's
-`--seed` and `--trials`; a count of None means the default) and returns a
-`CheckResult`. The criteria's tolerances are pinned here and nowhere else.
+`--seed` and `--trials`; a count of None means the default, and one below 1
+raises ValueError) and returns a `CheckResult`. The criteria's tolerances are
+pinned here and nowhere else.
 
-`import subgauss` does not import this module, because it loads
-`scipy.stats`.
+`import subgauss` does not import this module: only the CLI and the tests
+run the criteria.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import concentration as conc
 from . import martingale as mart
@@ -55,6 +56,29 @@ def _failed_rows(rows: list[dict]) -> list[dict]:
 def _result(summary: dict, rows: list[dict], failures: list[dict]) -> CheckResult:
     passed = not failures
     return CheckResult({**summary, "all_passed": passed}, rows, passed, failures)
+
+
+def _count(trials: int | None, default: int) -> int:
+    """A check's count: `default` where `trials` is None; below 1 it raises."""
+    if trials is None:
+        return default
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
+
+
+def _ks_statistic(draws: np.ndarray, a: float, b: float) -> float:
+    """Two-sided one-sample KS statistic of `draws` against Beta(a, b).
+
+    The same arithmetic as SciPy's one-sample `kstest` against the Beta CDF:
+    the largest gap either way between the empirical CDF and the Beta CDF at
+    the sorted draws.
+    """
+    cdf = special.betainc(a, b, np.sort(draws))
+    n = cdf.size
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
 
 
 def _expect(failures: list[dict], ok: bool, check: str, **cells) -> bool:
@@ -105,7 +129,7 @@ def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     substream 999; pair i samples 1e5 draws from `seed.derived(i + 1)`, and
     their KS statistic must lie below the 1e-3 critical value.
     """
-    pairs = trials or 20
+    pairs = _count(trials, 20)
     n_draws = 10**5
     rng = seed.generator(999)
     critical = float(special.kolmogi(1e-3)) / math.sqrt(n_draws)
@@ -121,9 +145,7 @@ def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
         d = DirichletParams(alphas)
         projected = project_to_beta(d, subset)
         draws = sample(d, seed.derived(i + 1), n_draws)[:, list(subset)].sum(axis=1)
-        ks = float(
-            stats.kstest(draws, stats.beta(projected.alpha, projected.beta).cdf).statistic
-        )
+        ks = _ks_statistic(draws, projected.alpha, projected.beta)
         rows.append(
             {
                 "k": k,
@@ -145,7 +167,7 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     relative error below 1e-12, E[X]^2 - (k-1) > 0, the unit-sigma raw-moment
     criterion, and upper-tail frequencies of `trials` draws (default 1e6, from
     `seed.derived(k)`) at most exp(-eps^2/2) + 4 SE."""
-    draws = trials or 10**6
+    draws = _count(trials, 10**6)
     rows = []
     for k in range(1, 21):
         moments = [chi_raw_moment(k, j) for j in range(103)]
@@ -276,7 +298,7 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
       most 1/(A+n), both to 1e-12, and the answer is linear in the empirical
       mean to 1e-12 with slope n/(A+n) <= 1.
     """
-    count = trials or 2000
+    count = _count(trials, 2000)
     failures = []
     azuma_cells = {}
     for s in (1.0, 2.0, 10.0):

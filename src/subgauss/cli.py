@@ -10,9 +10,14 @@ and every other subcommand that draws random numbers from --seed, else 0.
 --trials; `conjectures` reads --trials as its Monte Carlo draw count, at least
 100. Exit codes: 0 all checks passed, 1 at least one check failed (its
 first failing rows are logged), 2 usage or configuration error. Progress goes
-to stderr; data goes only to the output files.
+to stderr; data goes only to the output files. The run manifest also records
+the seconds spent importing (`import_s`) and running the check (`run_s`).
 """
 from __future__ import annotations
+
+import time
+
+_import_started = time.perf_counter()
 
 import argparse
 import json
@@ -22,12 +27,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _IMPORT_S as _PACKAGE_IMPORT_S
 from . import checks
 from . import conjugate_models as models
 from . import game as game_mod
 from .checks import CheckResult
 from .distributions import BetaParams, DirichletParams, GammaParams, SeedSpec
 from .reporting import emit_report
+
+# Seconds spent importing: the package's import block plus this module's.
+# `python -m subgauss.cli` loads the package (NumPy, SciPy) before this
+# module's block runs, so the block alone would miss nearly all of it.
+_IMPORT_S = _PACKAGE_IMPORT_S + time.perf_counter() - _import_started
 
 
 class ConfigError(ValueError):
@@ -277,11 +288,13 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
         result = _COMMANDS[args.command](args)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2
+    timings = {"import_s": _IMPORT_S, "run_s": time.perf_counter() - started}
     try:
         emit_report(
             args.command,
@@ -291,6 +304,7 @@ def cli_dispatch(argv: list[str]) -> int:
             args.fmt,
             config={"argv": argv},
             master_seed=getattr(args, "seed", None),  # None: the check draws nothing
+            timings=timings,
         )
     except OSError as exc:
         _log(f"error: could not write reports: {exc}")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "beta_mean_var",
     "beta_centered_log_mgf",
     "beta_log_mgf",
-    "beta_expect",
     "chi_raw_moment",
     "draw",
     "sample",
@@ -418,53 +416,6 @@ def beta_log_mgf(p: BetaParams, lam: float) -> float:
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     return lam * (p.alpha / p.total) + beta_centered_log_mgf(p)(lam)
-
-
-def beta_expect(
-    fn: Callable[[float], float],
-    p: BetaParams,
-    *,
-    epsabs: float = 1e-13,
-    epsrel: float = 1e-11,
-) -> float:
-    """E[fn(X)] for X ~ Beta(p) by adaptive quadrature.
-
-    The density is split at 1/2 and each half is transformed (x = t^(1/alpha)
-    on the left, mirrored on the right) so that integrable endpoint
-    singularities for shape parameters below 1 disappear from the integrand.
-    Used as an oracle independent of the series-based MGF path.
-    """
-    a, b = p.alpha, p.beta
-    norm = math.exp(gammaln(a + b) - gammaln(a) - gammaln(b))
-
-    if a < 1.0:
-        # x = t^(1/a) absorbs the x^(a-1) singularity into the measure
-        def left(t: float) -> float:
-            x = t ** (1.0 / a)
-            return fn(x) * (1.0 - x) ** (b - 1.0) / a
-
-        left_hi = 0.5**a
-    else:
-        def left(x: float) -> float:
-            return fn(x) * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
-
-        left_hi = 0.5
-
-    if b < 1.0:
-        def right(t: float) -> float:
-            x = 1.0 - t ** (1.0 / b)
-            return fn(x) * x ** (a - 1.0) / b
-
-        right_hi = 0.5**b
-    else:
-        def right(u: float) -> float:  # u = 1 - x keeps the peak at the origin
-            return fn(1.0 - u) * (1.0 - u) ** (a - 1.0) * u ** (b - 1.0)
-
-        right_hi = 0.5
-
-    i_left, _ = integrate.quad(left, 0.0, left_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
-    i_right, _ = integrate.quad(right, 0.0, right_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
-    return norm * (i_left + i_right)
 
 
 # ---------------------------------------------------------------------------

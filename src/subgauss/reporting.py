@@ -32,8 +32,10 @@ class RunManifest:
     outputs: tuple[dict, ...]
     versions: dict  # of Python and the libraries the run used
     created_at: str = field(default="")
+    timings: dict | None = None  # seconds per stage, where the caller timed them
 
     def to_json(self) -> dict:
+        timings = {} if self.timings is None else {"timings": self.timings}
         return {
             "command": self.command,
             "config": self.config,
@@ -42,6 +44,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "versions": self.versions,
             "created_at": self.created_at,
+            **timings,
         }
 
 
@@ -83,12 +86,15 @@ def emit_report(
     *,
     config: dict | None = None,
     master_seed: int | None = 0,
+    timings: dict | None = None,
 ) -> RunManifest:
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 
     CSV: header row, comma separator, '.' decimal point. JSON: stable key
     ordering. The manifest lists each payload file with its sha256 and the
     versions of Python, numpy, scipy and subgauss, and is written last.
+    `timings` (seconds per stage) goes into the manifest only, so the
+    payload digests do not depend on it.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -124,6 +130,7 @@ def emit_report(
             "subgauss": __version__,
         },
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        timings=timings,
     )
     manifest_path = out / "manifest.json"
     manifest_path.write_text(

@@ -1,0 +1,60 @@
+"""Tests for `subgauss.checks` beyond the acceptance criteria: counts and the KS statistic."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from subgauss import BetaParams, DirichletParams, SeedSpec, sample
+from subgauss import checks
+from subgauss.checks import _ks_statistic
+from subgauss.cli import cli_dispatch
+from subgauss.game import project_to_beta
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("check", [checks.verify_dirichlet, checks.verify_chi, checks.martingale])
+def test_count_below_one_is_refused(check, trials):
+    # neither the default nor an empty run: either would pass vacuously
+    with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}$"):
+        check(SeedSpec(0), trials)
+
+
+# (alpha, beta, draws): shapes below and above 1, sizes from one draw up
+BETA_SETS = [(0.1, 0.1, 1), (0.5, 2.0, 2), (1.0, 1.0, 7), (2.0, 5.0, 100), (0.3, 8.0, 1000),
+             (25.0, 50.0, 5000), (8.0, 0.2, 20000), (1.0, 3.0, 10**5), (0.2, 0.7, 31),
+             (50.0, 0.5, 499), (3.0, 3.0, 3001), (10.0, 1.0, 64)]
+# draw counts of the projected-Dirichlet sets, the first at verify-dirichlet's
+DIRICHLET_SIZES = [10**5, 50, 2000, 10**4, 333, 1, 777, 40000, 12, 6000]
+
+
+@pytest.mark.parametrize("i", range(len(BETA_SETS)))
+def test_ks_statistic_equals_scipy_kstest_on_beta_draws(i):
+    a, b, n = BETA_SETS[i]
+    draws = sample(BetaParams(a, b), SeedSpec(61, i), n)
+    assert _ks_statistic(draws, a, b) == stats.kstest(draws, stats.beta(a, b).cdf).statistic
+
+
+@pytest.mark.parametrize("i", range(len(DIRICHLET_SIZES)))
+def test_ks_statistic_equals_scipy_kstest_on_projected_dirichlet_draws(i):
+    # drawn as verify_dirichlet draws its pairs
+    rng = np.random.default_rng([62, i])
+    k = int(rng.integers(2, 9))
+    prior = DirichletParams(tuple(np.round(rng.uniform(0.2, 8.0, size=k), 3)))
+    subset = list(range(1 + i % (k - 1)))
+    projected = project_to_beta(prior, subset)
+    draws = sample(prior, SeedSpec(63, i), DIRICHLET_SIZES[i])[:, subset].sum(axis=1)
+    a, b = projected.alpha, projected.beta
+    assert _ks_statistic(draws, a, b) == stats.kstest(draws, stats.beta(a, b).cdf).statistic
+
+
+def test_verify_dirichlet_default_digests(tmp_path, capsys):
+    # the summary and data files written while the statistic came from scipy.stats.kstest
+    out = tmp_path / "r"
+    assert cli_dispatch(["verify-dirichlet", "--out", str(out)]) == 0
+    digests = [
+        hashlib.sha256((out / f"verify-dirichlet-{kind}").read_bytes()).hexdigest()[:8]
+        for kind in ("summary.json", "data.csv")
+    ]
+    assert digests == ["f3447508", "c36b6c39"]

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,13 @@ class TestArtifacts:
         assert len(rows) == 81
         assert all(row["passed"] == "True" for row in rows)
 
+    def test_manifest_records_timings(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli_dispatch(["verify-dirichlet", "--trials", "1", "--out", str(out)]) == 0
+        timings = read_json(out / "manifest.json")["timings"]
+        assert set(timings) == {"import_s", "run_s"}
+        assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+
     def test_json_only_format(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert (
@@ -264,3 +275,18 @@ class TestFloatFormatting:
         with open(out / "verify-dirichlet-data.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["critical"]) == summary["critical"]
+
+
+def test_cold_start_loads_no_heavy_scipy_module():
+    # scipy.integrate also loads scipy.optimize, and scipy.stats costs ~0.5 s;
+    # module presence, not time, keeps this deterministic
+    code = (
+        "import sys\n"
+        "import subgauss, subgauss.cli, subgauss.checks\n"
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.stats', 'scipy.optimize')"
+        " if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(subgauss.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.split() == []

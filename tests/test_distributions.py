@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from closed_form import beta_expect
 from subgauss import (
     BetaParams,
     DirichletParams,
     GammaParams,
     MomentSequence,
     SeedSpec,
-    beta_expect,
     beta_log_mgf,
     beta_mean_var,
     beta_raw_moments,
