@@ -1,17 +1,18 @@
 """The paper's acceptance criteria, each implemented once.
 
-`subgauss verify-beta`, `verify-dirichlet`, `verify-chi`, `lemma-checks` and
-`martingale` write what these functions return, and the acceptance tests
-assert on it. A check takes at most a master seed and a count (the CLI's
-`--seed` and `--trials`; a count of None means the default, and one below 1
-raises ValueError) and returns a `CheckResult`. The criteria's tolerances are
-pinned here and nowhere else.
+Every `subgauss` subcommand writes what one of these functions returns, and
+the acceptance tests assert on it. A check takes at most a master seed and a
+count (the CLI's `--seed` and `--trials`; a count of None means the default,
+and one below 1 raises ValueError) and returns a `CheckResult`; `game` also
+takes the game's configuration. The criteria's tolerances and pass/fail rules
+are pinned here and nowhere else.
 
 `import subgauss` does not import this module: only the CLI and the tests
 run the criteria.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,16 +20,17 @@ import numpy as np
 from scipy import special
 
 from . import concentration as conc
+from . import conjugate_models as models
 from . import martingale as mart
 from .distributions import (
-    BetaParams, DirichletParams, MomentSequence, SeedSpec, beta_mean_var,
+    BetaParams, DirichletParams, GammaParams, MomentSequence, SeedSpec, beta_mean_var,
     beta_moment_sequence, chi_raw_moment, sample, sample_chi,
 )
-from .game import project_to_beta
+from .game import GameConfig, project_to_beta, run_games, wilson_interval
 
 __all__ = [
     "GRID", "CheckResult", "verify_beta", "verify_dirichlet", "verify_chi",
-    "lemma_checks", "martingale",
+    "lemma_checks", "martingale", "game", "conjectures",
 ]
 
 # alpha and beta values of the (alpha, beta) grid the Beta criteria sweep
@@ -352,4 +354,101 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
         "checkpoint_mean_abs_dev": [list(c) for c in checkpoints],
         **stability_cells,
     }
+    return _result(summary, rows, failures)
+
+
+def game(config: GameConfig, seed: SeedSpec, trials: int | None = None) -> CheckResult:
+    """AC8 for one configuration: `trials` games (default 300), trial t played
+    from `seed.derived(t)` (`run_games`). A game is lost when its largest
+    round error exceeds epsilon, and the check passes when the Wilson 95%
+    upper bound of the failure rate is at most delta."""
+    count = _count(trials, 300)
+    rows = [
+        {"trial": t, "max_error": float(error), "win": bool(error <= config.epsilon)}
+        for t, error in enumerate(run_games(config, count, seed))
+    ]
+    lost = sum(not row["win"] for row in rows)
+    low, high = wilson_interval(lost, count)
+    failures = []
+    _expect(failures, high <= config.delta, "wilson_high <= delta", wilson_high=high,
+            delta=config.delta)
+    summary = {
+        "config": config.to_json(),
+        "trials": count,
+        "failures": lost,
+        "failure_rate": lost / count,
+        "wilson_low": low,
+        "wilson_high": high,
+        "delta": config.delta,
+    }
+    return _result(summary, rows, failures)
+
+
+def _stratified_subsets(rng, outcome_range: int) -> list[set[int]]:
+    """Extremal, balanced, and uniformly random subset sizes bracket the sweep."""
+    sizes = sorted({1, outcome_range // 2, outcome_range - 1})
+    subsets = [
+        set(int(v) for v in rng.choice(outcome_range, size=s, replace=False))
+        for s in sizes
+        if 0 < s < outcome_range
+    ]
+    while True:
+        mask = rng.random(outcome_range) < 0.5
+        if 0 < mask.sum() < outcome_range:
+            subsets.append(set(int(i) for i in np.nonzero(mask)[0]))
+            return subsets
+
+
+def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
+    """Conjectured tau^2 scales on 30 conjugate-model instances, their subsets
+    drawn from substream 777. Instance i fails when its exact ratio to the
+    conjectured scale is not finite and positive, or when its Monte Carlo
+    tau^2 (`draws` draws, default 2e5, from `seed.derived(i + 1)`, j_max = 6)
+    differs from the exact one by more than max(tau2 / 2, 10 / sqrt(draws))."""
+    count = _count(draws, 200_000)
+    rng = seed.generator(777)
+
+    instances = []
+    for prior in (BetaParams(1.0, 2.0), BetaParams(2.0, 2.0), BetaParams(0.5, 1.5)):
+        for subset in _stratified_subsets(rng, 6):  # binomial m=5: outcomes 0..5
+            instances.append(("beta_binomial", prior, subset, 5))
+    for prior in (BetaParams(2.0, 1.0), BetaParams(1.0, 1.0)):
+        for subset in _stratified_subsets(rng, 6):
+            instances.append(("geometric", prior, subset, None))
+    instances += [
+        ("multinomial", DirichletParams((1.0, 1.0, 1.0)), {(1, 1, 0), (0, 1, 1)}, 2),
+        ("multinomial", DirichletParams((2.0, 1.0, 0.5)), {(2, 0, 0)}, 2),
+    ]
+    for prior in (GammaParams(2.0, 5.0), GammaParams(1.0, 1.0)):
+        for subset in _stratified_subsets(rng, 6):
+            instances.append(("poisson_gamma", prior, subset, None))
+    rows, failures = [], []
+    max_ratio: dict[str, float] = {}
+    for i, (model, prior, subset, m) in enumerate(instances):
+        exact = models.evaluate_model(model, prior, subset, m=m)
+        mc = models.evaluate_model(
+            model, prior, subset, m=m, method="monte_carlo",
+            draws=count, seed=seed.derived(i + 1), j_max=6,
+        )
+        instance = {"model": model, "params": json.dumps(exact.params), "subset": exact.subset_desc}
+        finite = math.isfinite(exact.ratio) and exact.ratio > 0
+        _expect(failures, finite, "exact_ratio_finite", **instance, ratio=exact.ratio)
+        tolerance = max(0.5 * exact.tau2_est, 10.0 / math.sqrt(count))
+        agree = abs(mc.tau2_est - exact.tau2_est) <= tolerance
+        _expect(failures, agree, "mc_agrees_with_exact", **instance,
+                exact_tau2=exact.tau2_est, mc_tau2=mc.tau2_est, tolerance=tolerance)
+        max_ratio[model] = max(max_ratio.get(model, 0.0), exact.ratio)
+        rows += [
+            {
+                "model": rep.model,
+                "params": json.dumps(rep.params).replace(",", ";"),
+                "subset": rep.subset_desc.replace(",", ";"),
+                "tau2_est": rep.tau2_est,
+                "scale": rep.scale,
+                "ratio": rep.ratio,
+                "method": rep.method,
+            }
+            for rep in (exact, mc)
+        ]
+    summary = {"instances": len(instances), "mc_draws": count, "max_ratio_per_model": max_ratio}
     return _result(summary, rows, failures)

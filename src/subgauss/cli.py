@@ -1,9 +1,9 @@
 """Command-line driver: parses arguments, runs one check and writes its report.
 
 Subcommands: verify-beta, verify-dirichlet, verify-chi, lemma-checks,
-martingale, game, conjectures. The first five run the criteria in
-`subgauss.checks`, the same functions the acceptance tests call; `game` and
-`conjectures` are defined here. Every run is deterministic given (config,
+martingale, game, conjectures. Each runs one criterion of `subgauss.checks`,
+the same functions the acceptance tests call; `game` first loads its JSON
+configuration over `_DEFAULT_GAME`. Every run is deterministic given (config,
 --seed); `game` takes its seed from --seed, else the config's "seed", else 0,
 and every other subcommand that draws random numbers from --seed, else 0.
 `verify-beta` and `lemma-checks` draw none and take neither --seed nor
@@ -21,18 +21,14 @@ _import_started = time.perf_counter()
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import _IMPORT_S as _PACKAGE_IMPORT_S
 from . import checks
-from . import conjugate_models as models
 from . import game as game_mod
-from .checks import CheckResult
-from .distributions import BetaParams, DirichletParams, GammaParams, SeedSpec
+from .distributions import DirichletParams, SeedSpec
 from .reporting import emit_report
 
 # Seconds spent importing: the package's import block plus this module's.
@@ -107,117 +103,33 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
     return config, trials, seed
 
 
-def _cmd_game(args) -> CheckResult:
+def _cmd_game(args) -> checks.CheckResult:
     config, trials, seed = _load_game_config(args)
     args.seed = seed.master_seed  # the manifest records the seed actually used
     _log(f"game: n={config.n}, q={config.q}, analyst={config.analyst}, trials={trials}")
-    rows = [
-        {"trial": t, "max_error": float(error), "win": bool(error <= config.epsilon)}
-        for t, error in enumerate(game_mod.run_games(config, trials, seed))
-    ]
-    failures = sum(not row["win"] for row in rows)
-    low, high = game_mod.wilson_interval(failures, trials)
-    ok = low <= config.delta
-    summary = {
-        "config": config.to_json(),
-        "trials": trials,
-        "failures": failures,
-        "failure_rate": failures / trials,
-        "wilson_low": low,
-        "wilson_high": high,
-        "delta": config.delta,
-        "all_passed": ok,
-    }
-    failed = [{"check": "wilson_low <= delta", "wilson_low": low, "delta": config.delta}]
-    return CheckResult(summary, rows, ok, [] if ok else failed)
+    return checks.game(config, seed, trials)
 
 
-def _stratified_subsets(rng, outcome_range: int) -> list[set[int]]:
-    """Extremal, balanced, and uniformly random subset sizes bracket the sweep."""
-    sizes = sorted({1, outcome_range // 2, outcome_range - 1})
-    subsets = [
-        set(int(v) for v in rng.choice(outcome_range, size=s, replace=False))
-        for s in sizes
-        if 0 < s < outcome_range
-    ]
-    while True:
-        mask = rng.random(outcome_range) < 0.5
-        if 0 < mask.sum() < outcome_range:
-            subsets.append(set(int(i) for i in np.nonzero(mask)[0]))
-            return subsets
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], checks.CheckResult]
+    seeded: bool = True  # the check draws random numbers: only these take --seed and --trials
 
-
-def _cmd_conjectures(args) -> CheckResult:
-    draws = args.trials or 200_000
-    seed = SeedSpec(args.seed)
-    rng = seed.generator(777)
-
-    instances = []
-    for prior in (BetaParams(1.0, 2.0), BetaParams(2.0, 2.0), BetaParams(0.5, 1.5)):
-        for subset in _stratified_subsets(rng, 6):  # binomial m=5: outcomes 0..5
-            instances.append(("beta_binomial", prior, subset, 5))
-    for prior in (BetaParams(2.0, 1.0), BetaParams(1.0, 1.0)):
-        for subset in _stratified_subsets(rng, 6):
-            instances.append(("geometric", prior, subset, None))
-    instances += [
-        ("multinomial", DirichletParams((1.0, 1.0, 1.0)), {(1, 1, 0), (0, 1, 1)}, 2),
-        ("multinomial", DirichletParams((2.0, 1.0, 0.5)), {(2, 0, 0)}, 2),
-    ]
-    for prior in (GammaParams(2.0, 5.0), GammaParams(1.0, 1.0)):
-        for subset in _stratified_subsets(rng, 6):
-            instances.append(("poisson_gamma", prior, subset, None))
-    rows, failures = [], []
-    max_ratio: dict[str, float] = {}
-    for i, (model, prior, subset, m) in enumerate(instances):
-        exact = models.evaluate_model(model, prior, subset, m=m)
-        mc = models.evaluate_model(
-            model, prior, subset, m=m, method="monte_carlo",
-            draws=draws, seed=seed.derived(i + 1), j_max=6,
-        )
-        finite = math.isfinite(exact.ratio) and exact.ratio > 0
-        agree = abs(mc.tau2_est - exact.tau2_est) <= max(
-            0.5 * exact.tau2_est, 10.0 / math.sqrt(draws)
-        )
-        if not (finite and agree):
-            failures.append(
-                {"model": model, "params": json.dumps(exact.params),
-                 "subset": exact.subset_desc, "exact_tau2": exact.tau2_est,
-                 "mc_tau2": mc.tau2_est}
-            )
-        max_ratio[model] = max(max_ratio.get(model, 0.0), exact.ratio)
-        for rep in (exact, mc):
-            rows.append(
-                {
-                    "model": rep.model,
-                    "params": json.dumps(rep.params).replace(",", ";"),
-                    "subset": rep.subset_desc.replace(",", ";"),
-                    "tau2_est": rep.tau2_est,
-                    "scale": rep.scale,
-                    "ratio": rep.ratio,
-                    "method": rep.method,
-                }
-            )
-        _log(f"conjectures: {model} ratio={exact.ratio:.4f} (mc {mc.ratio:.4f})")
-    summary = {
-        "instances": len(instances),
-        "mc_draws": draws,
-        "max_ratio_per_model": max_ratio,
-        "all_passed": not failures,
-    }
-    return CheckResult(summary, rows, not failures, failures)
-
-
-# Subcommands whose check draws random numbers: only these take --seed and --trials.
-_SEEDED = ("verify-dirichlet", "verify-chi", "martingale", "game", "conjectures")
 
 _COMMANDS = {
-    "verify-beta": lambda args: checks.verify_beta(),
-    "verify-dirichlet": lambda args: checks.verify_dirichlet(SeedSpec(args.seed), args.trials),
-    "verify-chi": lambda args: checks.verify_chi(SeedSpec(args.seed), args.trials),
-    "lemma-checks": lambda args: checks.lemma_checks(),
-    "martingale": lambda args: checks.martingale(SeedSpec(args.seed), args.trials),
-    "game": _cmd_game,
-    "conjectures": _cmd_conjectures,
+    "verify-beta": _Command("variance-proxy grid sweep against the Beta bounds",
+                            lambda args: checks.verify_beta(), seeded=False),
+    "verify-dirichlet": _Command("KS tests of Dirichlet counting-query projections",
+                                 lambda args: checks.verify_dirichlet(SeedSpec(args.seed), args.trials)),
+    "verify-chi": _Command("Chi moment recurrences, criterion, and tail frequencies",
+                           lambda args: checks.verify_chi(SeedSpec(args.seed), args.trials)),
+    "lemma-checks": _Command("moment-inequality sweeps and the termwise counterexample",
+                             lambda args: checks.lemma_checks(), seeded=False),
+    "martingale": _Command("posterior-mean step/telescoping checks and path simulation",
+                           lambda args: checks.martingale(SeedSpec(args.seed), args.trials)),
+    "game": _Command("curator/analyst game failure-rate experiment", _cmd_game),
+    "conjectures": _Command("conjugate-model tau^2 sweeps against conjectured scales",
+                            lambda args: checks.conjectures(SeedSpec(args.seed), args.trials)),
 }
 
 
@@ -251,32 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical concentration checks and query-game experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "verify-beta": "variance-proxy grid sweep against the Beta bounds",
-        "verify-dirichlet": "KS tests of Dirichlet counting-query projections",
-        "verify-chi": "Chi moment recurrences, criterion, and tail frequencies",
-        "lemma-checks": "moment-inequality sweeps and the termwise counterexample",
-        "martingale": "posterior-mean step/telescoping checks and path simulation",
-        "game": "curator/analyst game failure-rate experiment",
-        "conjectures": "conjugate-model tau^2 sweeps against conjectured scales",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text[name])
-        if name in _SEEDED:
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        if command.seeded:
             # only `game` reads a config, which is a second seed source
             seed_default = None if name == "game" else 0
-            sp.add_argument(
-                "--seed", type=_master_seed, default=seed_default, help="master seed (u64)"
-            )
+            sp.add_argument("--seed", type=_master_seed, default=seed_default, help="master seed (u64)")
             floor = 100 if name == "conjectures" else 1  # the Monte Carlo log-MGF's floor
             sp.add_argument(
                 "--trials", type=_count_at_least(floor), default=None,
                 help=f"trial/draw override (>= {floor})",
             )
         sp.add_argument("--out", default="reports", help="output directory")
-        sp.add_argument(
-            "--format", choices=("json", "csv", "both"), default="both", dest="fmt"
-        )
+        sp.add_argument("--format", choices=("json", "csv", "both"), default="both", dest="fmt")
         if name == "game":
             sp.add_argument("--config", default=None, help="JSON config path")
     return parser
@@ -290,7 +189,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        result = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2

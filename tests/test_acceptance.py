@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-AC1-AC7, AC9 and AC11 call the `subgauss.checks` functions that the CLI
-subcommands also run, so their tolerances live in `subgauss.checks`; AC8 and
-AC10 pin theirs here. The Monte Carlo pieces use fixed seeds so the suite is
+Every criterion but AC10 calls the `subgauss.checks` functions that the CLI
+subcommands also run, so their tolerances live in `subgauss.checks`; AC10
+pins its own here. The Monte Carlo pieces use fixed seeds so the suite is
 deterministic.
 """
 
@@ -25,7 +25,6 @@ from subgauss import (
     GammaParams,
     SeedSpec,
     beta_raw_moments,
-    estimate_failure_rate,
     mc_moments,
     model_q_draws,
     required_n,
@@ -127,8 +126,9 @@ def test_ac07_dirichlet_projection_ks():
 
 
 def test_ac08_game_guarantee():
-    """k=10 uniform prior, eps=0.1, delta=0.05, q=1000, n=required_n: Wilson
-    lower bound of the failure rate <= delta for both adaptive analysts; < 5 min."""
+    """k=10 uniform prior, eps=0.1, delta=0.05, q=1000, n=required_n: `checks.game`
+    passes (Wilson upper bound of the failure rate over 2000 games <= delta)
+    for both adaptive analysts; < 5 min."""
     start = time.perf_counter()
     prior = DirichletParams((1.0,) * 10)
     n = required_n(0.1, 0.05, 1000, prior.total)
@@ -145,9 +145,10 @@ def test_ac08_game_guarantee():
             analyst=analyst,
             curator="posterior_mean",
         )
-        est = estimate_failure_rate(config, 2000, SeedSpec(808))
-        ok &= est.wilson_low <= 0.05
-        details.append(f"{analyst}: rate={est.rate:.4f} low={est.wilson_low:.4f}")
+        result = checks.game(config, SeedSpec(808), 2000)
+        ok &= result.passed
+        rate, high = result.summary["failure_rate"], result.summary["wilson_high"]
+        details.append(f"{analyst}: rate={rate:.4f} high={high:.4f}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 300.0
     report("AC8", ok, "; ".join(details) + f"; {elapsed:.0f}s")
@@ -244,4 +245,13 @@ def test_ac11_stability_exhaustive(martingale_run):
     misses = [row for row in result.failures if row["check"] == "stability"]
     ok = cells == 528 and not misses
     report("AC11", ok, ", ".join(map(str, misses[:5])) or f"{cells} (prior, n, query) cells")
+    assert ok
+
+
+def test_ac12_conjectures():
+    """30 conjugate-model instances: exact ratios to the conjectured scales are
+    finite and positive, and Monte Carlo tau^2 at 2e4 draws agrees with exact."""
+    result = checks.conjectures(SeedSpec(0), 20_000)
+    ok = result.passed and result.summary["instances"] == 30
+    report("AC12", ok, failing(result) or str(result.summary["max_ratio_per_model"]))
     assert ok

@@ -1,5 +1,8 @@
-"""Tests for `subgauss.checks` beyond the acceptance criteria: counts and the KS statistic."""
+"""Tests for `subgauss.checks` beyond the acceptance criteria: counts, the KS
+statistic, the game's gate and the failure rows."""
 
+import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -10,15 +13,54 @@ from subgauss import BetaParams, DirichletParams, SeedSpec, sample
 from subgauss import checks
 from subgauss.checks import _ks_statistic
 from subgauss.cli import cli_dispatch
-from subgauss.game import project_to_beta
+from subgauss.game import GameConfig, project_to_beta
+
+# AC8's configuration
+GAME = GameConfig(k=10, prior=DirichletParams((1.0,) * 10), n=520, q=1000, epsilon=0.1,
+                  delta=0.05, analyst="adaptive_correlator")
 
 
 @pytest.mark.parametrize("trials", [0, -1])
-@pytest.mark.parametrize("check", [checks.verify_dirichlet, checks.verify_chi, checks.martingale])
+@pytest.mark.parametrize(
+    "check",
+    [checks.verify_dirichlet, checks.verify_chi, checks.martingale, checks.conjectures,
+     pytest.param(functools.partial(checks.game, GAME), id="game")],
+)
 def test_count_below_one_is_refused(check, trials):
     # neither the default nor an empty run: either would pass vacuously
     with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}$"):
         check(SeedSpec(0), trials)
+
+
+def test_game_gates_on_the_wilson_upper_bound(monkeypatch):
+    # 118 losses of 2000 (5.9%): wilson_low <= delta, so a lower-bound gate would pass
+    losses = lambda config, trials, seed: np.where(np.arange(trials) < 118, 1.0, 0.0)
+    monkeypatch.setattr(checks, "run_games", losses)
+    result = checks.game(GAME, SeedSpec(0), 2000)
+    summary = result.summary
+    assert summary["failures"] == 118
+    assert summary["wilson_low"] <= 0.05 < summary["wilson_high"]
+    assert not result.passed and summary["all_passed"] is False
+    row = {"check": "wilson_high <= delta", "wilson_high": summary["wilson_high"], "delta": 0.05}
+    assert result.failures == [row]
+
+
+def test_conjectures_failure_names_its_check_and_instance(monkeypatch, tmp_path, capsys):
+    evaluate = checks.models.evaluate_model
+
+    def skewed(model, prior, subset, **kwargs):
+        report = evaluate(model, prior, subset, **kwargs)
+        if kwargs.get("method") == "monte_carlo" and prior == DirichletParams((2.0, 1.0, 0.5)):
+            return dataclasses.replace(report, tau2_est=3.0 * report.tau2_est)
+        return report
+
+    monkeypatch.setattr(checks.models, "evaluate_model", skewed)
+    assert cli_dispatch(["conjectures", "--trials", "20000", "--out", str(tmp_path / "r")]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if ": failed: " in line]
+    prefix = ('conjectures: failed: mc_agrees_with_exact: model=multinomial '
+              'params={"alphas": [2.0, 1.0, 0.5], "m": 2} subset=(2, 0, 0) exact_tau2=')
+    assert len(failed) == 1 and failed[0].startswith(prefix)
+    assert " tolerance=" in failed[0]
 
 
 # (alpha, beta, draws): shapes below and above 1, sizes from one draw up

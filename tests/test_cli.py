@@ -109,7 +109,7 @@ class TestExitCodes:
 
     def test_failing_checks_exit_one(self, tmp_path, capsys):
         # with no data and a tiny epsilon the prior-mean answer almost surely
-        # misses, so the Wilson lower bound exceeds delta and the run fails
+        # misses, so the Wilson upper bound exceeds delta and the run fails
         config = {
             "k": 3,
             "prior": {"alphas": [1.0, 1.0, 1.0]},
@@ -128,8 +128,8 @@ class TestExitCodes:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "failed: wilson_low <= delta: wilson_low=" in err
-        assert err.index("wilson_low") < err.index("CHECKS FAILED")
+        assert "failed: wilson_high <= delta: wilson_high=" in err
+        assert err.index("wilson_high") < err.index("CHECKS FAILED")
 
 
 class TestArtifacts:
@@ -187,7 +187,7 @@ class TestArtifacts:
         assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 0
         summary = read_json(out / "game-summary.json")
         assert summary["trials"] == 120
-        assert summary["wilson_low"] <= 0.1
+        assert summary["wilson_high"] <= 0.1
         with open(out / "game-data.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 120
