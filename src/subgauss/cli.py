@@ -6,12 +6,14 @@ the same functions the acceptance tests call; `game` first loads its JSON
 configuration over `_DEFAULT_GAME`. Every run is deterministic given (config,
 --seed); `game` takes its seed from --seed, else the config's "seed", else 0,
 and every other subcommand that draws random numbers from --seed, else 0.
-`verify-beta` and `lemma-checks` draw none and take neither --seed nor
---trials; `conjectures` reads --trials as its Monte Carlo draw count, at least
-100. Exit codes: 0 all checks passed, 1 at least one check failed (its
-first failing rows are logged), 2 usage or configuration error. Progress goes
-to stderr; data goes only to the output files. The run manifest also records
-the seconds spent importing (`import_s`) and running the check (`run_s`).
+`game` plays --trials games, else the config's "trials", else the default of
+`checks.game`. `verify-beta` and `lemma-checks` draw none and take neither
+--seed nor --trials; `conjectures` reads --trials as its Monte Carlo draw
+count, at least 100. Exit codes: 0 all checks passed, 1 at least one check
+failed (its first failing rows are logged), 2 usage or configuration error.
+Progress goes to stderr; data goes only to the output files. The run manifest
+also records the seconds spent importing (`import_s`) and running the check
+(`run_s`).
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ _DEFAULT_GAME = {
     "delta": 0.05,
     "analyst": "adaptive_correlator",
     "curator": "posterior_mean",
-    "trials": 300,
     "seed": 0,
 }
 
@@ -67,7 +68,7 @@ def _integer(raw: dict, key: str) -> int:
     return int(value)
 
 
-def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
+def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
     raw = dict(_DEFAULT_GAME)
     if args.config is not None:
         try:
@@ -78,9 +79,11 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
             raise ConfigError(f"config {args.config!r} must hold a JSON object, not {loaded!r}")
         raw.update(loaded)
     try:
-        trials = args.trials or _integer(raw, "trials")
-        if trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {trials}")
+        trials = args.trials
+        if trials is None and "trials" in raw:
+            trials = _integer(raw, "trials")
+            if trials < 1:
+                raise ValueError(f"trials must be a positive integer, got {trials}")
         seed = SeedSpec(args.seed if args.seed is not None else _integer(raw, "seed"))
         prior = DirichletParams(tuple(raw["prior"]["alphas"]))
         q = _integer(raw, "q")
@@ -106,7 +109,7 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int, SeedSpec]:
 def _cmd_game(args) -> checks.CheckResult:
     config, trials, seed = _load_game_config(args)
     args.seed = seed.master_seed  # the manifest records the seed actually used
-    _log(f"game: n={config.n}, q={config.q}, analyst={config.analyst}, trials={trials}")
+    _log(f"game: n={config.n}, q={config.q}, analyst={config.analyst}")
     return checks.game(config, seed, trials)
 
 

@@ -72,6 +72,8 @@ _RULE_AGREEMENT = 1e-8
 # A query whose values spread by at most this is constant: by Hoeffding's
 # lemma its tau^2 is at most spread^2 / 4 <= 2.5e-25, reported as 0.
 _CONSTANT_SPREAD = 1e-12
+# The raw-moment criterion runs at sigma^2 = c * scale for these c, smallest first.
+_CRITERION_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0)
 
 
 class ExactModeError(ValueError):
@@ -316,7 +318,6 @@ def evaluate_model(
     j_max: int = 16,
     draws: int = 10**6,
     seed: SeedSpec | None = None,
-    criterion_multipliers: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0),
 ) -> ConjugateModelReport:
     """Estimate tau^2 of a projected conjugate-model query and compare to its scale.
 
@@ -335,8 +336,8 @@ def evaluate_model(
     bounds it by 2.5e-25). The prior must be of the model's family, j_max
     at least 2, the subset nonempty, and Monte Carlo mode needs at least
     100 draws. The raw-moment criterion is additionally run at sigma^2 =
-    c*scale for each multiplier, reporting the smallest passing c (the
-    conjectured scales hide constants).
+    c*scale for c in 0.25, 0.5, 1 and 2, reporting the smallest passing c
+    (the conjectured scales hide constants).
     """
     _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
@@ -370,7 +371,7 @@ def evaluate_model(
 
     smallest = None
     if all(v > 0 for v in moments.values):
-        for c in sorted(criterion_multipliers):
+        for c in _CRITERION_MULTIPLIERS:
             if raw_moment_criterion(moments, c * scale).passed:
                 smallest = c
                 break

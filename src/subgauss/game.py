@@ -674,10 +674,11 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
     return hi
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
+    z = 1.959963984540054  # the standard normal 0.975 quantile
     p_hat = successes / trials
     z2 = z * z
     center = (p_hat + z2 / (2 * trials)) / (1 + z2 / trials)

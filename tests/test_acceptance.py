@@ -238,8 +238,9 @@ def test_ac10_conjugate_model_consistency():
 
 
 def test_ac11_stability_exhaustive(martingale_run):
-    """Posterior-mean stability bounds verified exhaustively: n <= 12, k <= 4,
-    uniform priors at 1.0 and 0.5, every proper nonempty counting query."""
+    """Posterior-mean stability bounds on every cell: n <= 12, k <= 4, uniform
+    priors at 1.0 and 0.5, every proper nonempty counting query, each cell
+    exact over the subset count that the answer depends on."""
     result, _ = martingale_run
     cells = result.summary["stability_cells"]
     misses = [row for row in result.failures if row["check"] == "stability"]

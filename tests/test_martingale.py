@@ -1,6 +1,7 @@
 """Tests for the posterior-mean step law, telescoping totals, and stability."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from subgauss import (
     two_point_variance_proxy,
 )
 from subgauss import checks, martingale
-from subgauss.martingale import compositions
 
 
 class TestTwoPointProxy:
@@ -148,7 +148,7 @@ class TestStabilityDiagnostics:
         report = stability_diagnostics(DirichletParams((1.0, 1.0)), 1, {0})
         assert report.max_replace_one_change == pytest.approx(1.0 / 3.0)
         assert report.replace_one_bound == pytest.approx(1.0 / 3.0)
-        assert report.replace_one_ok
+        assert report.max_replace_one_change <= report.replace_one_bound + 1e-12
 
     def test_add_one_example(self):
         # prior Dir(1,1,1) with 5 samples, S={0}: on counts (5,0,0) the answer
@@ -160,7 +160,7 @@ class TestStabilityDiagnostics:
         report = stability_diagnostics(DirichletParams((1.0, 1.0, 1.0)), 5, {0})
         assert report.add_one_bound == pytest.approx(1.0 / 9.0)
         assert report.max_add_one_change == pytest.approx(7.0 / 72.0)
-        assert report.add_one_ok
+        assert report.max_add_one_change <= report.add_one_bound
 
     def test_lipschitz_is_exactly_linear(self):
         report = stability_diagnostics(DirichletParams((0.5, 0.5, 0.5)), 7, {1, 2})
@@ -174,28 +174,56 @@ class TestStabilityDiagnostics:
                 report = stability_diagnostics(DirichletParams((1.0,) * 3), n, subset)
                 assert report.max_add_one_change <= report.replace_one_bound
 
-    @pytest.mark.parametrize("k, n", [(3, 0), (3, 13), (5, 1)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_brute_force_over_datasets(self, k):
+        # the sweep over the subset count alone against every count vector of
+        # n samples (itertools.product), every added sample and every
+        # replacement of a sample of category i by j != i, up to k 5 and n 13
+        priors = [(0.5,) * k, (0.3, 1.7, 2.5, 0.9, 4.1)[:k], (7.3, 0.1, 0.77, 3.3, 1.0)[:k]]
+        eye = np.eye(k, dtype=int)
+        for n in range(1, 14):
+            counts = np.array(
+                [c + (n - sum(c),) for c in itertools.product(range(n + 1), repeat=k - 1)
+                 if sum(c) <= n]
+            )
+            for alphas in priors:
+                prior = DirichletParams(alphas)
+                for size in range(1, k):
+                    for subset in itertools.combinations(range(k), size):
+                        report = stability_diagnostics(prior, n, set(subset))
+                        assert report.max_add_one_change == _brute_add(prior, subset, counts, eye)
+                        assert report.max_replace_one_change == _brute_replace(
+                            prior, subset, counts, eye
+                        )
+                        assert report.max_linearity_defect == _brute_defect(prior, subset, counts)
+
+    @pytest.mark.parametrize("k, n", [(3, 0)])
     def test_refuses_past_the_exhaustive_sweep(self, k, n):
-        with pytest.raises(ValueError, match="exhaustive sweep"):
+        with pytest.raises(ValueError, match="n >= 1"):
             stability_diagnostics(DirichletParams((1.0,) * k), n, {0})
 
     def test_sweep_names_a_failing_cell(self, monkeypatch):
-        # a diagnostic whose add-one bound is too small fails AC11 on the
-        # martingale check, with its (k, alpha, n, subset) named
+        # a diagnostic whose add-one change exceeds its bound, or whose
+        # linearity defect is 2e-12, fails AC11 on the martingale check, with
+        # its (k, alpha, n, subset) named
         def loose(prior, n, subset):
             report = stability_diagnostics(prior, n, subset)
             if prior.k == 3 and n == 7 and prior.alphas[0] == 0.5:
-                return dataclasses.replace(report, add_one_ok=False)
+                return dataclasses.replace(report, max_add_one_change=report.add_one_bound + 1e-9)
+            if prior.k == 2 and n == 5 and prior.alphas[0] == 1.0:
+                return dataclasses.replace(report, max_linearity_defect=2e-12)
             return report
 
         monkeypatch.setattr(martingale, "stability_diagnostics", loose)
         failures = []
         summary = checks._stability_sweep(failures)
         assert summary["stability_cells"] == 528
-        assert len(failures) == 6  # the six proper subsets of 3 categories
+        assert len(failures) == 8  # the six proper subsets of 3 categories, two of 2
         cells = {(f["check"], f["k"], f["alpha"], f["n"]) for f in failures}
-        assert cells == {("stability", 3, 0.5, 7)}
-        assert sorted(f["subset"] for f in failures) == ["0", "0;1", "0;2", "1", "1;2", "2"]
+        assert cells == {("stability", 3, 0.5, 7), ("stability", 2, 1.0, 5)}
+        add_cell = [f for f in failures if f["k"] == 3]
+        assert sorted(f["subset"] for f in add_cell) == ["0", "0;1", "0;2", "1", "1;2", "2"]
+        assert {f["linearity_defect"] for f in failures if f["k"] == 2} == {2e-12}
 
     def test_subset_validation(self):
         d = DirichletParams((1.0, 1.0))
@@ -204,6 +232,37 @@ class TestStabilityDiagnostics:
         with pytest.raises(ValueError):
             stability_diagnostics(d, 3, {0, 1})
 
-    def test_compositions_count(self):
-        assert len(list(compositions(12, 4))) == math.comb(15, 3)
-        assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+
+def _brute_answers(prior, subset, counts):
+    """Posterior-mean answer (alpha_S + c_S)/(A + n) on each count vector (row)."""
+    alpha_s = float(np.asarray(prior.alphas)[list(subset)].sum())
+    c_s = counts[:, list(subset)].sum(axis=1).astype(float)
+    return (alpha_s + c_s) / (prior.total + counts.sum(axis=1))
+
+
+def _brute_add(prior, subset, counts, eye):
+    before = _brute_answers(prior, subset, counts)
+    return max(
+        float(np.abs(_brute_answers(prior, subset, counts + eye[i]) - before).max())
+        for i in range(prior.k)
+    )
+
+
+def _brute_replace(prior, subset, counts, eye):
+    before = _brute_answers(prior, subset, counts)
+    changes = [0.0]
+    for i, j in itertools.permutations(range(prior.k), 2):
+        has_i = counts[:, i] > 0
+        if has_i.any():
+            after = _brute_answers(prior, subset, counts[has_i] - eye[i] + eye[j])
+            changes.append(float(np.abs(after - before[has_i]).max()))
+    return max(changes)
+
+
+def _brute_defect(prior, subset, counts):
+    """Largest gap between the answer and (A mu0 + n e_hat)/(A + n), e_hat = c_S/n."""
+    n = int(counts[0].sum())
+    alpha_s = float(np.asarray(prior.alphas)[list(subset)].sum())
+    e_hat = counts[:, list(subset)].sum(axis=1).astype(float) / n
+    linear = (prior.total * (alpha_s / prior.total) + n * e_hat) / (prior.total + n)
+    return float(np.abs(_brute_answers(prior, subset, counts) - linear).max())
