@@ -39,11 +39,9 @@ from .distributions import (
     BetaParams,
     DirichletParams,
     GammaParams,
-    MomentSequence,
     SeedSpec,
     beta_log_mgf,
     beta_mean_var,
-    beta_moment_sequence,
     beta_raw_moments,
     chi_raw_moment,
     draw,

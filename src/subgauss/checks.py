@@ -25,10 +25,10 @@ from . import concentration as conc
 from . import conjugate_models as models
 from . import martingale as mart
 from .distributions import (
-    BetaParams, DirichletParams, GammaParams, MomentSequence, SeedSpec, beta_mean_var,
-    beta_moment_sequence, chi_raw_moment, sample, sample_chi,
+    BetaParams, DirichletParams, GammaParams, SeedSpec, beta_mean_var, beta_raw_moments,
+    chi_raw_moment, sample, sample_chi,
 )
-from .game import GameConfig, project_to_beta, run_games, wilson_interval
+from .game import GameConfig, _random_proper_subset, project_to_beta, run_games, wilson_interval
 
 __all__ = [
     "GRID", "CheckResult", "verify_beta", "verify_dirichlet", "verify_chi",
@@ -141,11 +141,7 @@ def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     for i in range(pairs):
         k = int(rng.integers(2, 9))
         alphas = tuple(np.round(rng.uniform(0.2, 8.0, size=k), 3))
-        while True:
-            mask = rng.random(k) < 0.5
-            if mask.any() and not mask.all():
-                break
-        subset = tuple(int(j) for j in np.nonzero(mask)[0])
+        subset = tuple(int(j) for j in _random_proper_subset(rng, k))
         d = DirichletParams(alphas)
         projected = project_to_beta(d, subset)
         draws = sample(d, seed.derived(i + 1), n_draws)[:, list(subset)].sum(axis=1)
@@ -180,7 +176,7 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
             for j in range(101)
         )
         margin = moments[1] ** 2 - (k - 1)
-        criterion = conc.raw_moment_criterion(MomentSequence(tuple(moments)), 1.0)
+        criterion = conc.raw_moment_criterion(moments, 1.0)
         samples = sample_chi(k, seed.derived(k), draws)
         tail_ok = True
         tail_cells = {}
@@ -222,7 +218,7 @@ def lemma_checks() -> CheckResult:
             sigma2 = 1.0 / (2.0 * (p.total + 1.0))
             pair_rows = conc.beta_moment_pair_bounds(p, 100)
             pair_viol = sum(1 for _, lhs, rhs in pair_rows if lhs > rhs + 1e-12)
-            crit = conc.raw_moment_criterion(beta_moment_sequence(p, 200), sigma2)
+            crit = conc.raw_moment_criterion(beta_raw_moments(p, 200), sigma2)
             termwise = conc.termwise_mgf_comparison(p, sigma2, 40)
             term_viol = sum(1 for _, lhs, rhs in termwise if lhs > rhs * (1 + 1e-12))
             rows.append(
@@ -398,11 +394,7 @@ def _stratified_subsets(rng, outcome_range: int) -> list[set[int]]:
         for s in sizes
         if 0 < s < outcome_range
     ]
-    while True:
-        mask = rng.random(outcome_range) < 0.5
-        if 0 < mask.sum() < outcome_range:
-            subsets.append(set(int(i) for i in np.nonzero(mask)[0]))
-            return subsets
+    return subsets + [set(int(i) for i in _random_proper_subset(rng, outcome_range))]
 
 
 def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:

@@ -18,7 +18,6 @@ import numpy as np
 from .distributions import (
     _TAYLOR_ORDER,
     BetaParams,
-    MomentSequence,
     _taylor_log_mgf,
     beta_centered_log_mgf,
     beta_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
@@ -65,25 +64,21 @@ class VarianceProxyEstimate:
     """Best ratio 2 (ln M(lam) - lam mean) / lam^2 found by a scan: a lower estimate of tau^2.
 
     ``grid_spec`` names the grid and the |lambda| actually scanned on each
-    sign; ``slack`` is the ratio's change to the best grid point's neighbors;
-    ``evaluations`` counts the log-MGF calls the scan made (grid, bracket
-    neighbors and refinement), 0 for an estimate made without a scan.
+    sign; ``evaluations`` counts the log-MGF values the scan read (grid
+    points and refinement), 0 for an estimate made without a scan.
     """
 
     value: float
     argmax_lambda: float
-    method: str  # "exact_mgf" | "empirical_mgf"
     grid_spec: str
-    slack: float
     evaluations: int
 
 
 @dataclass(frozen=True)
 class MomentCriterionReport:
-    """Outcome of a per-index moment inequality sweep; passed iff no violations."""
+    """Outcome of a per-index moment inequality sweep: (j, lhs, rhs) of each
+    violated index; passed iff there is none."""
 
-    sigma2_tested: float
-    j_max: int
     violations: tuple[tuple[int, float, float], ...]
     passed: bool
 
@@ -93,7 +88,6 @@ class BetaBoundCheck:
     tau2_est: float
     bound: float
     passed: bool
-    estimate: VarianceProxyEstimate
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -121,7 +115,6 @@ def _scan(
     mean: float,
     lambda_cap: float,
     reach: tuple[float, float],
-    method: str,
 ) -> VarianceProxyEstimate:
     """Grid-plus-golden supremum of 2 (log_mgf(lam) - lam mean) / lam^2.
 
@@ -136,8 +129,10 @@ def _scan(
     kernels) gives its values at all grid points in one call before the
     walk; the walk reads them, and calls ``log_mgf`` itself where the array
     form gave NaN, so points past the stop are still never evaluated by the
-    scalar form. The golden-section refinement calls ``log_mgf``.
-    ``evaluations`` counts the values read, whichever form gave them.
+    scalar form. The golden-section refinement calls ``log_mgf`` inside the
+    best grid point's same-sign bracket, whose ends are grid positions, so it
+    needs no value past the stop either. ``evaluations`` counts the values
+    read, whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
@@ -173,10 +168,6 @@ def _scan(
     best = int(np.argmax(values))
     # Same-sign bracket around the best grid point (never refine across 0).
     sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
-    neighbors = [i for i in (best - 1, best + 1) if sign_lo <= i <= sign_hi]
-    for i in neighbors:
-        if values[i] == -np.inf:  # past the stop: evaluate it for the bracket's slack
-            values[i] = ratio(points[i], readings[i])
     lo = lams[max(best - 1, sign_lo)]
     hi = lams[min(best + 1, sign_hi)]
     if lo > hi:
@@ -185,24 +176,16 @@ def _scan(
     if values[best] >= val:
         arg, val = float(lams[best]), float(values[best])
 
-    slack = max((abs(values[best] - values[i]) for i in neighbors), default=0.0)
     spec = (
         f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
         f"{n} points/sign, golden refine tol {_REFINE_TOL:g}; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
-    return VarianceProxyEstimate(
-        value=val, argmax_lambda=arg, method=method, grid_spec=spec, slack=float(slack),
-        evaluations=calls[0],
-    )
+    return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=calls[0])
 
 
 def variance_proxy_sup(
-    log_mgf: Callable[[float], float],
-    mean: float,
-    lambda_cap: float,
-    *,
-    method: str = "exact_mgf",
+    log_mgf: Callable[[float], float], mean: float, lambda_cap: float
 ) -> VarianceProxyEstimate:
     """Estimate tau^2 as the supremum of 2*(ln M(lam) - lam*mean)/lam^2 for |lam| <= lambda_cap.
 
@@ -213,16 +196,17 @@ def variance_proxy_sup(
     grid point is polished by golden-section refinement within its
     same-sign bracket. The result is a lower estimate of the supremum over
     that range, up to the rounding of ``log_mgf``; it is the supremum over
-    all lam only if the caller's cap is certified. Laws whose support is
-    known are scanned by `beta_proxy_estimate` and
-    `conjugate_models.evaluate_model` with a certified stop instead.
+    all lam only if the caller's cap is certified. Every grid point is read,
+    then the refinement's points; the estimate's ``evaluations`` counts
+    both. Laws whose support is known are scanned by `beta_proxy_estimate`
+    and `conjugate_models.evaluate_model` with a certified stop instead.
 
     A ``log_mgf`` with an array form ``log_mgf.grid`` (the kernels of
     `weighted_log_mgf` and `empirical_log_mgf`) gives the grid's values in
     one call, == those of the scalar calls it saves; a plain callable is
     called once per grid point, as `_scan` describes.
     """
-    return _scan(log_mgf, mean, lambda_cap, (math.inf, math.inf), method)
+    return _scan(log_mgf, mean, lambda_cap, (math.inf, math.inf))
 
 
 def _support_cap(reach: tuple[float, float], var: float) -> float:
@@ -252,46 +236,42 @@ def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     """
     mean, var = beta_mean_var(p)
     reach = (1.0 - mean, mean)
-    return _scan(beta_centered_log_mgf(p), 0.0, _support_cap(reach, var), reach, "exact_mgf")
+    return _scan(beta_centered_log_mgf(p), 0.0, _support_cap(reach, var), reach)
 
 
 def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
     """Check the guaranteed bound tau^2 <= 1/(4(alpha+beta)+2) for Beta(p), to 1e-6 relative."""
     est = beta_proxy_estimate(p)
     bound = beta_proxy_bound(p)
-    return BetaBoundCheck(
-        tau2_est=est.value,
-        bound=bound,
-        passed=est.value <= bound * (1.0 + 1e-6),
-        estimate=est,
-    )
+    return BetaBoundCheck(tau2_est=est.value, bound=bound, passed=est.value <= bound * (1.0 + 1e-6))
 
 
-def raw_moment_criterion(m: MomentSequence, sigma2: float) -> MomentCriterionReport:
-    """Check E[X^(j+2)]/E[X^j] <= E[X]^2 + (j+1) sigma^2 for j = 0..j_max-2.
+def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> MomentCriterionReport:
+    """Check E[X^(j+2)]/E[X^j] <= E[X]^2 + (j+1) sigma^2 for j = 0..J-2.
 
-    Requires strictly positive raw moments. When the inequality holds for
-    all j, the upper tail of X - E[X] is sigma^2-subgaussian, so this is a
-    sufficient one-sided criterion rather than a tau^2 estimator.
+    ``moments`` is a 1-D array (or sequence) of the raw moments E[X^j],
+    j = 0..J. It must be nonempty, start with E[X^0] = 1 to 1e-9, and be
+    strictly positive; sigma2 must be positive. When the inequality holds
+    for all j, the upper tail of X - E[X] is sigma^2-subgaussian, so this is
+    a sufficient one-sided criterion rather than a tau^2 estimator.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    values = m.as_array()
+    values = np.asarray(moments, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"raw moments must be a nonempty 1-D array, got shape {values.shape}")
+    if abs(values[0] - 1.0) > 1e-9:
+        raise ValueError(f"zeroth raw moment must be 1, got {values[0]!r}")
     if (values <= 0).any():
         raise ValueError("the raw-moment criterion requires positive raw moments")
-    mean_sq = values[1] ** 2 if m.j_max >= 1 else 1.0
+    mean_sq = values[1] ** 2 if values.size > 1 else 1.0
     violations = []
-    for j in range(m.j_max - 1):
+    for j in range(values.size - 2):
         lhs = values[j + 2] / values[j]
         rhs = mean_sq + (j + 1) * sigma2
         if lhs > rhs:
             violations.append((j, float(lhs), float(rhs)))
-    return MomentCriterionReport(
-        sigma2_tested=float(sigma2),
-        j_max=m.j_max,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+    return MomentCriterionReport(violations=tuple(violations), passed=not violations)
 
 
 def beta_moment_pair_bounds(p: BetaParams, j_max: int) -> list[tuple[int, float, float]]:
@@ -420,18 +400,17 @@ def weighted_log_mgf(
     return log_mgf, mean, _support_cap(reach, var)
 
 
-def weighted_proxy_sup(
-    values: np.ndarray, weights: np.ndarray, method: str
-) -> VarianceProxyEstimate:
+def weighted_proxy_sup(values: np.ndarray, weights: np.ndarray) -> VarianceProxyEstimate:
     """tau^2 of the law with weight w_i on v_i: the certified scan of its centered log-MGF.
 
     The scan runs to `weighted_log_mgf`'s cap at most, and on each sign stops
     once the support bound 2 (max v - mean) / lam (2 (mean - min v) / |lam|)
     falls below the best ratio found, so it skips only points that cannot
-    beat that ratio.
+    beat that ratio. The refinement stays within the best point's bracket of
+    grid positions, so no point past the stop is evaluated.
     """
     log_mgf, _, reach, var = _weighted_law(values, weights)
-    return _scan(log_mgf, 0.0, _support_cap(reach, var), reach, method)
+    return _scan(log_mgf, 0.0, _support_cap(reach, var), reach)
 
 
 def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], float]:

@@ -34,7 +34,6 @@ from .distributions import (
     BetaParams,
     DirichletParams,
     GammaParams,
-    MomentSequence,
     SeedSpec,
     draw,
 )
@@ -131,6 +130,8 @@ def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.n
 
     Q sums its nonnegative terms, each formed in log space, so no size cap
     applies; Q expanded into powers of p would lose ~2^degree * eps near p = 1.
+    A zero probability contributes 0 log 0 = 0, so Q is the pmf there too:
+    a Dirichlet draw has exact zeros where a Gamma variate underflows.
     An empty subset is refused with ValueError.
     """
     if model in ("beta_binomial", "geometric"):
@@ -145,7 +146,11 @@ def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.n
         vectors = _check_count_vectors(subset, m, points.shape[1])
         x = np.asarray(vectors, dtype=float)  # (s, k)
         log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
-        return np.exp(np.log(points) @ x.T + log_coeff).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_terms = np.log(points) @ x.T
+        zero = (points == 0.0).any(axis=1)  # the product gives log(0) * 0 = NaN
+        log_terms[zero] = xlogy(x, points[zero, None, :]).sum(axis=2)
+        return np.exp(log_terms + log_coeff).sum(axis=1)
     if model == "poisson_gamma":
         c, rate = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
         return np.exp(xlogy(c, rate) - rate - gammaln(c + 1.0)).sum(axis=1)
@@ -239,8 +244,8 @@ def model_q_draws(
     subset,
     *,
     m: int | None = None,
-    draws: int = 10**6,
-    seed: SeedSpec = SeedSpec(0),
+    draws: int,
+    seed: SeedSpec,
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
     _check_prior(model, prior)
@@ -263,8 +268,12 @@ def _check_prior(model: str, prior) -> None:
         )
 
 
-def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[MomentSequence, tuple[float, ...]]:
-    """Empirical raw moments of Q with per-moment standard errors."""
+def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical raw moments of Q, j = 0..j_max, and their standard errors: two 1-D arrays.
+
+    The moments are the means of Q^j (1 at j = 0) and the errors the
+    standard deviations of Q^j over sqrt(draws) (0 at j = 0).
+    """
     q = np.asarray(q_draws, dtype=float)
     n = q.size
     values = [1.0]
@@ -274,7 +283,7 @@ def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[MomentSequence, tuple[f
         power = power * q
         values.append(float(power.mean()))
         errors.append(float(power.std(ddof=1) / math.sqrt(n)))
-    return MomentSequence(tuple(values)), tuple(errors)
+    return np.array(values), np.array(errors)
 
 
 def conjectured_scale(
@@ -323,12 +332,12 @@ def evaluate_model(
 
     Q is evaluated at weighted points: exact mode at the prior's Gauss rule
     (`_prior_rule`; Dirichlet priors need k <= 4), Monte Carlo mode at
-    ``draws`` prior draws with equal weights. The criterion moments are the
-    weighted means of Q^j, j <= j_max, and tau^2 is the grid supremum of
-    2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the certified cap
-    of `weighted_log_mgf`, past which the ratio is below Var(Q), Monte Carlo
-    mode to ln(1e6/sqrt(draws)). Exact mode stops each sign of the scan
-    once Q's range certifies that no larger ratio remains
+    ``draws`` prior draws with equal weights. The criterion moments are an
+    array of the weighted means of Q^j, j = 0..j_max, and tau^2 is the grid
+    supremum of 2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the
+    certified cap of `weighted_log_mgf`, past which the ratio is below
+    Var(Q), Monte Carlo mode to ln(1e6/sqrt(draws)). Exact mode stops each
+    sign of the scan once Q's range certifies that no larger ratio remains
     (`weighted_proxy_sup`), and raises ExactModeError when the ratio at the
     argmax moves by more than 1e-8 relative on a rule with twice the nodes
     per coordinate: the rule then does not resolve e^(lam Q). A Q whose
@@ -337,7 +346,8 @@ def evaluate_model(
     at least 2, the subset nonempty, and Monte Carlo mode needs at least
     100 draws. The raw-moment criterion is additionally run at sigma^2 =
     c*scale for c in 0.25, 0.5, 1 and 2, reporting the smallest passing c
-    (the conjectured scales hide constants).
+    (the conjectured scales hide constants). The report's ``method`` names
+    the mode.
     """
     _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
@@ -351,26 +361,23 @@ def evaluate_model(
     if method == "exact_moments":
         points, weights = _prior_rule(prior)
         q = _query_values(model, subset, m, points)
-        moments = MomentSequence(
-            [1.0] + [np.einsum("i,i->", weights, q**j) for j in range(1, j_max + 1)]
-        )
+        moments = np.array([1.0] + [np.einsum("i,i->", weights, q**j) for j in range(1, j_max + 1)])
     elif method == "monte_carlo":
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0))
         moments, _ = mc_moments(q, j_max)
     else:
         raise ValueError(f"unknown method {method!r}")
-    kind = "exact_mgf" if method == "exact_moments" else "empirical_mgf"
     if q.max() - q.min() <= _CONSTANT_SPREAD:
-        estimate = VarianceProxyEstimate(0.0, 0.0, kind, "constant query: no lambda scan", 0.0, 0)
+        estimate = VarianceProxyEstimate(0.0, 0.0, "constant query: no lambda scan", 0)
     elif method == "exact_moments":
-        estimate = weighted_proxy_sup(q, weights, kind)
+        estimate = weighted_proxy_sup(q, weights)
         _check_rule_resolves(model, prior, subset, m, estimate)
     else:
         log_mgf, cap = empirical_log_mgf(q)
-        estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap, method=kind)
+        estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap)
 
     smallest = None
-    if all(v > 0 for v in moments.values):
+    if (moments > 0).all():
         for c in _CRITERION_MULTIPLIERS:
             if raw_moment_criterion(moments, c * scale).passed:
                 smallest = c

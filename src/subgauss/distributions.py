@@ -1,9 +1,10 @@
 """Distribution parameter types, exact moments, MGF evaluation, and sampling.
 
-Covers the Beta, Dirichlet, Gamma, categorical, and Chi families. All
-computations are plain float64 with documented tolerances; all sampling is
-reproducible through :class:`SeedSpec`, which derives independent substreams
-from a master seed so parallel experiments never share RNG state.
+Covers the Beta, Dirichlet, Gamma, categorical, and Chi families. Raw
+moments E[X^j], j = 0..J, are plain 1-D float arrays. All computations are
+plain float64 with documented tolerances; all sampling is reproducible
+through :class:`SeedSpec`, which derives independent substreams from a
+master seed so parallel experiments never share RNG state.
 """
 from __future__ import annotations
 
@@ -18,10 +19,8 @@ __all__ = [
     "BetaParams",
     "DirichletParams",
     "GammaParams",
-    "MomentSequence",
     "SeedSpec",
     "beta_raw_moments",
-    "beta_moment_sequence",
     "beta_mean_var",
     "beta_centered_log_mgf",
     "beta_log_mgf",
@@ -116,31 +115,6 @@ class GammaParams:
 
 
 @dataclass(frozen=True)
-class MomentSequence:
-    """Raw moments E[X^j] for j = 0..j_max; values[0] must be 1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        if not values:
-            raise ValueError("moment sequence must not be empty")
-        if abs(values[0] - 1.0) > 1e-9:
-            raise ValueError(f"zeroth raw moment must be 1, got {values[0]!r}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def j_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, j: int) -> float:
-        return self.values[j]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-
-@dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a stream id; equal specs give bit-identical streams.
 
@@ -180,10 +154,6 @@ def beta_raw_moments(p: BetaParams, j_max: int) -> np.ndarray:
     r = np.arange(j_max, dtype=float)
     ratios = (p.alpha + r) / (p.total + r)
     return np.concatenate(([1.0], np.cumprod(ratios)))
-
-
-def beta_moment_sequence(p: BetaParams, j_max: int) -> MomentSequence:
-    return MomentSequence(tuple(beta_raw_moments(p, j_max)))
 
 
 def beta_mean_var(p: BetaParams) -> tuple[float, float]:

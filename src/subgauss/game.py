@@ -221,17 +221,23 @@ class Analyst(Protocol):
     def observe(self, query: QuerySpec, answer: float) -> None: ...
 
 
+def _random_proper_subset(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Sorted indices of a uniformly random nonempty proper subset of range(k).
+
+    Each index is kept where one ``rng.random(k)`` draw is below 1/2; the
+    draw is repeated until the subset is neither empty nor full.
+    """
+    while True:
+        mask = rng.random(k) < 0.5
+        if mask.any() and not mask.all():
+            return np.nonzero(mask)[0]
+
+
 class StaticRandomAnalyst:
     """All q queries drawn upfront: uniformly random nonempty proper subsets."""
 
     def __init__(self, k: int, q: int, rng: np.random.Generator):
-        self._queries = []
-        for _ in range(q):
-            while True:
-                mask = rng.random(k) < 0.5
-                if mask.any() and not mask.all():
-                    break
-            self._queries.append(QuerySpec.counting(np.nonzero(mask)[0]))
+        self._queries = [QuerySpec.counting(_random_proper_subset(rng, k)) for _ in range(q)]
         self._cursor = 0
 
     def next_query(self) -> QuerySpec:
@@ -447,8 +453,9 @@ def _random_masks(rng: np.random.Generator, k: int, q: int) -> np.ndarray:
 
     ``rng.random((rows, k))`` yields the same numbers as ``rows`` calls of
     ``rng.random(k)``, so keeping the accepted rows in order reproduces
-    ``StaticRandomAnalyst``. Rows drawn past the q-th accepted one are
-    discarded; nothing draws from the generator after the analyst.
+    ``StaticRandomAnalyst`` (`_random_proper_subset`). Rows drawn past the
+    q-th accepted one are discarded; nothing draws from the generator after
+    the analyst.
     """
     accept = 1.0 - 2.0 ** (1 - k)
     blocks, found = [], 0

@@ -55,9 +55,6 @@ class AzumaTotals:
 
 @dataclass(frozen=True)
 class PathSimulationReport:
-    trials: int
-    horizon: int
-    prior: BetaParams
     mean_total_increment: float
     se_total_increment: float
     tail_rows: tuple[tuple[float, float, float, float], ...]  # (eps, freq, bound, se)
@@ -71,8 +68,6 @@ class PathSimulationReport:
 class StabilityReport:
     """Observed posterior-mean stability constants for one (prior, n, query)."""
 
-    prior_mass: float
-    n: int
     max_add_one_change: float
     add_one_bound: float
     max_replace_one_change: float
@@ -185,9 +180,6 @@ def simulate_paths(
         tail_rows.append((float(eps), freq, bound, se))
 
     return PathSimulationReport(
-        trials=trials,
-        horizon=horizon,
-        prior=prior,
         mean_total_increment=mean_inc,
         se_total_increment=se_inc,
         tail_rows=tuple(tail_rows),
@@ -237,8 +229,6 @@ def stability_diagnostics(
     mu0 = alpha_s / a_total
     linear = (a_total * mu0 + n * (c_s / n)) / (a_total + n)
     return StabilityReport(
-        prior_mass=a_total,
-        n=n,
         max_add_one_change=max_add,
         add_one_bound=1.0 / (a_total + n + 1.0),
         max_replace_one_change=max_replace,

@@ -20,7 +20,7 @@ from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
 from subgauss.conjugate_models import _check_count_vectors, _outcome_counts
-from subgauss.distributions import BetaParams, DirichletParams, GammaParams, MomentSequence
+from subgauss.distributions import BetaParams, DirichletParams, GammaParams
 
 # Expanded coefficients stay exact in float64: |c| <= 3^30, C(56, 28) < 2^53.
 _MAX_BINOMIAL_M = 30
@@ -93,7 +93,7 @@ def geometric_query_poly(subset: Iterable[int]) -> PolynomialInP:
 
 def poly_raw_moments_under_beta(
     poly: PolynomialInP, prior: BetaParams, j_max: int
-) -> MomentSequence:
+) -> np.ndarray:
     """E[Q(p)^j] for j = 0..j_max with p ~ Beta(prior), exact up to float64.
 
     Q^j is built by repeated coefficient convolution and integrated term by
@@ -118,7 +118,7 @@ def poly_raw_moments_under_beta(
     for _ in range(j_max):
         power = np.convolve(power, base)
         values.append(float(sum(c * ratios[d] for d, c in enumerate(power) if c)))
-    return MomentSequence(tuple(values))
+    return np.array(values)
 
 
 def multinomial_query_moments(
@@ -126,7 +126,7 @@ def multinomial_query_moments(
     subset: Iterable[Sequence[int]],
     prior: DirichletParams,
     j_max: int,
-) -> MomentSequence:
+) -> np.ndarray:
     """E[Q^j] for Q the prior-projected probability of a multinomial count set.
 
     Q(p) = sum_{x in S} m!/(x_1! ... x_k!) p_1^x_1 ... p_k^x_k. Q^j is
@@ -172,7 +172,7 @@ def multinomial_query_moments(
         values.append(
             math.fsum(c * monomial_expectation(e) for e, c in power.items())
         )
-    return MomentSequence(tuple(values))
+    return np.array(values)
 
 
 def _log_poly_convolve(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -189,7 +189,7 @@ def _log_poly_convolve(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 def poisson_query_moments(
     subset: Iterable[int], prior: GammaParams, j_max: int
-) -> MomentSequence:
+) -> np.ndarray:
     """E[Q^j] for Q(rate) = sum_{c in S} rate^c e^-rate / c!, rate ~ Gamma(prior).
 
     Q^j = P_j(rate) e^{-j rate} with P_j a positive-coefficient polynomial, and
@@ -216,7 +216,7 @@ def poisson_query_moments(
             a * math.log(b) + gammaln(a + s) - gammaln(a) - (a + s) * np.log(b + j)
         )
         values.append(float(np.exp(logsumexp(log_power + log_expect))))
-    return MomentSequence(tuple(values))
+    return np.array(values)
 
 
 def beta_expect(

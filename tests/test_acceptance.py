@@ -200,7 +200,7 @@ def test_ac10_conjugate_model_consistency():
         points, weights = _prior_rule(prior)
         q_rule = _query_values(model, subset, m, points)
         rule = np.array([weights @ q_rule**j for j in range(j_exact + 1)])
-        if not np.allclose(rule, exact.as_array(), rtol=1e-11, atol=0.0):
+        if not np.allclose(rule, exact, rtol=1e-11, atol=0.0):
             ok = False
             failures.append(f"{model}#{idx} rule moments")
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=SeedSpec(1010, idx))
@@ -214,18 +214,18 @@ def test_ac10_conjugate_model_consistency():
     beta_direct = beta_raw_moments(BetaParams(1.0, 2.0), j_max)
     via_binomial = poly_raw_moments_under_beta(
         binomial_query_poly(1, {1}), BetaParams(1.0, 2.0), j_max
-    ).as_array()
+    )
     via_geometric = poly_raw_moments_under_beta(
         geometric_query_poly({0}), BetaParams(1.0, 2.0), j_max
-    ).as_array()
+    )
     red1 = float(np.abs(via_binomial - beta_direct).max())
     red2 = float(np.abs(via_geometric - beta_direct).max())
     via_multinomial = multinomial_query_moments(
         2, [(0, 2), (1, 1)], DirichletParams((1.5, 2.5)), j_max
-    ).as_array()
+    )
     via_poly = poly_raw_moments_under_beta(
         binomial_query_poly(2, {0, 1}), BetaParams(1.5, 2.5), j_max
-    ).as_array()
+    )
     red3 = float(np.abs(via_multinomial - via_poly).max())
     reductions_ok = max(red1, red2, red3) <= 1e-10
     ok &= reductions_ok

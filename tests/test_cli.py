@@ -169,6 +169,14 @@ class TestArtifacts:
         assert (out / "verify-dirichlet-summary.json").exists()
         assert not (out / "verify-dirichlet-data.csv").exists()
 
+    def test_csv_only_format(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["verify-dirichlet", "--trials", "3", "--out", str(out), "--format", "csv"]
+        assert cli_dispatch(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "verify-dirichlet-data.csv"]
+        outputs = read_json(out / "manifest.json")["outputs"]
+        assert [o["path"] for o in outputs] == [str(out / "verify-dirichlet-data.csv")]
+
     def test_game_runs_from_config(self, tmp_path, capsys):
         config = {
             "k": 4,

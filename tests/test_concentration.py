@@ -22,9 +22,9 @@ from subgauss import (
     beta_log_mgf,
     beta_mean_var,
     beta_moment_pair_bounds,
-    beta_moment_sequence,
     beta_proxy_bound,
     beta_proxy_estimate,
+    beta_raw_moments,
     beta_tight_proxy_bound,
     check_beta_bound,
     chi_raw_moment,
@@ -44,7 +44,7 @@ from subgauss.concentration import (
     weighted_proxy_sup,
 )
 from subgauss.conjugate_models import _prior_rule
-from subgauss.distributions import MomentSequence, beta_centered_log_mgf
+from subgauss.distributions import beta_centered_log_mgf
 
 
 class TestVarianceProxySup:
@@ -77,9 +77,7 @@ class TestVarianceProxySup:
 
     def test_estimate_reports_grid(self):
         est = beta_proxy_estimate(BetaParams(2, 2))
-        assert est.method == "exact_mgf"
         assert "log grid" in est.grid_spec
-        assert est.slack >= 0.0
 
     def test_evaluations_count_the_log_mgf_calls(self):
         calls = []
@@ -199,34 +197,40 @@ class TestBetaProxyProperty:
 
 class TestRawMomentCriterion:
     def test_uniform_with_provable_sigma2(self):
-        seq = beta_moment_sequence(BetaParams(1, 1), 10)
+        seq = beta_raw_moments(BetaParams(1, 1), 10)
         report = raw_moment_criterion(seq, 1.0 / 6.0)
         assert report.passed and report.violations == ()
         # j=0 instance: 1/3 <= 1/4 + 1/6
         assert seq[2] / seq[0] == pytest.approx(1.0 / 3.0)
 
     def test_huge_sigma2_trivially_passes(self):
-        seq = beta_moment_sequence(BetaParams(0.2, 7.0), 50)
+        seq = beta_raw_moments(BetaParams(0.2, 7.0), 50)
         assert raw_moment_criterion(seq, 1.5).passed
 
     def test_sigma2_below_variance_fails_at_j0(self):
         p = BetaParams(2, 2)
         _, var = beta_mean_var(p)
-        report = raw_moment_criterion(beta_moment_sequence(p, 10), 0.5 * var)
+        report = raw_moment_criterion(beta_raw_moments(p, 10), 0.5 * var)
         assert not report.passed
         assert report.violations[0][0] == 0
 
     def test_chi_moments_with_unit_sigma2(self):
         for k in (1, 3, 20):
             values = tuple(chi_raw_moment(k, j) for j in range(203))
-            report = raw_moment_criterion(MomentSequence(values), 1.0)
+            report = raw_moment_criterion(values, 1.0)
             assert report.passed
 
     def test_positivity_precondition(self):
-        with pytest.raises(ValueError):
-            raw_moment_criterion(MomentSequence((1.0, 0.5, -0.1)), 1.0)
-        with pytest.raises(ValueError):
-            raw_moment_criterion(MomentSequence((1.0, 0.5, 0.3)), 0.0)
+        for moments, sigma2 in [
+            ([1.0, 0.5, -0.1], 1.0),  # a non-positive moment
+            ([1.0, 0.5, 0.3], 0.0),  # sigma2 <= 0
+            ([], 1.0),  # empty
+            ([[1.0, 0.5], [0.5, 0.3]], 1.0),  # not 1-D
+            ([1.1, 0.5, 0.3], 1.0),  # E[X^0] = 1.1
+            ([0.5, 0.2], 1.0),  # E[X^0] = 0.5
+        ]:
+            with pytest.raises(ValueError):
+                raw_moment_criterion(np.array(moments), sigma2)
 
 
 class TestMomentPairBounds:
@@ -309,21 +313,21 @@ class TestAffineScaling:
     # prior's Gauss rule) is equivariant, and so is the Beta series under X -> 1 - X
     def test_translation_invariance(self):
         points, weights = _prior_rule(BetaParams(2, 5))
-        base = weighted_proxy_sup(points, weights, "exact_mgf")
-        moved = weighted_proxy_sup(points + 0.37, weights, "exact_mgf")
+        base = weighted_proxy_sup(points, weights)
+        moved = weighted_proxy_sup(points + 0.37, weights)
         assert moved.value == pytest.approx(base.value, rel=1e-6)
 
     def test_doubling_quadruples(self):
         points, weights = _prior_rule(BetaParams(1, 1))
-        base = weighted_proxy_sup(points, weights, "exact_mgf")
-        doubled = weighted_proxy_sup(2.0 * points, weights, "exact_mgf")
+        base = weighted_proxy_sup(points, weights)
+        doubled = weighted_proxy_sup(2.0 * points, weights)
         assert doubled.value == pytest.approx(4.0 * base.value, rel=1e-4)
 
     def test_zero_scale_rejected(self):
         # 0 * X is constant: Var = 0 leaves the scan no cap
         points, weights = _prior_rule(BetaParams(1, 1))
         with pytest.raises(ValueError, match="no lambda cap"):
-            weighted_proxy_sup(0.0 * points, weights, "exact_mgf")
+            weighted_proxy_sup(0.0 * points, weights)
 
     def test_reflection_matches_swapped_params(self):
         for a in GRID:
@@ -527,7 +531,7 @@ class TestArrayForm:
         lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
         # NaN only past the Taylor branch, where the raw series may take over
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
-        assert beta_proxy_estimate(p) == _scan(scalar_only(log_mgf), 0.0, cap, reach, "exact_mgf")
+        assert beta_proxy_estimate(p) == _scan(scalar_only(log_mgf), 0.0, cap, reach)
 
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws())
@@ -539,8 +543,8 @@ class TestArrayForm:
         lams = np.concatenate([scan_grid(cap), around(1.0 / width)])
         # the far branch sums over every point, so it stays scalar
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) * width > 1.0).all()
-        plain = _scan(scalar_only(log_mgf), 0.0, cap, reach, "exact_mgf")
-        assert weighted_proxy_sup(v, w, "exact_mgf") == plain
+        plain = _scan(scalar_only(log_mgf), 0.0, cap, reach)
+        assert weighted_proxy_sup(v, w) == plain
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_empirical(self, seed):

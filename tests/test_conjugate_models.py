@@ -1,10 +1,12 @@
 """Tests for conjugate-model query functionals, exact moments, and tau^2 sweeps."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from closed_form import (
     PolynomialInP,
@@ -98,13 +100,13 @@ class TestPolyMomentsUnderBeta:
     def test_identity_polynomial_reduces_to_beta_moments(self):
         moments = poly_raw_moments_under_beta(PolynomialInP((0.0, 1.0)), BetaParams(1, 2), 6)
         np.testing.assert_allclose(
-            moments.as_array(), beta_raw_moments(BetaParams(1, 2), 6), rtol=1e-14
+            moments, beta_raw_moments(BetaParams(1, 2), 6), rtol=1e-14
         )
         assert moments[1] == pytest.approx(1.0 / 3.0)
 
     def test_constant_one(self):
         moments = poly_raw_moments_under_beta(PolynomialInP((1.0,)), BetaParams(2, 7), 5)
-        assert moments.values == (1.0,) * 6
+        assert moments.tolist() == [1.0] * 6
 
     def test_binomial_one_success_under_uniform(self):
         poly = binomial_query_poly(2, {1})  # 2p - 2p^2
@@ -126,7 +128,7 @@ class TestMultinomialMoments:
     def test_full_set_constant(self):
         subset = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
         moments = multinomial_query_moments(2, subset, DirichletParams((1.0, 1.0, 1.0)), 4)
-        np.testing.assert_allclose(moments.as_array(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(moments, 1.0, rtol=1e-12)
 
     def test_two_categories_reduce_to_binomial(self):
         prior2 = DirichletParams((1.5, 2.5))
@@ -139,14 +141,14 @@ class TestMultinomialMoments:
             binomial_query_poly(m, subset_counts), beta_prior, 6
         )
         np.testing.assert_allclose(
-            via_multinomial.as_array(), via_poly.as_array(), rtol=1e-10
+            via_multinomial, via_poly, rtol=1e-10
         )
 
     def test_single_category_marginal_is_beta(self):
         prior = DirichletParams((2.0, 1.0, 0.5))
         moments = multinomial_query_moments(1, [(1, 0, 0)], prior, 6)
         marginal = beta_raw_moments(BetaParams(2.0, 1.5), 6)
-        np.testing.assert_allclose(moments.as_array(), marginal, rtol=1e-12)
+        np.testing.assert_allclose(moments, marginal, rtol=1e-12)
 
     def test_exact_caps(self):
         prior = DirichletParams((1.0,) * 5)
@@ -251,7 +253,6 @@ class TestEvaluateModel:
             method="monte_carlo", draws=2 * 10**5, seed=SeedSpec(11),
         )
         assert mc.method == "monte_carlo"
-        assert mc.estimate.method == "empirical_mgf"
         assert abs(mc.tau2_est - exact.tau2_est) <= 0.3 * exact.tau2_est
 
     def test_large_argmax_instances_match_quadrature(self):
@@ -318,7 +319,7 @@ class TestEvaluateModel:
             points, weights = _prior_rule(prior)
             q = _query_values(model, subset, m, points)
             rule = [weights @ q**j for j in range(7)]
-            np.testing.assert_allclose(rule, exact.as_array(), rtol=1e-11, atol=0)
+            np.testing.assert_allclose(rule, exact, rtol=1e-11, atol=0)
 
     def test_monte_carlo_has_no_size_cap(self):
         # under Beta(1, 1) every binomial count has probability 1/(m+1), and
@@ -336,7 +337,7 @@ class TestEvaluateModel:
         cases = [
             ("beta_binomial", BetaParams(1.0, 2000.0), {1}, 1, beta_raw_moments(BetaParams(1.0, 2000.0), 4)),
             ("poisson_gamma", GammaParams(200.0, 100.0), {2}, None,
-             poisson_query_moments({2}, GammaParams(200.0, 100.0), 4).as_array()),
+             poisson_query_moments({2}, GammaParams(200.0, 100.0), 4)),
         ]
         for model, prior, subset, m, exact in cases:
             points, weights = _prior_rule(prior)
@@ -390,6 +391,27 @@ class TestEvaluateModel:
             draws=200_000, seed=SeedSpec(1), j_max=6,
         )
         assert report.tau2_est == pytest.approx(tau2, rel=1e-12)
+
+    def test_multinomial_q_at_a_zero_coordinate_is_the_pmf(self):
+        subset = {(0, 1, 1), (1, 1, 0), (2, 0, 0)}
+        points = np.array([[0.0, 0.25, 0.75], [0.3, 0.0, 0.7], [0.2, 0.3, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = _query_values("multinomial", subset, 2, points)
+        pmf = [sum(stats.multinomial.pmf(x, 2, p) for x in subset) for p in points]
+        np.testing.assert_allclose(q, pmf, rtol=1e-14, atol=0)
+
+    def test_monte_carlo_survives_underflowed_dirichlet_draws(self):
+        # 131 of these 2e5 Dirichlet(0.01, 1, 1) draws have p_1 == 0 exactly
+        prior, subset = DirichletParams((0.01, 1.0, 1.0)), {(0, 1, 1)}
+        exact = evaluate_model("multinomial", prior, subset, m=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mc = evaluate_model("multinomial", prior, subset, m=2, method="monte_carlo",
+                                draws=200_000, seed=SeedSpec(1))
+        assert math.isfinite(mc.tau2_est)
+        # the `conjectures` agreement rule
+        assert abs(mc.tau2_est - exact.tau2_est) <= max(0.5 * exact.tau2_est, 10.0 / math.sqrt(200_000))
 
     @pytest.mark.parametrize(
         "model, prior, subset, m, message",

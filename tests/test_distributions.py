@@ -11,7 +11,6 @@ from subgauss import (
     BetaParams,
     DirichletParams,
     GammaParams,
-    MomentSequence,
     SeedSpec,
     beta_log_mgf,
     beta_mean_var,
@@ -47,12 +46,6 @@ class TestParams:
         assert DirichletParams(**d.to_json()) == d
         g = GammaParams(2.0, 5.0)
         assert GammaParams(**g.to_json()) == g
-
-    def test_moment_sequence_requires_unit_head(self):
-        with pytest.raises(ValueError):
-            MomentSequence((0.5, 0.2))
-        seq = MomentSequence((1.0, 0.5, 0.3))
-        assert seq.j_max == 2 and seq[1] == 0.5
 
 
 class TestBetaRawMoments:
