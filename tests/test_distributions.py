@@ -16,6 +16,7 @@ from subgauss import (
     beta_mean_var,
     beta_raw_moments,
     chi_raw_moment,
+    raw_moment_criterion,
     sample,
     sample_chi,
 )
@@ -46,6 +47,15 @@ class TestParams:
         assert DirichletParams(**d.to_json()) == d
         g = GammaParams(2.0, 5.0)
         assert GammaParams(**g.to_json()) == g
+
+    def test_moment_sequence_requires_unit_head(self):
+        # a raw-moment array starts with E[X^0] = 1; the criterion refuses any other head
+        for head in (0.5, 1.1):
+            with pytest.raises(ValueError):
+                raw_moment_criterion(np.array([head, 0.5, 0.3]), 1.0)
+        assert raw_moment_criterion(np.array([1.0, 0.5, 0.3]), 1.0).passed
+        seq = beta_raw_moments(BetaParams(1, 1), 2)
+        assert seq.shape == (3,) and seq[0] == 1.0 and seq[1] == pytest.approx(0.5)
 
 
 class TestBetaRawMoments:
