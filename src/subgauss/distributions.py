@@ -91,10 +91,6 @@ class DirichletParams:
     def total(self) -> float:
         return float(sum(self.alphas))
 
-    def mean(self) -> np.ndarray:
-        a = np.asarray(self.alphas)
-        return a / a.sum()
-
     def to_json(self) -> dict:
         return {"alphas": list(self.alphas)}
 

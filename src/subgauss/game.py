@@ -8,12 +8,13 @@ is within epsilon of the population value; it wins the game when every round
 is. Analysts see the prior, n, q, and all previous answers, never the data
 or the true parameter.
 
-Games are played on two paths. ``run_game`` is the transcript path: it plays
-one trial through the analyst and curator objects and can record every
-round. ``run_games`` is the batch path used by ``estimate_failure_rate`` and
-the ``game`` CLI subcommand: it plays a block of trials together and returns
+Games are played on two paths. ``run_game`` is the transcript path and the
+tests' reference: one plain loop over one trial's rounds, with the analyst
+and the curator as branches on the configuration, that can record each round.
+``run_games`` is the batch path used by ``estimate_failure_rate`` and the
+``game`` CLI subcommand: it plays a block of trials together and returns
 each trial's largest error. Both give bit-identical ``max_error`` for the
-same (config, seed), and the tests hold them to that.
+same (config, seed).
 
 The batch path draws a block's instances at once. Each trial's generator
 makes only its raw draws (Gamma variates, uniforms, static-random masks),
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +63,6 @@ __all__ = [
     "CURATOR_KINDS",
     "sample_instance",
     "project_to_beta",
-    "make_analyst",
-    "make_curator",
     "run_game",
     "run_games",
     "required_n",
@@ -93,18 +92,6 @@ class QuerySpec:
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "indices", tuple(sorted(subset)))
 
-    @classmethod
-    def counting(cls, subset: Sequence[int] | frozenset[int]) -> "QuerySpec":
-        return cls(subset=frozenset(subset))
-
-    def as_weights(self, k: int) -> np.ndarray:
-        """The query's 0/1 indicator vector over k categories."""
-        if self.indices and self.indices[-1] >= k:
-            raise ValueError("subset contains an out-of-range category")
-        w = np.zeros(k)
-        w[list(self.indices)] = 1.0
-        return w
-
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -122,7 +109,7 @@ class GameConfig:
             raise ValueError("prior dimension must equal k")
         if self.n < 0 or self.q < 1:
             raise ValueError("need n >= 0 and q >= 1")
-        if not (0.0 < self.epsilon < 1.0 or self.epsilon == 1.0):
+        if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -158,7 +145,6 @@ class GameTranscript:
     rounds: tuple[RoundRecord, ...]
     max_error: float
     win: bool
-    n_rounds: int
 
 
 @dataclass(frozen=True)
@@ -212,13 +198,8 @@ def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) 
 
 
 # ---------------------------------------------------------------------------
-# Analysts
+# The transcript game
 # ---------------------------------------------------------------------------
-
-
-class Analyst(Protocol):
-    def next_query(self) -> QuerySpec: ...
-    def observe(self, query: QuerySpec, answer: float) -> None: ...
 
 
 def _random_proper_subset(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -233,24 +214,14 @@ def _random_proper_subset(rng: np.random.Generator, k: int) -> np.ndarray:
             return np.nonzero(mask)[0]
 
 
-class StaticRandomAnalyst:
-    """All q queries drawn upfront: uniformly random nonempty proper subsets."""
-
-    def __init__(self, k: int, q: int, rng: np.random.Generator):
-        self._queries = [QuerySpec.counting(_random_proper_subset(rng, k)) for _ in range(q)]
-        self._cursor = 0
-
-    def next_query(self) -> QuerySpec:
-        query = self._queries[self._cursor]
-        self._cursor += 1
-        return query
-
-    def observe(self, query: QuerySpec, answer: float) -> None:
-        pass
-
-
 def _balanced_subset(prior: DirichletParams, n: int) -> list[int]:
-    """The ``VarianceMaximizerAnalyst`` subset, in the order it was packed."""
+    """The variance maximizer's query, in the order it was packed.
+
+    Weights alpha_i + n*alpha_i/A (prior-expected posterior parameters) are
+    packed greedily toward (A+n)/2, largest weight first with ties broken by
+    lowest index; a balanced split maximizes the projected Beta variance.
+    The data is never seen, so the query is the same every round.
+    """
     alphas = np.asarray(prior.alphas)
     weights = alphas * (1.0 + n / prior.total)
     target = weights.sum() / 2.0
@@ -265,157 +236,84 @@ def _balanced_subset(prior: DirichletParams, n: int) -> list[int]:
     return chosen
 
 
-class VarianceMaximizerAnalyst:
-    """Greedy subset balancing expected posterior mass toward half the total.
-
-    Weights alpha_i + n*alpha_i/A (prior-expected posterior parameters) are
-    packed greedily toward (A+n)/2, largest weight first with ties broken by
-    lowest index; a balanced split maximizes the projected Beta variance.
-    The data is never seen, so the query is the same every round.
-    """
-
-    def __init__(self, k: int, prior: DirichletParams, n: int):
-        self._query = QuerySpec.counting(_balanced_subset(prior, n))
-
-    def next_query(self) -> QuerySpec:
-        return self._query
-
-    def observe(self, query: QuerySpec, answer: float) -> None:
-        pass
-
-
-class AdaptiveCorrelatorAnalyst:
-    """Probe singletons, then chase the categories deviating most from the prior.
-
-    Rounds 0..k-1 probe the singletons {0}, ..., {k-1}, recording per-category
-    deviation scores answer - prior_mean. Afterwards each round queries the
-    top half of categories by score (ties to the lowest index); every answer
-    redistributes its residual against the scored expectation back onto the
-    queried categories, so the scores keep tracking the posterior.
-    """
-
-    def __init__(self, k: int, prior: DirichletParams, n: int):
-        self._k = k
-        self._prior_mean = [a / prior.total for a in prior.alphas]
-        self._scores = [0.0] * k
-        self._round = 0
-
-    def next_query(self) -> QuerySpec:
-        if self._round < self._k:
-            return QuerySpec.counting((self._round,))
-        half = max(1, self._k // 2)
-        order = sorted(range(self._k), key=lambda i: (-self._scores[i], i))
-        return QuerySpec.counting(order[:half])
-
-    def observe(self, query: QuerySpec, answer: float) -> None:
-        idx = query.indices
-        if self._round < self._k and len(idx) == 1:
-            i = idx[0]
-            self._scores[i] = answer - self._prior_mean[i]
-        else:
-            expected = sum(self._prior_mean[i] + self._scores[i] for i in idx)
-            share = (answer - expected) / len(idx)
-            for i in idx:
-                self._scores[i] += share
-        self._round += 1
-
-
-def make_analyst(kind: str, config: GameConfig, rng: np.random.Generator) -> Analyst:
-    if kind == "static_random":
-        return StaticRandomAnalyst(config.k, config.q, rng)
-    if kind == "variance_maximizer":
-        return VarianceMaximizerAnalyst(config.k, config.prior, config.n)
-    if kind == "adaptive_correlator":
-        return AdaptiveCorrelatorAnalyst(config.k, config.prior, config.n)
-    raise ValueError(f"unknown analyst {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Curators
-# ---------------------------------------------------------------------------
-
-
-class FixedMeanCurator:
-    """Answers every query by its value on one fixed mean vector."""
-
-    def __init__(self, mean: np.ndarray):
-        self._mean = mean.tolist()
-
-    def answer(self, query: QuerySpec) -> float:
-        mean = self._mean
-        return sum(mean[i] for i in query.indices)
-
-
-def _mean_curator(kind: str, prior: DirichletParams, counts) -> FixedMeanCurator:
-    """The posterior-mean or empirical-mean curator of the given counts."""
-    counts = np.asarray(counts, dtype=float)
-    if kind == "posterior_mean":
-        post = np.asarray(prior.alphas) + counts
-        return FixedMeanCurator(post / post.sum())
-    n = int(np.sum(counts))
-    if n == 0:
-        raise ValueError("the empirical-mean curator cannot answer with no data")
-    return FixedMeanCurator(counts / n)
-
-
-class SampleSplitCurator:
-    """Fresh data fold per query: q equal folds, the last absorbing the remainder."""
-
-    def __init__(self, k: int, samples: np.ndarray, q: int):
-        n = len(samples)
-        size = n // q
-        self._folds = [samples[j * size : (j + 1) * size] for j in range(q - 1)]
-        self._folds.append(samples[(q - 1) * size :])
-        self._k = k
-        self._cursor = 0
-
-    def answer(self, query: QuerySpec) -> float:
-        if self._cursor >= len(self._folds):
-            raise ValueError("sample-split folds exhausted")
-        fold = self._folds[self._cursor]
-        self._cursor += 1
-        if len(fold) == 0:
-            raise ValueError("sample-split fold is empty (need n >= q)")
-        w = query.as_weights(self._k)
-        return float(w[fold].mean())
-
-
-def make_curator(config: GameConfig, counts: np.ndarray, samples: np.ndarray):
-    if config.curator in ("posterior_mean", "empirical_mean"):
-        return _mean_curator(config.curator, config.prior, counts)
-    if config.curator == "sample_split":
-        return SampleSplitCurator(config.k, samples, config.q)
-    raise ValueError(f"unknown curator {config.curator!r}")
-
-
-# ---------------------------------------------------------------------------
-# Game driver
-# ---------------------------------------------------------------------------
-
-
 def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) -> GameTranscript:
-    """Play q rounds and record answers against the population truth.
+    """Play q rounds one at a time and record answers against the population truth.
 
-    The truth for a query is its value on the drawn true parameter, not on
-    the sample. Deterministic given (config, seed).
+    The analyst picks each query:
+
+    - static random: q uniformly random nonempty proper subsets, drawn
+      after the instance from the same generator;
+    - variance maximizer: the ``_balanced_subset`` query every round;
+    - adaptive correlator: the singletons {0}, ..., {k-1} first, each
+      answer setting that category's score to answer - prior mean; then the
+      top half of the categories by score (ties to the lowest index), each
+      answer's residual against the scored expectation spread evenly back
+      onto the queried categories, so the scores keep tracking the posterior.
+
+    The posterior- and empirical-mean curators answer with the query's sum
+    over their mean vector. The sample-split curator answers round r with
+    the share of fold r's samples inside the query, for q equal folds of the
+    sample sequence, the last also taking the remainder. The truth is the
+    query's value on the drawn true parameter, not on the sample.
+
+    Deterministic given (config, seed). ``run_games`` is held ``==`` to this
+    loop, so it keeps its own arithmetic: Python sums over sorted indices and
+    a numpy mean of each fold's hits.
     """
     _check_enough_data(config)
+    k, n, q = config.k, config.n, config.q
     rng = seed.generator()
-    true_p, counts, samples = _sample_instance(rng, config.prior, config.n)
-    curator = make_curator(config, counts, samples)
-    analyst = make_analyst(config.analyst, config, rng)
+    true_p, counts, samples = _sample_instance(rng, config.prior, n)
+
+    if config.curator == "posterior_mean":
+        post = np.asarray(config.prior.alphas) + counts
+        mean = (post / post.sum()).tolist()
+    elif config.curator == "empirical_mean":
+        mean = (counts / n).tolist()
+    else:  # sample split: one fold of the sample sequence per round
+        mean, size = None, n // q
+
+    adaptive = config.analyst == "adaptive_correlator"
+    if config.analyst == "static_random":
+        queries = [QuerySpec(frozenset(_random_proper_subset(rng, k))) for _ in range(q)]
+    elif config.analyst == "variance_maximizer":
+        queries = [QuerySpec(frozenset(_balanced_subset(config.prior, n)))] * q
+    else:
+        prior_mean = [a / config.prior.total for a in config.prior.alphas]
+        scores = [0.0] * k
+        half = max(1, k // 2)
 
     true_list = true_p.tolist()
     rounds: list[RoundRecord] = []
     max_error = 0.0
-    for _ in range(config.q):
-        query = analyst.next_query()
-        answer = curator.answer(query)
-        truth = sum(true_list[i] for i in query.indices)
+    for r in range(q):
+        if not adaptive:
+            query = queries[r]
+        elif r < k:
+            query = QuerySpec(frozenset((r,)))
+        else:
+            order = sorted(range(k), key=lambda i: (-scores[i], i))
+            query = QuerySpec(frozenset(order[:half]))
+        idx = query.indices
+
+        if mean is not None:
+            answer = sum(mean[i] for i in idx)
+        else:
+            fold = samples[r * size : (r + 1) * size if r < q - 1 else n]
+            weights = np.zeros(k)
+            weights[list(idx)] = 1.0
+            answer = float(weights[fold].mean())
+        truth = sum(true_list[i] for i in idx)
         error = abs(answer - truth)
         if error > max_error:
             max_error = error
-        analyst.observe(query, answer)
+
+        if adaptive and r < k:
+            scores[r] = answer - prior_mean[r]
+        elif adaptive:
+            share = (answer - sum(prior_mean[i] + scores[i] for i in idx)) / half
+            for i in idx:
+                scores[i] += share
         if record_rounds:
             rounds.append(RoundRecord(query=query, answer=answer, truth=truth, error=error))
 
@@ -424,7 +322,6 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
         rounds=tuple(rounds),
         max_error=max_error,
         win=max_error <= config.epsilon,
-        n_rounds=config.q,
     )
 
 
@@ -441,7 +338,10 @@ _CYCLE_LOOKBACK = 4
 
 
 def _check_enough_data(config: GameConfig) -> None:
-    """Raise the curator's own error for data it could never answer from."""
+    """Refuse, before any draw, a curator that n samples leave nothing to answer from.
+
+    The empirical mean needs a sample, and sample split one per round.
+    """
     if config.curator == "empirical_mean" and config.n == 0:
         raise ValueError("the empirical-mean curator cannot answer with no data")
     if config.curator == "sample_split" and config.n < config.q:
@@ -453,7 +353,7 @@ def _random_masks(rng: np.random.Generator, k: int, q: int) -> np.ndarray:
 
     ``rng.random((rows, k))`` yields the same numbers as ``rows`` calls of
     ``rng.random(k)``, so keeping the accepted rows in order reproduces
-    ``StaticRandomAnalyst`` (`_random_proper_subset`). Rows drawn past the
+    ``run_game``'s `_random_proper_subset` draws. Rows drawn past the
     q-th accepted one are discarded; nothing draws from the generator after
     the analyst.
     """
@@ -492,7 +392,7 @@ def _fold_means(hits: np.ndarray, q: int) -> np.ndarray:
 
     ``hits`` says whether each sample lies in the query of its fold's round.
     Each answer is the fold's integer hit count over the fold's length,
-    which is the mean ``SampleSplitCurator`` takes.
+    which is the mean ``run_game`` takes.
     """
     n = hits.shape[1]
     starts = np.arange(q) * (n // q)

@@ -24,14 +24,7 @@ from subgauss import (
     wilson_interval,
 )
 from subgauss import game
-from subgauss.game import (
-    ANALYST_KINDS,
-    CURATOR_KINDS,
-    AdaptiveCorrelatorAnalyst,
-    StaticRandomAnalyst,
-    VarianceMaximizerAnalyst,
-    make_curator,
-)
+from subgauss.game import ANALYST_KINDS, CURATOR_KINDS
 
 
 def make_config(**overrides):
@@ -49,15 +42,42 @@ def make_config(**overrides):
     return GameConfig(**base)
 
 
+ALL_PAIRS = [(a, c) for a in ANALYST_KINDS for c in CURATOR_KINDS]
+
+# A non-uniform prior on 10 categories; smaller games take its first k.
+SKEWED = (0.5, 1.0, 2.0, 1.0, 3.0, 0.7, 1.5, 0.2, 2.5, 1.1)
+
+
+class TestGameConfig:
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"prior": DirichletParams((1.0, 1.0))}, "prior dimension must equal k"),
+            ({"n": -1}, r"need n >= 0 and q >= 1"),
+            ({"q": 0}, r"need n >= 0 and q >= 1"),
+            ({"epsilon": 0.0}, r"epsilon must lie in \(0, 1\]"),
+            ({"epsilon": 1.5}, r"epsilon must lie in \(0, 1\]"),
+            ({"epsilon": math.nan}, r"epsilon must lie in \(0, 1\]"),
+            ({"delta": 0.0}, r"delta must lie in \(0, 1\)"),
+            ({"delta": 1.0}, r"delta must lie in \(0, 1\)"),
+            ({"delta": math.nan}, r"delta must lie in \(0, 1\)"),
+            ({"analyst": "oracle"}, "unknown analyst 'oracle'"),
+            ({"curator": "oracle"}, "unknown curator 'oracle'"),
+        ],
+    )
+    def test_refuses(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            make_config(**overrides)
+
+
 class TestQuerySpec:
     def test_counting_as_weights(self):
-        q = QuerySpec.counting({0, 2})
-        np.testing.assert_array_equal(q.as_weights(4), [1.0, 0.0, 1.0, 0.0])
-        assert q.indices == (0, 2)
-
-    def test_out_of_range_subset(self):
+        # a counting query is its subset of categories; indices list it sorted
+        q = QuerySpec(frozenset(np.array([2, 0])))
+        assert q.subset == frozenset({0, 2}) and q.indices == (0, 2)
+        assert all(type(i) is int for i in q.indices)
         with pytest.raises(ValueError):
-            QuerySpec.counting({5}).as_weights(3)
+            QuerySpec(frozenset({-1, 2}))
 
 
 class TestSampleInstance:
@@ -80,39 +100,53 @@ class TestSampleInstance:
         assert np.all(np.abs(freqs - true_p) <= 4.0 * se + 1e-12)
 
 
-def curator_answer(prior, counts, subset, kind="posterior_mean"):
-    """The answer of a fresh ``kind`` curator holding ``counts`` to the counting query."""
-    config = make_config(k=prior.k, prior=prior, n=int(sum(counts)), curator=kind)
-    return make_curator(config, np.asarray(counts), None).answer(QuerySpec.counting(subset))
+def fixed_game(monkeypatch, prior, counts, *, analyst="static_random", curator="posterior_mean", q=30):
+    """The ``run_game`` transcript of a game on a given instance.
+
+    ``game._sample_instance`` is patched to return ``counts``, their samples
+    in category order and the prior mean as the true parameter; the analyst
+    still draws from the seed's generator.
+    """
+    counts = np.asarray(counts)
+    instance = (np.asarray(prior.alphas) / prior.total, counts, np.repeat(np.arange(prior.k), counts))
+    monkeypatch.setattr(game, "_sample_instance", lambda rng, prior, n: instance)
+    config = make_config(
+        k=prior.k, prior=prior, n=int(counts.sum()), q=q, analyst=analyst, curator=curator
+    )
+    return run_game(config, SeedSpec(0))
+
+
+def curator_answers(monkeypatch, prior, counts, **kwargs):
+    """Each subset a static-random game on the instance asked, with the curator's answer."""
+    return {r.query.subset: r.answer for r in fixed_game(monkeypatch, prior, counts, **kwargs).rounds}
 
 
 class TestAnswerQuery:
-    def test_prior_mean(self):
-        answer = curator_answer(DirichletParams((1.0, 1.0, 1.0)), (0, 0, 0), {0})
-        assert answer == pytest.approx(1.0 / 3.0)
+    def test_prior_mean(self, monkeypatch):
+        answers = curator_answers(monkeypatch, DirichletParams((1.0, 1.0, 1.0)), (0, 0, 0))
+        assert answers[frozenset({0})] == pytest.approx(1.0 / 3.0)
 
-    def test_posterior_mean_after_updates(self):
-        answer = curator_answer(DirichletParams((1.0, 1.0, 1.0)), (7, 2, 1), {0, 1})
-        assert answer == pytest.approx(11.0 / 13.0)
+    def test_posterior_mean_after_updates(self, monkeypatch):
+        answers = curator_answers(monkeypatch, DirichletParams((1.0, 1.0, 1.0)), (7, 2, 1))
+        assert answers[frozenset({0, 1})] == pytest.approx(11.0 / 13.0)
 
-    def test_empirical_needs_data(self):
-        with pytest.raises(ValueError):
-            curator_answer(DirichletParams((1.0, 1.0)), (0, 0), {0}, kind="empirical_mean")
+    def test_empirical_needs_data(self, monkeypatch):
+        with pytest.raises(ValueError, match="cannot answer with no data"):
+            curator_answers(monkeypatch, DirichletParams((1.0, 1.0)), (0, 0), curator="empirical_mean")
 
-    def test_posterior_mean_equals_projected_beta_mean(self):
+    def test_posterior_mean_equals_projected_beta_mean(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(50):
             k = int(rng.integers(2, 7))
             alphas = tuple(np.round(rng.uniform(0.2, 6.0, size=k), 3))
             counts = tuple(int(c) for c in rng.integers(0, 9, size=k))
-            size = int(rng.integers(1, k))
-            subset = frozenset(int(i) for i in rng.choice(k, size=size, replace=False))
-            answer = curator_answer(DirichletParams(alphas), counts, subset)
             posterior = DirichletParams(tuple(a + c for a, c in zip(alphas, counts)))
-            mean, _ = beta_mean_var(project_to_beta(posterior, subset))
-            assert answer == pytest.approx(mean, rel=1e-12)
+            answers = curator_answers(monkeypatch, DirichletParams(alphas), counts, q=5)
+            for subset, answer in answers.items():
+                mean, _ = beta_mean_var(project_to_beta(posterior, subset))
+                assert answer == pytest.approx(mean, rel=1e-12)
 
-    def test_order_invariance(self):
+    def test_order_invariance(self, monkeypatch):
         # n one-sample Dirichlet updates of the posterior mean, in sample order and
         # permuted, land on the answer the curator computes from the counts alone
         rng = np.random.default_rng(8)
@@ -129,7 +163,8 @@ class TestAnswerQuery:
                 mean = mean / total
             return float(mean[subset].sum())
 
-        want = curator_answer(d, np.bincount(samples, minlength=3), set(subset))
+        answers = curator_answers(monkeypatch, d, np.bincount(samples, minlength=3))
+        want = answers[frozenset(subset)]
         for order in (samples, rng.permutation(samples)):
             assert sequential_answer(order) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -153,47 +188,45 @@ class TestProjectToBeta:
             project_to_beta(d, {0, 1, 2})
 
 
+def queries(config, seed=SeedSpec(0)):
+    return [r.query.indices for r in run_game(config, seed).rounds]
+
+
 class TestAnalysts:
     def test_variance_maximizer_symmetric_tie_break(self):
-        a = VarianceMaximizerAnalyst(10, DirichletParams((1.0,) * 10), 100)
-        assert a.next_query().indices == (0, 1, 2, 3, 4)
-        a = VarianceMaximizerAnalyst(5, DirichletParams((1.0,) * 5), 0)
-        assert a.next_query().indices == (0, 1)
+        config = make_config(k=10, prior=DirichletParams((1.0,) * 10), n=100, analyst="variance_maximizer")
+        assert queries(config) == [(0, 1, 2, 3, 4)] * 5
+        config = make_config(k=5, prior=DirichletParams((1.0,) * 5), n=0, analyst="variance_maximizer")
+        assert queries(config) == [(0, 1)] * 5
 
     def test_variance_maximizer_dominant_category(self):
-        a = VarianceMaximizerAnalyst(3, DirichletParams((100.0, 1.0, 1.0)), 0)
-        q = a.next_query()
-        assert 0 < len(q.indices) < 3
+        config = make_config(prior=DirichletParams((100.0, 1.0, 1.0)), n=0, analyst="variance_maximizer")
+        for indices in queries(config):
+            assert 0 < len(indices) < 3
 
     def test_static_random_reproducible_and_proper(self):
-        rng1 = SeedSpec(6).generator()
-        rng2 = SeedSpec(6).generator()
-        a1 = StaticRandomAnalyst(6, 30, rng1)
-        a2 = StaticRandomAnalyst(6, 30, rng2)
-        for _ in range(30):
-            q1, q2 = a1.next_query(), a2.next_query()
-            assert q1.indices == q2.indices
-            assert 0 < len(q1.indices) < 6
+        config = make_config(k=6, prior=DirichletParams((1.0,) * 6), q=30)
+        asked = queries(config, SeedSpec(6))
+        assert asked == queries(config, SeedSpec(6))
+        assert all(0 < len(indices) < 6 for indices in asked)
+        # the subsets are drawn after the instance, from the same generator
+        rng = SeedSpec(6).generator()
+        game._sample_instance(rng, config.prior, config.n)
+        assert asked == [tuple(game._random_proper_subset(rng, 6).tolist()) for _ in range(30)]
 
     def test_correlator_probes_singletons_first(self):
         k = 4
-        analyst = AdaptiveCorrelatorAnalyst(k, DirichletParams((1.0,) * k), 10)
-        for i in range(k):
-            q = analyst.next_query()
-            assert q.indices == (i,)
-            analyst.observe(q, 0.3)
-        composite = analyst.next_query()
-        assert len(composite.indices) == k // 2
+        config = make_config(k=k, prior=DirichletParams((1.0,) * k), q=5, analyst="adaptive_correlator")
+        asked = queries(config)
+        assert asked[:k] == [(i,) for i in range(k)]
+        assert len(asked[k]) == k // 2
 
-    def test_correlator_chases_deviations(self):
-        k = 4
-        analyst = AdaptiveCorrelatorAnalyst(k, DirichletParams((1.0,) * k), 10)
-        answers = {0: 0.05, 1: 0.6, 2: 0.25, 3: 0.10}
-        for i in range(k):
-            q = analyst.next_query()
-            analyst.observe(q, answers[i])
+    def test_correlator_chases_deviations(self, monkeypatch):
+        prior = DirichletParams((1.0,) * 4)
+        transcript = fixed_game(monkeypatch, prior, (0, 11, 4, 1), analyst="adaptive_correlator", q=5)
+        assert [r.answer for r in transcript.rounds[:4]] == pytest.approx([0.05, 0.6, 0.25, 0.10])
         # categories 1 and 2 deviate most above the prior mean 0.25
-        assert analyst.next_query().indices == (1, 2)
+        assert transcript.rounds[4].query.indices == (1, 2)
 
 
 class TestRunGame:
@@ -210,7 +243,7 @@ class TestRunGame:
 
     def test_round_records(self):
         transcript = run_game(make_config(q=4), SeedSpec(1))
-        assert transcript.n_rounds == 4 and len(transcript.rounds) == 4
+        assert len(transcript.rounds) == 4
         for record in transcript.rounds:
             assert record.error == pytest.approx(abs(record.answer - record.truth))
         assert transcript.max_error == max(r.error for r in transcript.rounds)
@@ -239,7 +272,7 @@ class TestRunGame:
     def test_sample_split_plays(self):
         config = make_config(curator="sample_split", n=50, q=5)
         transcript = run_game(config, SeedSpec(2))
-        assert transcript.n_rounds == 5
+        assert len(transcript.rounds) == 5
 
     def test_sample_split_needs_enough_data(self):
         config = make_config(curator="sample_split", n=2, q=5)
@@ -248,22 +281,42 @@ class TestRunGame:
 
     def test_record_rounds_off(self):
         transcript = run_game(make_config(), SeedSpec(5), record_rounds=False)
-        assert transcript.rounds == () and transcript.n_rounds == 5
+        assert transcript.rounds == ()
+        assert transcript.max_error == run_game(make_config(), SeedSpec(5)).max_error
+
+    @pytest.mark.parametrize("analyst,curator", ALL_PAIRS)
+    def test_rounds_recomputed_from_the_instance(self, analyst, curator):
+        # every round's answer and truth, recomputed from the instance alone
+        for k, n, q, master in [(2, 9, 9, 1), (5, 43, 12, 2), (10, 120, 30, 3), (7, 60, 4, 4)]:
+            prior = DirichletParams(SKEWED[:k])
+            config = make_config(k=k, prior=prior, n=n, q=q, analyst=analyst, curator=curator)
+            seed = SeedSpec(master, 17)
+            true_p, counts, samples = game._sample_instance(seed.generator(), prior, n)
+            posterior = DirichletParams(tuple(a + c for a, c in zip(prior.alphas, counts)))
+            transcript = run_game(config, seed)
+            assert len(transcript.rounds) == q
+            for r, record in enumerate(transcript.rounds):
+                subset = list(record.query.indices)
+                if curator == "posterior_mean":
+                    want, _ = beta_mean_var(project_to_beta(posterior, subset))
+                elif curator == "empirical_mean":
+                    want = counts[subset].sum() / n
+                else:
+                    size = n // q
+                    fold = samples[r * size : (r + 1) * size] if r < q - 1 else samples[r * size :]
+                    want = np.isin(fold, subset).sum() / len(fold)
+                assert record.answer == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert record.truth == pytest.approx(true_p[subset].sum(), rel=1e-12, abs=1e-15)
+                assert record.error == abs(record.answer - record.truth)
+            assert transcript.max_error == max(r.error for r in transcript.rounds)
 
 
 def loop_max_errors(config, trials, seed):
     return [run_game(config, seed.derived(t), record_rounds=False).max_error for t in range(trials)]
 
 
-ALL_PAIRS = [(a, c) for a in ANALYST_KINDS for c in CURATOR_KINDS]
-
-
 def _no_draws(*args, **kwargs):
     raise AssertionError("made a generator before rejecting the configuration")
-
-
-# A non-uniform prior on 10 categories; the long-game tests take its first k.
-SKEWED = (0.5, 1.0, 2.0, 1.0, 3.0, 0.7, 1.5, 0.2, 2.5, 1.1)
 
 
 class TestRunGames:
@@ -534,4 +587,4 @@ class TestFailureRate:
                 curator="posterior_mean",
             )
             est = estimate_failure_rate(config, 200, SeedSpec(41))
-            assert est.wilson_low <= 0.05, analyst
+            assert est.wilson_high <= 0.05, analyst
