@@ -401,7 +401,7 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
     """Conjectured tau^2 scales on 30 conjugate-model instances, their subsets
     drawn from substream 777. Instance i fails when its exact ratio to the
     conjectured scale is not finite and positive, or when its Monte Carlo
-    tau^2 (`draws` draws, default 2e5, from `seed.derived(i + 1)`, j_max = 6)
+    tau^2 (`draws` draws, default 2e5, from `seed.derived(i + 1)`)
     differs from the exact one by more than max(tau2 / 2, 10 / sqrt(draws))."""
     count = _count(draws, 200_000)
     rng = seed.generator(777)
@@ -426,7 +426,7 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
         exact = models.evaluate_model(model, prior, subset, m=m)
         mc = models.evaluate_model(
             model, prior, subset, m=m, method="monte_carlo",
-            draws=count, seed=seed.derived(i + 1), j_max=6,
+            draws=count, seed=seed.derived(i + 1),
         )
         instance = {"model": model, "params": json.dumps(exact.params), "subset": exact.subset_desc}
         finite = math.isfinite(exact.ratio) and exact.ratio > 0

@@ -170,8 +170,6 @@ def _scan(
     sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
     lo = lams[max(best - 1, sign_lo)]
     hi = lams[min(best + 1, sign_hi)]
-    if lo > hi:
-        lo, hi = hi, lo
     arg, val = _golden_max(ratio, lo, hi, _REFINE_TOL)
     if values[best] >= val:
         arg, val = float(lams[best]), float(values[best])
@@ -198,8 +196,8 @@ def variance_proxy_sup(
     that range, up to the rounding of ``log_mgf``; it is the supremum over
     all lam only if the caller's cap is certified. Every grid point is read,
     then the refinement's points; the estimate's ``evaluations`` counts
-    both. Laws whose support is known are scanned by `beta_proxy_estimate`
-    and `conjugate_models.evaluate_model` with a certified stop instead.
+    both. Laws whose support is known are scanned with a certified cap and
+    stop instead (`beta_proxy_estimate`, `weighted_proxy_sup`).
 
     A ``log_mgf`` with an array form ``log_mgf.grid`` (the kernels of
     `weighted_log_mgf` and `empirical_log_mgf`) gives the grid's values in
@@ -209,17 +207,18 @@ def variance_proxy_sup(
     return _scan(log_mgf, mean, lambda_cap, (math.inf, math.inf))
 
 
-def _support_cap(reach: tuple[float, float], var: float) -> float:
-    """|lam| past which the ratio of a law with this ``reach`` is below Var.
+def _certified_scan(
+    log_mgf: Callable[[float], float], reach: tuple[float, float], var: float
+) -> VarianceProxyEstimate:
+    """`_scan` of a centered bounded law, to the cap 2 max(reach) / Var.
 
     The ratio is at most 2 max(reach) / |lam| (see `_scan`), so beyond the
-    returned cap it is below Var, its limit at 0: a scan to the cap contains
-    the supremum. Var = 0 (a constant, or an underflowed variance) has no cap
-    and is refused.
+    cap it is below Var, its limit at 0: the scan contains the supremum.
+    Var = 0 (a constant, or an underflowed variance) has no cap and is refused.
     """
     if not var > 0.0:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
-    return 2.0 * max(reach) / var
+    return _scan(log_mgf, 0.0, 2.0 * max(reach) / var, reach)
 
 
 def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
@@ -235,8 +234,7 @@ def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     underflows raises ValueError.
     """
     mean, var = beta_mean_var(p)
-    reach = (1.0 - mean, mean)
-    return _scan(beta_centered_log_mgf(p), 0.0, _support_cap(reach, var), reach)
+    return _certified_scan(beta_centered_log_mgf(p), (1.0 - mean, mean), var)
 
 
 def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
@@ -330,15 +328,27 @@ def tail_bound(sigma2: float, epsilon: float) -> float:
     return math.exp(-epsilon * epsilon / (2.0 * sigma2))
 
 
-def _weighted_law(values: np.ndarray, weights: np.ndarray):
-    """(log_mgf, mean, reach, var) of the law with weight w_i on v_i; see `weighted_log_mgf`.
+def weighted_log_mgf(
+    values: np.ndarray, weights: np.ndarray
+) -> tuple[Callable[[float], float], float, tuple[float, float], float]:
+    """(log_mgf, mean, reach, var) of the law with weight w_i (summing to 1) on v_i.
 
-    The near-zero branch's table sum_i w_i x_i^k / k!, k = 1..21, is built on
-    its first call: `_check_rule_resolves` builds a law of up to 2^18 points
-    to evaluate it once, which may fall past the branch. ``log_mgf.grid`` is
-    that branch on an array of lam (NaN past it); the far branch sums over
-    all N points per lam, so it stays scalar and is reached only by the
-    scan's walk, which stops early.
+    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered;
+    reach = (max x, -min x). For |lam| * range <= 1 it is the series
+    log1p(sum_{k=1}^{21} lam^k e_k), e_k = sum_i w_i x_i^k / k!, by Horner's
+    rule (`distributions._taylor_log_mgf`) on a table built at the branch's
+    first call (`_check_rule_resolves` evaluates a law of up to 2^18 points
+    once, maybe past the branch): its truncation error is at most 1.3e-20 relative, and no term
+    cancels against a leading 1, so the ratio 2 log_mgf/lam^2 stays a lower
+    estimate as lam -> 0. e_1 is the centering's rounding residual, kept so
+    that both branches describe the same points. Past that range the sum is
+    shifted by lam max(x) (lam > 0) or lam min(x) (lam < 0) so no exponential
+    overflows; it sums over all N points per lam, so it stays scalar.
+    ``log_mgf.grid(lams)`` evaluates the series branch on an array of lam in
+    one numpy pass, with values == log_mgf's, and NaN past it. Every weighted
+    sum is an `np.einsum` reduction: unlike `w @ v`, it never calls BLAS,
+    whose threaded dot product rounds differently with the thread count.
+    Constant values (Var = 0) are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     v, w = v[w > 0], w[w > 0]  # the law's support
@@ -346,6 +356,8 @@ def _weighted_law(values: np.ndarray, weights: np.ndarray):
     x = v - mean
     hi, lo = float(x.max()), float(x.min())
     var = float(np.einsum("i,i->", w, x * x))
+    if not var > 0.0:
+        raise ValueError(f"Var = {var!r} leaves no lambda cap")
     near: list[float] = []  # e_21 .. e_1 once built
 
     def taylor_terms() -> list[float]:
@@ -373,44 +385,10 @@ def _weighted_law(values: np.ndarray, weights: np.ndarray):
     return log_mgf, mean, (hi, -lo), var
 
 
-def weighted_log_mgf(
-    values: np.ndarray, weights: np.ndarray
-) -> tuple[Callable[[float], float], float, float]:
-    """(log_mgf, mean, cap) of the law with weight w_i (summing to 1) on v_i.
-
-    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered.
-    For |lam| * range <= 1 it is the series log1p(sum_{k=1}^{21} lam^k e_k),
-    e_k = sum_i w_i x_i^k / k!, by Horner's rule on a table built once
-    (`distributions._taylor_log_mgf`): its truncation error is at most
-    1.3e-20 relative, and no term cancels against a leading 1, so the ratio
-    2 log_mgf/lam^2 stays a lower estimate as lam -> 0. e_1 is the
-    centering's rounding residual, kept so that both branches describe the
-    same points. Past that range the sum is shifted by lam max(x) (lam > 0)
-    or lam min(x) (lam < 0) so no exponential overflows. Since log_mgf(lam) <=
-    |lam| max(x) for lam > 0 (|lam| max(-x) for lam < 0), the ratio is below
-    Var, its limit at 0, beyond cap = 2 max|x| / Var: a scan to the cap
-    contains the supremum. Constant values (Var = 0) have no cap: refused.
-    Every weighted sum is an `np.einsum` reduction: unlike `w @ v`, it never
-    calls BLAS, whose threaded dot product rounds differently with the
-    thread count. ``log_mgf.grid(lams)`` evaluates the series branch on an
-    array of lam in one numpy pass, with values == log_mgf's, and gives NaN
-    where |lam| * range > 1.
-    """
-    log_mgf, mean, reach, var = _weighted_law(values, weights)
-    return log_mgf, mean, _support_cap(reach, var)
-
-
 def weighted_proxy_sup(values: np.ndarray, weights: np.ndarray) -> VarianceProxyEstimate:
-    """tau^2 of the law with weight w_i on v_i: the certified scan of its centered log-MGF.
-
-    The scan runs to `weighted_log_mgf`'s cap at most, and on each sign stops
-    once the support bound 2 (max v - mean) / lam (2 (mean - min v) / |lam|)
-    falls below the best ratio found, so it skips only points that cannot
-    beat that ratio. The refinement stays within the best point's bracket of
-    grid positions, so no point past the stop is evaluated.
-    """
-    log_mgf, _, reach, var = _weighted_law(values, weights)
-    return _scan(log_mgf, 0.0, _support_cap(reach, var), reach)
+    """tau^2 of the law with weight w_i on v_i: `_certified_scan` of its centered log-MGF."""
+    log_mgf, _, reach, var = weighted_log_mgf(values, weights)
+    return _certified_scan(log_mgf, reach, var)
 
 
 def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], float]:
@@ -426,7 +404,7 @@ def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], fl
     n = values.size
     if n < 100:
         raise ValueError("empirical MGF needs at least 100 samples")
-    centered, mean, _ = weighted_log_mgf(values, np.full(n, 1.0 / n))
+    centered, mean, _, _ = weighted_log_mgf(values, np.full(n, 1.0 / n))
 
     def log_mgf(lam: float) -> float:
         return centered(lam) + lam * mean

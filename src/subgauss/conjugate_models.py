@@ -25,7 +25,6 @@ from scipy.special import gammaln, xlog1py, xlogy
 from .concentration import (
     VarianceProxyEstimate,
     empirical_log_mgf,
-    raw_moment_criterion,
     variance_proxy_sup,
     weighted_log_mgf,
     weighted_proxy_sup,
@@ -71,8 +70,6 @@ _RULE_AGREEMENT = 1e-8
 # A query whose values spread by at most this is constant: by Hoeffding's
 # lemma its tau^2 is at most spread^2 / 4 <= 2.5e-25, reported as 0.
 _CONSTANT_SPREAD = 1e-12
-# The raw-moment criterion runs at sigma^2 = c * scale for these c, smallest first.
-_CRITERION_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0)
 
 
 class ExactModeError(ValueError):
@@ -92,7 +89,6 @@ class ConjugateModelReport:
     scale: float
     ratio: float
     method: str  # "exact_moments" | "monte_carlo"
-    smallest_passing_multiplier: float | None
     estimate: VarianceProxyEstimate
 
 
@@ -307,7 +303,7 @@ def _check_rule_resolves(model, prior, subset, m, estimate: VarianceProxyEstimat
         _query_values(model, subset, m, points[i : i + _MAX_RULE_NODES])
         for i in range(0, len(points), _MAX_RULE_NODES)
     ])
-    log_mgf, _, _ = weighted_log_mgf(q, weights)
+    log_mgf = weighted_log_mgf(q, weights)[0]
     lam = estimate.argmax_lambda
     moved = abs(2.0 * log_mgf(lam) / (lam * lam) / estimate.value - 1.0)
     if moved > _RULE_AGREEMENT:
@@ -332,28 +328,23 @@ def evaluate_model(
 
     Q is evaluated at weighted points: exact mode at the prior's Gauss rule
     (`_prior_rule`; Dirichlet priors need k <= 4), Monte Carlo mode at
-    ``draws`` prior draws with equal weights. The criterion moments are an
-    array of the weighted means of Q^j, j = 0..j_max, and tau^2 is the grid
-    supremum of 2 ln E[e^(lam (Q - E Q))] / lam^2: exact mode scans to the
-    certified cap of `weighted_log_mgf`, past which the ratio is below
-    Var(Q), Monte Carlo mode to ln(1e6/sqrt(draws)). Exact mode stops each
-    sign of the scan once Q's range certifies that no larger ratio remains
-    (`weighted_proxy_sup`), and raises ExactModeError when the ratio at the
-    argmax moves by more than 1e-8 relative on a rule with twice the nodes
-    per coordinate: the rule then does not resolve e^(lam Q). A Q whose
-    values spread by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding
-    bounds it by 2.5e-25). The prior must be of the model's family, j_max
-    at least 2, the subset nonempty, and Monte Carlo mode needs at least
-    100 draws. The raw-moment criterion is additionally run at sigma^2 =
-    c*scale for c in 0.25, 0.5, 1 and 2, reporting the smallest passing c
-    (the conjectured scales hide constants). The report's ``method`` names
-    the mode.
+    ``draws`` prior draws with equal weights. tau^2 is the grid supremum of
+    2 ln E[e^(lam (Q - E Q))] / lam^2. Exact mode scans to the certified cap
+    2 max|Q - E Q| / Var(Q), past which the ratio is below Var(Q), and stops
+    each sign of the scan once Q's range certifies that no larger ratio
+    remains (`weighted_proxy_sup`); it raises ExactModeError when the ratio
+    at the argmax moves by more than 1e-8 relative on a rule with twice the
+    nodes per coordinate: the rule then does not resolve e^(lam Q). Monte
+    Carlo mode scans to ln(1e6/sqrt(draws)). A Q whose values spread by at
+    most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds it by 2.5e-25).
+    The prior must be of the model's family, the subset nonempty, and Monte
+    Carlo mode needs at least 100 draws. The report's ``method`` names the
+    mode. ``j_max`` is unused; it is accepted because `perfbench/workloads.py`
+    still passes it.
     """
     _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
         raise ValueError(f"model {model!r} needs a positive trial count m")
-    if j_max < 2:
-        raise ValueError(f"j_max must be at least 2, got {j_max}")
     if method == "monte_carlo" and draws < 100:
         raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
     scale = conjectured_scale(model, prior, m)
@@ -361,10 +352,8 @@ def evaluate_model(
     if method == "exact_moments":
         points, weights = _prior_rule(prior)
         q = _query_values(model, subset, m, points)
-        moments = np.array([1.0] + [np.einsum("i,i->", weights, q**j) for j in range(1, j_max + 1)])
     elif method == "monte_carlo":
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0))
-        moments, _ = mc_moments(q, j_max)
     else:
         raise ValueError(f"unknown method {method!r}")
     if q.max() - q.min() <= _CONSTANT_SPREAD:
@@ -376,13 +365,6 @@ def evaluate_model(
         log_mgf, cap = empirical_log_mgf(q)
         estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap)
 
-    smallest = None
-    if (moments > 0).all():
-        for c in _CRITERION_MULTIPLIERS:
-            if raw_moment_criterion(moments, c * scale).passed:
-                smallest = c
-                break
-
     subset_desc = ",".join(str(s) for s in sorted(subset))
     return ConjugateModelReport(
         model=model,
@@ -392,6 +374,5 @@ def evaluate_model(
         scale=scale,
         ratio=estimate.value / scale,
         method=method,
-        smallest_passing_multiplier=smallest,
         estimate=estimate,
     )

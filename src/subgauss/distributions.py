@@ -9,6 +9,7 @@ master seed so parallel experiments never share RNG state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,10 +124,14 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "stream_id", int(self.stream_id))
+        master = _seed_integer("master_seed", self.master_seed)
+        stream = _seed_integer("stream_id", self.stream_id)
+        if not 0 <= master < 2**64:
+            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master}")
+        if stream < 0:
+            raise ValueError(f"stream_id must be nonnegative, got {stream}")
+        object.__setattr__(self, "master_seed", master)
+        object.__setattr__(self, "stream_id", stream)
 
     def generator(self, substream: int = 0) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -136,6 +141,16 @@ class SeedSpec:
 
     def derived(self, offset: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_id + offset)
+
+
+def _seed_integer(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, 1.5 and True are refused rather than truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,14 @@ def test_verify_dirichlet_default_digests(tmp_path, capsys):
         for kind in ("summary.json", "data.csv")
     ]
     assert digests == ["f3447508", "c36b6c39"]
+
+
+def test_verify_beta_default_digests(tmp_path, capsys):
+    # the bytes of a default run: a change to the certified Beta scan must not move them
+    out = tmp_path / "r"
+    assert cli_dispatch(["verify-beta", "--out", str(out)]) == 0
+    digests = [
+        hashlib.sha256((out / f"verify-beta-{kind}").read_bytes()).hexdigest()[:8]
+        for kind in ("summary.json", "data.csv")
+    ]
+    assert digests == ["3b1852d3", "c6431b3e"]

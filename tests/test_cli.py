@@ -229,6 +229,8 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
             assert len(list(csv.DictReader(fh))) == 60  # 30 instances x 2 methods
         digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
+    # the bytes at 20 000 draws: a change to `evaluate_model` must not move them
+    assert [d[:8] for d in digests[0]] == ["11000a91", "5f087e15"]
 
 
 class TestGameSeed:

@@ -37,9 +37,7 @@ from subgauss import (
 )
 from subgauss.checks import GRID
 from subgauss.concentration import (
-    _scan,
-    _support_cap,
-    _weighted_law,
+    _certified_scan,
     weighted_log_mgf,
     weighted_proxy_sup,
 )
@@ -389,9 +387,12 @@ def weighted_laws(draw):
 class TestWeightedLogMgf:
     def test_bernoulli_law_and_certified_cap(self):
         p = 0.2
-        log_mgf, mean, cap = weighted_log_mgf(np.array([0.0, 1.0]), np.array([1 - p, p]))
+        log_mgf, mean, reach, var = weighted_log_mgf(np.array([0.0, 1.0]), np.array([1 - p, p]))
         assert mean == pytest.approx(p, rel=1e-15)
-        assert cap == pytest.approx(2 * (1 - p) / (p * (1 - p)), rel=1e-14)
+        assert reach == pytest.approx((1 - p, p), rel=1e-15)
+        assert var == pytest.approx(p * (1 - p), rel=1e-14)
+        cap = 2 * (1 - p) / (p * (1 - p))
+        assert f"{cap:g}]" in _certified_scan(log_mgf, reach, var).grid_spec
         for lam in (-40.0, -1.5, 1e-3, 0.7, 40.0):  # both branches
             want = math.log1p(p * math.expm1(lam)) - lam * p
             assert log_mgf(lam) == pytest.approx(want, rel=1e-12)
@@ -406,8 +407,8 @@ class TestWeightedLogMgf:
             "from subgauss.concentration import weighted_log_mgf\n"
             "rng = np.random.default_rng(3)\n"
             "v, w = rng.random(20000), rng.random(20000)\n"
-            "log_mgf, mean, cap = weighted_log_mgf(v, w / w.sum())\n"
-            "print(repr((mean, cap, log_mgf(0.3), log_mgf(-7.0))))\n"
+            "log_mgf, mean, reach, var = weighted_log_mgf(v, w / w.sum())\n"
+            "print(repr((mean, reach, var, log_mgf(0.3), log_mgf(-7.0))))\n"
         )
         src = str(Path(subgauss.__file__).resolve().parents[1])
         outputs = []
@@ -428,7 +429,7 @@ class TestWeightedLogMgf:
     def test_matches_mpmath_on_both_sides_of_the_series_switch(self, law, scale, negative):
         # the near-zero series serves |lam| (max v - min v) <= 1, the shifted sum the rest
         v, w = law
-        log_mgf, mean, _ = weighted_log_mgf(v, w)
+        log_mgf, mean, _, _ = weighted_log_mgf(v, w)
         lam = (-scale if negative else scale) / (v.max() - v.min())
         with mpmath.workdps(50):
             lam_mp, mean_mp = mpmath.mpf(lam), mpmath.mpf(mean)
@@ -458,7 +459,7 @@ class TestSeriesSwitchContinuity:
         rng = np.random.default_rng(n)
         v = np.concatenate([[0.0, 1.0], rng.random(n - 2)]) * rng.uniform(1e-3, 1.0)
         w = rng.random(n) ** 3
-        log_mgf, _, _ = weighted_log_mgf(v, w / w.sum())
+        log_mgf = weighted_log_mgf(v, w / w.sum())[0]
         assert continuity_gap(log_mgf, 1.0 / (v.max() - v.min())) <= 1e-13
 
 
@@ -524,25 +525,22 @@ class TestArrayForm:
         log_mgf = beta_centered_log_mgf(p)
         mean, var = beta_mean_var(p)
         reach = (1.0 - mean, mean)
-        cap = _support_cap(reach, var)
-        grid = scan_grid(cap)
+        grid = scan_grid(2 * max(reach) / var)
         lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
         # NaN only past the Taylor branch, where the raw series may take over
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
-        assert beta_proxy_estimate(p) == _scan(scalar_only(log_mgf), 0.0, cap, reach)
+        assert beta_proxy_estimate(p) == _certified_scan(scalar_only(log_mgf), reach, var)
 
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws())
     def test_weighted(self, law):
         v, w = law
-        log_mgf, _, reach, var = _weighted_law(v, w)
-        cap = _support_cap(reach, var)
+        log_mgf, _, reach, var = weighted_log_mgf(v, w)
         width = sum(reach)
-        lams = np.concatenate([scan_grid(cap), around(1.0 / width)])
+        lams = np.concatenate([scan_grid(2 * max(reach) / var), around(1.0 / width)])
         # the far branch sums over every point, so it stays scalar
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) * width > 1.0).all()
-        plain = _scan(scalar_only(log_mgf), 0.0, cap, reach)
-        assert weighted_proxy_sup(v, w) == plain
+        assert weighted_proxy_sup(v, w) == _certified_scan(scalar_only(log_mgf), reach, var)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_empirical(self, seed):

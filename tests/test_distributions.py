@@ -1,6 +1,7 @@
 """Tests for parameter types, special functions, moments, MGFs, and sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,28 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(2**64)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5,), "master_seed must be an integer, got 1.5"),
+            ((True,), "master_seed must be an integer, got True"),
+            ((np.float64(2.0),), "master_seed must be an integer"),
+            (("3",), "master_seed must be an integer"),
+            ((0, 1.0), "stream_id must be an integer, got 1.0"),
+            ((0, False), "stream_id must be an integer, got False"),
+            ((0, -1), "stream_id must be nonnegative, got -1"),
+        ],
+    )
+    def test_refuses_bad_seeds(self, args, message):
+        # refused when built, not truncated (1.5 -> 1) or left to fail in generator()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SeedSpec(*args)
+
+    def test_numpy_integers_pass(self):
+        spec = SeedSpec(np.int64(7), np.uint8(1))
+        assert spec == SeedSpec(7, 1)
+        assert type(spec.master_seed) is int and type(spec.stream_id) is int
+
     def test_substreams_differ(self):
         spec = SeedSpec(7)
         a = spec.generator(0).random(10)
@@ -280,3 +303,5 @@ class TestSeedSpec:
 
     def test_derived(self):
         assert SeedSpec(7, 1).derived(3) == SeedSpec(7, 4)
+        with pytest.raises(ValueError, match="stream_id must be nonnegative"):
+            SeedSpec(7, 1).derived(-2)
