@@ -45,21 +45,31 @@ class CheckResult:
 
     `failures` holds the failing data rows, or a row naming the failed
     quantity (with a "check" column) where the criterion is not per row.
+    `counts` holds work counts for the run manifest, never for the summary
+    or the rows, so the payload digests do not depend on them.
     """
 
     summary: dict
     rows: list[dict]
     passed: bool
     failures: list[dict]
+    counts: dict
 
 
 def _failed_rows(rows: list[dict]) -> list[dict]:
     return [row for row in rows if not row["passed"]]
 
 
-def _result(summary: dict, rows: list[dict], failures: list[dict]) -> CheckResult:
+def _result(
+    summary: dict, rows: list[dict], failures: list[dict], counts: dict | None = None
+) -> CheckResult:
     passed = not failures
-    return CheckResult({**summary, "all_passed": passed}, rows, passed, failures)
+    return CheckResult({**summary, "all_passed": passed}, rows, passed, failures, counts or {})
+
+
+def _evaluation_counts(evaluations: list[int]) -> dict:
+    """The log-MGF evaluations of a check's tau^2 estimates: total and per-estimate maximum."""
+    return {"log_mgf_evaluations": sum(evaluations), "log_mgf_evaluations_max": max(evaluations)}
 
 
 def _count(trials: int | None, default: int) -> int:
@@ -96,11 +106,12 @@ def verify_beta() -> CheckResult:
     """AC1/AC2 on GRID x GRID: Var - 1e-6 <= tau2_est, `check_beta_bound`
     passes (tau2_est <= 1/(4(a+b)+2) (1 + 1e-6)), and tau2_est <= 1/(4(a+b+1))
     (1 + 1e-3)."""
-    rows = []
+    rows, evaluations = [], []
     for a in GRID:
         for b in GRID:
             p = BetaParams(a, b)
             check = conc.check_beta_bound(p)
+            evaluations.append(check.evaluations)
             _, var = beta_mean_var(p)
             tight = conc.beta_tight_proxy_bound(p)
             ratio = check.tau2_est / tight
@@ -123,7 +134,7 @@ def verify_beta() -> CheckResult:
         "max_tight_ratio": worst["ratio"],
         "argmax_point": [worst["alpha"], worst["beta"]],
     }
-    return _result(summary, rows, _failed_rows(rows))
+    return _result(summary, rows, _failed_rows(rows), _evaluation_counts(evaluations))
 
 
 def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
@@ -420,7 +431,7 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
     for prior in (GammaParams(2.0, 5.0), GammaParams(1.0, 1.0)):
         for subset in _stratified_subsets(rng, 6):
             instances.append(("poisson_gamma", prior, subset, None))
-    rows, failures = [], []
+    rows, failures, evaluations = [], [], []
     max_ratio: dict[str, float] = {}
     for i, (model, prior, subset, m) in enumerate(instances):
         exact = models.evaluate_model(model, prior, subset, m=m)
@@ -436,6 +447,7 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
         _expect(failures, agree, "mc_agrees_with_exact", **instance,
                 exact_tau2=exact.tau2_est, mc_tau2=mc.tau2_est, tolerance=tolerance)
         max_ratio[model] = max(max_ratio.get(model, 0.0), exact.ratio)
+        evaluations += [exact.estimate.evaluations, mc.estimate.evaluations]
         rows += [
             {
                 "model": rep.model,
@@ -449,4 +461,4 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
             for rep in (exact, mc)
         ]
     summary = {"instances": len(instances), "mc_draws": count, "max_ratio_per_model": max_ratio}
-    return _result(summary, rows, failures)
+    return _result(summary, rows, failures, _evaluation_counts(evaluations))

@@ -41,9 +41,9 @@ __all__ = [
     "beta_tight_proxy_bound",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The scan's grid: |lambda| log-spaced from _LAMBDA_MIN to the cap,
-# _POINTS_PER_SIGN points per sign, the best point polished to _REFINE_TOL.
+# _POINTS_PER_SIGN points per sign. Brent's method polishes the best point
+# until it is bracketed to within _REFINE_TOL |lambda| on either side.
 _POINTS_PER_SIGN = 200
 _LAMBDA_MIN = 1e-3
 _REFINE_TOL = 1e-8
@@ -63,9 +63,10 @@ def beta_tight_proxy_bound(p: BetaParams) -> float:
 class VarianceProxyEstimate:
     """Best ratio 2 (ln M(lam) - lam mean) / lam^2 found by a scan: a lower estimate of tau^2.
 
-    ``grid_spec`` names the grid and the |lambda| actually scanned on each
-    sign; ``evaluations`` counts the log-MGF values the scan read (grid
-    points and refinement), 0 for an estimate made without a scan.
+    ``grid_spec`` names the grid, the Brent refinement's relative tolerance
+    and the |lambda| actually scanned on each sign; ``evaluations`` counts
+    the log-MGF values the scan read (grid points and refinement), 0 for an
+    estimate made without a scan.
     """
 
     value: float
@@ -88,26 +89,77 @@ class BetaBoundCheck:
     tau2_est: float
     bound: float
     passed: bool
+    evaluations: int  # log-MGF values the estimate's scan read
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Derivative-free golden-section maximization of fn on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(300):
-        if b - a <= tol:
+def _brent_max(
+    fn: Callable[[float], float], lo: float, hi: float, x: float, fx: float,
+    known: list[tuple[float, float]],
+) -> tuple[float, float]:
+    """Brent's parabolic-plus-golden maximization of fn on [lo, hi], from x.
+
+    ``x`` is the best point known, with fn(x) = ``fx``. ``known`` is empty,
+    or holds two more (point, value) pairs already read, and then the first
+    step is the vertex of the parabola through the three. Every call of fn
+    lies strictly inside (lo, hi). Stops once the bracket around x is within
+    tol1 = _REFINE_TOL |x| either side, or after 100 steps, and returns the
+    best (point, value) read: (x, fx) where none beat it.
+
+    Unlike the textbook method, no step is shorter than sqrt(tol1 |x - w|),
+    w the second-best point. The ratio is flat at its maximum, and a
+    parabola through points far apart misplaces the vertex by up to about
+    1e-5 |x|; a tol1 step from there compares two values closer together
+    than their rounding, and can cut the maximum out of the bracket (a loss
+    of 8.5e-13 relative on the empirical log-MGF of 3901 Beta draws).
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    (w, fw), (v, fv) = sorted(known, key=lambda pair: -pair[1]) if known else [(x, fx)] * 2
+    d = e = b - a  # admits a first parabolic step of up to half the bracket
+    for _ in range(100):
+        xm = 0.5 * (a + b)
+        tol1 = _REFINE_TOL * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+        step = None
+        if abs(e) > tol1:  # try the vertex of the parabola through x, w, v
+            r = (x - w) * (fv - fx)
+            q = (x - v) * (fw - fx)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, step = d, p / q
+                if x + step - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if xm >= x else -tol1
+        if step is None:  # golden section into the larger part
+            e = (a - x) if x >= xm else (b - x)
+            step = golden * e
+        d = step
+        # no shorter step than sqrt(tol1 |x - w|), while tol1 inside the bracket
+        sign = math.copysign(1.0, d)
+        room = (b - x if sign > 0 else x - a) - tol1
+        u = x + sign * max(abs(d), tol1, min(math.sqrt(tol1 * abs(x - w)), room))
+        fu = fn(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _scan(
@@ -116,7 +168,7 @@ def _scan(
     lambda_cap: float,
     reach: tuple[float, float],
 ) -> VarianceProxyEstimate:
-    """Grid-plus-golden supremum of 2 (log_mgf(lam) - lam mean) / lam^2.
+    """Grid-plus-Brent supremum of 2 (log_mgf(lam) - lam mean) / lam^2.
 
     ``reach`` is (max X - mean, mean - min X) of a bounded law, or infinities.
     Since log_mgf(lam) - lam mean <= lam (max X - mean) for lam > 0, the
@@ -129,10 +181,12 @@ def _scan(
     kernels) gives its values at all grid points in one call before the
     walk; the walk reads them, and calls ``log_mgf`` itself where the array
     form gave NaN, so points past the stop are still never evaluated by the
-    scalar form. The golden-section refinement calls ``log_mgf`` inside the
-    best grid point's same-sign bracket, whose ends are grid positions, so it
-    needs no value past the stop either. ``evaluations`` counts the values
-    read, whichever form gave them.
+    scalar form. The refinement (`_brent_max`) starts from the best grid
+    point and the same-sign neighbours the walk read, and calls ``log_mgf``
+    strictly inside their bracket, whose ends are grid positions, so it
+    needs no value past the stop either and never crosses 0. Its result is
+    never below the best grid value. ``evaluations`` counts the values read,
+    whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
@@ -163,20 +217,19 @@ def _scan(
                 values[index] = ratio(points[index], readings[index])
                 best_value = max(best_value, values[index])
                 scanned[side] = m
-    values = np.array(values)
-
-    best = int(np.argmax(values))
+    best = values.index(max(values))
     # Same-sign bracket around the best grid point (never refine across 0).
     sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
-    lo = lams[max(best - 1, sign_lo)]
-    hi = lams[min(best + 1, sign_hi)]
-    arg, val = _golden_max(ratio, lo, hi, _REFINE_TOL)
-    if values[best] >= val:
-        arg, val = float(lams[best]), float(values[best])
+    lo, hi = max(best - 1, sign_lo), min(best + 1, sign_hi)
+    # both neighbours seed the first parabola, unless one is missing or unread (-inf)
+    known = [(points[i], values[i]) for i in (lo, hi)]
+    if not lo < best < hi or -math.inf in (values[lo], values[hi]):
+        known = []
+    arg, val = _brent_max(ratio, points[lo], points[hi], points[best], values[best], known)
 
     spec = (
         f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
-        f"{n} points/sign, golden refine tol {_REFINE_TOL:g}; "
+        f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
     return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=calls[0])
@@ -191,8 +244,8 @@ def variance_proxy_sup(
     keeps large-lam scans representable); a non-finite value raises
     OverflowError. The ratio is evaluated on a signed log-spaced grid
     (|lam| from 1e-3 to ``lambda_cap``, 200 points per sign) and the best
-    grid point is polished by golden-section refinement within its
-    same-sign bracket. The result is a lower estimate of the supremum over
+    grid point is polished by Brent's method within its same-sign bracket,
+    to 1e-8 |lam|. The result is a lower estimate of the supremum over
     that range, up to the rounding of ``log_mgf``; it is the supremum over
     all lam only if the caller's cap is certified. Every grid point is read,
     then the refinement's points; the estimate's ``evaluations`` counts
@@ -241,7 +294,10 @@ def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
     """Check the guaranteed bound tau^2 <= 1/(4(alpha+beta)+2) for Beta(p), to 1e-6 relative."""
     est = beta_proxy_estimate(p)
     bound = beta_proxy_bound(p)
-    return BetaBoundCheck(tau2_est=est.value, bound=bound, passed=est.value <= bound * (1.0 + 1e-6))
+    return BetaBoundCheck(
+        tau2_est=est.value, bound=bound, passed=est.value <= bound * (1.0 + 1e-6),
+        evaluations=est.evaluations,
+    )
 
 
 def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> MomentCriterionReport:

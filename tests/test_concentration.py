@@ -8,10 +8,12 @@ import sys
 import time
 import weakref
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 import pytest
+from closed_form import golden_max
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +89,21 @@ class TestVarianceProxySup:
         est = variance_proxy_sup(log_mgf, 1.0 / 3.0, 20.0)
         assert est.evaluations == len(calls)
         assert est.evaluations > 2 * 200  # the grid, then the bracket and its refinement
+
+    def test_refinement_reads_at_most_half_as_many_points_as_golden_section(self):
+        refined = golden = 0
+        for a in GRID:
+            for b in GRID:
+                p = BetaParams(a, b)
+                mean, var = beta_mean_var(p)
+                reach = (1.0 - mean, mean)
+                ref = refine_reference(
+                    lambda kernel: _certified_scan(kernel, reach, var),
+                    beta_centered_log_mgf(p), 0.0, 2 * max(reach) / var,
+                )
+                refined += beta_proxy_estimate(p).evaluations - ref.grid_reads
+                golden += ref.golden_calls
+        assert 2 * refined <= golden  # 894 against 3311 when written
 
 
 class TestBetaBoundChecks:
@@ -551,6 +568,116 @@ class TestArrayForm:
         mean = float(draws.mean())
         plain = variance_proxy_sup(scalar_only(log_mgf), mean, cap)
         assert variance_proxy_sup(log_mgf, mean, cap) == plain
+
+
+class RefineReference(NamedTuple):
+    grid_reads: int
+    grid_best: float
+    bracket: tuple[float, float]
+    golden_value: float
+    golden_calls: int
+
+
+def refine_reference(scan, log_mgf, mean, cap):
+    """The grid reads of ``scan`` on a scalar-only ``log_mgf``, and `golden_max` on their bracket.
+
+    ``scan`` takes a kernel and scans it to ``cap``, whose grid is `scan_grid`;
+    the ratio is the scan's, 2 (log_mgf(lam) - lam mean) / lam^2. The best grid
+    point (the lowest lambda among ties) and its same-sign neighbours bracket
+    the golden-section search, to the absolute tolerance 1e-8 it used.
+    """
+    reads = {}
+
+    def recorded(lam):
+        reads[lam] = log_mgf(lam)
+        return reads[lam]
+
+    scan(recorded)
+    points = scan_grid(cap).tolist()
+    values = [2.0 * (reads[lam] - lam * mean) / (lam * lam) if lam in reads else -math.inf
+              for lam in points]
+    best, n = values.index(max(values)), len(points) // 2
+    side = range(0, n) if best < n else range(n, 2 * n)
+    lo, hi = points[max(best - 1, side[0])], points[min(best + 1, side[-1])]
+    calls = [0]
+
+    def ratio(lam):
+        calls[0] += 1
+        return 2.0 * (log_mgf(lam) - lam * mean) / (lam * lam)
+
+    golden_value = golden_max(ratio, lo, hi, 1e-8)[1]
+    grid_reads = sum(lam in reads for lam in points)
+    return RefineReference(grid_reads, values[best], (lo, hi), golden_value, calls[0])
+
+
+def assert_refines_like_golden_section(estimate, scan, log_mgf, mean, cap, rel=1e-13):
+    """The estimate is at least the best grid value, within ``rel`` of that point
+    refined by `golden_max`, and its argmax lies in the same bracket."""
+    ref = refine_reference(scan, log_mgf, mean, cap)
+    assert estimate.value >= ref.grid_best
+    assert estimate.value == pytest.approx(max(ref.grid_best, ref.golden_value), rel=rel, abs=0.0)
+    assert ref.bracket[0] <= estimate.argmax_lambda <= ref.bracket[1]
+
+
+def rounding_spread(log_mgf, mean, lam):
+    """Relative range of the scan's ratio over 41 points within 2e-8 |lam| of lam.
+
+    Near an argmax the exact ratio varies far less than that, so the range
+    is the kernel's rounding there.
+    """
+    points = (lam * (1.0 + np.arange(-20, 21) * 1e-9)).tolist()
+    values = [2.0 * (log_mgf(x) - x * mean) / (x * x) for x in points]
+    return (max(values) - min(values)) / max(values)
+
+
+class TestBrentRefinement:
+    """Brent's method from the grid bracket agrees with the golden-section search it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_a=st.floats(math.log(1e-3), math.log(1e6)),
+        log_b=st.floats(math.log(1e-3), math.log(1e6)),
+    )
+    @example(log_a=math.log(1e-3), log_b=math.log(1e6))
+    @example(log_a=math.log(1e6), log_b=math.log(1e6))
+    @example(log_a=math.log(50.0), log_b=math.log(50.0))  # argmax at the grid's inner end
+    def test_beta(self, log_a, log_b):
+        p = BetaParams(math.exp(log_a), math.exp(log_b))
+        mean, var = beta_mean_var(p)
+        reach = (1.0 - mean, mean)
+        assert_refines_like_golden_section(
+            beta_proxy_estimate(p), lambda kernel: _certified_scan(kernel, reach, var),
+            beta_centered_log_mgf(p), 0.0, 2 * max(reach) / var,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(law=weighted_laws())
+    def test_weighted(self, law):
+        v, w = law
+        log_mgf, _, reach, var = weighted_log_mgf(v, w)
+        assert_refines_like_golden_section(
+            weighted_proxy_sup(v, w), lambda kernel: _certified_scan(kernel, reach, var),
+            log_mgf, 0.0, 2 * max(reach) / var,
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        a=st.floats(0.5, 20.0), b=st.floats(0.5, 20.0), n=st.integers(100, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empirical(self, a, b, n, seed):
+        # The far-branch sum over n points, and lam * mean added then taken away again, leave
+        # ratio rounding of up to 2.5e-12 relative; each search keeps its best rounded read,
+        # so the two may differ by the rounding's whole range. Of 3000 such laws, 5 differed by
+        # more than 1e-13; the largest difference was 0.31 of this tolerance.
+        draws = sample(BetaParams(a, b), SeedSpec(seed), n)
+        log_mgf, cap = empirical_log_mgf(draws)
+        mean = float(draws.mean())
+        estimate = variance_proxy_sup(log_mgf, mean, cap)
+        rel = max(1e-13, 2 * rounding_spread(log_mgf, mean, estimate.argmax_lambda))
+        assert_refines_like_golden_section(
+            estimate, lambda kernel: variance_proxy_sup(kernel, mean, cap), log_mgf, mean, cap, rel,
+        )
 
 
 class TestKernelLifetime:
