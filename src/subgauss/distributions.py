@@ -117,15 +117,18 @@ class SeedSpec:
 
     Substreams (``generator(sub)``) and derived specs (``derived(offset)``)
     are statistically independent, so per-trial work can run in parallel
-    without sharing RNG state.
+    without sharing RNG state. ``generator(sub)`` is numpy's
+    ``SeedSequence(master_seed, spawn_key=(stream_id, sub))`` feeding a
+    ``PCG64``; it is the reference for ``_block_generators``, which derives
+    the substream-0 generators of a run of derived specs in one array pass.
     """
 
     master_seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        master = _seed_integer("master_seed", self.master_seed)
-        stream = _seed_integer("stream_id", self.stream_id)
+        master = _check_integer("master_seed", self.master_seed)
+        stream = _check_integer("stream_id", self.stream_id)
         if not 0 <= master < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master}")
         if stream < 0:
@@ -143,7 +146,7 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.stream_id + offset)
 
 
-def _seed_integer(name: str, value) -> int:
+def _check_integer(name: str, value) -> int:
     """``value`` as an int: numpy integers pass, 1.5 and True are refused rather than truncated."""
     if not isinstance(value, bool):
         try:
@@ -151,6 +154,112 @@ def _seed_integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# pool size, the entropy hash (hashmix), the pool mix and the output hash.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+
+
+def _word_count(value: int) -> int:
+    """Number of uint32 words numpy's SeedSequence splits a nonnegative int into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _words(first: int, count: int, width: int) -> list[np.ndarray]:
+    """The ``width`` little-endian uint32 words of first, first + 1, ..., first + count - 1.
+
+    Word j of all ``count`` values is one array; each word adds the carry of
+    the word below, so ``first`` may have any size.
+    """
+    words, carry = [], np.arange(count, dtype=np.uint64)
+    for j in range(width):
+        word = (first >> 32 * j & _MASK32) + carry
+        words.append(word.astype(np.uint32))
+        carry = word >> 32
+    return words
+
+
+def _hashed_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` for many pools at once, as (count, 4).
+
+    ``entropy`` is the assembled entropy, word by word, each word a uint32
+    array broadcasting over the pools. This is numpy's ``mix_entropy`` and
+    ``generate_state`` on arrays: their uint32 arithmetic wraps as numpy's C
+    code does, and the hash constants depend on the call count alone, so
+    every pool sees the same ones. The entropy is longer than the pool.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):  # 4 uint64 words are 8 uint32 words, cycling the pool
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append(value ^ value >> 16)
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _HashedState(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's ``generate_state(4, uint64)`` words, hashed in advance.
+
+    ``PCG64`` asks its seed sequence for exactly those words, then seeds
+    itself from them in C; nothing else reads this object.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _block_generators(seed: SeedSpec, start: int, stop: int):
+    """Yield, for t in [start, stop), a generator with the stream of ``seed.derived(t).generator()``.
+
+    The SeedSequence entropy of trial t is the master's words padded with
+    zeros to the pool size, then the spawn key (stream_id + t, 0) word by
+    word. The master's words are the same for every t, so all trials' pools
+    are hashed together (``_hashed_states``), one group per word count of
+    the stream id (ids from 2**32 on take two words, from 2**64 three, ...).
+    Each ``PCG64`` is then built from its hashed words: no ``SeedSequence``
+    is made.
+    """
+    zero = np.zeros(1, dtype=np.uint32)
+    head = _words(seed.master_seed, 1, _word_count(seed.master_seed))
+    head += [zero] * (_POOL_SIZE - len(head))
+    first, last = seed.stream_id + start, seed.stream_id + stop
+    while first < last:
+        width = _word_count(first)
+        end = min(last, 2 ** (32 * width))
+        for words in _hashed_states(head + _words(first, end - first, width) + [zero]):
+            yield np.random.Generator(np.random.PCG64(_HashedState(words)))
+        first = end
 
 
 # ---------------------------------------------------------------------------

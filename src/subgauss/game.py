@@ -16,11 +16,18 @@ and the curator as branches on the configuration, that can record each round.
 each trial's largest error. Both give bit-identical ``max_error`` for the
 same (config, seed).
 
-The batch path draws a block's instances at once. Each trial's generator
-makes only its raw draws (Gamma variates, uniforms, static-random masks),
-and the normalisation, categorical inversion and counts run as whole-array
-operations that repeat ``draw``'s arithmetic. It then plays the block in one
-of three shapes:
+The batch path draws a block's instances at once. The block's generators
+come from one vectorised pass (``distributions._block_generators``): numpy's
+``SeedSequence`` hash runs on arrays for the block's stream ids, so trial t
+gets the stream of ``seed.derived(t).generator()`` without a
+``SeedSequence`` of its own; numpy's ``SeedSequence`` stays the reference
+the tests compare it with. Each trial's generator makes only its raw draws
+(Gamma variates, uniforms, static-random masks). Under a symmetric prior the
+k Gamma variates are one scalar-shape ``standard_gamma(alpha, size=k)``
+call, the same stream as the array-shape call at a fraction of its cost.
+The normalisation, categorical inversion and counts run as whole-array
+operations that repeat ``draw``'s arithmetic. The block is then played in
+one of three shapes:
 
 - static-random and variance-maximizer analysts: the queries never depend
   on the answers, so every round's answer and truth come from one pass over
@@ -50,7 +57,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import BetaParams, DirichletParams, SeedSpec, draw
+from .distributions import (
+    BetaParams,
+    DirichletParams,
+    SeedSpec,
+    _block_generators,
+    _check_integer,
+    draw,
+)
 
 __all__ = [
     "DegenerateQueryError",
@@ -105,6 +119,8 @@ class GameConfig:
     curator: str = "posterior_mean"
 
     def __post_init__(self) -> None:
+        for name in ("k", "n", "q"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.prior.k != self.k:
             raise ValueError("prior dimension must equal k")
         if self.n < 0 or self.q < 1:
@@ -400,24 +416,27 @@ def _fold_means(hits: np.ndarray, q: int) -> np.ndarray:
     return inside / np.diff(starts, append=n)
 
 
-def _draw_block(config: GameConfig, seeds: Sequence[SeedSpec]):
-    """(true_p, counts, samples, static masks or None) of one game per seed.
+def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
+    """(true_p, counts, samples, static masks or None) of trials start..stop-1.
 
-    Each trial's generator makes only its raw draws, in ``run_game``'s
-    stream order: k standard Gamma variates, n uniforms, then the
-    static-random masks. The Dirichlet normalisation, the categorical
-    inversion and the counts then run once for the block, with the
-    operations ``draw`` applies to one trial.
+    Trial t's generator, from ``_block_generators``, has the stream of
+    ``seed.derived(t).generator()`` and makes only its raw draws, in
+    ``run_game``'s stream order: k standard Gamma variates, n uniforms, then
+    the static-random masks. When every prior alpha is equal the Gamma
+    variates are drawn as ``standard_gamma(alpha, size=k)``, which yields the
+    array-shape call's numbers without its per-call broadcast. The Dirichlet
+    normalisation, the categorical inversion and the counts then run once
+    for the block, with the operations ``draw`` applies to one trial.
     """
     k, q, n = config.k, config.q, config.n
-    trials = len(seeds)
-    alphas = np.asarray(config.prior.alphas)
+    trials = stop - start
+    alphas = config.prior.alphas
+    shape = alphas[0] if len(set(alphas)) == 1 else np.asarray(alphas)
     gammas = np.empty((trials, k))
     uniforms = np.empty((trials, n))
     masks = np.empty((trials, q, k), dtype=bool) if config.analyst == "static_random" else None
-    for t, spec in enumerate(seeds):
-        rng = spec.generator()
-        gammas[t] = rng.standard_gamma(alphas)
+    for t, rng in enumerate(_block_generators(seed, start, stop)):
+        gammas[t] = rng.standard_gamma(shape, size=k)
         if n > 0:
             uniforms[t] = rng.random(n)
         if masks is not None:
@@ -506,9 +525,9 @@ def _play_adaptive(config: GameConfig, true_p, means, samples) -> np.ndarray:
     return max_error
 
 
-def _play_block(config: GameConfig, seeds: Sequence[SeedSpec]) -> np.ndarray:
-    """Largest round error of one game per seed, the games played together."""
-    true_p, counts, samples, masks = _draw_block(config, seeds)
+def _play_block(config: GameConfig, seed: SeedSpec, start: int, stop: int) -> np.ndarray:
+    """Largest round error of trials start..stop-1, the games played together."""
+    true_p, counts, samples, masks = _draw_block(config, seed, start, stop)
     if config.curator == "posterior_mean":
         post = np.asarray(config.prior.alphas) + counts
         means = post / post.sum(axis=1, keepdims=True)
@@ -527,13 +546,17 @@ def _play_block(config: GameConfig, seeds: Sequence[SeedSpec]) -> np.ndarray:
 def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     """Largest round error of each of ``trials`` games, played together in blocks.
 
-    RNG contract: trial t uses ``seed.derived(t).generator()`` alone. Its
-    instance (true parameter, then the n samples) is drawn first, then the
-    analyst's draws (the static-random masks, drawn in blocks whose rows past
-    the q-th accepted one are never used). Entry t therefore equals
-    ``run_game(config, seed.derived(t)).max_error`` exactly. Raises
-    ``ValueError`` before drawing anything when the curator cannot answer
-    from n samples (empirical mean with n = 0, sample split with n < q).
+    RNG contract: trial t draws from the stream of
+    ``seed.derived(t).generator()`` alone. Its instance (true parameter, then
+    the n samples) is drawn first, then the analyst's draws (the
+    static-random masks, drawn in blocks whose rows past the q-th accepted
+    one are never used). Entry t therefore equals ``run_game(config,
+    seed.derived(t)).max_error`` exactly. The generators themselves are
+    derived for a whole block at once by ``distributions._block_generators``,
+    which hashes the block's numpy ``SeedSequence`` pools on arrays, with
+    numpy's own ``SeedSequence`` as its reference. Raises ``ValueError``
+    before drawing anything when the curator cannot answer from n samples
+    (empirical mean with n = 0, sample split with n < q).
 
     A block of up to ``_TRIAL_BLOCK`` trials is played in one of three
     shapes; the module docstring says why each gives ``run_game``'s errors.
@@ -544,7 +567,7 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     max_error = np.empty(trials)
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
-        max_error[start:stop] = _play_block(config, [seed.derived(t) for t in range(start, stop)])
+        max_error[start:stop] = _play_block(config, seed, start, stop)
     return max_error
 
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from closed_form import beta_expect
@@ -22,6 +24,7 @@ from subgauss import (
     sample_chi,
 )
 from subgauss.checks import GRID
+from subgauss.distributions import _block_generators
 from subgauss.game import project_to_beta
 
 
@@ -305,3 +308,41 @@ class TestSeedSpec:
         assert SeedSpec(7, 1).derived(3) == SeedSpec(7, 4)
         with pytest.raises(ValueError, match="stream_id must be nonnegative"):
             SeedSpec(7, 1).derived(-2)
+
+
+def assert_block_matches_numpy(seed, start, stop):
+    """``_block_generators`` yields numpy's ``seed.derived(t).generator()`` for each t."""
+    made = list(_block_generators(seed, start, stop))
+    assert len(made) == stop - start
+    for t, rng in zip(range(start, stop), made):
+        reference = seed.derived(t).generator()
+        assert rng.bit_generator.state == reference.bit_generator.state, t
+        assert rng.standard_gamma(0.5, size=3).tolist() == reference.standard_gamma(0.5, size=3).tolist()
+        assert rng.random(4).tolist() == reference.random(4).tolist()
+
+
+class TestBlockGenerators:
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "stream, start, stop",
+        [
+            (0, 0, 5),  # stream 0 is one word, 0
+            (7, 3, 9),  # a range that does not start at trial 0
+            (2**32 - 3, 0, 6),  # spawn keys grow from one word to two
+            (2**33 - 2, 0, 5),  # the low word carries into the high one
+            (2**64 - 2, 0, 4),  # ... and from two to three
+            (2**70, 0, 3),
+        ],
+    )
+    def test_matches_numpy_seed_sequence(self, master, stream, start, stop):
+        assert_block_matches_numpy(SeedSpec(master, stream), start, stop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        stream=st.one_of(st.integers(0, 2**33), st.integers(2**64 - 4, 2**64 + 4)),
+        start=st.integers(0, 5),
+        count=st.integers(0, 6),
+    )
+    def test_matches_numpy_seed_sequence_anywhere(self, master, stream, start, count):
+        assert_block_matches_numpy(SeedSpec(master, stream), start, start + count)

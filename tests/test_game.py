@@ -63,11 +63,22 @@ class TestGameConfig:
             ({"delta": math.nan}, r"delta must lie in \(0, 1\)"),
             ({"analyst": "oracle"}, "unknown analyst 'oracle'"),
             ({"curator": "oracle"}, "unknown curator 'oracle'"),
+            # refused when built, not truncated or left to fail inside a game
+            ({"n": 2.5}, r"n must be an integer, got 2\.5"),
+            ({"n": np.float64(10.0)}, r"n must be an integer, got (np\.float64\()?10\.0"),
+            ({"q": True}, r"q must be an integer, got True"),
+            ({"q": "5"}, r"q must be an integer, got '5'"),
+            ({"k": 3.0}, r"k must be an integer, got 3\.0"),
         ],
     )
     def test_refuses(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             make_config(**overrides)
+
+    def test_numpy_integers_pass(self):
+        config = make_config(k=np.int64(3), n=np.uint16(10), q=np.int32(5))
+        assert config == make_config()
+        assert all(type(v) is int for v in (config.k, config.n, config.q))
 
 
 class TestQuerySpec:
@@ -319,13 +330,19 @@ def _no_draws(*args, **kwargs):
     raise AssertionError("made a generator before rejecting the configuration")
 
 
+def _forbid_draws(monkeypatch):
+    """Make both ways of deriving a game's generator raise."""
+    monkeypatch.setattr(SeedSpec, "generator", _no_draws)
+    monkeypatch.setattr(game, "_block_generators", _no_draws)
+
+
 class TestRunGames:
     @pytest.mark.parametrize("analyst,curator", ALL_PAIRS)
     def test_equals_run_game_loop(self, analyst, curator):
         # k >= 8, where numpy's pairwise row sums stop being sequential
         config = GameConfig(
             k=10,
-            prior=DirichletParams((0.5, 1.0, 2.0, 1.0, 3.0, 0.7, 1.5, 0.2, 2.5, 1.1)),
+            prior=DirichletParams(SKEWED),
             n=37,
             q=16,
             epsilon=0.1,
@@ -364,6 +381,50 @@ class TestRunGames:
         config = make_config(n=n, q=8, analyst=analyst, curator="sample_split")
         assert run_games(config, 20, SeedSpec(6)).tolist() == loop_max_errors(config, 20, SeedSpec(6))
 
+    @pytest.mark.parametrize("analyst,curator", ALL_PAIRS)
+    def test_block_straddles_two_word_stream_ids(self, monkeypatch, analyst, curator):
+        # streams 2**32 - 3 .. 2**32 + 2: the spawn key grows from one word to
+        # two at the first block's last trial, and the second block is all two-word
+        monkeypatch.setattr("subgauss.game._TRIAL_BLOCK", 4)
+        config = make_config(k=5, prior=DirichletParams(SKEWED[:5]), n=20, q=6,
+                             analyst=analyst, curator=curator)
+        for master in (0, 2**64 - 1):
+            seed = SeedSpec(master, 2**32 - 3)
+            assert run_games(config, 6, seed).tolist() == loop_max_errors(config, 6, seed)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("analyst,curator", ALL_PAIRS)
+    def test_symmetric_prior_gamma_shapes(self, analyst, curator, alpha):
+        # a symmetric prior's Gamma variates are one scalar-shape draw; alpha
+        # picks each of standard_gamma's algorithms (shape < 1, = 1, > 1).
+        # test_equals_run_game_loop covers the asymmetric SKEWED prior's array-shape draw
+        config = make_config(k=10, prior=DirichletParams((alpha,) * 10), n=25, q=12,
+                             analyst=analyst, curator=curator)
+        seed = SeedSpec(22, 3)
+        assert run_games(config, 20, seed).tolist() == loop_max_errors(config, 20, seed)
+
+    def test_no_seed_sequence_per_trial(self, monkeypatch):
+        # the mechanism of the batch path's speed: its generators are derived
+        # without numpy's SeedSequence, which run_game builds once per call
+        made = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        config = GameConfig(
+            k=10, prior=DirichletParams((1.0,) * 10), n=required_n(0.1, 0.05, 1000, 10.0),
+            q=1000, epsilon=0.1, delta=0.05, analyst="adaptive_correlator",
+            curator="posterior_mean",
+        )
+        run_games(config, 2000, SeedSpec(0))
+        assert made == []
+        for t in range(3):
+            run_game(config, SeedSpec(0, t), record_rounds=False)
+        assert len(made) == 3
+
     def test_trial_blocks_join_seamlessly(self, monkeypatch):
         config = make_config(q=4, analyst="adaptive_correlator")
         whole = run_games(config, 25, SeedSpec(8))
@@ -371,7 +432,7 @@ class TestRunGames:
         assert run_games(config, 25, SeedSpec(8)).tolist() == whole.tolist()
 
     def test_sample_split_needs_n_at_least_q(self, monkeypatch):
-        monkeypatch.setattr(SeedSpec, "generator", _no_draws)
+        _forbid_draws(monkeypatch)
         config = make_config(curator="sample_split", n=4, q=5)
         with pytest.raises(ValueError, match=r"need n >= q"):
             run_games(config, 10, SeedSpec(2))
@@ -379,7 +440,7 @@ class TestRunGames:
             run_game(config, SeedSpec(2))
 
     def test_empirical_mean_needs_data(self, monkeypatch):
-        monkeypatch.setattr(SeedSpec, "generator", _no_draws)
+        _forbid_draws(monkeypatch)
         config = make_config(curator="empirical_mean", n=0)
         with pytest.raises(ValueError, match="cannot answer with no data"):
             run_games(config, 10, SeedSpec(2))
@@ -462,9 +523,9 @@ class TestCycleExit:
         def instance(rng, prior, n):
             return true_p, counts, np.empty(0, dtype=int)
 
-        def block(config, seeds):
-            rows = (len(seeds), 1)
-            return np.tile(true_p, rows), np.tile(counts, rows), np.empty((len(seeds), 0), dtype=int), None
+        def block(config, seed, start, stop):
+            rows = (stop - start, 1)
+            return np.tile(true_p, rows), np.tile(counts, rows), np.empty((stop - start, 0), dtype=int), None
 
         monkeypatch.setattr(game, "_sample_instance", instance)
         monkeypatch.setattr(game, "_draw_block", block)
