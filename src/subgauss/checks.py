@@ -25,8 +25,8 @@ from . import concentration as conc
 from . import conjugate_models as models
 from . import martingale as mart
 from .distributions import (
-    BetaParams, DirichletParams, GammaParams, SeedSpec, beta_mean_var, beta_raw_moments,
-    chi_raw_moment, sample, sample_chi,
+    BetaParams, DirichletParams, GammaParams, SeedSpec, _check_integer, beta_mean_var,
+    beta_raw_moments, chi_raw_moment, sample, sample_chi,
 )
 from .game import GameConfig, _random_proper_subset, project_to_beta, run_games, wilson_interval
 
@@ -73,9 +73,10 @@ def _evaluation_counts(evaluations: list[int]) -> dict:
 
 
 def _count(trials: int | None, default: int) -> int:
-    """A check's count: `default` where `trials` is None; below 1 it raises."""
+    """A check's count: `default` where `trials` is None; a non-integer or one below 1 raises."""
     if trials is None:
         return default
+    trials = _check_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return trials

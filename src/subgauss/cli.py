@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from . import _IMPORT_S as _PACKAGE_IMPORT_S
 from . import checks
 from . import game as game_mod
-from .distributions import DirichletParams, SeedSpec
+from .distributions import DirichletParams, SeedSpec, _check_real
 from .reporting import emit_report
 
 # Seconds spent importing: the package's import block plus this module's.
@@ -87,8 +87,9 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
         seed = SeedSpec(args.seed if args.seed is not None else _integer(raw, "seed"))
         prior = DirichletParams(tuple(raw["prior"]["alphas"]))
         q = _integer(raw, "q")
+        epsilon, delta = _check_real("epsilon", raw["epsilon"]), _check_real("delta", raw["delta"])
         if raw["n"] is None:
-            n = game_mod.required_n(raw["epsilon"], raw["delta"], q, prior.total)
+            n = game_mod.required_n(epsilon, delta, q, prior.total)
         else:
             n = _integer(raw, "n")
         config = game_mod.GameConfig(
@@ -96,10 +97,10 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
             prior=prior,
             n=n,
             q=q,
-            epsilon=float(raw["epsilon"]),
-            delta=float(raw["delta"]),
-            analyst=raw.get("analyst", "adaptive_correlator"),
-            curator=raw.get("curator", "posterior_mean"),
+            epsilon=epsilon,
+            delta=delta,
+            analyst=raw["analyst"],
+            curator=raw["curator"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid game configuration: {exc}") from exc

@@ -163,30 +163,22 @@ def _brent_max(
 
 
 def _scan(
-    log_mgf: Callable[[float], float],
-    mean: float,
-    lambda_cap: float,
-    reach: tuple[float, float],
+    log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
 ) -> VarianceProxyEstimate:
-    """Grid-plus-Brent supremum of 2 (log_mgf(lam) - lam mean) / lam^2.
+    """Grid-plus-Brent supremum of 2 log_mgf(lam) / lam^2 for |lam| <= lambda_cap.
 
-    ``reach`` is (max X - mean, mean - min X) of a bounded law, or infinities.
-    Since log_mgf(lam) - lam mean <= lam (max X - mean) for lam > 0, the
-    ratio there is at most 2 (max X - mean) / lam, and at most
-    2 (mean - min X) / |lam| for lam < 0. Each sign's grid is walked outward
-    and stops once that bound falls below the best ratio so far, so the
-    skipped points cannot hold the grid's best; ``lambda_cap`` ends the grid.
+    ``log_mgf`` is centered, lam -> ln E[e^(lam (X - E X))], and ``reach`` is
+    (max X - E X, E X - min X) of a bounded law, or infinities. The ratio is
+    then at most 2 reach[0] / lam for lam > 0 and 2 reach[1] / |lam| for
+    lam < 0, so each sign's grid is walked outward until that bound falls
+    below the best ratio so far: no skipped point holds the grid's best.
 
-    A kernel with an array form ``log_mgf.grid(lams)`` (the bounded-law
-    kernels) gives its values at all grid points in one call before the
-    walk; the walk reads them, and calls ``log_mgf`` itself where the array
-    form gave NaN, so points past the stop are still never evaluated by the
-    scalar form. The refinement (`_brent_max`) starts from the best grid
-    point and the same-sign neighbours the walk read, and calls ``log_mgf``
-    strictly inside their bracket, whose ends are grid positions, so it
-    needs no value past the stop either and never crosses 0. Its result is
-    never below the best grid value. ``evaluations`` counts the values read,
-    whichever form gave them.
+    An array form ``log_mgf.grid(lams)`` gives all grid values in one call;
+    the walk calls ``log_mgf`` only where it gave NaN, so points past the stop
+    are never evaluated. `_brent_max` refines strictly inside the same-sign
+    bracket of the best grid point, whose ends were read, so it needs no value
+    past the stop, never crosses 0 and never returns less than the best grid
+    value. ``evaluations`` counts the values read, whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
@@ -198,7 +190,7 @@ def _scan(
             value = log_mgf(lam)
         if not math.isfinite(value):
             raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
-        return 2.0 * (value - lam * mean) / (lam * lam)
+        return 2.0 * value / (lam * lam)
 
     n = _POINTS_PER_SIGN
     magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
@@ -238,40 +230,38 @@ def _scan(
 def variance_proxy_sup(
     log_mgf: Callable[[float], float], mean: float, lambda_cap: float
 ) -> VarianceProxyEstimate:
-    """Estimate tau^2 as the supremum of 2*(ln M(lam) - lam*mean)/lam^2 for |lam| <= lambda_cap.
+    """Estimate tau^2 as the supremum of 2 (ln M(lam) - lam mean) / lam^2 for |lam| <= lambda_cap.
 
-    ``log_mgf`` takes lam and returns ln E[exp(lam*X)] (working in log space
-    keeps large-lam scans representable); a non-finite value raises
-    OverflowError. The ratio is evaluated on a signed log-spaced grid
-    (|lam| from 1e-3 to ``lambda_cap``, 200 points per sign) and the best
-    grid point is polished by Brent's method within its same-sign bracket,
-    to 1e-8 |lam|. The result is a lower estimate of the supremum over
-    that range, up to the rounding of ``log_mgf``; it is the supremum over
-    all lam only if the caller's cap is certified. Every grid point is read,
-    then the refinement's points; the estimate's ``evaluations`` counts
-    both. Laws whose support is known are scanned with a certified cap and
-    stop instead (`beta_proxy_estimate`, `weighted_proxy_sup`).
-
-    A ``log_mgf`` with an array form ``log_mgf.grid`` (the kernels of
-    `weighted_log_mgf` and `empirical_log_mgf`) gives the grid's values in
-    one call, == those of the scalar calls it saves; a plain callable is
-    called once per grid point, as `_scan` describes.
+    ``log_mgf`` is the uncentered ln E[e^(lam X)], ``mean`` is E X. The kernel
+    and its array form ``log_mgf.grid``, if any, are centered, then scanned by
+    `_scan` with no certified stop: a lower estimate of the supremum, up to
+    the rounding of ``log_mgf`` and of the centering. A non-finite value
+    raises OverflowError. Bounded laws scan their centered kernel instead.
     """
-    return _scan(log_mgf, mean, lambda_cap, (math.inf, math.inf))
+
+    def centered(lam: float) -> float:
+        return log_mgf(lam) - lam * mean
+
+    grid = getattr(log_mgf, "grid", None)
+    if grid is not None:
+        centered.grid = lambda lams: grid(lams) - lams * mean
+    return _scan(centered, lambda_cap, (math.inf, math.inf))
 
 
 def _certified_scan(
-    log_mgf: Callable[[float], float], reach: tuple[float, float], var: float
+    log_mgf: Callable[[float], float], reach: tuple[float, float], var: float,
+    cap: float = math.inf,
 ) -> VarianceProxyEstimate:
-    """`_scan` of a centered bounded law, to the cap 2 max(reach) / Var.
+    """`_scan` of a centered bounded law to min(cap, 2 max(reach) / Var).
 
-    The ratio is at most 2 max(reach) / |lam| (see `_scan`), so beyond the
-    cap it is below Var, its limit at 0: the scan contains the supremum.
-    Var = 0 (a constant, or an underflowed variance) has no cap and is refused.
+    Past 2 max(reach) / Var the ratio is below Var, its limit at 0 (see
+    `_scan`), so the scan holds the supremum over |lam| <= cap, and over all
+    lam at the default cap. Var = 0 (a constant, or an underflowed variance)
+    leaves no cap and is refused.
     """
     if not var > 0.0:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
-    return _scan(log_mgf, 0.0, 2.0 * max(reach) / var, reach)
+    return _scan(log_mgf, min(cap, 2.0 * max(reach) / var), reach)
 
 
 def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
@@ -441,20 +431,27 @@ def weighted_log_mgf(
     return log_mgf, mean, (hi, -lo), var
 
 
-def weighted_proxy_sup(values: np.ndarray, weights: np.ndarray) -> VarianceProxyEstimate:
-    """tau^2 of the law with weight w_i on v_i: `_certified_scan` of its centered log-MGF."""
+def weighted_proxy_sup(
+    values: np.ndarray, weights: np.ndarray, cap: float = math.inf
+) -> VarianceProxyEstimate:
+    """tau^2 of the law with weight w_i on v_i over |lambda| <= cap: `_certified_scan`
+    of its centered log-MGF, the supremum over all lambda at the default cap."""
     log_mgf, _, reach, var = weighted_log_mgf(values, weights)
-    return _certified_scan(log_mgf, reach, var)
+    return _certified_scan(log_mgf, reach, var, cap)
+
+
+def _monte_carlo_window(draws: int) -> float:
+    """|lambda| cap of a Monte Carlo log-MGF: e^|lambda| <= 1e6 / sqrt(draws) bounds its error."""
+    return math.log(1e6 / math.sqrt(draws))
 
 
 def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], float]:
-    """Empirical log-MGF of bounded samples, plus the usable |lambda| cap.
+    """Uncentered empirical log-MGF of at least 100 bounded samples, and `_monte_carlo_window(N)`.
 
-    Returns (log_mgf, cap), where cap bounds |lambda| so that e^|lambda| stays
-    below 1e6/sqrt(N), keeping the Monte Carlo relative error of the MGF
-    controlled. Best effort: intended for exploratory estimates, not for
-    tight assertions. log_mgf keeps the array form ``grid`` of
-    `weighted_log_mgf`'s kernel, shifted by lam times the sample mean.
+    log_mgf(lam) = ln (1/N) sum_i e^(lam x_i) is `weighted_log_mgf`'s centered
+    kernel at weights 1/N plus lam times the sample mean, and so is its array
+    form ``grid``. Best effort, for exploratory estimates: adding the mean
+    back costs up to 2.5e-12 relative in a scan's ratio at small argmaxes.
     """
     values = np.asarray(samples, dtype=float)
     n = values.size
@@ -466,4 +463,4 @@ def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], fl
         return centered(lam) + lam * mean
 
     log_mgf.grid = lambda lams: centered.grid(lams) + lams * mean
-    return log_mgf, math.log(1e6 / math.sqrt(n))
+    return log_mgf, _monte_carlo_window(n)

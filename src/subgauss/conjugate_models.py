@@ -6,8 +6,8 @@ functionals Q: polynomials in p for the discrete-parameter models and
 exponential-polynomial functionals of the rate for Poisson. The variance
 proxies of these projections appear (numerically) to scale like m/(alpha+beta),
 1/alpha, m/sum(alpha), and 1/beta respectively; this module estimates tau^2
-by evaluating Q at weighted points of the prior (a Gauss rule in exact mode,
-prior draws in Monte Carlo mode) and reports ratios against those scales.
+by one `weighted_proxy_sup` scan of Q at weighted points of the prior (a Gauss
+rule, or equally weighted prior draws) and reports ratios against those scales.
 Nothing here proves anything: the scales are implemented literally, with
 constants reported, and results are regression evidence only.
 """
@@ -24,8 +24,9 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from .concentration import (
     VarianceProxyEstimate,
-    empirical_log_mgf,
-    variance_proxy_sup,
+    _monte_carlo_window,
+    empirical_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
+    variance_proxy_sup,  # noqa: F401  rebound by perfbench/tracing.py
     weighted_log_mgf,
     weighted_proxy_sup,
 )
@@ -55,12 +56,10 @@ _PRIOR_FAMILY = {
     "poisson_gamma": GammaParams,
 }
 MODEL_KINDS = tuple(_PRIOR_FAMILY)
-# Prior draws per block in `model_q_draws`, bounding its working memory.
-_SAMPLE_BLOCK = 200_000
 
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
-# Q is evaluated on at most _MAX_RULE_NODES points at a time.
+# `_query_values` evaluates Q on at most _MAX_RULE_NODES points at a time.
 _RULE_NODES = 128
 _MAX_RULE_NODES = 2**15
 # Exact mode refuses a tau^2 whose ratio at the argmax moves by more than
@@ -88,7 +87,7 @@ class ConjugateModelReport:
     tau2_est: float
     scale: float
     ratio: float
-    method: str  # "exact_moments" | "monte_carlo"
+    method: str  # "exact" | "monte_carlo"
     estimate: VarianceProxyEstimate
 
 
@@ -122,6 +121,13 @@ def _check_count_vectors(subset, m: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _query_values(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
+    """Q at parameter points, by `_query_block` calls on at most _MAX_RULE_NODES points each."""
+    starts = range(0, max(len(points), 1), _MAX_RULE_NODES)  # no points: one validating call
+    return np.concatenate([_query_block(model, subset, m, points[i : i + _MAX_RULE_NODES])
+                           for i in starts])
+
+
+def _query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
     """Q at parameter points: p for Beta, rows of p for Dirichlet, rates for Gamma.
 
     Q sums its nonnegative terms, each formed in log space, so no size cap
@@ -245,12 +251,7 @@ def model_q_draws(
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
     _check_prior(model, prior)
-    rng = seed.generator()
-    out = np.empty(draws)
-    for pos in range(0, draws, _SAMPLE_BLOCK):
-        step = min(_SAMPLE_BLOCK, draws - pos)
-        out[pos : pos + step] = _query_values(model, subset, m, draw(prior, rng, step))
-    return out
+    return _query_values(model, subset, m, draw(prior, seed.generator(), draws))
 
 
 def _check_prior(model: str, prior) -> None:
@@ -299,11 +300,7 @@ def _check_rule_resolves(model, prior, subset, m, estimate: VarianceProxyEstimat
     """Raise ExactModeError unless a rule with twice the nodes per coordinate
     agrees with the estimate's ratio at its argmax to _RULE_AGREEMENT."""
     points, weights = _prior_rule(prior, refine=2)
-    q = np.concatenate([
-        _query_values(model, subset, m, points[i : i + _MAX_RULE_NODES])
-        for i in range(0, len(points), _MAX_RULE_NODES)
-    ])
-    log_mgf = weighted_log_mgf(q, weights)[0]
+    log_mgf = weighted_log_mgf(_query_values(model, subset, m, points), weights)[0]
     lam = estimate.argmax_lambda
     moved = abs(2.0 * log_mgf(lam) / (lam * lam) / estimate.value - 1.0)
     if moved > _RULE_AGREEMENT:
@@ -319,28 +316,23 @@ def evaluate_model(
     subset,
     *,
     m: int | None = None,
-    method: str = "exact_moments",
+    method: str = "exact",
     j_max: int = 16,
     draws: int = 10**6,
     seed: SeedSpec | None = None,
 ) -> ConjugateModelReport:
     """Estimate tau^2 of a projected conjugate-model query and compare to its scale.
 
-    Q is evaluated at weighted points: exact mode at the prior's Gauss rule
-    (`_prior_rule`; Dirichlet priors need k <= 4), Monte Carlo mode at
-    ``draws`` prior draws with equal weights. tau^2 is the grid supremum of
-    2 ln E[e^(lam (Q - E Q))] / lam^2. Exact mode scans to the certified cap
-    2 max|Q - E Q| / Var(Q), past which the ratio is below Var(Q), and stops
-    each sign of the scan once Q's range certifies that no larger ratio
-    remains (`weighted_proxy_sup`); it raises ExactModeError when the ratio
-    at the argmax moves by more than 1e-8 relative on a rule with twice the
-    nodes per coordinate: the rule then does not resolve e^(lam Q). Monte
-    Carlo mode scans to ln(1e6/sqrt(draws)). A Q whose values spread by at
-    most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds it by 2.5e-25).
-    The prior must be of the model's family, the subset nonempty, and Monte
-    Carlo mode needs at least 100 draws. The report's ``method`` names the
-    mode. ``j_max`` is unused; it is accepted because `perfbench/workloads.py`
-    still passes it.
+    Both modes evaluate Q at weighted points and make one `weighted_proxy_sup`
+    scan of 2 ln E[e^(lam (Q - E Q))] / lam^2 to min(cap, 2 max|Q - E Q| / Var Q).
+    Exact mode (the default) takes the prior's Gauss rule (`_prior_rule`;
+    Dirichlet priors need k <= 4) and no cap; it raises ExactModeError when a
+    rule with twice the nodes per coordinate moves the ratio at the argmax by
+    more than 1e-8 relative. Monte Carlo mode takes ``draws`` >= 100 prior
+    draws from ``seed``, weights 1/draws and the cap ln(1e6/sqrt(draws)). A Q
+    spreading by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds
+    it by 2.5e-25). The prior must be of the model's family and the subset
+    nonempty. ``j_max`` is unused; `perfbench/workloads.py` still passes it.
     """
     _check_prior(model, prior)
     if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
@@ -349,21 +341,20 @@ def evaluate_model(
         raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
     scale = conjectured_scale(model, prior, m)
 
-    if method == "exact_moments":
+    if method == "exact":
         points, weights = _prior_rule(prior)
-        q = _query_values(model, subset, m, points)
+        q, cap = _query_values(model, subset, m, points), math.inf
     elif method == "monte_carlo":
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed or SeedSpec(0))
+        weights, cap = np.full(draws, 1.0 / draws), _monte_carlo_window(draws)
     else:
         raise ValueError(f"unknown method {method!r}")
     if q.max() - q.min() <= _CONSTANT_SPREAD:
         estimate = VarianceProxyEstimate(0.0, 0.0, "constant query: no lambda scan", 0)
-    elif method == "exact_moments":
-        estimate = weighted_proxy_sup(q, weights)
-        _check_rule_resolves(model, prior, subset, m, estimate)
     else:
-        log_mgf, cap = empirical_log_mgf(q)
-        estimate = variance_proxy_sup(log_mgf, float(q.mean()), cap)
+        estimate = weighted_proxy_sup(q, weights, cap)
+        if method == "exact":
+            _check_rule_resolves(model, prior, subset, m, estimate)
 
     subset_desc = ",".join(str(s) for s in sorted(subset))
     return ConjugateModelReport(

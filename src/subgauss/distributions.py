@@ -9,6 +9,7 @@ master seed so parallel experiments never share RNG state.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,8 +45,15 @@ _MAX_TERMS = 2**18
 _TAYLOR_ORDER = 21
 
 
-def _check_positive_finite(name: str, value: float) -> float:
-    value = float(value)
+def _check_real(name: str, value) -> float:
+    """``value`` as a float: numpy reals pass, True and "3" are refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_positive_finite(name: str, value) -> float:
+    value = _check_real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -77,11 +85,9 @@ class DirichletParams:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(_check_positive_finite("every alpha", a) for a in self.alphas)
         if len(alphas) < 2:
             raise ValueError("a Dirichlet needs at least 2 categories")
-        for a in alphas:
-            _check_positive_finite("every alpha", a)
         object.__setattr__(self, "alphas", alphas)
 
     @property

@@ -63,6 +63,7 @@ from .distributions import (
     SeedSpec,
     _block_generators,
     _check_integer,
+    _check_real,
     draw,
 )
 
@@ -121,6 +122,8 @@ class GameConfig:
     def __post_init__(self) -> None:
         for name in ("k", "n", "q"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.prior.k != self.k:
             raise ValueError("prior dimension must equal k")
         if self.n < 0 or self.q < 1:

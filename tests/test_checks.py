@@ -21,15 +21,20 @@ GAME = GameConfig(k=10, prior=DirichletParams((1.0,) * 10), n=520, q=1000, epsil
                   delta=0.05, analyst="adaptive_correlator")
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, True, 2.5])
 @pytest.mark.parametrize(
     "check",
     [checks.verify_dirichlet, checks.verify_chi, checks.martingale, checks.conjectures,
      pytest.param(functools.partial(checks.game, GAME), id="game")],
 )
 def test_count_below_one_is_refused(check, trials):
-    # neither the default nor an empty run: either would pass vacuously
-    with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}$"):
+    # neither the default nor an empty run: either would pass vacuously; nor is a
+    # bool or a fraction a count
+    if type(trials) is int:
+        message = rf"trials must be at least 1, got {trials}$"
+    else:
+        message = rf"trials must be an integer, got {trials}$"
+    with pytest.raises(ValueError, match=message):
         check(SeedSpec(0), trials)
 
 
@@ -92,29 +97,29 @@ def test_ks_statistic_equals_scipy_kstest_on_projected_dirichlet_draws(i):
     assert _ks_statistic(draws, a, b) == stats.kstest(draws, stats.beta(a, b).cdf).statistic
 
 
-def test_verify_dirichlet_default_digests(tmp_path, capsys):
-    # the summary and data files written while the statistic came from scipy.stats.kstest
-    out = tmp_path / "r"
-    assert cli_dispatch(["verify-dirichlet", "--out", str(out)]) == 0
-    digests = [
-        hashlib.sha256((out / f"verify-dirichlet-{kind}").read_bytes()).hexdigest()[:8]
-        for kind in ("summary.json", "data.csv")
-    ]
-    assert digests == ["f3447508", "c36b6c39"]
+# (summary, data) digests of each default run; conjectures is pinned at 20 000 draws in test_cli.py
+DEFAULT_DIGESTS = {
+    "verify-beta": ("eb58bc92", "b5e296b4"),  # since the scan was refined by Brent's method
+    "verify-dirichlet": ("f3447508", "c36b6c39"),  # as when the KS statistic came from scipy
+    "verify-chi": ("c04685b7", "38691e33"),
+    "lemma-checks": ("e993d5e9", "d702e6e4"),
+    "martingale": ("968ee110", "84967c36"),
+    "game": ("b0ee1262", "54071471"),
+}
 
 
-def test_verify_beta_default_digests(tmp_path, capsys):
-    # the bytes of a default run, with the scan refined by Brent's method
+@pytest.mark.parametrize("command", list(DEFAULT_DIGESTS))
+def test_default_digests(command, tmp_path, capsys):
     out = tmp_path / "r"
-    assert cli_dispatch(["verify-beta", "--out", str(out)]) == 0
-    digests = [
-        hashlib.sha256((out / f"verify-beta-{kind}").read_bytes()).hexdigest()[:8]
+    assert cli_dispatch([command, "--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f"{command}-{kind}").read_bytes()).hexdigest()[:8]
         for kind in ("summary.json", "data.csv")
-    ]
-    assert digests == ["eb58bc92", "b5e296b4"]
-    # the log-MGF evaluations go into the manifest only
-    evaluations = [check_beta_bound(BetaParams(a, b)).evaluations
-                   for a in checks.GRID for b in checks.GRID]
-    counts = json.loads((out / "manifest.json").read_text())["counts"]
-    assert counts == {"log_mgf_evaluations": sum(evaluations),
-                      "log_mgf_evaluations_max": max(evaluations)}
+    )
+    assert digests == DEFAULT_DIGESTS[command]
+    if command == "verify-beta":  # its log-MGF evaluations go into the manifest only
+        evaluations = [check_beta_bound(BetaParams(a, b)).evaluations
+                       for a in checks.GRID for b in checks.GRID]
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts == {"log_mgf_evaluations": sum(evaluations),
+                          "log_mgf_evaluations_max": max(evaluations)}

@@ -102,6 +102,21 @@ class TestExitCodes:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"epsilon": True}, {"delta": "0.05"}, {"prior": {"alphas": [True, "2", 1, 1]}}],
+    )
+    def test_config_reals_are_not_converted(self, entry, tmp_path, capsys):
+        # epsilon = true once played with epsilon = 1.0 and exited 1
+        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "q": 10, "epsilon": 0.3,
+                  "delta": 0.1, "trials": 20, **entry}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert "must be a real number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_trials_must_be_positive(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"trials": 0}))
@@ -229,8 +244,8 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
             assert len(list(csv.DictReader(fh))) == 60  # 30 instances x 2 methods
         digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
-    # the bytes at 20 000 draws, with the scan refined by Brent's method
-    assert [d[:8] for d in digests[0]] == ["7dd3dcbb", "d886132e"]
+    # the bytes at 20 000 draws, with both modes scanning the centered weighted kernel
+    assert [d[:8] for d in digests[0]] == ["7dd3dcbb", "7e4987ce"]
     counts = read_json(tmp_path / "a" / "manifest.json")["counts"]  # over the 60 estimates
     assert set(counts) == {"log_mgf_evaluations", "log_mgf_evaluations_max"}
     assert 2 * 200 < counts["log_mgf_evaluations_max"] < counts["log_mgf_evaluations"]

@@ -40,10 +40,11 @@ from subgauss import (
 from subgauss.checks import GRID
 from subgauss.concentration import (
     _certified_scan,
+    _monte_carlo_window,
     weighted_log_mgf,
     weighted_proxy_sup,
 )
-from subgauss.conjugate_models import _prior_rule
+from subgauss.conjugate_models import _prior_rule, evaluate_model, model_q_draws
 from subgauss.distributions import beta_centered_log_mgf
 
 
@@ -677,6 +678,33 @@ class TestBrentRefinement:
         rel = max(1e-13, 2 * rounding_spread(log_mgf, mean, estimate.argmax_lambda))
         assert_refines_like_golden_section(
             estimate, lambda kernel: variance_proxy_sup(kernel, mean, cap), log_mgf, mean, cap, rel,
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        a=st.floats(0.5, 20.0), b=st.floats(0.5, 20.0), n=st.integers(100, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # argmax -0.034: the uncentered Monte Carlo kernel put this law 1.7e-13 from golden_max
+    @example(a=17.6, b=18.5, n=4597, seed=25)
+    def test_monte_carlo(self, a, b, n, seed):
+        # Monte Carlo mode on Q = p scans the centered kernel of its draws. On the series
+        # branch (|lambda| * range <= 1) that kernel rounds to below 4e-16 relative, so the
+        # two searches agree to 1e-13. Past it, the sum over n points rounds by up to about
+        # 3e-13 in the ratio, and each search keeps its best rounded read: there they may
+        # differ by the rounding's range (of 1000 laws, 1 differed by more than 1e-13).
+        prior = BetaParams(a, b)
+        estimate = evaluate_model("beta_binomial", prior, {1}, m=1, method="monte_carlo",
+                                  draws=n, seed=SeedSpec(seed)).estimate
+        q = model_q_draws("beta_binomial", prior, {1}, m=1, draws=n, seed=SeedSpec(seed))
+        log_mgf, _, reach, var = weighted_log_mgf(q, np.full(n, 1.0 / n))
+        window = _monte_carlo_window(n)
+        rel = 1e-13
+        if abs(estimate.argmax_lambda) * sum(reach) > 1.0:
+            rel = max(rel, 2 * rounding_spread(log_mgf, 0.0, estimate.argmax_lambda))
+        assert_refines_like_golden_section(
+            estimate, lambda kernel: _certified_scan(kernel, reach, var, window),
+            log_mgf, 0.0, min(window, 2 * max(reach) / var), rel,
         )
 
 

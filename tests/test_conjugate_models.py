@@ -30,6 +30,7 @@ from subgauss import (
     mc_moments,
     model_q_draws,
 )
+from subgauss.concentration import weighted_proxy_sup
 from subgauss.conjugate_models import _prior_rule, _query_values
 
 
@@ -294,7 +295,7 @@ class TestEvaluateModel:
         ):
             assert var * (1 - 1e-6) <= report.tau2_est <= var * (1 + 1e-12)
 
-    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
     def test_constant_query_has_zero_proxy(self, method):
         every_composition = {(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
         for model, prior, subset, m in [
@@ -357,21 +358,45 @@ class TestEvaluateModel:
         assert report.tau2_est == pytest.approx(beta_proxy_estimate(prior).value, rel=1e-8)
 
     def test_query_blocks_stay_bounded(self, monkeypatch):
-        # the refinement check's k = 4 rule has 64^3 points: Q is evaluated in
-        # blocks no larger than the base rule's cap
+        # the refinement check's k = 4 rule has 64^3 points, and Monte Carlo mode
+        # draws all its points at once: Q is evaluated in blocks no larger than
+        # the base rule's cap
         from subgauss import conjugate_models
 
-        rows, query = [], conjugate_models._query_values
+        rows, query = [], conjugate_models._query_block
 
         def counted(model, subset, m, points):
             rows.append(len(points))
             return query(model, subset, m, points)
 
-        monkeypatch.setattr(conjugate_models, "_query_values", counted)
+        monkeypatch.setattr(conjugate_models, "_query_block", counted)
         subset = {(1, 1, 0, 0), (0, 0, 2, 0)}
         evaluate_model("multinomial", DirichletParams((2.0, 1.0, 3.0, 2.0)), subset, m=2)
         assert sum(rows) == 32**3 + 64**3
         assert max(rows) <= conjugate_models._MAX_RULE_NODES
+
+        rows.clear()
+        model_q_draws("geometric", BetaParams(2.0, 1.0), {0, 3}, draws=100_000, seed=SeedSpec(2))
+        assert sum(rows) == 100_000
+        assert max(rows) <= conjugate_models._MAX_RULE_NODES
+
+    @pytest.mark.parametrize(
+        "model, prior, subset, m",
+        [
+            ("beta_binomial", BetaParams(0.5, 1.5), {5}, 5),
+            ("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}, None),
+            ("multinomial", DirichletParams((2.0, 1.0, 0.5)), {(2, 0, 0)}, 2),
+            ("poisson_gamma", GammaParams(2.0, 5.0), {0, 1, 2, 4}, None),
+        ],
+    )
+    def test_monte_carlo_is_the_weighted_scan_of_its_draws(self, model, prior, subset, m):
+        # both modes make one weighted_proxy_sup call: Monte Carlo weights its draws
+        # 1/N and caps lambda at ln(1e6 / sqrt(N))
+        draws, seed = 20_000, SeedSpec(3)
+        report = evaluate_model(model, prior, subset, m=m, method="monte_carlo", draws=draws, seed=seed)
+        q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=seed)
+        window = math.log(1e6 / math.sqrt(draws))
+        assert report.estimate == weighted_proxy_sup(q, np.full(draws, 1.0 / draws), window)
 
     @pytest.mark.parametrize(
         "model, prior, subset, m, tau2",
@@ -420,7 +445,7 @@ class TestEvaluateModel:
             ("geometric", DirichletParams((1.0, 1.0)), {0}, None, "BetaParams prior"),
         ],
     )
-    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
     def test_prior_family_is_checked(self, model, prior, subset, m, message, method):
         with pytest.raises(ValueError, match=message):
             evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
@@ -439,7 +464,7 @@ class TestEvaluateModel:
             ("poisson_gamma", GammaParams(1, 1), None),
         ],
     )
-    @pytest.mark.parametrize("method", ["exact_moments", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
     def test_empty_subset_is_refused(self, model, prior, m, method):
         with pytest.raises(ValueError, match="subset must be a nonempty"):
             evaluate_model(model, prior, set(), m=m, method=method, draws=1000)

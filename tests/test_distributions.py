@@ -30,7 +30,9 @@ from subgauss.game import project_to_beta
 
 class TestParams:
     def test_beta_validation(self):
-        for bad in [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]:
+        # a bool or a numeric string is refused, not converted
+        for bad in [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf), (True, 3.0),
+                    (1.0, "3")]:
             with pytest.raises(ValueError):
                 BetaParams(*bad)
 
@@ -39,10 +41,21 @@ class TestParams:
             DirichletParams((1.0,))
         with pytest.raises(ValueError):
             DirichletParams((1.0, 0.0))
+        with pytest.raises(ValueError, match="every alpha must be a real number, got True"):
+            DirichletParams((True, 1.0))
+        with pytest.raises(ValueError, match="every alpha must be a real number, got '2'"):
+            DirichletParams((1.0, "2"))
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             GammaParams(1.0, 0.0)
+        with pytest.raises(ValueError, match="alpha must be a real number, got True"):
+            GammaParams(True, 1.0)
+
+    def test_numpy_reals_pass(self):
+        p = BetaParams(np.float64(2.0), np.int64(3))
+        assert p == BetaParams(2.0, 3.0) and type(p.alpha) is float and type(p.beta) is float
+        assert DirichletParams(np.array([1.0, 2.0])) == DirichletParams((1.0, 2.0))
 
     def test_json_round_trip(self):
         p = BetaParams(1.5, 2.5)

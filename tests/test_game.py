@@ -69,6 +69,8 @@ class TestGameConfig:
             ({"q": True}, r"q must be an integer, got True"),
             ({"q": "5"}, r"q must be an integer, got '5'"),
             ({"k": 3.0}, r"k must be an integer, got 3\.0"),
+            ({"epsilon": True}, r"epsilon must be a real number, got True"),
+            ({"delta": "0.05"}, r"delta must be a real number, got '0\.05'"),
         ],
     )
     def test_refuses(self, overrides, message):
