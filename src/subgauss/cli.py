@@ -3,7 +3,8 @@
 Subcommands: verify-beta, verify-dirichlet, verify-chi, lemma-checks,
 martingale, game, conjectures. Each runs one criterion of `subgauss.checks`,
 the same functions the acceptance tests call; `game` first loads its JSON
-configuration over `_DEFAULT_GAME`. Every run is deterministic given (config,
+configuration over `_DEFAULT_GAME` and refuses any key but its own, "trials"
+and the prior's "alphas". Every run is deterministic given (config,
 --seed); `game` takes its seed from --seed, else the config's "seed", else 0,
 and every other subcommand that draws random numbers from --seed, else 0.
 `game` plays --trials games, else the config's "trials", else the default of
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 from . import _IMPORT_S as _PACKAGE_IMPORT_S
 from . import checks
 from . import game as game_mod
-from .distributions import DirichletParams, SeedSpec, _check_real
+from .distributions import DirichletParams, SeedSpec, _check_integer
 from .reporting import emit_report
 
 # Seconds spent importing: the package's import block plus this module's.
@@ -60,14 +61,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _integer(raw: dict, key: str) -> int:
-    """The config's integer ``key``; 2.5, "3" or true are refused, not truncated."""
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
     raw = dict(_DEFAULT_GAME)
     if args.config is not None:
@@ -77,32 +70,23 @@ def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config!r} must hold a JSON object, not {loaded!r}")
+        unknown = sorted(set(loaded) - set(_DEFAULT_GAME) - {"trials"})
+        if isinstance(loaded.get("prior"), dict):
+            unknown += [f"prior.{key}" for key in sorted(set(loaded["prior"]) - {"alphas"})]
+        if unknown:
+            raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
         raw.update(loaded)
     try:
         trials = args.trials
-        if trials is None and "trials" in raw:
-            trials = _integer(raw, "trials")
-            if trials < 1:
-                raise ValueError(f"trials must be a positive integer, got {trials}")
-        seed = SeedSpec(args.seed if args.seed is not None else _integer(raw, "seed"))
+        if trials is None and "trials" in raw:  # checked as `checks.game` checks it
+            trials = checks._count(raw["trials"], None)
+        seed = SeedSpec(_check_integer("seed", raw["seed"]) if args.seed is None else args.seed)
         prior = DirichletParams(tuple(raw["prior"]["alphas"]))
-        q = _integer(raw, "q")
-        epsilon, delta = _check_real("epsilon", raw["epsilon"]), _check_real("delta", raw["delta"])
-        if raw["n"] is None:
-            n = game_mod.required_n(epsilon, delta, q, prior.total)
-        else:
-            n = _integer(raw, "n")
-        config = game_mod.GameConfig(
-            k=_integer(raw, "k"),
-            prior=prior,
-            n=n,
-            q=q,
-            epsilon=epsilon,
-            delta=delta,
-            analyst=raw["analyst"],
-            curator=raw["curator"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        settings = {key: raw[key] for key in _DEFAULT_GAME if key not in ("prior", "seed")}
+        if settings["n"] is None:  # GameConfig and required_n check the types
+            settings["n"] = game_mod.required_n(raw["epsilon"], raw["delta"], raw["q"], prior.total)
+        config = game_mod.GameConfig(prior=prior, **settings)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid game configuration: {exc}") from exc
     return config, trials, seed
 

@@ -35,13 +35,13 @@ from .distributions import (
     DirichletParams,
     GammaParams,
     SeedSpec,
+    _check_integer,
     draw,
 )
 
 __all__ = [
     "ExactModeError",
     "ConjugateModelReport",
-    "MODEL_KINDS",
     "model_q_draws",
     "mc_moments",
     "conjectured_scale",
@@ -55,7 +55,6 @@ _PRIOR_FAMILY = {
     "multinomial": DirichletParams,
     "poisson_gamma": GammaParams,
 }
-MODEL_KINDS = tuple(_PRIOR_FAMILY)
 
 # Gauss rule size: nodes per coordinate (64 missed a default `conjectures`
 # instance by 2.2e-6 relative), and in all, so Dir(k=3) gets 128^2, k=4 32^3.
@@ -97,14 +96,14 @@ class ConjugateModelReport:
 
 
 def _outcome_counts(subset: Iterable[int]) -> list[int]:
-    counts = sorted(set(int(c) for c in subset))
+    counts = sorted(set(_check_integer("outcome", c) for c in subset))
     if not counts or counts[0] < 0:
         raise ValueError("subset must be a nonempty set of nonnegative integers")
     return counts
 
 
 def _check_count_vectors(subset, m: int, k: int) -> list[tuple[int, ...]]:
-    vectors = sorted(set(tuple(int(v) for v in x) for x in subset))
+    vectors = sorted(set(tuple(_check_integer("count", v) for v in x) for x in subset))
     if not vectors:
         raise ValueError("subset must be a nonempty set of count vectors")
     for x in vectors:
@@ -250,12 +249,13 @@ def model_q_draws(
     seed: SeedSpec,
 ) -> np.ndarray:
     """Monte Carlo draws of the query functional Q under the parameter prior."""
-    _check_prior(model, prior)
+    m = _check_model(model, prior, m)
     return _query_values(model, subset, m, draw(prior, seed.generator(), draws))
 
 
-def _check_prior(model: str, prior) -> None:
-    """Refuse an unknown model or a prior outside the model's family."""
+def _check_model(model: str, prior, m) -> int | None:
+    """``m`` once the model, the prior's family and m (an int >= 1 for the
+    binomial and multinomial queries, None for the others) are checked."""
     family = _PRIOR_FAMILY.get(model)
     if family is None:
         raise ValueError(f"unknown model {model!r}")
@@ -263,6 +263,14 @@ def _check_prior(model: str, prior) -> None:
         raise ValueError(
             f"model {model!r} needs a {family.__name__} prior, got {type(prior).__name__}"
         )
+    if model in ("geometric", "poisson_gamma"):
+        if m is not None:
+            raise ValueError(f"model {model!r} takes no trial count m, got {m!r}")
+        return None
+    m = 0 if m is None else _check_integer("m", m)
+    if m < 1:
+        raise ValueError(f"model {model!r} needs a positive trial count m")
+    return m
 
 
 def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,11 +340,11 @@ def evaluate_model(
     draws from ``seed``, weights 1/draws and the cap ln(1e6/sqrt(draws)). A Q
     spreading by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds
     it by 2.5e-25). The prior must be of the model's family and the subset
-    nonempty. ``j_max`` is unused; `perfbench/workloads.py` still passes it.
+    a nonempty set of integer outcomes (count vectors for the multinomial).
+    ``m`` is an integer >= 1 for the binomial and multinomial models and None
+    for the others. ``j_max`` is unused; `perfbench/workloads.py` still passes it.
     """
-    _check_prior(model, prior)
-    if model in ("beta_binomial", "multinomial") and (m is None or m < 1):
-        raise ValueError(f"model {model!r} needs a positive trial count m")
+    m = _check_model(model, prior, m)
     if method == "monte_carlo" and draws < 100:
         raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
     scale = conjectured_scale(model, prior, m)

@@ -52,6 +52,7 @@ one of three shapes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -579,32 +580,32 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
 
     The left side is the per-query subgaussian tail at variance proxy
     1/(4(A+n)+2); a union bound over q queries then gives total failure
-    probability delta. Found by monotone search, avoiding closed-form
-    off-by-one.
+    probability delta. n = ceil((ln(2q/delta)/eps^2 - 1)/2 - A), clamped at
+    0, then stepped past rounding to the smallest n the float test accepts.
+    OverflowError past n = 2^40; ValueError for a delta/q below the normal
+    floats, where the test's exp underflows and can accept too small an n.
     """
+    epsilon, delta = _check_real("epsilon", epsilon), _check_real("delta", delta)
+    prior_mass, q = _check_real("prior_mass", prior_mass), _check_integer("q", q)
     if epsilon <= 0 or delta <= 0 or delta >= 1 or q < 1 or prior_mass <= 0:
         raise ValueError("need epsilon > 0, 0 < delta < 1, q >= 1, prior_mass > 0")
     threshold = delta / q
+    if threshold < sys.float_info.min:
+        raise ValueError(f"delta/q = {delta!r}/{q} underflows the normal floats")
 
     def ok(n: int) -> bool:
         exponent = -epsilon * epsilon * (2.0 * (prior_mass + n) + 1.0)
         return 2.0 * math.exp(exponent) <= threshold
 
-    if ok(0):
-        return 0
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > 2**40:
-            raise OverflowError("required n exceeds 2^40; check epsilon and delta")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    estimate = (-math.log(threshold / 2.0) / epsilon / epsilon - 1.0) / 2.0 - prior_mass
+    if not estimate <= 2**40:
+        raise OverflowError("required n exceeds 2^40; check epsilon and delta")
+    n = max(0, math.ceil(estimate))
+    while not ok(n):
+        n += 1
+    while n > 0 and ok(n - 1):
+        n -= 1
+    return n
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

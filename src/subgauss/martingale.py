@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import polygamma
 
 from .concentration import tail_bound
-from .distributions import BetaParams, DirichletParams, SeedSpec, draw
+from .distributions import BetaParams, DirichletParams, SeedSpec, _check_integer, draw
 
 __all__ = [
     "StepIncrement",
@@ -119,16 +120,18 @@ def step_variance_proxy(p: BetaParams) -> float:
 def azuma_total(prior: BetaParams, horizon: int = 10**6) -> AzumaTotals:
     """Telescoped step-proxy total against the closed-form trajectory bound.
 
-    partial_sum = sum_{k=1..horizon} 1/(4(alpha+beta+k)^2), accumulated from
-    the smallest terms up for accuracy; tail_remainder = 1/(4(s+horizon+1/2))
-    dominates the remaining tail by telescoping, and the grand total never
-    exceeds theorem_bound = 1/(4(alpha+beta)+2); `checks.martingale` checks it.
+    partial_sum = sum_{k=1..horizon} 1/(4(s+k)^2), s = alpha+beta, is the
+    trigamma difference (psi'(s+1) - psi'(s+horizon+1))/4, within
+    4 eps (s+horizon+1)/horizon relative (eps = 2^-52; it cancels when
+    horizon << s). tail_remainder = 1/(4(s+horizon+1/2)) dominates the
+    remaining tail by telescoping, and the grand total never exceeds
+    theorem_bound = 1/(4(alpha+beta)+2); `checks.martingale` checks it.
     """
+    horizon = _check_integer("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     s = prior.total
-    k = np.arange(horizon, 0, -1, dtype=float)
-    partial = float(np.sum(0.25 / (s + k) ** 2))
+    partial = 0.25 * float(polygamma(1, s + 1.0) - polygamma(1, s + horizon + 1.0))
     remainder = 0.25 / (s + horizon + 0.5)
     bound = 1.0 / (4.0 * s + 2.0)
     return AzumaTotals(partial_sum=partial, tail_remainder=remainder, theorem_bound=bound)
@@ -146,6 +149,7 @@ def simulate_paths(
     the checkpointed path is distributed exactly as the step-by-step one.
     Tail frequencies are reported at each eps in _TAIL_EPS.
     """
+    horizon, trials = _check_integer("horizon", horizon), _check_integer("trials", trials)
     if horizon < 0 or trials < 1:
         raise ValueError("horizon must be >= 0 and trials >= 1")
     rng = seed.generator()
@@ -209,6 +213,7 @@ def stability_diagnostics(
     by 1 (bound 1/(A+n)). a is linear in the empirical mean c_S/n with slope
     n/(A+n) <= 1; the report gives the largest defect from that line.
     """
+    n = _check_integer("n", n)
     if n < 1:
         raise ValueError(f"stability needs n >= 1 samples, got n={n}")
     subset = frozenset(subset)

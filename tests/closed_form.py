@@ -9,6 +9,9 @@ SizeCapError. `beta_expect` is the quadrature oracle for expectations under
 a Beta law, independent of the series behind `subgauss`'s Beta log-MGF.
 `golden_max` is the golden-section search that refined the tau^2 scan's
 best grid point before Brent's method did; the scan's tests compare the two.
+`required_n_search` is the doubling-and-bisection search that found the
+game's sample size before its closed form did; `required_n` is checked
+against it.
 """
 from __future__ import annotations
 
@@ -287,3 +290,36 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
     return (c, fc) if fc >= fd else (d, fd)
+
+
+def required_n_search(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
+    """Smallest n with 2*exp(-eps^2 (2(A+n)+1)) <= delta/q (A = prior mass).
+
+    The left side is the per-query subgaussian tail at variance proxy
+    1/(4(A+n)+2); a union bound over q queries then gives total failure
+    probability delta. Found by monotone search, avoiding closed-form
+    off-by-one.
+    """
+    if epsilon <= 0 or delta <= 0 or delta >= 1 or q < 1 or prior_mass <= 0:
+        raise ValueError("need epsilon > 0, 0 < delta < 1, q >= 1, prior_mass > 0")
+    threshold = delta / q
+
+    def ok(n: int) -> bool:
+        exponent = -epsilon * epsilon * (2.0 * (prior_mass + n) + 1.0)
+        return 2.0 * math.exp(exponent) <= threshold
+
+    if ok(0):
+        return 0
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+        if hi > 2**40:
+            raise OverflowError("required n exceeds 2^40; check epsilon and delta")
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -103,7 +103,7 @@ DEFAULT_DIGESTS = {
     "verify-dirichlet": ("f3447508", "c36b6c39"),  # as when the KS statistic came from scipy
     "verify-chi": ("c04685b7", "38691e33"),
     "lemma-checks": ("e993d5e9", "d702e6e4"),
-    "martingale": ("968ee110", "84967c36"),
+    "martingale": ("9ec966da", "84967c36"),  # since azuma_total is a trigamma difference
     "game": ("b0ee1262", "54071471"),
 }
 

@@ -117,6 +117,31 @@ class TestExitCodes:
         assert "must be a real number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, names",
+        [({"epsilonn": 0.9, "analystt": "nobody"}, "analystt, epsilonn"),
+         ({"prior": {"alphas": [1.0] * 4, "beta": 2.0}}, "prior.beta")],
+    )
+    def test_config_unknown_keys_are_refused(self, entry, names, tmp_path, capsys):
+        # misspelt keys once ran at the defaults and failed a check nobody asked for
+        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "q": 10, "epsilon": 0.3,
+                  "delta": 0.1, "trials": 20, **entry}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert f"has unknown keys: {names}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_past_the_sample_size_cap_is_refused(self, tmp_path, capsys):
+        # required_n's OverflowError once escaped as a traceback
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epsilon": 1e-7}))
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert "exceeds 2^40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_trials_must_be_positive(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"trials": 0}))

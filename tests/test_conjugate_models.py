@@ -476,3 +476,19 @@ class TestEvaluateModel:
             evaluate_model("nonsense", BetaParams(1, 1), {1}, m=1)
         with pytest.raises(ExactModeError):  # the product rule stops at k = 4
             evaluate_model("multinomial", DirichletParams((1.0,) * 5), {(1, 0, 0, 0, 0)}, m=1)
+        # counts are integers, not truncated: 2.5 trials once gave tau^2 0.0236
+        for model, prior, subset, m, message in [
+            ("beta_binomial", BetaParams(1, 1), {1}, 2.5, "m must be an integer, got 2.5"),
+            ("beta_binomial", BetaParams(1, 1), {1}, True, "m must be an integer, got True"),
+            ("multinomial", DirichletParams((1.0, 1.0)), {(1, 0)}, 1.0, "m must be an integer"),
+            ("geometric", BetaParams(1, 1), {1.5}, None, "outcome must be an integer, got 1.5"),
+            ("poisson_gamma", GammaParams(1, 1), {True}, None, "outcome must be an integer"),
+            ("multinomial", DirichletParams((1.0, 1.0)), {(0.5, 0.5)}, 1, "count must be an integer"),
+            ("geometric", BetaParams(1, 1), {1}, 7, "takes no trial count m, got 7"),
+            ("poisson_gamma", GammaParams(1, 1), {1}, 1, "takes no trial count m"),
+        ]:
+            for method in ("exact", "monte_carlo"):
+                with pytest.raises(ValueError, match=message):
+                    evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
+            with pytest.raises(ValueError, match=message):
+                model_q_draws(model, prior, subset, m=m, draws=100, seed=SeedSpec(0))

@@ -1,6 +1,7 @@
 """Tests for the curator/analyst game: answering, projection, strategies, rates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from subgauss import (
 )
 from subgauss import game
 from subgauss.game import ANALYST_KINDS, CURATOR_KINDS
+
+from closed_form import required_n_search
 
 
 def make_config(**overrides):
@@ -565,6 +568,27 @@ class TestRequiredN:
             assert predicate(n, eps, delta, q, a)
             assert n == 0 or not predicate(n - 1, eps, delta, q, a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(1, 10**9),
+        st.floats(1e-3, 1e7),
+        st.integers(0, 10**6),
+    )
+    def test_matches_the_search(self, eps, delta, q, a, n0):
+        # the closed form, stepped to the inequality, is the search's smallest n. At
+        # a delta on n0's boundary rounding decides, and the steps up and down run.
+        boundary = 2.0 * q * math.exp(-eps * eps * (2.0 * (a + n0) + 1.0))
+        for d in (delta, boundary):
+            if not 0.0 < d < 1.0:
+                continue
+            if d / q >= sys.float_info.min:
+                assert required_n(eps, d, q, a) == required_n_search(eps, d, q, a)
+            else:
+                with pytest.raises(ValueError, match="underflows the normal floats"):
+                    required_n(eps, d, q, a)
+
     def test_doubling_q_adds_log2_over_two_eps_sq(self):
         n1 = required_n(0.1, 0.05, 1000, 10.0)
         n2 = required_n(0.1, 0.05, 2000, 10.0)
@@ -578,6 +602,14 @@ class TestRequiredN:
             required_n(0.0, 0.05, 10, 1.0)
         with pytest.raises(ValueError):
             required_n(0.1, 1.5, 10, 1.0)
+        # delta/q = 2^-1073: the float test accepts n = 370, where the exact tail
+        # 2 e^-744.2 = 1.26e-323 exceeds it; the search returns that n
+        assert required_n_search(1.0, 1e-323, 1, 1.6) == 370
+        with pytest.raises(ValueError, match="underflows the normal floats"):
+            required_n(1.0, 1e-323, 1, 1.6)
+        for args in [(1e-7, 0.05, 10, 1.0), (1e-200, 0.05, 10, 1.0)]:
+            with pytest.raises(OverflowError, match="exceeds 2\\^40"):
+                required_n(*args)
 
 
 class TestWilsonInterval:

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -13,6 +15,7 @@ from subgauss import (
     DirichletParams,
     SeedSpec,
     azuma_total,
+    required_n,
     simulate_paths,
     stability_diagnostics,
     step_increment,
@@ -125,6 +128,24 @@ class TestAzumaTotal:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             azuma_total(BetaParams(1, 1), 0)
+
+    @pytest.mark.parametrize("s", [1e-2, 0.3, 1.0, 2.0, 10.0, 1e3, 1e6])
+    def test_within_stated_accuracy_of_mpmath(self, s):
+        # relative error below 4 eps (s+h+1)/h; h << s is where the difference cancels
+        prior = BetaParams(s / 2, s / 2)
+        total = mpmath.mpf(prior.total)
+        for h in (1, 2, 10, 10**3, 10**6, 10**9, 10**12):
+            with mpmath.workdps(40):
+                want = (mpmath.polygamma(1, total + 1) - mpmath.polygamma(1, total + h + 1)) / 4
+                error = float(abs(azuma_total(prior, h).partial_sum - want) / want)
+            assert error <= 4.0 * np.finfo(float).eps * (prior.total + h + 1) / h
+
+    def test_horizon_costs_nothing(self):
+        # the partial sum is a trigamma difference: no array of horizon terms
+        started = time.perf_counter()
+        totals = azuma_total(BetaParams(1, 1), 10**12)
+        assert time.perf_counter() - started < 0.01
+        assert totals.partial_sum == pytest.approx(float(polygamma(1, 3.0)) / 4.0, rel=1e-11)
 
 
 class TestSimulatePaths:
@@ -266,3 +287,19 @@ def _brute_defect(prior, subset, counts):
     e_hat = counts[:, list(subset)].sum(axis=1).astype(float) / n
     linear = (prior.total * (alpha_s / prior.total) + n * e_hat) / (prior.total + n)
     return float(np.abs(_brute_answers(prior, subset, counts) - linear).max())
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: required_n(0.1, 0.05, v, 10.0), "q"),
+        (lambda v: azuma_total(BetaParams(1, 1), v), "horizon"),
+        (lambda v: simulate_paths(BetaParams(1, 1), v, 10, SeedSpec(0)), "horizon"),
+        (lambda v: simulate_paths(BetaParams(1, 1), 10, v, SeedSpec(0)), "trials"),
+        (lambda v: stability_diagnostics(DirichletParams((1, 1, 1)), v, {0}), "n"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 10.0, True])
+def test_counts_must_be_integers(call, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        call(value)
