@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -45,15 +45,15 @@ class CheckResult:
 
     `failures` holds the failing data rows, or a row naming the failed
     quantity (with a "check" column) where the criterion is not per row.
-    `counts` holds work counts for the run manifest, never for the summary
-    or the rows, so the payload digests do not depend on them.
+    `counts` holds work counts (or None) for the run manifest only, so the
+    payload digests do not depend on them.
     """
 
     summary: dict
     rows: list[dict]
     passed: bool
     failures: list[dict]
-    counts: dict
+    counts: dict | None
 
 
 def _failed_rows(rows: list[dict]) -> list[dict]:
@@ -64,7 +64,7 @@ def _result(
     summary: dict, rows: list[dict], failures: list[dict], counts: dict | None = None
 ) -> CheckResult:
     passed = not failures
-    return CheckResult({**summary, "all_passed": passed}, rows, passed, failures, counts or {})
+    return CheckResult({**summary, "all_passed": passed}, rows, passed, failures, counts)
 
 
 def _evaluation_counts(evaluations: list[int]) -> dict:
@@ -364,8 +364,8 @@ def martingale(seed: SeedSpec, trials: int | None = None) -> CheckResult:
         "step_proxy_bound_ok": step_ok,
         "mean_total_increment": mean,
         "se_total_increment": se,
-        "tail_rows": [list(r) for r in report.tail_rows],
-        "checkpoint_mean_abs_dev": [list(c) for c in checkpoints],
+        "tail_rows": report.tail_rows,
+        "checkpoint_mean_abs_dev": checkpoints,
         **stability_cells,
     }
     return _result(summary, rows, failures)
@@ -387,7 +387,7 @@ def game(config: GameConfig, seed: SeedSpec, trials: int | None = None) -> Check
     _expect(failures, high <= config.delta, "wilson_high <= delta", wilson_high=high,
             delta=config.delta)
     summary = {
-        "config": config.to_json(),
+        "config": asdict(config),
         "trials": count,
         "failures": lost,
         "failure_rate": lost / count,

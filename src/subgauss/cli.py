@@ -192,7 +192,7 @@ def cli_dispatch(argv: list[str]) -> int:
             config={"argv": argv},
             master_seed=getattr(args, "seed", None),  # None: the check draws nothing
             timings=timings,
-            counts=result.counts or None,
+            counts=result.counts,
         )
     except OSError as exc:
         _log(f"error: could not write reports: {exc}")

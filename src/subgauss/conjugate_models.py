@@ -14,7 +14,7 @@ constants reported, and results are regression evidence only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -367,7 +367,7 @@ def evaluate_model(
     subset_desc = ",".join(str(s) for s in sorted(subset))
     return ConjugateModelReport(
         model=model,
-        params=prior.to_json() | ({"m": m} if m is not None else {}),
+        params=asdict(prior) | ({"m": m} if m is not None else {}),
         subset_desc=subset_desc,
         tau2_est=estimate.value,
         scale=scale,

@@ -74,9 +74,6 @@ class BetaParams:
     def total(self) -> float:
         return self.alpha + self.beta
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class DirichletParams:
@@ -98,9 +95,6 @@ class DirichletParams:
     def total(self) -> float:
         return float(sum(self.alphas))
 
-    def to_json(self) -> dict:
-        return {"alphas": list(self.alphas)}
-
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -112,9 +106,6 @@ class GammaParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_positive_finite("alpha", self.alpha))
         object.__setattr__(self, "beta", _check_positive_finite("beta", self.beta))
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -275,6 +266,7 @@ def _block_generators(seed: SeedSpec, start: int, stop: int):
 
 def beta_raw_moments(p: BetaParams, j_max: int) -> np.ndarray:
     """Array of E[X^j] for j = 0..j_max via the cumulative ratio product."""
+    j_max = _check_integer("j_max", j_max)
     if j_max < 0:
         raise ValueError("moment order must be nonnegative")
     r = np.arange(j_max, dtype=float)
@@ -525,6 +517,7 @@ def chi_raw_moment(k_dim: int, j: int) -> float:
     Equals 2^(j/2) * Gamma((k+j)/2) / Gamma(k/2); satisfies the recurrence
     E[X^(j+2)] = (k+j) E[X^j].
     """
+    k_dim, j = _check_integer("k_dim", k_dim), _check_integer("j", j)
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
     if j < 0:
@@ -592,6 +585,7 @@ def sample_chi(k_dim: int, seed: SeedSpec, count: int) -> np.ndarray:
     drawn as sqrt(2 G), G ~ Gamma(k_dim / 2): one draw per variate, whatever
     k_dim is.
     """
+    k_dim, count = _check_integer("k_dim", k_dim), _check_integer("count", count)
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
     out = seed.generator().standard_gamma(0.5 * k_dim, size=count)

@@ -102,7 +102,7 @@ class QuerySpec:
     indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        subset = frozenset(int(i) for i in self.subset)
+        subset = frozenset(_check_integer("category index", i) for i in self.subset)
         if any(i < 0 for i in subset):
             raise ValueError("category indices must be nonnegative")
         object.__setattr__(self, "subset", subset)
@@ -137,18 +137,6 @@ class GameConfig:
             raise ValueError(f"unknown analyst {self.analyst!r}")
         if self.curator not in CURATOR_KINDS:
             raise ValueError(f"unknown curator {self.curator!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "prior": self.prior.to_json(),
-            "n": self.n,
-            "q": self.q,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "analyst": self.analyst,
-            "curator": self.curator,
-        }
 
 
 @dataclass(frozen=True)
@@ -208,7 +196,7 @@ def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) 
     A = sum_i alpha_i, uniformly over counting queries. Empty and full
     subsets are rejected: their dot product is identically 0 or 1.
     """
-    subset = frozenset(int(i) for i in subset)
+    subset = frozenset(_check_integer("category index", i) for i in subset)
     if not subset or not subset < set(range(d.k)):
         raise DegenerateQueryError(
             "projection needs a nonempty proper subset of the categories"

@@ -216,7 +216,7 @@ def stability_diagnostics(
     n = _check_integer("n", n)
     if n < 1:
         raise ValueError(f"stability needs n >= 1 samples, got n={n}")
-    subset = frozenset(subset)
+    subset = frozenset(_check_integer("category index", i) for i in subset)
     if not subset or not subset < set(range(prior.k)):
         raise ValueError("subset must be a nonempty proper subset of the categories")
     a_total = prior.total

@@ -3,6 +3,9 @@
 Data files contain no timestamps, so their digests are reproducible; floats
 are written with 17 significant digits (round-trip exact) and JSON keys are
 sorted. The manifest is written last and records a digest per emitted file.
+Every JSON file is one `json.dumps` of plain values (dataclasses go through
+`dataclasses.asdict`); its `default` writes numpy scalars and arrays as
+Python values and raises TypeError for anything else json cannot write.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,52 +34,33 @@ class RunManifest:
     artifact_version: str
     outputs: tuple[dict, ...]
     versions: dict  # of Python and the libraries the run used
-    created_at: str = field(default="")
+    created_at: str
     timings: dict | None = None  # seconds per stage, where the caller timed them
     counts: dict | None = None  # work counts, where the check reports them
-
-    def to_json(self) -> dict:
-        optional = {"timings": self.timings, "counts": self.counts}
-        extra = {name: value for name, value in optional.items() if value is not None}
-        return {
-            "command": self.command,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "artifact_version": self.artifact_version,
-            "outputs": list(self.outputs),
-            "versions": self.versions,
-            "created_at": self.created_at,
-            **extra,
-        }
 
 
 def format_float(value) -> str:
     """Render a float with 17 significant digits (binary round-trip exact)."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _jsonable(value):
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if hasattr(value, "tolist"):
+def _plain(value):
+    """`json.dumps`'s `default`: a numpy scalar or array as the Python value(s) it holds."""
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
-    return str(value)
+    raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, default=_plain) + "\n"
+
+
+def _write(path: Path, text: str) -> dict:
+    """Write ``text`` to ``path`` and return its manifest entry: path and sha256."""
+    path.write_text(text, encoding="utf-8")
+    return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def emit_report(
@@ -93,12 +77,14 @@ def emit_report(
 ) -> RunManifest:
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 
-    CSV: header row, comma separator, '.' decimal point. JSON: stable key
-    ordering. The manifest lists each payload file with its sha256 and the
-    versions of Python, numpy, scipy and subgauss, and is written last.
-    `timings` (seconds per stage) and `counts` (work counts, such as
-    log-MGF evaluations) go into the manifest only, so the payload digests
-    do not depend on them.
+    CSV: header row, comma separator, '.' decimal point. JSON: sorted keys;
+    numpy values are written as Python ones, and a value json cannot write
+    (a set, say) raises TypeError. The manifest lists each payload file with
+    its sha256 and the versions of Python, numpy, scipy and subgauss, and is
+    written last. `timings` (seconds per stage) and `counts` (work counts,
+    such as log-MGF evaluations) go into the manifest only, so the payload
+    digests do not depend on them; the manifest leaves out either key where
+    it is None.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -107,23 +93,17 @@ def emit_report(
     outputs = []
 
     if fmt in ("json", "both"):
-        path = out / f"{command}-summary.json"
-        payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2)
-        path.write_text(payload + "\n", encoding="utf-8")
-        outputs.append({"path": str(path), "sha256": _digest(path)})
-
+        outputs.append(_write(out / f"{command}-summary.json", _json(summary)))
     if fmt in ("csv", "both") and rows:
-        path = out / f"{command}-data.csv"
         fieldnames = list(rows[0].keys())
         lines = [",".join(fieldnames)]
         for row in rows:
             lines.append(",".join(format_float(row.get(name)) for name in fieldnames))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append({"path": str(path), "sha256": _digest(path)})
+        outputs.append(_write(out / f"{command}-data.csv", "\n".join(lines) + "\n"))
 
     manifest = RunManifest(
         command=command,
-        config=_jsonable(config or {}),
+        config=config or {},
         master_seed=master_seed,
         artifact_version=ARTIFACT_VERSION,
         outputs=tuple(outputs),
@@ -137,9 +117,7 @@ def emit_report(
         timings=timings,
         counts=counts,
     )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest.to_json(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    optional = ("timings", "counts")  # left out where None
+    record = {k: v for k, v in asdict(manifest).items() if v is not None or k not in optional}
+    _write(out / "manifest.json", _json(record))
     return manifest

@@ -13,7 +13,7 @@ import pytest
 
 import subgauss
 from subgauss.cli import cli_dispatch
-from subgauss.reporting import format_float
+from subgauss.reporting import emit_report, format_float
 
 
 def read_json(path):
@@ -328,6 +328,54 @@ class TestFloatFormatting:
         with open(out / "verify-dirichlet-data.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["critical"]) == summary["critical"]
+
+
+class TestJsonPath:
+    def summary(self, tmp_path, name, summary):
+        emit_report("c", summary, [], tmp_path / name, "json")
+        return (tmp_path / name / "c-summary.json").read_bytes()
+
+    def test_numpy_values_write_as_python_values(self, tmp_path):
+        numpy_summary = {
+            "x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True),
+            "grid": np.array([[1.5, 2.0], [0.25, -1.0]]), "rows": ((np.float64(0.5), 2), (1.0, 3)),
+        }
+        plain_summary = {
+            "x": 0.1, "n": 3, "ok": True,
+            "grid": [[1.5, 2.0], [0.25, -1.0]], "rows": [[0.5, 2], [1.0, 3]],
+        }
+        numpy_bytes = self.summary(tmp_path, "numpy", numpy_summary)
+        assert numpy_bytes == self.summary(tmp_path, "plain", plain_summary)
+        assert b'"ok": true' in numpy_bytes
+
+    def test_unknown_types_are_refused(self, tmp_path):
+        # once written as their str, "{1, 2}"
+        with pytest.raises(TypeError, match="set"):
+            self.summary(tmp_path, "set", {"subset": {1, 2}})
+
+
+# manifest keys of every run; "counts" only where the check reports work counts
+MANIFEST_KEYS = {"artifact_version", "command", "config", "created_at", "master_seed", "outputs",
+                 "timings", "versions"}
+
+
+@pytest.mark.parametrize(
+    "argv, seeded, counted",
+    [
+        pytest.param(["verify-beta"], False, True, id="verify-beta"),
+        pytest.param(["verify-dirichlet", "--trials", "1"], True, False, id="verify-dirichlet"),
+        pytest.param(["verify-chi", "--trials", "10"], True, False, id="verify-chi"),
+        pytest.param(["lemma-checks"], False, False, id="lemma-checks"),
+        pytest.param(["martingale", "--trials", "10"], True, False, id="martingale"),
+        pytest.param(["game", "--trials", "1"], True, False, id="game"),
+        pytest.param(["conjectures", "--trials", "100"], True, True, id="conjectures"),
+    ],
+)
+def test_manifest_keys(argv, seeded, counted, tmp_path, capsys):
+    assert cli_dispatch(argv + ["--out", str(tmp_path)]) in (0, 1)  # a few trials may fail
+    manifest = read_json(tmp_path / "manifest.json")
+    assert set(manifest) == MANIFEST_KEYS | ({"counts"} if counted else set())
+    assert manifest["master_seed"] == (0 if seeded else None)
 
 
 def test_cold_start_loads_no_heavy_scipy_module():

@@ -1,7 +1,9 @@
 """Tests for parameter types, special functions, moments, MGFs, and sampling."""
 
+import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from subgauss import (
 )
 from subgauss.checks import GRID
 from subgauss.distributions import _block_generators
-from subgauss.game import project_to_beta
+from subgauss.game import GameConfig, project_to_beta
 
 
 class TestParams:
@@ -57,13 +59,16 @@ class TestParams:
         assert p == BetaParams(2.0, 3.0) and type(p.alpha) is float and type(p.beta) is float
         assert DirichletParams(np.array([1.0, 2.0])) == DirichletParams((1.0, 2.0))
 
-    def test_json_round_trip(self):
-        p = BetaParams(1.5, 2.5)
-        assert BetaParams(**p.to_json()) == p
-        d = DirichletParams((1.0, 2.0, 3.0))
-        assert DirichletParams(**d.to_json()) == d
-        g = GammaParams(2.0, 5.0)
-        assert GammaParams(**g.to_json()) == g
+    def test_json_shapes(self):
+        # the shapes the conjectures rows ("params") and the game summary ("config") carry
+        assert json.dumps(asdict(BetaParams(1.5, 2.5))) == '{"alpha": 1.5, "beta": 2.5}'
+        assert json.dumps(asdict(DirichletParams((1.0, 2.0, 3.0)))) == '{"alphas": [1.0, 2.0, 3.0]}'
+        assert json.dumps(asdict(GammaParams(2.0, 5.0))) == '{"alpha": 2.0, "beta": 5.0}'
+        config = GameConfig(2, DirichletParams((1.0, 3.0)), 40, 25, 0.3, 0.1)
+        assert json.dumps(asdict(config)) == (
+            '{"k": 2, "prior": {"alphas": [1.0, 3.0]}, "n": 40, "q": 25, "epsilon": 0.3, '
+            '"delta": 0.1, "analyst": "static_random", "curator": "posterior_mean"}'
+        )
 
     def test_moment_sequence_requires_unit_head(self):
         # a raw-moment array starts with E[X^0] = 1; the criterion refuses any other head
@@ -259,6 +264,23 @@ class TestChiMoments:
         exact = chi_raw_moment(4, 1)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda v: beta_raw_moments(BetaParams(1, 1), v), "j_max", id="beta_raw_moments"),
+        pytest.param(lambda v: chi_raw_moment(v, 2), "k_dim", id="chi_raw_moment-k_dim"),
+        pytest.param(lambda v: chi_raw_moment(3, v), "j", id="chi_raw_moment-j"),
+        pytest.param(lambda v: sample_chi(v, SeedSpec(0), 3), "k_dim", id="sample_chi-k_dim"),
+        pytest.param(lambda v: sample_chi(3, SeedSpec(0), v), "count", id="sample_chi-count"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_counts_and_orders_must_be_integers(call, name, value):
+    # refused, not truncated: 2.5 once drew sqrt(2 Gamma(1.25)) and gave four Beta moments
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        call(value)
 
 
 class TestQuadratureOracle:

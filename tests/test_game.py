@@ -94,6 +94,10 @@ class TestQuerySpec:
         assert all(type(i) is int for i in q.indices)
         with pytest.raises(ValueError):
             QuerySpec(frozenset({-1, 2}))
+        # refused, not truncated: {1.5, True} once became the query {1}
+        for subset in ({1.5}, {True}, {1.5, True}):
+            with pytest.raises(ValueError, match="category index must be an integer"):
+                QuerySpec(frozenset(subset))
 
 
 class TestSampleInstance:
@@ -202,6 +206,14 @@ class TestProjectToBeta:
             project_to_beta(d, set())
         with pytest.raises(DegenerateQueryError):
             project_to_beta(d, {0, 1, 2})
+
+    def test_indices_must_be_integers(self):
+        # refused, not truncated: [1.7] once projected category 1 to Beta(2, 4)
+        d = DirichletParams((1.0, 2.0, 3.0))
+        for subset in ([1.7], [True], [0, 1.0]):
+            with pytest.raises(ValueError, match="category index must be an integer"):
+                project_to_beta(d, subset)
+        assert project_to_beta(d, np.array([1])) == BetaParams(2, 4)
 
 
 def queries(config, seed=SeedSpec(0)):

@@ -252,6 +252,11 @@ class TestStabilityDiagnostics:
             stability_diagnostics(d, 3, set())
         with pytest.raises(ValueError):
             stability_diagnostics(d, 3, {0, 1})
+        # refused, not passed to numpy's indexing
+        for subset in ({1.0}, {True}):
+            with pytest.raises(ValueError, match="category index must be an integer"):
+                stability_diagnostics(d, 3, subset)
+        assert stability_diagnostics(d, 3, {np.int64(1)}) == stability_diagnostics(d, 3, {1})
 
 
 def _brute_answers(prior, subset, counts):
