@@ -15,9 +15,7 @@ _import_started = _time.perf_counter()
 
 from .concentration import (
     BetaBoundCheck,
-    MomentCriterionReport,
     VarianceProxyEstimate,
-    beta_moment_pair_bounds,
     beta_proxy_bound,
     beta_proxy_estimate,
     beta_tight_proxy_bound,
@@ -66,11 +64,9 @@ from .martingale import (
     AzumaTotals,
     PathSimulationReport,
     StabilityReport,
-    StepIncrement,
     azuma_total,
     simulate_paths,
     stability_diagnostics,
-    step_increment,
     step_variance_proxy,
     two_point_variance_proxy,
 )

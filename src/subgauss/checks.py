@@ -4,10 +4,12 @@ Every `subgauss` subcommand writes what one of these functions returns, and
 the acceptance tests assert on it. A check takes at most a master seed and a
 count (the CLI's `--seed` and `--trials`; a count of None means the default,
 and one below 1 raises ValueError) and returns a `CheckResult`; `game` also
-takes the game's configuration. The library reports quantities and bounds;
-the criteria's tolerances and pass/fail rules are pinned here and nowhere else,
-with one exception: `concentration.check_beta_bound`'s `passed` (tau2_est <=
-bound (1 + 1e-6)), which AC1 reads and the benchmark reads directly.
+takes the game's configuration. The library reports quantities and bounds,
+such as both sides of a moment inequality; the criteria's tolerances and
+pass/fail rules are pinned here and nowhere else. The one rule outside this
+module is `concentration.check_beta_bound`'s `passed` (tau2_est <= bound
+(1 + 1e-6)), which AC1 reads, kept because the benchmark (`perfbench/`) reads
+it directly.
 
 `import subgauss` does not import this module: only the CLI and the tests
 run the criteria.
@@ -96,6 +98,11 @@ def _ks_statistic(draws: np.ndarray, a: float, b: float) -> float:
     return float(max(d_plus, d_minus))
 
 
+def _violations(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """How many indices violate an inequality: lhs > rhs, with no slack."""
+    return int((lhs > rhs).sum())
+
+
 def _expect(failures: list[dict], ok: bool, check: str, **cells) -> bool:
     """Record a failure row naming `check` and its quantities unless `ok`."""
     if not ok:
@@ -177,8 +184,9 @@ def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
 def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     """AC9 for Chi(k), k = 1..20: moment recurrence m_{j+2} = (k+j) m_j to a
     relative error below 1e-12, E[X]^2 - (k-1) > 0, the unit-sigma raw-moment
-    criterion, and upper-tail frequencies of `trials` draws (default 1e6, from
-    `seed.derived(k)`) at most exp(-eps^2/2) + 4 SE."""
+    criterion with no violation (j <= 100), and upper-tail frequencies of
+    `trials` draws (default 1e6, from `seed.derived(k)`) at most
+    exp(-eps^2/2) + 4 SE."""
     draws = _count(trials, 10**6)
     rows = []
     for k in range(1, 21):
@@ -188,14 +196,12 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
             for j in range(101)
         )
         margin = moments[1] ** 2 - (k - 1)
-        criterion = conc.raw_moment_criterion(moments, 1.0)
+        criterion_ok = _violations(*conc.raw_moment_criterion(moments, 1.0)) == 0
         samples = sample_chi(k, seed.derived(k), draws)
         tail_ok = True
         tail_cells = {}
-        for eps in (0.5, 1.0, 2.0):
-            freq = float((samples - moments[1] >= eps).mean())
-            bound = conc.tail_bound(1.0, eps)
-            se = math.sqrt(max(freq * (1 - freq), 1.0 / draws) / draws)
+        for eps, freq, bound, se in conc.tail_frequencies(samples - moments[1], 1.0,
+                                                          (0.5, 1.0, 2.0), sides=1):
             tail_ok &= freq <= bound + 4 * se
             tail_cells[f"tail_freq_{eps}"] = freq
             tail_cells[f"tail_bound_{eps}"] = bound
@@ -204,10 +210,10 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
                 "k": k,
                 "recurrence_rel_err": rec_err,
                 "mean_sq_minus_km1": margin,
-                "criterion_passed": criterion.passed,
+                "criterion_passed": criterion_ok,
                 "empirical_mean": float(samples.mean()),
                 **tail_cells,
-                "passed": rec_err < 1e-12 and margin > 0 and criterion.passed and tail_ok,
+                "passed": rec_err < 1e-12 and margin > 0 and criterion_ok and tail_ok,
             }
         )
     return _result({"dims": 20, "draws": draws}, rows, _failed_rows(rows))
@@ -216,35 +222,36 @@ def verify_chi(seed: SeedSpec, trials: int | None = None) -> CheckResult:
 def lemma_checks() -> CheckResult:
     """AC3-AC5 on GRID x GRID.
 
-    Per point: no consecutive-moment-ratio violation (j <= 100, 1e-12
-    absolute), the raw-moment criterion at sigma^2 = 1/(2(a+b+1)) with
-    J_max = 200, and no termwise MGF-coefficient violation at that sigma^2
-    (40 terms, 1e-12 relative). Then the counterexample: for Beta(1, 2) at
-    the halved exponent sigma^2 = 1/16 the lambda^4 coefficients are 1/360 >
-    1363/497664, each to 1e-12 relative.
+    Per point: one pass of the raw-moment criterion E[X^(j+2)]/E[X^j] <=
+    mu^2 + (j+1) sigma^2 at sigma^2 = 1/(2(a+b+1)), j <= 198, and no termwise
+    MGF-coefficient violation at that sigma^2 (40 terms, 1e-12 relative). A
+    violation of the criterion is lhs > rhs, with no slack; AC3 counts them
+    and AC4 passes with none. Every j past 198 holds: there rhs >= 1 > lhs,
+    since 2(a+b+1)(1 - mu^2) <= 199 on the grid. Then the counterexample: for
+    Beta(1, 2) at the halved exponent sigma^2 = 1/16 the lambda^4 coefficients
+    are 1/360 > 1363/497664, each to 1e-12 relative.
     """
     rows = []
     for a in GRID:
         for b in GRID:
             p = BetaParams(a, b)
             sigma2 = 1.0 / (2.0 * (p.total + 1.0))
-            pair_rows = conc.beta_moment_pair_bounds(p, 100)
-            pair_viol = sum(1 for _, lhs, rhs in pair_rows if lhs > rhs + 1e-12)
-            crit = conc.raw_moment_criterion(beta_raw_moments(p, 200), sigma2)
-            termwise = conc.termwise_mgf_comparison(p, sigma2, 40)
-            term_viol = sum(1 for _, lhs, rhs in termwise if lhs > rhs * (1 + 1e-12))
+            pair_viol = _violations(*conc.raw_moment_criterion(beta_raw_moments(p, 200), sigma2))
+            lhs, rhs = conc.termwise_mgf_comparison(p, sigma2, 40)
+            term_viol = _violations(lhs, rhs * (1 + 1e-12))
             rows.append(
                 {
                     "alpha": a,
                     "beta": b,
                     "pair_bound_violations": pair_viol,
-                    "criterion_passed": crit.passed,
+                    "criterion_passed": pair_viol == 0,
                     "termwise_violations": term_viol,
-                    "passed": pair_viol == 0 and crit.passed and term_viol == 0,
+                    "passed": pair_viol == 0 and term_viol == 0,
                 }
             )
     failures = _failed_rows(rows)
-    _, w_lhs, w_rhs = conc.termwise_mgf_comparison(BetaParams(1.0, 2.0), 1.0 / 16.0, 6)[4]
+    lhs, rhs = conc.termwise_mgf_comparison(BetaParams(1.0, 2.0), 1.0 / 16.0, 6)
+    w_lhs, w_rhs = float(lhs[4]), float(rhs[4])
     lhs_exact, rhs_exact = 1.0 / 360.0, 1363.0 / 497664.0
     flip_ok = (
         abs(w_lhs - lhs_exact) <= 1e-12 * lhs_exact

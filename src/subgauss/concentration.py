@@ -3,9 +3,9 @@
 A centered random variable X is sigma^2-subgaussian when
 E[exp(lam*X)] <= exp(lam^2 sigma^2 / 2) for every lam; the smallest such
 sigma^2 is the variance proxy tau^2(X). This module estimates tau^2 by
-maximizing the log-MGF ratio over a lambda grid, and provides the
-raw-moment, paired-moment and termwise-coefficient sufficient criteria
-along with the resulting exponential tail bound.
+maximizing the log-MGF ratio over a lambda grid, and gives both sides of
+the raw-moment and termwise-coefficient sufficient criteria, along with the
+resulting exponential tail bound; `subgauss.checks` judges them.
 """
 from __future__ import annotations
 
@@ -27,13 +27,11 @@ from .distributions import (
 
 __all__ = [
     "VarianceProxyEstimate",
-    "MomentCriterionReport",
     "BetaBoundCheck",
     "variance_proxy_sup",
     "beta_proxy_estimate",
     "check_beta_bound",
     "raw_moment_criterion",
-    "beta_moment_pair_bounds",
     "termwise_mgf_comparison",
     "tail_bound",
     "empirical_log_mgf",
@@ -73,15 +71,6 @@ class VarianceProxyEstimate:
     argmax_lambda: float
     grid_spec: str
     evaluations: int
-
-
-@dataclass(frozen=True)
-class MomentCriterionReport:
-    """Outcome of a per-index moment inequality sweep: (j, lhs, rhs) of each
-    violated index; passed iff there is none."""
-
-    violations: tuple[tuple[int, float, float], ...]
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -290,88 +279,82 @@ def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
     )
 
 
-def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> MomentCriterionReport:
-    """Check E[X^(j+2)]/E[X^j] <= E[X]^2 + (j+1) sigma^2 for j = 0..J-2.
+def _check_sigma2(sigma2: float) -> None:
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
+
+
+def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of E[X^(j+2)]/E[X^j] <= E[X]^2 + (j+1) sigma^2, as arrays over j = 0..J-2.
 
     ``moments`` is a 1-D array (or sequence) of the raw moments E[X^j],
-    j = 0..J. It must be nonempty, start with E[X^0] = 1 to 1e-9, and be
-    strictly positive; sigma2 must be positive. When the inequality holds
+    j = 0..J, J >= 2. They must be finite, start with E[X^0] = 1 to 1e-9, and
+    be strictly positive; sigma2 must be positive and finite. When lhs <= rhs
     for all j, the upper tail of X - E[X] is sigma^2-subgaussian, so this is
     a sufficient one-sided criterion rather than a tau^2 estimator.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    _check_sigma2(sigma2)
     values = np.asarray(moments, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"raw moments must be a nonempty 1-D array, got shape {values.shape}")
+    if values.ndim != 1 or values.size < 3:
+        raise ValueError(f"raw moments must be a 1-D array of 3 or more, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("raw moments must be finite")
     if abs(values[0] - 1.0) > 1e-9:
         raise ValueError(f"zeroth raw moment must be 1, got {values[0]!r}")
     if (values <= 0).any():
         raise ValueError("the raw-moment criterion requires positive raw moments")
-    mean_sq = values[1] ** 2 if values.size > 1 else 1.0
-    violations = []
-    for j in range(values.size - 2):
-        lhs = values[j + 2] / values[j]
-        rhs = mean_sq + (j + 1) * sigma2
-        if lhs > rhs:
-            violations.append((j, float(lhs), float(rhs)))
-    return MomentCriterionReport(violations=tuple(violations), passed=not violations)
-
-
-def beta_moment_pair_bounds(p: BetaParams, j_max: int) -> list[tuple[int, float, float]]:
-    """Both sides of the consecutive-moment-ratio bound for Beta(p), j = 0..j_max.
-
-    Returns (j, lhs, rhs) with
-    lhs = E[X^(j+2)]/E[X^j] = (alpha+j)(alpha+j+1)/((alpha+beta+j)(alpha+beta+j+1)),
-    rhs = (alpha/(alpha+beta))^2 + (j+1)/(2(alpha+beta+1)).
-    lhs <= rhs holds for all shape parameters; the function only reports
-    both sides, and `checks.lemma_checks` counts the j where it fails.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    a, s = p.alpha, p.total
-    mean_sq = (a / s) ** 2
-    rows = []
-    for j in range(j_max + 1):
-        lhs = (a + j) * (a + j + 1.0) / ((s + j) * (s + j + 1.0))
-        rhs = mean_sq + (j + 1.0) / (2.0 * (s + 1.0))
-        rows.append((j, lhs, rhs))
-    return rows
+    return values[2:] / values[:-2], values[1] ** 2 + np.arange(1, values.size - 1) * sigma2
 
 
 def termwise_mgf_comparison(
     p: BetaParams, sigma2: float, k_max: int
-) -> list[tuple[int, float, float]]:
-    """Coefficients of both sides of the MGF bound, power by power.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of both sides of the MGF bound, as arrays over powers n = 0..k_max.
 
-    For each power n = 0..k_max returns (n, lhs, rhs) with
-    lhs = E[X^n]/n!   (coefficient of lam^n in E[exp(lam X)]),
-    rhs = coefficient of lam^n in exp(lam*mean + lam^2 sigma2/2).
-    Callers inspect where lhs <= rhs holds or fails; a failed power does not
-    by itself refute subgaussianity since neighboring powers can compensate.
+    lhs[n] = E[X^n]/n! is the coefficient of lam^n in E[exp(lam X)], and
+    rhs[n] that of lam^n in exp(lam*mean + lam^2 sigma2/2). A power where
+    lhs > rhs does not by itself refute subgaussianity, since neighboring
+    powers can compensate.
     """
+    _check_sigma2(sigma2)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     mean, _ = beta_mean_var(p)
-    moments = beta_raw_moments(p, k_max)
     half_sigma2 = 0.5 * sigma2
-    rows = []
-    for n in range(k_max + 1):
-        lhs = moments[n] / math.factorial(n)
-        rhs = math.fsum(
+    factorials = np.array([math.factorial(n) for n in range(k_max + 1)], dtype=float)
+    rhs = [
+        math.fsum(
             mean ** (n - 2 * m) * half_sigma2**m
             / (math.factorial(n - 2 * m) * math.factorial(m))
             for m in range(n // 2 + 1)
         )
-        rows.append((n, float(lhs), float(rhs)))
-    return rows
+        for n in range(k_max + 1)
+    ]
+    return beta_raw_moments(p, k_max) / factorials, np.array(rhs)
 
 
 def tail_bound(sigma2: float, epsilon: float) -> float:
     """One-sided subgaussian tail bound P(X - E X >= eps) <= exp(-eps^2/(2 sigma^2))."""
-    if sigma2 <= 0 or epsilon < 0:
-        raise ValueError("sigma2 must be positive and epsilon nonnegative")
+    _check_sigma2(sigma2)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     return math.exp(-epsilon * epsilon / (2.0 * sigma2))
+
+
+def tail_frequencies(
+    deviations: np.ndarray, sigma2: float, epsilons: tuple[float, ...], sides: int
+) -> tuple[tuple[float, float, float, float], ...]:
+    """(eps, freq, bound, se) per eps: the frequency of ``deviations`` >= eps,
+    its bound min(1, sides * `tail_bound`), sides 1 or 2 (for |X - E X|), and
+    its standard error, floored at that of one event in N."""
+    n = deviations.size
+    rows = []
+    for eps in epsilons:
+        freq = float((deviations >= eps).mean())
+        bound = min(1.0, sides * tail_bound(sigma2, eps))
+        se = math.sqrt(max(freq * (1.0 - freq), 1.0 / n) / n)
+        rows.append((float(eps), freq, bound, se))
+    return tuple(rows)
 
 
 def weighted_log_mgf(

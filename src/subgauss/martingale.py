@@ -4,7 +4,7 @@ After k observations the posterior mean moves by a two-valued, conditionally
 mean-zero step whose variance proxy is K(mean)/(alpha'+beta'+1)^2 with
 K(p) <= 1/4. Azuma's inequality then telescopes the per-step proxies into the
 bound 1/(4(alpha+beta)+2) for the whole trajectory. This module computes the
-exact step law, the telescoped totals, path simulations, and, for the
+step proxies, the telescoped totals, path simulations, and, for the
 Dirichlet/categorical analogue, how far one sample moves the posterior-mean
 answer to a counting query. That answer is the mean of the projected Beta
 posterior, which reads the data only through the subset count c_S.
@@ -17,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma
 
-from .concentration import tail_bound
+from .concentration import beta_proxy_bound, tail_frequencies
 from .distributions import BetaParams, DirichletParams, SeedSpec, _check_integer, draw
 
 __all__ = [
-    "StepIncrement",
     "AzumaTotals",
     "PathSimulationReport",
     "StabilityReport",
     "two_point_variance_proxy",
-    "step_increment",
     "step_variance_proxy",
     "azuma_total",
     "simulate_paths",
@@ -35,16 +33,6 @@ __all__ = [
 
 # the deviations at which `simulate_paths` reports tail frequencies
 _TAIL_EPS = (0.1, 0.2, 0.3)
-
-
-@dataclass(frozen=True)
-class StepIncrement:
-    """Conditional law of the next posterior-mean move: two values, mean zero."""
-
-    up_value: float
-    up_prob: float
-    down_value: float
-    down_prob: float
 
 
 @dataclass(frozen=True)
@@ -94,23 +82,6 @@ def two_point_variance_proxy(p: float) -> float:
     return (2.0 * p - 1.0) / (2.0 * (math.log(p) - math.log1p(-p)))
 
 
-def step_increment(p: BetaParams) -> StepIncrement:
-    """Law of the posterior-mean change on the next Bernoulli observation.
-
-    With current posterior Beta(a', b'): a success (probability a'/(a'+b'))
-    moves the mean up by b'/((a'+b')(a'+b'+1)); a failure moves it down by
-    a'/((a'+b')(a'+b'+1)).
-    """
-    s = p.total
-    scale = 1.0 / (s * (s + 1.0))
-    return StepIncrement(
-        up_value=p.beta * scale,
-        up_prob=p.alpha / s,
-        down_value=-p.alpha * scale,
-        down_prob=p.beta / s,
-    )
-
-
 def step_variance_proxy(p: BetaParams) -> float:
     """Variance proxy of the next step: K(mean)/(alpha'+beta'+1)^2 <= 1/(4(...)^2)."""
     s = p.total
@@ -133,8 +104,8 @@ def azuma_total(prior: BetaParams, horizon: int = 10**6) -> AzumaTotals:
     s = prior.total
     partial = 0.25 * float(polygamma(1, s + 1.0) - polygamma(1, s + horizon + 1.0))
     remainder = 0.25 / (s + horizon + 0.5)
-    bound = 1.0 / (4.0 * s + 2.0)
-    return AzumaTotals(partial_sum=partial, tail_remainder=remainder, theorem_bound=bound)
+    return AzumaTotals(partial_sum=partial, tail_remainder=remainder,
+                       theorem_bound=beta_proxy_bound(prior))
 
 
 def simulate_paths(
@@ -175,18 +146,12 @@ def simulate_paths(
     mean_inc = float(total_increment.mean())
     se_inc = float(total_increment.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    sigma2 = 1.0 / (4.0 * s0 + 2.0)
-    tail_rows = []
-    for eps in _TAIL_EPS:
-        freq = float((np.abs(total_increment) >= eps).mean())
-        bound = min(1.0, 2.0 * tail_bound(sigma2, eps))
-        se = math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
-        tail_rows.append((float(eps), freq, bound, se))
-
+    tail_rows = tail_frequencies(np.abs(total_increment), beta_proxy_bound(prior), _TAIL_EPS,
+                                 sides=2)
     return PathSimulationReport(
         mean_total_increment=mean_inc,
         se_total_increment=se_inc,
-        tail_rows=tuple(tail_rows),
+        tail_rows=tail_rows,
         checkpoint_mean_abs_dev=tuple(checkpoint_dev),
         true_p=true_p,
         final_mean=final_mean,

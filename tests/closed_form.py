@@ -11,7 +11,8 @@ a Beta law, independent of the series behind `subgauss`'s Beta log-MGF.
 best grid point before Brent's method did; the scan's tests compare the two.
 `required_n_search` is the doubling-and-bisection search that found the
 game's sample size before its closed form did; `required_n` is checked
-against it.
+against it. `step_increment` is the two-valued law of one posterior-mean
+step, against which `subgauss.martingale.step_variance_proxy` is checked.
 """
 from __future__ import annotations
 
@@ -270,6 +271,33 @@ def beta_expect(
     i_left, _ = integrate.quad(left, 0.0, left_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
     i_right, _ = integrate.quad(right, 0.0, right_hi, epsabs=epsabs, epsrel=epsrel, limit=300)
     return norm * (i_left + i_right)
+
+
+@dataclass(frozen=True)
+class StepIncrement:
+    """Conditional law of the next posterior-mean move: two values, mean zero."""
+
+    up_value: float
+    up_prob: float
+    down_value: float
+    down_prob: float
+
+
+def step_increment(p: BetaParams) -> StepIncrement:
+    """Law of the posterior-mean change on the next Bernoulli observation.
+
+    With current posterior Beta(a', b'): a success (probability a'/(a'+b'))
+    moves the mean up by b'/((a'+b')(a'+b'+1)); a failure moves it down by
+    a'/((a'+b')(a'+b'+1)).
+    """
+    s = p.total
+    scale = 1.0 / (s * (s + 1.0))
+    return StepIncrement(
+        up_value=p.beta * scale,
+        up_prob=p.alpha / s,
+        down_value=-p.alpha * scale,
+        down_prob=p.beta / s,
+    )
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:

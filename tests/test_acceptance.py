@@ -83,7 +83,7 @@ def test_ac02_beta_tight_bound_sweep(beta_sweep):
 
 def test_ac03_moment_pair_bounds(lemmas):
     """Consecutive-moment-ratio inequality and termwise MGF comparison on the
-    grid: zero violations (j <= 100, tol 1e-12; 40 terms, 1e-12 relative)."""
+    grid: zero violations (every j, no slack; 40 terms, 1e-12 relative)."""
     pair = sum(row["pair_bound_violations"] for row in lemmas.rows)
     termwise = sum(row["termwise_violations"] for row in lemmas.rows)
     ok = pair == 0 and termwise == 0
@@ -92,7 +92,7 @@ def test_ac03_moment_pair_bounds(lemmas):
 
 
 def test_ac04_raw_moment_criterion_grid(lemmas):
-    """Raw-moment criterion at sigma^2 = 1/(2(a+b+1)) passes with J_max = 200."""
+    """Raw-moment criterion at sigma^2 = 1/(2(a+b+1)) passes for every j."""
     ok = all(row["criterion_passed"] for row in lemmas.rows)
     report("AC4", ok)
     assert ok

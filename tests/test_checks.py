@@ -69,6 +69,24 @@ def test_conjectures_failure_names_its_check_and_instance(monkeypatch, tmp_path,
     assert " tolerance=" in failed[0]
 
 
+def test_lemma_checks_fail_where_the_criterion_fails(monkeypatch):
+    # the criterion's right side scaled down fails AC3 and AC4 on the laws it now violates
+    criterion = checks.conc.raw_moment_criterion
+
+    def tightened(moments, sigma2):
+        lhs, rhs = criterion(moments, sigma2)
+        return lhs, 0.9 * rhs
+
+    monkeypatch.setattr(checks.conc, "raw_moment_criterion", tightened)
+    result = checks.lemma_checks()
+    assert not result.passed and result.summary["all_passed"] is False
+    assert result.failures and len(result.failures) <= len(checks.GRID) ** 2
+    for row in result.failures:
+        assert row["alpha"] in checks.GRID and row["beta"] in checks.GRID
+        assert row["pair_bound_violations"] > 0 and row["criterion_passed"] is False
+        assert row["termwise_violations"] == 0
+
+
 # (alpha, beta, draws): shapes below and above 1, sizes from one draw up
 BETA_SETS = [(0.1, 0.1, 1), (0.5, 2.0, 2), (1.0, 1.0, 7), (2.0, 5.0, 100), (0.3, 8.0, 1000),
              (25.0, 50.0, 5000), (8.0, 0.2, 20000), (1.0, 3.0, 10**5), (0.2, 0.7, 31),

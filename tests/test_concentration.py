@@ -23,7 +23,6 @@ from subgauss import (
     SeedSpec,
     beta_log_mgf,
     beta_mean_var,
-    beta_moment_pair_bounds,
     beta_proxy_bound,
     beta_proxy_estimate,
     beta_raw_moments,
@@ -214,27 +213,66 @@ class TestBetaProxyProperty:
 class TestRawMomentCriterion:
     def test_uniform_with_provable_sigma2(self):
         seq = beta_raw_moments(BetaParams(1, 1), 10)
-        report = raw_moment_criterion(seq, 1.0 / 6.0)
-        assert report.passed and report.violations == ()
+        lhs, rhs = raw_moment_criterion(seq, 1.0 / 6.0)
+        assert lhs.shape == rhs.shape == (9,)
+        assert not (lhs > rhs).any()
         # j=0 instance: 1/3 <= 1/4 + 1/6
         assert seq[2] / seq[0] == pytest.approx(1.0 / 3.0)
 
+    def test_uniform_j0(self):
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(BetaParams(1, 1), 2), 1.0 / 6.0)
+        assert lhs[0] == pytest.approx(1.0 / 3.0)
+        assert rhs[0] == pytest.approx(0.25 + 1.0 / 6.0)
+
+    def test_beta_1_2_j1(self):
+        # sigma^2 = 1/(2(alpha + beta + 1)) = 1/8
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(BetaParams(1, 2), 3), 1.0 / 8.0)
+        assert lhs[1] == pytest.approx(0.3)
+        assert rhs[1] == pytest.approx(1.0 / 9.0 + 0.25)
+
+    def test_sides_are_the_closed_form_ratio(self):
+        # lhs_j = (alpha+j)(alpha+j+1)/((s+j)(s+j+1)), rhs_j = mu^2 + (j+1) sigma^2
+        p = BetaParams(0.3, 4.0)
+        a, s = p.alpha, p.total
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(p, 60), 0.02)
+        j = np.arange(59.0)
+        assert lhs == pytest.approx((a + j) * (a + j + 1) / ((s + j) * (s + j + 1)), rel=1e-13)
+        assert rhs == pytest.approx((a / s) ** 2 + (j + 1) * 0.02, rel=1e-15)
+
+    def test_zero_violations_on_grid(self):
+        for a in GRID:
+            for b in GRID:
+                p = BetaParams(a, b)
+                lhs, rhs = raw_moment_criterion(beta_raw_moments(p, 200), 1 / (2 * (p.total + 1)))
+                assert not (lhs > rhs).any()
+
+    def test_two_hundred_moments_cover_every_j_on_the_grid(self):
+        # rhs >= 1 > lhs once j + 1 >= 2(s+1)(1 - mu^2), so lemma_checks' j <= 198 covers all j
+        for a in GRID:
+            for b in GRID:
+                s = a + b
+                assert 2 * (s + 1) * (1 - (a / s) ** 2) <= 199
+
+    def test_large_j_dominated_by_linear_growth(self):
+        p = BetaParams(2, 3)
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(p, 502), 1 / (2 * (p.total + 1)))
+        assert lhs.size == 501 and lhs[-1] < 1.0 < rhs[-1]
+
     def test_huge_sigma2_trivially_passes(self):
-        seq = beta_raw_moments(BetaParams(0.2, 7.0), 50)
-        assert raw_moment_criterion(seq, 1.5).passed
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(BetaParams(0.2, 7.0), 50), 1.5)
+        assert not (lhs > rhs).any()
 
     def test_sigma2_below_variance_fails_at_j0(self):
         p = BetaParams(2, 2)
         _, var = beta_mean_var(p)
-        report = raw_moment_criterion(beta_raw_moments(p, 10), 0.5 * var)
-        assert not report.passed
-        assert report.violations[0][0] == 0
+        lhs, rhs = raw_moment_criterion(beta_raw_moments(p, 10), 0.5 * var)
+        assert np.flatnonzero(lhs > rhs)[0] == 0
 
     def test_chi_moments_with_unit_sigma2(self):
         for k in (1, 3, 20):
             values = tuple(chi_raw_moment(k, j) for j in range(203))
-            report = raw_moment_criterion(values, 1.0)
-            assert report.passed
+            lhs, rhs = raw_moment_criterion(values, 1.0)
+            assert not (lhs > rhs).any()
 
     def test_positivity_precondition(self):
         for moments, sigma2 in [
@@ -246,53 +284,47 @@ class TestRawMomentCriterion:
             with pytest.raises(ValueError):
                 raw_moment_criterion(np.array(moments), sigma2)
 
-
-class TestMomentPairBounds:
-    def test_uniform_j0(self):
-        rows = beta_moment_pair_bounds(BetaParams(1, 1), 0)
-        j, lhs, rhs = rows[0]
-        assert lhs == pytest.approx(1.0 / 3.0)
-        assert rhs == pytest.approx(0.25 + 1.0 / 6.0)
-
-    def test_beta_1_2_j1(self):
-        rows = beta_moment_pair_bounds(BetaParams(1, 2), 1)
-        _, lhs, rhs = rows[1]
-        assert lhs == pytest.approx(0.3)
-        assert rhs == pytest.approx(1.0 / 9.0 + 0.25)
-
-    def test_zero_violations_on_grid(self):
-        for a in GRID:
-            for b in GRID:
-                rows = beta_moment_pair_bounds(BetaParams(a, b), 100)
-                assert all(lhs <= rhs + 1e-12 for _, lhs, rhs in rows)
-
-    def test_large_j_dominated_by_linear_growth(self):
-        rows = beta_moment_pair_bounds(BetaParams(2, 3), 500)
-        _, lhs, rhs = rows[-1]
-        assert lhs < 1.0 < rhs
+    @pytest.mark.parametrize(
+        "moments, sigma2",
+        [
+            ([1.0, 0.5, math.nan, 0.2], 1.0),  # a NaN moment would compare false and pass
+            ([1.0, 0.5, math.inf, 0.2], 1.0),
+            ([1.0], 1.0),  # fewer than three moments check no j
+            ([1.0, 0.5], 1.0),
+            ([1.0, 0.5, 0.3], math.nan),
+            ([1.0, 0.5, 0.3], math.inf),
+        ],
+    )
+    def test_inputs_it_cannot_judge_are_refused(self, moments, sigma2):
+        with pytest.raises(ValueError):
+            raw_moment_criterion(moments, sigma2)
 
 
 class TestTermwiseComparison:
     def test_power_zero(self):
-        rows = termwise_mgf_comparison(BetaParams(3, 4), 0.05, 4)
-        assert rows[0] == (0, 1.0, 1.0)
+        lhs, rhs = termwise_mgf_comparison(BetaParams(3, 4), 0.05, 4)
+        assert lhs.shape == rhs.shape == (5,)
+        assert (lhs[0], rhs[0]) == (1.0, 1.0)
 
     def test_halved_exponent_counterexample(self):
         # at (1,2) with sigma2 = 1/16 the lambda^4 coefficients flip order
-        rows = termwise_mgf_comparison(BetaParams(1, 2), 1.0 / 16.0, 8)
-        _, lhs, rhs = rows[4]
-        assert lhs == pytest.approx(1.0 / 360.0, rel=1e-12)
-        assert rhs == pytest.approx(1363.0 / 497664.0, rel=1e-12)
-        assert lhs > rhs
+        lhs, rhs = termwise_mgf_comparison(BetaParams(1, 2), 1.0 / 16.0, 8)
+        assert lhs[4] == pytest.approx(1.0 / 360.0, rel=1e-12)
+        assert rhs[4] == pytest.approx(1363.0 / 497664.0, rel=1e-12)
+        assert lhs[4] > rhs[4]
 
     def test_provable_exponent_dominates_termwise(self):
-        p = BetaParams(1, 2)
-        rows = termwise_mgf_comparison(p, 1.0 / 8.0, 40)
-        assert all(lhs <= rhs * (1 + 1e-12) for _, lhs, rhs in rows)
+        lhs, rhs = termwise_mgf_comparison(BetaParams(1, 2), 1.0 / 8.0, 40)
+        assert (lhs <= rhs * (1 + 1e-12)).all()
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             termwise_mgf_comparison(BetaParams(1, 1), 0.1, 1)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -0.1])
+    def test_sigma2_must_be_positive_and_finite(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            termwise_mgf_comparison(BetaParams(1, 2), sigma2, 6)
 
 
 class TestTailBound:
@@ -302,6 +334,13 @@ class TestTailBound:
 
     def test_epsilon_zero_gives_one(self):
         assert tail_bound(0.2, 0.0) == 1.0
+
+    @pytest.mark.parametrize("sigma2, epsilon", [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1),
+                                                 (0.1, math.nan), (0.1, -0.1)])
+    def test_refuses_what_bounds_nothing(self, sigma2, epsilon):
+        # tail_bound(nan, eps) would be NaN, and tail_bound(inf, eps) a vacuous 1
+        with pytest.raises(ValueError):
+            tail_bound(sigma2, epsilon)
 
     def test_monotonicities(self):
         eps = np.linspace(0.05, 1.0, 30)

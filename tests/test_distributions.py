@@ -75,7 +75,8 @@ class TestParams:
         for head in (0.5, 1.1):
             with pytest.raises(ValueError):
                 raw_moment_criterion(np.array([head, 0.5, 0.3]), 1.0)
-        assert raw_moment_criterion(np.array([1.0, 0.5, 0.3]), 1.0).passed
+        lhs, rhs = raw_moment_criterion(np.array([1.0, 0.5, 0.3]), 1.0)
+        assert lhs.tolist() == [0.3] and rhs.tolist() == [1.25]
         seq = beta_raw_moments(BetaParams(1, 1), 2)
         assert seq.shape == (3,) and seq[0] == 1.0 and seq[1] == pytest.approx(0.5)
 

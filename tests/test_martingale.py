@@ -8,6 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from closed_form import step_increment
 from scipy.special import polygamma
 
 from subgauss import (
@@ -18,7 +19,6 @@ from subgauss import (
     required_n,
     simulate_paths,
     stability_diagnostics,
-    step_increment,
     step_variance_proxy,
     two_point_variance_proxy,
 )
@@ -98,6 +98,16 @@ class TestStepVarianceProxy:
             a, b = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=2))
             p = BetaParams(float(a), float(b))
             assert step_variance_proxy(p) <= 0.25 / (p.total + 1.0) ** 2 + 1e-15
+
+    def test_is_the_two_point_proxy_of_the_step_law(self):
+        # the step takes two values 1/(s+1) apart, up with probability alpha/s
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            a, b = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=2))
+            p = BetaParams(float(a), float(b))
+            inc = step_increment(p)
+            scaled = two_point_variance_proxy(inc.up_prob) * (inc.up_value - inc.down_value) ** 2
+            assert scaled == pytest.approx(step_variance_proxy(p), rel=1e-12)
 
 
 class TestAzumaTotal:
