@@ -416,15 +416,10 @@ def _stratified_subsets(rng, outcome_range: int) -> list[set[int]]:
     return subsets + [set(int(i) for i in _random_proper_subset(rng, outcome_range))]
 
 
-def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
-    """Conjectured tau^2 scales on 30 conjugate-model instances, their subsets
-    drawn from substream 777. Instance i fails when its exact ratio to the
-    conjectured scale is not finite and positive, or when its Monte Carlo
-    tau^2 (`draws` draws, default 2e5, from `seed.derived(i + 1)`)
-    differs from the exact one by more than max(tau2 / 2, 10 / sqrt(draws))."""
-    count = _count(draws, 200_000)
+def _conjecture_instances(seed: SeedSpec) -> list[tuple]:
+    """The 30 (model, prior, subset, m) instances of `conjectures`, their subsets
+    drawn from ``seed``'s substream 777."""
     rng = seed.generator(777)
-
     instances = []
     for prior in (BetaParams(1.0, 2.0), BetaParams(2.0, 2.0), BetaParams(0.5, 1.5)):
         for subset in _stratified_subsets(rng, 6):  # binomial m=5: outcomes 0..5
@@ -439,6 +434,17 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
     for prior in (GammaParams(2.0, 5.0), GammaParams(1.0, 1.0)):
         for subset in _stratified_subsets(rng, 6):
             instances.append(("poisson_gamma", prior, subset, None))
+    return instances
+
+
+def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
+    """Conjectured tau^2 scales on 30 conjugate-model instances, their subsets
+    drawn from substream 777. Instance i fails when its exact ratio to the
+    conjectured scale is not finite and positive, or when its Monte Carlo
+    tau^2 (`draws` draws, default 2e5, from `seed.derived(i + 1)`)
+    differs from the exact one by more than max(tau2 / 2, 10 / sqrt(draws))."""
+    count = _count(draws, 200_000)
+    instances = _conjecture_instances(seed)
     rows, failures, evaluations = [], [], []
     max_ratio: dict[str, float] = {}
     for i, (model, prior, subset, m) in enumerate(instances):

@@ -162,42 +162,59 @@ def _scan(
     lam < 0, so each sign's grid is walked outward until that bound falls
     below the best ratio so far: no skipped point holds the grid's best.
 
-    An array form ``log_mgf.grid(lams)`` gives all grid values in one call;
-    the walk calls ``log_mgf`` only where it gave NaN, so points past the stop
-    are never evaluated. `_brent_max` refines strictly inside the same-sign
-    bracket of the best grid point, whose ends were read, so it needs no value
-    past the stop, never crosses 0 and never returns less than the best grid
-    value. ``evaluations`` counts the values read, whichever form gave them.
+    An array form ``log_mgf.grid(lams)`` gives all grid values in one call,
+    and all grid ratios come from it in one numpy expression, the same IEEE
+    operations as the scalar ratio; the walk calls ``log_mgf`` only where it
+    gave NaN, so points past the stop are never evaluated, and a non-finite
+    value raises OverflowError at the first walked lambda that has one.
+    `_brent_max` refines strictly inside the same-sign bracket of the best
+    grid point, whose ends were read, so it needs no value past the stop,
+    never crosses 0 and never returns less than the best grid value.
+    ``evaluations`` counts the values read, whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
-    calls = [0]
+    calls = [0]  # Brent's evaluations
 
-    def ratio(lam: float, value: float = math.nan) -> float:
-        calls[0] += 1
-        if math.isnan(value):
-            value = log_mgf(lam)
+    def finite(lam: float, reading: float) -> float:
+        value = log_mgf(lam) if math.isnan(reading) else reading
         if not math.isfinite(value):
             raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
-        return 2.0 * value / (lam * lam)
+        return value
+
+    def ratio(lam: float) -> float:
+        calls[0] += 1
+        return 2.0 * finite(lam, math.nan) / (lam * lam)
 
     n = _POINTS_PER_SIGN
     magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
     lams = np.concatenate([-magnitudes[::-1], magnitudes])
     grid = getattr(log_mgf, "grid", None)
-    # Python floats round as numpy's float64 does, and are faster to index and combine
-    points = lams.tolist()
-    readings = grid(lams).tolist() if grid is not None else [math.nan] * (2 * n)
+    readings = grid(lams) if grid is not None else np.full(2 * n, math.nan)
+    # Python floats round as numpy's float64 does, and are faster to index and
+    # combine; like them, lam * lam may overflow to inf (|lam| past 1.3e154)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (2.0 * readings / (lams * lams)).tolist()
+    points, readings = lams.tolist(), readings.tolist()
+    # a side stops at the first magnitude whose ratio bound falls below the best ratio
+    stops = ((2.0 * reach[1] / magnitudes).tolist(), (2.0 * reach[0] / magnitudes).tolist())
     values = [-math.inf] * (2 * n)
-    scanned = [0.0, 0.0]  # largest |lambda| evaluated on the - and + sides
-    live, best_value = [True, True], -math.inf
-    for i, m in enumerate(magnitudes.tolist()):
+    walked = [0, 0]  # grid points walked on the - and + sides
+    best_value = -math.inf
+    for i in range(n):
         for side, index in ((1, n + i), (0, n - 1 - i)):
-            live[side] = live[side] and 2.0 * reach[1 - side] / m >= best_value
-            if live[side]:
-                values[index] = ratio(points[index], readings[index])
-                best_value = max(best_value, values[index])
-                scanned[side] = m
+            if walked[side] == i and stops[side][i] >= best_value:
+                value = ratios[index]
+                if not math.isfinite(value):  # a NaN reading, or one that raises
+                    lam = points[index]
+                    value = 2.0 * finite(lam, readings[index]) / (lam * lam)
+                values[index] = value
+                if value > best_value:
+                    best_value = value
+                walked[side] += 1
+        if walked[0] <= i and walked[1] <= i:
+            break
+    scanned = [float(magnitudes[k - 1]) if k else 0.0 for k in walked]
     best = values.index(max(values))
     # Same-sign bracket around the best grid point (never refine across 0).
     sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
@@ -213,7 +230,8 @@ def _scan(
         f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
-    return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=calls[0])
+    evaluations = walked[0] + walked[1] + calls[0]
+    return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=evaluations)
 
 
 def variance_proxy_sup(

@@ -131,31 +131,47 @@ def _query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.nd
 
     Q sums its nonnegative terms, each formed in log space, so no size cap
     applies; Q expanded into powers of p would lose ~2^degree * eps near p = 1.
-    A zero probability contributes 0 log 0 = 0, so Q is the pmf there too:
-    a Dirichlet draw has exact zeros where a Gamma variate underflows.
-    An empty subset is refused with ValueError.
+    The logs are taken once per point (log p and log(1 - p), log p_i, or the
+    log rate), and each term is one 1-D exp of its log coefficient plus each
+    count times its log. A count of 0 contributes 0, as in xlogy, even where
+    its log is -inf: Q is the pmf at a zero probability too, which a
+    Dirichlet draw has where a Gamma variate underflows. ``sum`` adds the
+    terms left to right, which is numpy's ``.sum(axis=1)`` of them for up to
+    7 terms, exactly; past that numpy pairs them 8 ways, and the two sums may
+    differ by a few ulps. An empty subset is refused with ValueError.
     """
     if model in ("beta_binomial", "geometric"):
-        c, p = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        counts = _outcome_counts(subset)
+        log_p, log_q = xlogy(1.0, points), xlog1py(1.0, -points)
         if model == "geometric":  # p (1-p)^c
-            return np.exp(xlogy(1.0, p) + xlog1py(c, -p)).sum(axis=1)
-        if c[-1] > m:
+            return sum(np.exp(log_p + _times(c, log_q)) for c in counts)
+        if counts[-1] > m:
             raise ValueError("subset entries must lie in 0..m")
+        c = np.asarray(counts, dtype=float)
         log_coeff = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
-        return np.exp(log_coeff + xlogy(c, p) + xlog1py(m - c, -p)).sum(axis=1)
+        return sum(
+            np.exp(coeff + _times(c, log_p) + _times(m - c, log_q))
+            for c, coeff in zip(counts, log_coeff.tolist())
+        )
     if model == "multinomial":
         vectors = _check_count_vectors(subset, m, points.shape[1])
-        x = np.asarray(vectors, dtype=float)  # (s, k)
-        log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_terms = np.log(points) @ x.T
-        zero = (points == 0.0).any(axis=1)  # the product gives log(0) * 0 = NaN
-        log_terms[zero] = xlogy(x, points[zero, None, :]).sum(axis=2)
-        return np.exp(log_terms + log_coeff).sum(axis=1)
+        log_coeff = gammaln(m + 1.0) - gammaln(np.asarray(vectors, dtype=float) + 1.0).sum(axis=1)
+        with np.errstate(divide="ignore"):  # numpy's log, which the BLAS product form
+            logs = np.log(points).T  # took too; scipy's log rounds a few points differently
+        return sum(
+            np.exp(sum(_times(x_i, log_i) for x_i, log_i in zip(x, logs)) + coeff)
+            for x, coeff in zip(vectors, log_coeff.tolist())
+        )
     if model == "poisson_gamma":
-        c, rate = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
-        return np.exp(xlogy(c, rate) - rate - gammaln(c + 1.0)).sum(axis=1)
+        counts = _outcome_counts(subset)
+        log_rate = xlogy(1.0, points)
+        return sum(np.exp(_times(c, log_rate) - points - gammaln(c + 1.0)) for c in counts)
     raise ValueError(f"unknown model {model!r}")
+
+
+def _times(count: int, log: np.ndarray) -> np.ndarray | float:
+    """xlogy(count, e^log) from the log: count * log, and 0 at count 0 even where log is -inf."""
+    return count * log if count else 0.0
 
 
 def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +264,12 @@ def model_q_draws(
     draws: int,
     seed: SeedSpec,
 ) -> np.ndarray:
-    """Monte Carlo draws of the query functional Q under the parameter prior."""
+    """Monte Carlo draws of the query functional Q under the parameter prior.
+
+    ``draws`` is an integer >= 0; a float or a bool is refused with ValueError.
+    """
     m = _check_model(model, prior, m)
+    draws = _check_integer("draws", draws)
     return _query_values(model, subset, m, draw(prior, seed.generator(), draws))
 
 
@@ -337,7 +357,8 @@ def evaluate_model(
     Dirichlet priors need k <= 4) and no cap; it raises ExactModeError when a
     rule with twice the nodes per coordinate moves the ratio at the argmax by
     more than 1e-8 relative. Monte Carlo mode takes ``draws`` >= 100 prior
-    draws from ``seed``, weights 1/draws and the cap ln(1e6/sqrt(draws)). A Q
+    draws from ``seed`` (an integer: a float or a bool is refused), weights
+    1/draws and the cap ln(1e6/sqrt(draws)). A Q
     spreading by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds
     it by 2.5e-25). The prior must be of the model's family and the subset
     a nonempty set of integer outcomes (count vectors for the multinomial).
@@ -345,6 +366,7 @@ def evaluate_model(
     for the others. ``j_max`` is unused; `perfbench/workloads.py` still passes it.
     """
     m = _check_model(model, prior, m)
+    draws = _check_integer("draws", draws)
     if method == "monte_carlo" and draws < 100:
         raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
     scale = conjectured_scale(model, prior, m)

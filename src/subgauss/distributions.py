@@ -545,7 +545,9 @@ def draw(
     two-category special case of that construction, so a single Gamma sampler
     (valid for all shapes, including below 1) backs the whole family. It is
     ``rng.standard_gamma``, which gives the same stream as ``rng.gamma`` at
-    scale 1 without its per-call scale broadcast.
+    scale 1 without its per-call scale broadcast. A Beta variate adds its two
+    Gamma columns directly, the same sum as ``g.sum(axis=1)`` without the
+    short-axis reduction.
     Categorical probabilities (a plain sequence) yield integer category
     indices.
     """
@@ -553,7 +555,7 @@ def draw(
         raise ValueError("count must be nonnegative")
     if isinstance(dist, BetaParams):
         g = rng.standard_gamma(np.array([dist.alpha, dist.beta]), size=(count, 2))
-        return g[:, 0] / g.sum(axis=1)
+        return g[:, 0] / (g[:, 0] + g[:, 1])
     if isinstance(dist, DirichletParams):
         g = rng.standard_gamma(np.asarray(dist.alphas), size=(count, dist.k))
         return g / g.sum(axis=1, keepdims=True)

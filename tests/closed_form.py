@@ -13,6 +13,10 @@ best grid point before Brent's method did; the scan's tests compare the two.
 game's sample size before its closed form did; `required_n` is checked
 against it. `step_increment` is the two-valued law of one posterior-mean
 step, against which `subgauss.martingale.step_variance_proxy` is checked.
+`broadcast_query_block` is the query functional as one scipy call and one
+``.sum(axis=1)`` on the whole (points, terms) array, and `loop_scan` the
+tau^2 scan that read its grid by one ratio call per point; the library's
+per-point-log functional and array-read walk are checked against them.
 """
 from __future__ import annotations
 
@@ -23,8 +27,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
+from subgauss.concentration import (
+    _LAMBDA_MIN,
+    _POINTS_PER_SIGN,
+    _REFINE_TOL,
+    VarianceProxyEstimate,
+    _brent_max,
+)
 from subgauss.conjugate_models import _check_count_vectors, _outcome_counts
 from subgauss.distributions import BetaParams, DirichletParams, GammaParams
 
@@ -351,3 +362,78 @@ def required_n_search(epsilon: float, delta: float, q: int, prior_mass: float) -
         else:
             lo = mid
     return hi
+
+
+def broadcast_query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
+    """Q at parameter points, each term's log formed on the whole (points, terms)
+    array by xlogy/xlog1py (a BLAS product for the multinomial) and summed by
+    ``.sum(axis=1)``."""
+    if model in ("beta_binomial", "geometric"):
+        c, p = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        if model == "geometric":  # p (1-p)^c
+            return np.exp(xlogy(1.0, p) + xlog1py(c, -p)).sum(axis=1)
+        if c[-1] > m:
+            raise ValueError("subset entries must lie in 0..m")
+        log_coeff = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
+        return np.exp(log_coeff + xlogy(c, p) + xlog1py(m - c, -p)).sum(axis=1)
+    if model == "multinomial":
+        vectors = _check_count_vectors(subset, m, points.shape[1])
+        x = np.asarray(vectors, dtype=float)  # (s, k)
+        log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_terms = np.log(points) @ x.T
+        zero = (points == 0.0).any(axis=1)  # the product gives log(0) * 0 = NaN
+        log_terms[zero] = xlogy(x, points[zero, None, :]).sum(axis=2)
+        return np.exp(log_terms + log_coeff).sum(axis=1)
+    if model == "poisson_gamma":
+        c, rate = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        return np.exp(xlogy(c, rate) - rate - gammaln(c + 1.0)).sum(axis=1)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def loop_scan(
+    log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
+) -> VarianceProxyEstimate:
+    """The grid-plus-Brent tau^2 scan, each walked point read by one call of a
+    counting ratio closure (the array form's reading, or ``log_mgf`` where it is NaN)."""
+    if lambda_cap <= _LAMBDA_MIN:
+        raise ValueError("lambda_cap must exceed the smallest grid magnitude")
+    calls = [0]
+
+    def ratio(lam: float, value: float = math.nan) -> float:
+        calls[0] += 1
+        if math.isnan(value):
+            value = log_mgf(lam)
+        if not math.isfinite(value):
+            raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
+        return 2.0 * value / (lam * lam)
+
+    n = _POINTS_PER_SIGN
+    magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
+    lams = np.concatenate([-magnitudes[::-1], magnitudes])
+    grid = getattr(log_mgf, "grid", None)
+    points = lams.tolist()
+    readings = grid(lams).tolist() if grid is not None else [math.nan] * (2 * n)
+    values = [-math.inf] * (2 * n)
+    scanned = [0.0, 0.0]  # largest |lambda| evaluated on the - and + sides
+    live, best_value = [True, True], -math.inf
+    for i, m in enumerate(magnitudes.tolist()):
+        for side, index in ((1, n + i), (0, n - 1 - i)):
+            live[side] = live[side] and 2.0 * reach[1 - side] / m >= best_value
+            if live[side]:
+                values[index] = ratio(points[index], readings[index])
+                best_value = max(best_value, values[index])
+                scanned[side] = m
+    best = values.index(max(values))
+    sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
+    lo, hi = max(best - 1, sign_lo), min(best + 1, sign_hi)
+    known = [(points[i], values[i]) for i in (lo, hi)]
+    if not lo < best < hi or -math.inf in (values[lo], values[hi]):
+        known = []
+    arg, val = _brent_max(ratio, points[lo], points[hi], points[best], values[best], known)
+    spec = (
+        f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
+        f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
+        f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
+    )
+    return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=calls[0])

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 import pytest
-from closed_form import golden_max
+from closed_form import golden_max, loop_scan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +40,7 @@ from subgauss.checks import GRID
 from subgauss.concentration import (
     _certified_scan,
     _monte_carlo_window,
+    _scan,
     weighted_log_mgf,
     weighted_proxy_sup,
 )
@@ -745,6 +746,109 @@ class TestBrentRefinement:
             estimate, lambda kernel: _certified_scan(kernel, reach, var, window),
             log_mgf, 0.0, min(window, 2 * max(reach) / var), rel,
         )
+
+
+def walked_nan_points(log_mgf, cap, reach):
+    """Grid points whose array-form reading is NaN and that the scan evaluates by the scalar form."""
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return log_mgf(lam)
+
+    counted.grid = log_mgf.grid
+    _scan(counted, cap, reach)
+    lams = scan_grid(cap)
+    nan = set(lams[np.isnan(log_mgf.grid(lams))].tolist())
+    return nan.intersection(calls)
+
+
+def with_reading(log_mgf, lams, index, reading):
+    """``log_mgf`` whose array form reads ``reading`` at ``lams[index]``; at a NaN
+    reading, the scalar form gives inf there."""
+    lam_at = float(lams[index])
+
+    def grid(lams):
+        out = log_mgf.grid(lams)
+        out[index] = reading
+        return out
+
+    def kernel(lam):
+        return math.inf if lam == lam_at and math.isnan(reading) else log_mgf(lam)
+
+    kernel.grid = grid
+    return kernel
+
+
+class TestWalkMatchesLoopForm:
+    """The walk reads its ratios from one array and equals the loop of one ratio call per point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=weighted_laws(), capped=st.booleans())
+    def test_weighted(self, law, capped):
+        log_mgf, _, reach, var = weighted_log_mgf(*law)
+        full = 2 * max(reach) / var
+        cap = min(full, 1.5 / sum(reach)) if capped else full  # a cap just past the series branch
+        # the far branch is scalar only: the array form reads NaN there
+        assert np.isnan(log_mgf.grid(scan_grid(full))).any()
+        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+
+    @pytest.mark.parametrize("model, prior, subset, m", [
+        ("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}, None),
+        ("beta_binomial", BetaParams(0.5, 1.5), {5}, 5),
+    ])
+    def test_monte_carlo(self, model, prior, subset, m):
+        draws = 20_000
+        q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=SeedSpec(3))
+        log_mgf, _, reach, var = weighted_log_mgf(q, np.full(draws, 1.0 / draws))
+        cap = min(_monte_carlo_window(draws), 2 * max(reach) / var)
+        assert walked_nan_points(log_mgf, cap, reach)
+        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_a=st.floats(math.log(1e-3), math.log(1e6)),
+        log_b=st.floats(math.log(1e-3), math.log(1e6)),
+    )
+    def test_beta(self, log_a, log_b):
+        p = BetaParams(math.exp(log_a), math.exp(log_b))
+        mean, var = beta_mean_var(p)
+        reach, log_mgf = (1.0 - mean, mean), beta_centered_log_mgf(p)
+        cap = 2 * max(reach) / var
+        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e6, 1e6), (50.0, 0.1), (1e4, 3e4)])
+    def test_beta_walks_raw_series_points(self, alpha, beta):
+        # the raw series takes over on some walked points: the scalar form reads them
+        p = BetaParams(alpha, beta)
+        mean, var = beta_mean_var(p)
+        reach, log_mgf = (1.0 - mean, mean), beta_centered_log_mgf(p)
+        cap = 2 * max(reach) / var
+        assert walked_nan_points(log_mgf, cap, reach)
+        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+
+    @pytest.mark.parametrize("index", [200, 205, 150, 399, 0])
+    @pytest.mark.parametrize("reading", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_value_raises_at_the_same_lambda(self, index, reading):
+        # inf or -inf read from the array form, or a NaN reading whose scalar value is inf
+        p = BetaParams(2.0, 5.0)
+        mean, var = beta_mean_var(p)
+        reach = (1.0 - mean, mean)
+        cap = 2 * max(reach) / var
+        lams = scan_grid(cap)
+        kernel = with_reading(beta_centered_log_mgf(p), lams, index, reading)
+        outcomes = []
+        for scan in (_scan, loop_scan):
+            try:
+                outcomes.append(scan(kernel, cap, reach))
+            except OverflowError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        # the walk stops before the outermost points, so an injection there is never read
+        if index in (0, 399):
+            assert outcomes[0] == beta_proxy_estimate(p)
+        else:
+            assert outcomes[0] == f"log-MGF is not finite at lambda={float(lams[index])!r}"
 
 
 class TestKernelLifetime:

@@ -1,6 +1,7 @@
 """Tests for conjugate-model query functionals, exact moments, and tau^2 sweeps."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -12,6 +13,7 @@ from closed_form import (
     PolynomialInP,
     SizeCapError,
     binomial_query_poly,
+    broadcast_query_block,
     geometric_query_poly,
     multinomial_query_moments,
     poisson_query_moments,
@@ -30,8 +32,11 @@ from subgauss import (
     mc_moments,
     model_q_draws,
 )
+from subgauss import conjugate_models
+from subgauss.checks import _conjecture_instances
 from subgauss.concentration import weighted_proxy_sup
-from subgauss.conjugate_models import _prior_rule, _query_values
+from subgauss.conjugate_models import _prior_rule, _query_block, _query_values
+from subgauss.distributions import draw
 
 
 class TestBinomialPoly:
@@ -492,3 +497,85 @@ class TestEvaluateModel:
                     evaluate_model(model, prior, subset, m=m, method=method, draws=1000)
             with pytest.raises(ValueError, match=message):
                 model_q_draws(model, prior, subset, m=m, draws=100, seed=SeedSpec(0))
+
+
+DEFAULT_INSTANCES = _conjecture_instances(SeedSpec(0))
+
+
+class TestQueryBlockMatchesBroadcastForm:
+    """Q from one log per point equals Q from xlogy/xlog1py on the whole (points, terms) array."""
+
+    @pytest.mark.parametrize("index", range(len(DEFAULT_INSTANCES)))
+    def test_default_instances(self, index):
+        # the `conjectures` draws (at 20 000), Gauss rule and doubled rule of each instance
+        model, prior, subset, m = DEFAULT_INSTANCES[index]
+        draws = draw(prior, SeedSpec(0).derived(index + 1).generator(), 20_000)
+        for points in (draws, _prior_rule(prior)[0], _prior_rule(prior, refine=2)[0]):
+            new = _query_block(model, subset, m, points)
+            assert np.array_equal(new, broadcast_query_block(model, subset, m, points))
+
+    @pytest.mark.parametrize("model, subset, m, points", [
+        ("beta_binomial", {0, 2, 5}, 5, [0.0, 1.0, 0.5]),
+        ("beta_binomial", {1, 4}, 5, [0.0, 1.0, 0.5]),
+        ("geometric", {0, 3}, None, [0.0, 1.0, 0.5]),
+        ("poisson_gamma", {0, 1, 4}, None, [0.0, 2.5]),
+        ("multinomial", {(2, 0, 0), (0, 1, 1), (1, 1, 0)}, 2,
+         [[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]]),
+    ])
+    def test_endpoints(self, model, subset, m, points):
+        # p in {0, 1} and rate 0: a zero count's -inf log contributes 0, with no warning
+        points = np.array(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            new = _query_block(model, subset, m, points)
+        assert np.array_equal(new, broadcast_query_block(model, subset, m, points))
+
+    @pytest.mark.parametrize("model, prior, subset, m", [
+        ("geometric", BetaParams(2.0, 1.0), set(range(12)), None),
+        ("geometric", BetaParams(0.5, 3.0), set(range(0, 40, 2)), None),
+        ("poisson_gamma", GammaParams(2.0, 0.2), set(range(20)), None),
+        ("beta_binomial", BetaParams(1.0, 1.0), set(range(21)), 20),
+    ])
+    def test_many_outcomes_within_the_summation_bound(self, model, prior, subset, m):
+        # from 8 terms numpy's .sum pairs them 8 ways; the terms are the same, and a
+        # sum of n nonnegative terms in any order is within (n - 1) eps / 2 relative
+        # of their exact sum, so the two sums differ by at most (n - 1) eps
+        points = draw(prior, np.random.default_rng(5), 20_000)
+        new = _query_block(model, subset, m, points)
+        old = broadcast_query_block(model, subset, m, points)
+        bound = (len(subset) - 1) * np.finfo(float).eps
+        assert (np.abs(new - old) <= bound * old).all()
+        assert (new != old).any()  # the bound, not equality, is what is checked here
+
+    def test_scipy_logs_take_one_dimensional_arrays(self, monkeypatch):
+        # xlogy and xlog1py run once per point, never on the (points, terms) array
+        shapes = []
+
+        def recorded(fn):
+            def call(x, y):
+                shapes.append((np.ndim(x), np.ndim(y)))
+                return fn(x, y)
+            return call
+
+        for name in ("xlogy", "xlog1py"):
+            monkeypatch.setattr(conjugate_models, name, recorded(getattr(conjugate_models, name)))
+        for model, prior, subset, m in DEFAULT_INSTANCES:
+            _query_values(model, subset, m, draw(prior, np.random.default_rng(1), 1000))
+        assert shapes and set(shapes) == {(0, 1)}
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("draws", [1000.0, True, "1000", None])
+    def test_draws_must_be_an_integer(self, draws):
+        message = re.escape(f"draws must be an integer, got {draws!r}")
+        for method in ("exact", "monte_carlo"):
+            with pytest.raises(ValueError, match=message):
+                evaluate_model("geometric", BetaParams(2, 1), {0}, method=method, draws=draws)
+        with pytest.raises(ValueError, match=message):
+            model_q_draws("geometric", BetaParams(2, 1), {0}, draws=draws, seed=SeedSpec(0))
+
+    def test_numpy_integers_pass(self):
+        report = evaluate_model("geometric", BetaParams(2, 1), {0}, method="monte_carlo",
+                                draws=np.int64(1000), seed=SeedSpec(0))
+        assert report == evaluate_model("geometric", BetaParams(2, 1), {0}, method="monte_carlo",
+                                        draws=1000, seed=SeedSpec(0))

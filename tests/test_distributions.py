@@ -233,6 +233,13 @@ class TestSampling:
             ks = stats.kstest(draws, stats.beta(projected.alpha, projected.beta).cdf)
             assert ks.statistic < critical
 
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 5.0), (0.01, 0.02), (300.0, 1e-3)])
+    def test_beta_is_the_first_gamma_over_the_row_sum(self, alpha, beta):
+        # the two columns added directly, == numpy's row sum of the same Gamma draws
+        g = SeedSpec(8).generator().standard_gamma(np.array([alpha, beta]), size=(20_000, 2))
+        drawn = sample(BetaParams(alpha, beta), SeedSpec(8), 20_000)
+        assert np.array_equal(drawn, g[:, 0] / g.sum(axis=1))
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(BetaParams(1, 1), SeedSpec(0), -1)
