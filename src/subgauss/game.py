@@ -22,19 +22,23 @@ come from one vectorised pass (``distributions._block_generators``): numpy's
 gets the stream of ``seed.derived(t).generator()`` without a
 ``SeedSequence`` of its own; numpy's ``SeedSequence`` stays the reference
 the tests compare it with. Each trial's generator makes only its raw draws
-(Gamma variates, uniforms, static-random masks). Under a symmetric prior the
-k Gamma variates are one scalar-shape ``standard_gamma(alpha, size=k)``
-call, the same stream as the array-shape call at a fraction of its cost.
-The normalisation, categorical inversion and counts run as whole-array
-operations that repeat ``draw``'s arithmetic. The block is then played in
-one of three shapes:
+(Gamma variates, uniforms, static-random query rows). Under a symmetric
+prior the k Gamma variates are one scalar-shape ``standard_gamma(alpha,
+size=k)`` call, the same stream as the array-shape call at a fraction of
+its cost. The normalisation, categorical inversion and counts run as
+whole-array operations that repeat ``draw``'s arithmetic. The block is then
+played in one of three shapes:
 
 - static-random and variance-maximizer analysts: the queries never depend
-  on the answers, so every round's answer and truth come from one pass over
-  the (trials, q, k) masks (one (k,) mask for the variance maximizer). Sums
-  add the k categories in turn, the order of the transcript path's ``sum``,
-  and sample-split answers are integer hit counts per fold over the fold's
-  length, so each is the same float;
+  on the answers, so every round's answer and truth are read at once from
+  each trial's subset codes, one integer per query with bit i for category
+  i (one code for the variance maximizer). A trial's table of subset sums
+  over its first few categories is built by doubling, each entry the
+  previous sum plus one category; the later categories are added in turn.
+  That is the order of the transcript path's ``sum`` over sorted indices,
+  and sample-split answers are integer hit counts per fold (a sample's hit
+  is its category's bit of the fold's code) over the fold's length, so each
+  is the same float;
 - the adaptive correlator with sample split: the k probes at once, then one
   array step per round for all trials;
 - the adaptive correlator with a mean curator: the same, except that a trial
@@ -335,9 +339,10 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
 
 # Trials played together by ``run_games``. Per trial, one block holds the n
 # uniforms and categorical samples (float64 and intp), the static-random
-# analyst's (q, k) bool masks, and for the non-adaptive analysts a few float
-# rows of q answers, truths and errors; everything else is k values per trial.
-# No (trials, n, k) array and no float (trials, q, k) array is formed.
+# analyst's q subset codes, and for the non-adaptive analysts a table of up
+# to 1024 subset sums and a few float rows of q answers, truths and errors;
+# everything else is k values per trial. No (trials, n, k) array and no
+# (trials, q, k) array is formed.
 _TRIAL_BLOCK = 1024
 
 # Earlier post-probe states each adaptive-correlator trial is compared with
@@ -356,24 +361,63 @@ def _check_enough_data(config: GameConfig) -> None:
         raise ValueError("sample-split fold is empty (need n >= q)")
 
 
-def _random_masks(rng: np.random.Generator, k: int, q: int) -> np.ndarray:
-    """The static-random analyst's q subsets as a (q, k) mask, drawn in row blocks.
+def _code_powers(k: int) -> np.ndarray:
+    """2^i for i < k, in the smallest dtype that holds a subset code of k categories.
 
-    ``rng.random((rows, k))`` yields the same numbers as ``rows`` calls of
-    ``rng.random(k)``, so keeping the accepted rows in order reproduces
-    ``run_game``'s `_random_proper_subset` draws. Rows drawn past the
-    q-th accepted one are discarded; nothing draws from the generator after
-    the analyst.
+    Codes of up to 64 categories are unsigned integers; past that they are
+    Python ints in an object array, which no fixed width holds.
     """
-    accept = 1.0 - 2.0 ** (1 - k)
-    blocks, found = [], 0
+    return np.array([1 << i for i in range(k)], dtype=np.min_scalar_type((1 << k) - 1))
+
+
+def _random_codes(rng: np.random.Generator, powers: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the static-random analyst's len(out) subsets as subset codes.
+
+    The rows are drawn in blocks: ``rng.random((rows, k))`` yields the same
+    numbers as ``rows`` calls of ``rng.random(k)``, and each row's kept
+    categories (uniform below 1/2) become one code through an integer
+    product with ``powers``. Keeping the codes that are neither empty (0)
+    nor full (2^k - 1), in order, reproduces ``run_game``'s
+    ``_random_proper_subset`` draws. Rows drawn past the len(out)-th
+    accepted one are discarded; nothing draws from the generator after the
+    analyst.
+    """
+    k, q = len(powers), len(out)
+    full, accept = (1 << k) - 1, 1.0 - 2.0 ** (1 - k)
+    found = 0
     while found < q:
-        rows = rng.random((int((q - found) / accept) + 8, k)) < 0.5
-        size = rows.sum(axis=1)
-        rows = rows[(size > 0) & (size < k)]
-        blocks.append(rows)
-        found += len(rows)
-    return np.concatenate(blocks)[:q]
+        codes = (rng.random((int((q - found) / accept) + 8, k)) < 0.5) @ powers
+        codes = codes[(codes != 0) & (codes != full)][: q - found]
+        out[found : found + len(codes)] = codes
+        found += len(codes)
+
+
+def _subset_sums(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sums of each trial's (trials, k) ``values`` over its subset codes, added left to right.
+
+    ``codes`` is (trials, m), or (1, m) for codes every trial shares. Each
+    trial gets a table of its sums over every subset of the first L
+    categories, L = min(k, bit_length(m), 10), so the table is about as long
+    as the trial's codes: T[c + 2^h] = T[c] + v_h for c < 2^h. A code reads
+    its entry at ``code & (2^L - 1)``, and the categories from L on are added
+    in turn. Every sum is thus formed from 0.0 over the code's categories in
+    increasing order, the order of Python's ``sum`` over sorted indices, so
+    it is bit-identical to the transcript path's.
+    """
+    trials, k = values.shape
+    width = min(k, codes.shape[-1].bit_length(), 10)
+    table = np.empty((trials, 1 << width))
+    table[:, 0] = 0.0
+    for h in range(width):
+        np.add(table[:, : 1 << h], values[:, h, None], out=table[:, 1 << h : 2 << h])
+    # the flat table's indices in one pass; the "unsafe" cast admits the
+    # object (Python-int) codes past 64 categories, and every index fits
+    cells = np.add(codes & ((1 << width) - 1), (np.arange(trials) << width)[:, None],
+                   dtype=np.intp, casting="unsafe")
+    total = table.take(cells)
+    for h in range(width, k):
+        np.add(total, values[:, h, None], out=total, where=codes >> h & 1 == 1)
+    return total
 
 
 def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -409,14 +453,16 @@ def _fold_means(hits: np.ndarray, q: int) -> np.ndarray:
 
 
 def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
-    """(true_p, counts, samples, static masks or None) of trials start..stop-1.
+    """(true_p, counts, samples, static-random codes or None) of trials start..stop-1.
 
     Trial t's generator, from ``_block_generators``, has the stream of
     ``seed.derived(t).generator()`` and makes only its raw draws, in
     ``run_game``'s stream order: k standard Gamma variates, n uniforms, then
-    the static-random masks. When every prior alpha is equal the Gamma
-    variates are drawn as ``standard_gamma(alpha, size=k)``, which yields the
-    array-shape call's numbers without its per-call broadcast. The Dirichlet
+    the static-random query rows, kept as the (trials, q) subset codes of
+    ``_random_codes`` as each trial draws them. When every prior alpha is
+    equal the Gamma variates are drawn as ``standard_gamma(alpha, size=k)``,
+    which yields the array-shape call's numbers without its per-call
+    broadcast. The Dirichlet
     normalisation, the categorical inversion and the counts then run once
     for the block, with the operations ``draw`` applies to one trial.
     """
@@ -426,13 +472,17 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
     shape = alphas[0] if len(set(alphas)) == 1 else np.asarray(alphas)
     gammas = np.empty((trials, k))
     uniforms = np.empty((trials, n))
-    masks = np.empty((trials, q, k), dtype=bool) if config.analyst == "static_random" else None
+    if config.analyst == "static_random":
+        powers = _code_powers(k)
+        codes = np.empty((trials, q), dtype=powers.dtype)
+    else:
+        codes = None
     for t, rng in enumerate(_block_generators(seed, start, stop)):
         gammas[t] = rng.standard_gamma(shape, size=k)
         if n > 0:
             uniforms[t] = rng.random(n)
-        if masks is not None:
-            masks[t] = _random_masks(rng, k, q)
+        if codes is not None:
+            _random_codes(rng, powers, codes[t])
     true_p = gammas / gammas.sum(axis=1, keepdims=True)
     # A uniform's category is the number of cumsum edges <= it (searchsorted,
     # side "right") capped at k - 1, that is, the count over the first k - 1
@@ -443,24 +493,24 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
         samples += edges[:, j, None] <= uniforms
     cells = samples + k * np.arange(trials)[:, None]
     counts = np.bincount(cells.ravel(), minlength=trials * k).reshape(trials, k)
-    return true_p, counts, samples, masks
+    return true_p, counts, samples, codes
 
 
-def _play_fixed(config: GameConfig, true_p, means, samples, masks) -> np.ndarray:
+def _play_fixed(config: GameConfig, true_p, means, samples, codes) -> np.ndarray:
     """Largest round errors when the queries ignore the answers: every round at once.
 
-    ``masks`` is (trials, q, k) for the static-random analyst and (1, 1, k)
-    for the variance maximizer's one query; ``means`` is None for sample
-    split, whose answers are per-fold hit counts.
+    ``codes`` holds subset codes, (trials, q) for the static-random analyst
+    and (1, 1) for the variance maximizer's one query; ``means`` is None for
+    sample split, whose answers are per-fold hit counts: a sample is a hit
+    when its category's bit is set in its fold's code.
     """
-    truth = _masked_sums(masks, true_p[:, None, :])
+    truth = _subset_sums(codes, true_p)
     if means is not None:
-        answer = _masked_sums(masks, means[:, None, :])
+        answer = _subset_sums(codes, means)
     else:
-        trials, q = len(samples), config.q
-        queries = np.broadcast_to(masks, (trials, q, config.k))
-        hits = queries[np.arange(trials)[:, None], _fold_of(config.n, q), samples]
-        answer = _fold_means(hits, q)
+        q = config.q
+        rounds = np.broadcast_to(codes, (len(codes), q))[:, _fold_of(config.n, q)]
+        answer = _fold_means(rounds >> samples.astype(codes.dtype) & 1, q)
     return np.abs(answer - truth).max(axis=1)
 
 
@@ -519,7 +569,7 @@ def _play_adaptive(config: GameConfig, true_p, means, samples) -> np.ndarray:
 
 def _play_block(config: GameConfig, seed: SeedSpec, start: int, stop: int) -> np.ndarray:
     """Largest round error of trials start..stop-1, the games played together."""
-    true_p, counts, samples, masks = _draw_block(config, seed, start, stop)
+    true_p, counts, samples, codes = _draw_block(config, seed, start, stop)
     if config.curator == "posterior_mean":
         post = np.asarray(config.prior.alphas) + counts
         means = post / post.sum(axis=1, keepdims=True)
@@ -529,10 +579,10 @@ def _play_block(config: GameConfig, seed: SeedSpec, start: int, stop: int) -> np
         means = None
     if config.analyst == "adaptive_correlator":
         return _play_adaptive(config, true_p, means, samples)
-    if masks is None:  # the variance maximizer asks one query every round
-        masks = np.zeros((1, 1, config.k), dtype=bool)
-        masks[..., _balanced_subset(config.prior, config.n)] = True
-    return _play_fixed(config, true_p, means, samples, masks)
+    if codes is None:  # the variance maximizer asks one query every round
+        code = sum(1 << i for i in _balanced_subset(config.prior, config.n))
+        codes = np.full((1, 1), code, dtype=_code_powers(config.k).dtype)
+    return _play_fixed(config, true_p, means, samples, codes)
 
 
 def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
@@ -541,9 +591,9 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     RNG contract: trial t draws from the stream of
     ``seed.derived(t).generator()`` alone. Its instance (true parameter, then
     the n samples) is drawn first, then the analyst's draws (the
-    static-random masks, drawn in blocks whose rows past the q-th accepted
-    one are never used). Entry t therefore equals ``run_game(config,
-    seed.derived(t)).max_error`` exactly. The generators themselves are
+    static-random query rows, drawn in blocks whose rows past the q-th
+    accepted one are never used). Entry t therefore equals
+    ``run_game(config, seed.derived(t)).max_error`` exactly. The generators themselves are
     derived for a whole block at once by ``distributions._block_generators``,
     which hashes the block's numpy ``SeedSequence`` pools on arrays, with
     numpy's own ``SeedSequence`` as its reference. Raises ``ValueError``
@@ -551,7 +601,10 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     (empirical mean with n = 0, sample split with n < q).
 
     A block of up to ``_TRIAL_BLOCK`` trials is played in one of three
-    shapes; the module docstring says why each gives ``run_game``'s errors.
+    shapes: non-adaptive queries as subset codes whose answers and truths
+    come from per-trial tables of subset sums, and the adaptive correlator's
+    probes and round loop with or without the cycle exit. The module
+    docstring says why each gives ``run_game``'s errors.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -621,7 +674,7 @@ def estimate_failure_rate(
 
     The games are ``run_games(config, trials, seed)``: trial t draws its
     instance and then its analyst's queries from ``seed.derived(t)`` alone
-    (over-drawn static-random mask rows are never used), and loses when its
+    (over-drawn static-random query rows are never used), and loses when its
     largest error exceeds epsilon, exactly as ``run_game(config,
     seed.derived(t))`` would.
     """

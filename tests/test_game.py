@@ -490,6 +490,32 @@ class TestRunGames:
         seed = SeedSpec(13)
         assert run_games(config, 16, seed).tolist() == loop_max_errors(config, 16, seed)
 
+    @pytest.mark.parametrize("k,q,n", [(13, 40, 60), (64, 20, 30), (70, 30, 45), (3, 200, 210)])
+    @pytest.mark.parametrize("curator", CURATOR_KINDS)
+    @pytest.mark.parametrize("analyst", ["static_random", "variance_maximizer"])
+    def test_non_adaptive_past_the_sum_table(self, analyst, curator, k, q, n):
+        # k = 13 adds categories past the table of subset sums; k = 64 fills an
+        # unsigned 64-bit code and k = 70 takes Python-int codes; at k = 3 a
+        # quarter of the static-random rows are rejected and some trials refill
+        config = make_config(
+            k=k, prior=DirichletParams(tuple(0.5 + i % 4 for i in range(k))), n=n, q=q,
+            analyst=analyst, curator=curator,
+        )
+        seed = SeedSpec(16, k)
+        assert run_games(config, 30, seed).tolist() == loop_max_errors(config, 30, seed)
+
+    @pytest.mark.parametrize("curator", CURATOR_KINDS)
+    @pytest.mark.parametrize("analyst", ["static_random", "variance_maximizer"])
+    def test_non_adaptive_forms_no_category_masks(self, monkeypatch, analyst, curator):
+        # their rounds are read from subset codes: no (trials, q, k) mask is summed
+        def refuse(mask, values):
+            raise AssertionError("summed a category mask")
+
+        monkeypatch.setattr(game, "_masked_sums", refuse)
+        config = make_config(k=10, prior=DirichletParams(SKEWED), n=120, q=100,
+                             analyst=analyst, curator=curator)
+        run_games(config, 20, SeedSpec(17))
+
     @settings(max_examples=15, deadline=None)
     @given(
         k=st.integers(2, 6),
@@ -505,6 +531,63 @@ class TestRunGames:
                 continue
             config = make_config(k=k, prior=prior, n=n, q=q, analyst=analyst, curator=curator)
             assert run_games(config, 4, seed).tolist() == loop_max_errors(config, 4, seed)
+
+
+class TestSubsetSums:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 24),
+        m=st.integers(1, 2000),
+        trials=st.integers(1, 3),
+        shared=st.booleans(),
+        master=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_a_plain_sum(self, k, m, trials, shared, master):
+        # k past 10 adds categories beyond the table; values hold zeros and negatives
+        rng = np.random.default_rng(master)
+        values = rng.standard_normal((trials, k)) * 10.0 ** rng.integers(-3, 4, (trials, k))
+        values[rng.random((trials, k)) < 0.25] = 0.0
+        codes = rng.integers(0, 2**k, (1 if shared else trials, m)).astype(game._code_powers(k).dtype)
+        sums = game._subset_sums(codes, values)
+        assert sums.shape == (trials, m)
+        for t in range(trials):
+            v = values[t].tolist()
+            row = codes[0 if shared else t].tolist()
+            want = [sum((v[i] for i in range(k) if code >> i & 1), 0.0) for code in row]
+            assert sums[t].tolist() == want
+
+
+def _total_variation(config, seed, trials):
+    """TV(p, m) = sum |p_i - m_i| / 2 of each trial's instance, for a mean curator."""
+    true_p, counts, _, _ = game._draw_block(config, seed, 0, trials)
+    if config.curator == "posterior_mean":
+        post = np.asarray(config.prior.alphas) + counts
+        means = post / post.sum(axis=1, keepdims=True)
+    else:
+        means = counts / config.n
+    return 0.5 * np.abs(true_p - means).sum(axis=1)
+
+
+class TestTotalVariationCeiling:
+    # every counting query's error |sum_S (m_i - p_i)| is at most TV(p, m),
+    # the error of the subset where m_i > p_i
+    @pytest.mark.parametrize("curator", ["posterior_mean", "empirical_mean"])
+    @pytest.mark.parametrize("analyst", ["static_random", "variance_maximizer"])
+    def test_no_error_above_the_ceiling(self, analyst, curator):
+        config = make_config(k=10, prior=DirichletParams(SKEWED), n=37, q=60,
+                             analyst=analyst, curator=curator)
+        seed = SeedSpec(18)
+        ceiling = _total_variation(config, seed, 50)
+        assert (run_games(config, 50, seed) <= ceiling + 1e-15).all()
+
+    @pytest.mark.parametrize("curator", ["posterior_mean", "empirical_mean"])
+    def test_static_random_reaches_the_ceiling(self, curator):
+        # k = 3 has 6 proper subsets: 200 random queries ask all of them
+        config = make_config(k=3, prior=DirichletParams((0.5, 1.0, 2.0)), n=25, q=200,
+                             curator=curator)
+        seed = SeedSpec(19)
+        ceiling = _total_variation(config, seed, 50)
+        np.testing.assert_allclose(run_games(config, 50, seed), ceiling, rtol=0, atol=1e-15)
 
 
 # Posterior-mean instances (prior alphas, counts, true p) on which the
