@@ -45,6 +45,9 @@ __all__ = [
 _POINTS_PER_SIGN = 200
 _LAMBDA_MIN = 1e-3
 _REFINE_TOL = 1e-8
+# A skipped grid point is read unless its ratio bound, widened by this much
+# relative, is below the ratio it is compared with.
+_BOUND_MARGIN = 1e-9
 
 
 def beta_proxy_bound(p: BetaParams) -> float:
@@ -63,8 +66,9 @@ class VarianceProxyEstimate:
 
     ``grid_spec`` names the grid, the Brent refinement's relative tolerance
     and the |lambda| actually scanned on each sign; ``evaluations`` counts
-    the log-MGF values the scan read (grid points and refinement), 0 for an
-    estimate made without a scan.
+    the log-MGF values the scan read: the walked grid points the kernel's
+    array form gave, the skipped ones a bound could not rule out, and the
+    refinement's (see `_scan`). It is 0 for an estimate made without a scan.
     """
 
     value: float
@@ -151,6 +155,29 @@ def _brent_max(
     return x, fx
 
 
+def _cell_bound(t0: float, k0: float, slope: float, t_first: float, t_last: float) -> float:
+    """Largest ratio 2 K(t) / t^2 for t in [t_first, t_last] under K <= k0 + slope (t - t0).
+
+    The line is the chord of a convex K from a read point (t0, k0) to the
+    next one out, or from the last read point with slope reach, K's largest
+    slope; t0 < t_first. With c0 = k0 - slope t0, 2 (c0 + slope t) / t^2 is
+    largest at t = -2 c0 / slope, or at an end of the range. The bound is
+    widened by _BOUND_MARGIN relative, for the rounding of the values it
+    comes from.
+    """
+    if slope == math.inf:
+        return math.inf
+    c0 = k0 - slope * t0
+    if slope <= 0.0:
+        spots = (t_first, t_last)
+    elif c0 < 0.0:
+        spots = (min(max(-2.0 * c0 / slope, t_first), t_last),)
+    else:
+        spots = (t_first,)
+    top = max(2.0 * (k0 + slope * (t - t0)) / (t * t) for t in spots)
+    return top + _BOUND_MARGIN * abs(top)
+
+
 def _scan(
     log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
 ) -> VarianceProxyEstimate:
@@ -159,32 +186,55 @@ def _scan(
     ``log_mgf`` is centered, lam -> ln E[e^(lam (X - E X))], and ``reach`` is
     (max X - E X, E X - min X) of a bounded law, or infinities. The ratio is
     then at most 2 reach[0] / lam for lam > 0 and 2 reach[1] / |lam| for
-    lam < 0, so each sign's grid is walked outward until that bound falls
-    below the best ratio so far: no skipped point holds the grid's best.
+    lam < 0, so each sign's grid is walked outward, + before - at each
+    magnitude, until that bound falls below the best ratio of the points
+    walked before: no point past the stop holds the grid's best.
 
     An array form ``log_mgf.grid(lams)`` gives all grid values in one call,
     and all grid ratios come from it in one numpy expression, the same IEEE
-    operations as the scalar ratio; the walk calls ``log_mgf`` only where it
-    gave NaN, so points past the stop are never evaluated, and a non-finite
-    value raises OverflowError at the first walked lambda that has one.
-    `_brent_max` refines strictly inside the same-sign bracket of the best
-    grid point, whose ends were read, so it needs no value past the stop,
-    never crosses 0 and never returns less than the best grid value.
-    ``evaluations`` counts the values read, whichever form gave them.
+    operations as the scalar ratio. A walked point it leaves NaN (a far
+    branch) is skipped, and read by the scalar form only where no bound rules
+    it out. K = log_mgf is convex, K(0) = 0, and its slope in |lam| is at
+    most reach on each side, so on a run of skipped points K lies below the
+    chord between the read points either side, or, past a side's outermost
+    read point, below the line of slope reach from it; `_cell_bound` gives
+    the largest ratio that allows. The run of highest bound is read into
+    (at its outer end if that is the walk's front, else in its middle) until:
+
+    - each step of the walk is decided: the best ratio read is above the
+      step's stop bound, or no run's bound is;
+    - once the walk is over, each side's outermost walked point is read and
+      every run's bound is below the best ratio read.
+
+    So the stops, the best grid point (the lowest lambda among ties) and its
+    walked neighbours, which are read, are those of reading every walked
+    point, and no point past a stop is read. A kernel without an array form
+    is read at every walked point: near 0 its ratio may be rounding alone
+    (an uncentered kernel minus lam mean), which no bound from its values
+    can hold.
+
+    A non-finite value raises OverflowError at the first walked lambda that
+    has one. A read that raises first reads the skipped points walked before
+    it, in the walk's order; with each side's outermost walked point read, a
+    kernel whose finite set is an interval around 0 raises at the lambda the
+    point-by-point walk does. `_brent_max` refines strictly inside the
+    same-sign bracket of the best grid point, whose ends were read, so it
+    needs no value past the stop, never crosses 0 and never returns less
+    than the best grid value. ``evaluations`` counts the values read,
+    whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
     calls = [0]  # Brent's evaluations
 
-    def finite(lam: float, reading: float) -> float:
-        value = log_mgf(lam) if math.isnan(reading) else reading
+    def finite(lam: float, value: float) -> float:
         if not math.isfinite(value):
             raise OverflowError(f"log-MGF is not finite at lambda={lam!r}")
         return value
 
     def ratio(lam: float) -> float:
         calls[0] += 1
-        return 2.0 * finite(lam, math.nan) / (lam * lam)
+        return 2.0 * finite(lam, log_mgf(lam)) / (lam * lam)
 
     n = _POINTS_PER_SIGN
     magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
@@ -194,44 +244,115 @@ def _scan(
     # Python floats round as numpy's float64 does, and are faster to index and
     # combine; like them, lam * lam may overflow to inf (|lam| past 1.3e154)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = (2.0 * readings / (lams * lams)).tolist()
-    points, readings = lams.tolist(), readings.tolist()
+        ratios = 2.0 * readings / (lams * lams)
+    # each side's lists run outward from 0: side 0 is lam < 0, side 1 lam > 0
+    kvals = (readings[n - 1 :: -1].tolist(), readings[n:].tolist())
+    ratios = (ratios[n - 1 :: -1].tolist(), ratios[n:].tolist())
+    mags, signs, slopes = magnitudes.tolist(), (-1.0, 1.0), (reach[1], reach[0])
     # a side stops at the first magnitude whose ratio bound falls below the best ratio
-    stops = ((2.0 * reach[1] / magnitudes).tolist(), (2.0 * reach[0] / magnitudes).tolist())
-    values = [-math.inf] * (2 * n)
+    stops = tuple((2.0 * slope / magnitudes).tolist() for slope in slopes)
+    values = ([-math.inf] * n, [-math.inf] * n)
     walked = [0, 0]  # grid points walked on the - and + sides
-    best_value = -math.inf
+    cells: list[list] = []  # [bound, side, first, last]: a run of skipped points
+    open_cells: list = [None, None]  # each side's cell that runs to its last walked point
+    best = top = -math.inf  # the best ratio read, and the highest cell bound
+
+    def read(side: int, i: int) -> None:
+        nonlocal best
+        lam = signs[side] * mags[i]
+        try:
+            reading = finite(lam, log_mgf(lam) if math.isnan(kvals[side][i]) else kvals[side][i])
+        except Exception:
+            # the point-by-point walk read every skipped point before this one first
+            for j in range(i + 1):
+                for s in (1, 0):
+                    if (j < i or s > side) and j < walked[s] and math.isnan(kvals[s][j]):
+                        finite(signs[s] * mags[j], log_mgf(signs[s] * mags[j]))
+            raise
+        kvals[side][i] = reading
+        values[side][i] = value = 2.0 * reading / (lam * lam)
+        best = max(best, value)
+
+    def bound(side: int, first: int, last: int, closed: bool = True) -> float:
+        """`_cell_bound` of skipped points first..last, from the read point inside them (or
+        K(0) = 0) to the read point past them, or with slope reach if ``closed`` is False."""
+        t0, k0 = (mags[first - 1], kvals[side][first - 1]) if first else (0.0, 0.0)
+        slope = (kvals[side][last + 1] - k0) / (mags[last + 1] - t0) if closed else slopes[side]
+        return _cell_bound(t0, k0, slope, mags[first], mags[last])
+
+    def split(cell: list) -> None:
+        """Read one skipped point of ``cell``, its outer end if that is the walk's front, else
+        its middle, and put the runs either side of it in its place."""
+        nonlocal top
+        _, side, first, last = cell
+        if cell is open_cells[side]:
+            j, open_cells[side] = last, None
+        else:
+            j = (first + last) // 2
+        read(side, j)
+        cells.remove(cell)
+        cells.extend([bound(side, a, b), side, a, b] for a, b in ((first, j - 1), (j + 1, last)) if a <= b)
+        top = max([c[0] for c in cells], default=-math.inf)
+
     for i in range(n):
-        for side, index in ((1, n + i), (0, n - 1 - i)):
-            if walked[side] == i and stops[side][i] >= best_value:
-                value = ratios[index]
-                if not math.isfinite(value):  # a NaN reading, or one that raises
-                    lam = points[index]
-                    value = 2.0 * finite(lam, readings[index]) / (lam * lam)
-                values[index] = value
-                if value > best_value:
-                    best_value = value
-                walked[side] += 1
+        for side in (1, 0):
+            if walked[side] != i:
+                continue
+            stop = stops[side][i]
+            while best <= stop < top:  # a skipped point may decide whether the walk goes on
+                split(max(cells))
+            if stop < best:
+                continue
+            walked[side] += 1
+            value, cell = ratios[side][i], open_cells[side]
+            if math.isfinite(value):
+                values[side][i] = value
+                if value > best:
+                    best = value
+            elif grid is None or not math.isnan(kvals[side][i]):
+                read(side, i)  # no array form, or a value that raises
+            else:  # skipped: a new open cell starts, or the open cell grows by one point
+                if cell is None:
+                    open_cells[side] = cell = [-math.inf, side, i, i]
+                    cells.append(cell)
+                cell[0], cell[3] = bound(side, cell[2], i, False), i
+                top = max(top, cell[0])
+                continue
+            if cell is not None:  # the read point closes the open cell: a chord bounds it
+                open_cells[side] = None
+                cell[0] = bound(side, cell[2], i - 1)
+                top = max(c[0] for c in cells)
         if walked[0] <= i and walked[1] <= i:
             break
-    scanned = [float(magnitudes[k - 1]) if k else 0.0 for k in walked]
-    best = values.index(max(values))
-    # Same-sign bracket around the best grid point (never refine across 0).
-    sign_lo, sign_hi = (0, n - 1) if best < n else (n, 2 * n - 1)
-    lo, hi = max(best - 1, sign_lo), min(best + 1, sign_hi)
-    # both neighbours seed the first parabola, unless one is missing or unread (-inf)
-    known = [(points[i], values[i]) for i in (lo, hi)]
-    if not lo < best < hi or -math.inf in (values[lo], values[hi]):
-        known = []
-    arg, val = _brent_max(ratio, points[lo], points[hi], points[best], values[best], known)
+
+    for cell in [c for c in open_cells if c is not None]:
+        split(cell)  # each side's outermost walked point
+    while top >= best:  # a cell may hold the best grid point
+        split(max(cells))
+    scanned = [mags[k - 1] if k else 0.0 for k in walked]
+    # the best grid point, the lowest lambda among ties
+    side = 0 if best in values[0] else 1
+    i = values[1].index(best) if side else n - 1 - values[0][::-1].index(best)
+    # its same-sign neighbours bracket Brent's method (never refining across 0), and
+    # seed its first parabola where both were walked; a skipped one is read
+    if 0 < i < n - 1 and i + 1 < walked[side]:
+        for j in (i - 1, i + 1):
+            if values[side][j] == -math.inf:
+                read(side, j)
+    (lo, f_lo), (hi, f_hi) = sorted((signs[side] * mags[j], values[side][j])
+                                    for j in (max(i - 1, 0), min(i + 1, n - 1)))
+    known = [(lo, f_lo), (hi, f_hi)] if 0 < i < n - 1 and -math.inf not in (f_lo, f_hi) else []
+    arg, val = _brent_max(ratio, lo, hi, signs[side] * mags[i], best, known)
 
     spec = (
         f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
         f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
-    evaluations = walked[0] + walked[1] + calls[0]
-    return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=evaluations)
+    reads = 2 * n - values[0].count(-math.inf) - values[1].count(-math.inf)
+    return VarianceProxyEstimate(
+        value=val, argmax_lambda=arg, grid_spec=spec, evaluations=reads + calls[0]
+    )
 
 
 def variance_proxy_sup(
@@ -275,8 +396,12 @@ def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     """Variance-proxy estimate for Beta(p) from its exact centered (series) log-MGF.
 
     The scan stops where the bounded support certifies that no larger
-    ratio remains. For alpha + beta <= 1e6, where this was tested against
-    50-digit mpmath, the estimate is tau^2 to about 1e-13 relative. Beyond,
+    ratio remains. The kernel's array form gives its Taylor and central
+    series points; a walked point where the raw series takes over is read
+    one lam at a time, only where `_scan`'s convexity bounds cannot rule it
+    out, and never past the walk's stop. For alpha + beta <= 1e6, where
+    this was tested against 50-digit mpmath, the estimate is tau^2 to
+    about 1e-13 relative. Beyond,
     the raw series minus lam mu that takes over from the central series
     loses about eps mu / (|lam| Var) relative (5.8e-15 above Var at
     Beta(5e6, 5e6)). Past alpha + beta of about 5e7 the raw series needs
@@ -388,11 +513,13 @@ def weighted_log_mgf(
     once, maybe past the branch): its truncation error is at most 1.3e-20 relative, and no term
     cancels against a leading 1, so the ratio 2 log_mgf/lam^2 stays a lower
     estimate as lam -> 0. e_1 is the centering's rounding residual, kept so
-    that both branches describe the same points. Past that range the sum is
-    shifted by lam max(x) (lam > 0) or lam min(x) (lam < 0) so no exponential
-    overflows; it sums over all N points per lam, so it stays scalar.
-    ``log_mgf.grid(lams)`` evaluates the series branch on an array of lam in
-    one numpy pass, with values == log_mgf's, and NaN past it. Every weighted
+    that both branches describe the same points. Past that range (the far
+    branch) the sum is shifted by lam max(x) (lam > 0) or lam min(x)
+    (lam < 0) so no exponential overflows, and each lam costs an N-point
+    exp and sum. ``log_mgf.grid(lams)`` evaluates the series branch on an
+    array of lam in one numpy pass, with values == log_mgf's, and NaN on the
+    far branch: `_scan` reads a far point one lam at a time, and only where
+    its convexity bounds cannot rule the point out. Every weighted
     sum is an `np.einsum` reduction: unlike `w @ v`, it never calls BLAS,
     whose threaded dot product rounds differently with the thread count.
     Constant values (Var = 0) are refused.

@@ -35,10 +35,10 @@ played in one of three shapes:
   i (one code for the variance maximizer). A trial's table of subset sums
   over its first few categories is built by doubling, each entry the
   previous sum plus one category; the later categories are added in turn.
-  That is the order of the transcript path's ``sum`` over sorted indices,
-  and sample-split answers are integer hit counts per fold (a sample's hit
-  is its category's bit of the fold's code) over the fold's length, so each
-  is the same float;
+  That is the order of the transcript path's left-to-right ``_left_sum``
+  over sorted indices, and sample-split answers are integer hit counts per
+  fold (a sample's hit is its category's bit of the fold's code) over the
+  fold's length, so each is the same float;
 - the adaptive correlator with sample split: the k probes at once, then one
   array step per round for all trials;
 - the adaptive correlator with a mean curator: the same, except that a trial
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,6 +193,19 @@ def sample_instance(
     return true_p, counts
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn: the plain left-to-right float sum.
+
+    Python's ``sum`` compensates the rounding of floats from 3.12 on, and
+    the batch path's table sums add plainly, so the transcript path adds
+    with this on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) -> BetaParams:
     """Law of sum_{i in S} p_i under Dir(d): Beta(sum_S alpha_i, sum_rest alpha_i).
 
@@ -205,7 +218,7 @@ def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) 
         raise DegenerateQueryError(
             "projection needs a nonempty proper subset of the categories"
         )
-    inside = sum(d.alphas[i] for i in subset)
+    inside = _left_sum(d.alphas[i] for i in subset)
     return BetaParams(inside, d.total - inside)
 
 
@@ -269,7 +282,7 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
     query's value on the drawn true parameter, not on the sample.
 
     Deterministic given (config, seed). ``run_games`` is held ``==`` to this
-    loop, so it keeps its own arithmetic: Python sums over sorted indices and
+    loop, so it keeps its own arithmetic: left-to-right sums over sorted indices and
     a numpy mean of each fold's hits.
     """
     _check_enough_data(config)
@@ -309,13 +322,13 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
         idx = query.indices
 
         if mean is not None:
-            answer = sum(mean[i] for i in idx)
+            answer = _left_sum(mean[i] for i in idx)
         else:
             fold = samples[r * size : (r + 1) * size if r < q - 1 else n]
             weights = np.zeros(k)
             weights[list(idx)] = 1.0
             answer = float(weights[fold].mean())
-        truth = sum(true_list[i] for i in idx)
+        truth = _left_sum(true_list[i] for i in idx)
         error = abs(answer - truth)
         if error > max_error:
             max_error = error
@@ -323,7 +336,7 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
         if adaptive and r < k:
             scores[r] = answer - prior_mean[r]
         elif adaptive:
-            share = (answer - sum(prior_mean[i] + scores[i] for i in idx)) / half
+            share = (answer - _left_sum(prior_mean[i] + scores[i] for i in idx)) / half
             for i in idx:
                 scores[i] += share
         if record_rounds:

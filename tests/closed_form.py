@@ -16,7 +16,9 @@ step, against which `subgauss.martingale.step_variance_proxy` is checked.
 `broadcast_query_block` is the query functional as one scipy call and one
 ``.sum(axis=1)`` on the whole (points, terms) array, and `loop_scan` the
 tau^2 scan that read its grid by one ratio call per point; the library's
-per-point-log functional and array-read walk are checked against them.
+per-point-log functional and bounded scan are checked against them.
+`counting` wraps a log-MGF to record the lambda of each scalar call, so a
+test can count the points a scan read.
 """
 from __future__ import annotations
 
@@ -437,3 +439,19 @@ def loop_scan(
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
     return VarianceProxyEstimate(value=val, argmax_lambda=arg, grid_spec=spec, evaluations=calls[0])
+
+
+def counting(log_mgf: Callable[[float], float]) -> Callable[[float], float]:
+    """``log_mgf`` recording each scalar call's lambda in ``.calls``; its array form
+    ``grid``, if any, is forwarded (and not recorded)."""
+    calls: list[float] = []
+
+    def counted(lam: float) -> float:
+        calls.append(lam)
+        return log_mgf(lam)
+
+    counted.calls = calls
+    grid = getattr(log_mgf, "grid", None)
+    if grid is not None:
+        counted.grid = grid
+    return counted

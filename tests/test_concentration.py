@@ -13,7 +13,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 import pytest
-from closed_form import golden_max, loop_scan
+from closed_form import counting, golden_max, loop_scan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,8 @@ from subgauss import (
     termwise_mgf_comparison,
     variance_proxy_sup,
 )
-from subgauss.checks import GRID
+from subgauss import concentration
+from subgauss.checks import GRID, _conjecture_instances
 from subgauss.concentration import (
     _certified_scan,
     _monte_carlo_window,
@@ -97,13 +98,15 @@ class TestVarianceProxySup:
             for b in GRID:
                 p = BetaParams(a, b)
                 mean, var = beta_mean_var(p)
-                reach = (1.0 - mean, mean)
-                ref = refine_reference(
+                reach, cap = (1.0 - mean, mean), 2 * max(1.0 - mean, mean) / var
+                kernel = counting(beta_centered_log_mgf(p))
+                _certified_scan(kernel, reach, var)
+                on_grid = set(scan_grid(cap).tolist())
+                refined += sum(lam not in on_grid for lam in kernel.calls)  # Brent's reads
+                golden += refine_reference(
                     lambda kernel: _certified_scan(kernel, reach, var),
-                    beta_centered_log_mgf(p), 0.0, 2 * max(reach) / var,
-                )
-                refined += beta_proxy_estimate(p).evaluations - ref.grid_reads
-                golden += ref.golden_calls
+                    beta_centered_log_mgf(p), 0.0, cap,
+                ).golden_calls
         assert 2 * refined <= golden  # 894 against 3311 when written
 
 
@@ -565,6 +568,13 @@ def scalar_only(log_mgf):
     return lambda lam: log_mgf(lam)
 
 
+def assert_same_estimate(estimate, reference):
+    """``estimate`` has ``reference``'s value, argmax and grid, from no more log-MGF reads."""
+    fields = [(e.value, e.argmax_lambda, e.grid_spec) for e in (estimate, reference)]
+    assert fields[0] == fields[1]
+    assert estimate.evaluations <= reference.evaluations
+
+
 class TestArrayForm:
     """The scan reads a bounded-law kernel's array form; its values and the estimates are ==."""
 
@@ -587,7 +597,7 @@ class TestArrayForm:
         lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
         # NaN only past the Taylor branch, where the raw series may take over
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
-        assert beta_proxy_estimate(p) == _certified_scan(scalar_only(log_mgf), reach, var)
+        assert_same_estimate(beta_proxy_estimate(p), _certified_scan(scalar_only(log_mgf), reach, var))
 
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws())
@@ -596,9 +606,9 @@ class TestArrayForm:
         log_mgf, _, reach, var = weighted_log_mgf(v, w)
         width = sum(reach)
         lams = np.concatenate([scan_grid(2 * max(reach) / var), around(1.0 / width)])
-        # the far branch sums over every point, so it stays scalar
+        # the array form leaves the far branch NaN
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) * width > 1.0).all()
-        assert weighted_proxy_sup(v, w) == _certified_scan(scalar_only(log_mgf), reach, var)
+        assert_same_estimate(weighted_proxy_sup(v, w), _certified_scan(scalar_only(log_mgf), reach, var))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_empirical(self, seed):
@@ -608,11 +618,10 @@ class TestArrayForm:
         assert_array_form_is_scalar_form(log_mgf, scan_grid(cap))
         mean = float(draws.mean())
         plain = variance_proxy_sup(scalar_only(log_mgf), mean, cap)
-        assert variance_proxy_sup(log_mgf, mean, cap) == plain
+        assert_same_estimate(variance_proxy_sup(log_mgf, mean, cap), plain)
 
 
 class RefineReference(NamedTuple):
-    grid_reads: int
     grid_best: float
     bracket: tuple[float, float]
     golden_value: float
@@ -620,7 +629,8 @@ class RefineReference(NamedTuple):
 
 
 def refine_reference(scan, log_mgf, mean, cap):
-    """The grid reads of ``scan`` on a scalar-only ``log_mgf``, and `golden_max` on their bracket.
+    """The best grid point of ``scan`` on a scalar-only ``log_mgf``, which it reads at every
+    walked point, and `golden_max` on that point's bracket.
 
     ``scan`` takes a kernel and scans it to ``cap``, whose grid is `scan_grid`;
     the ratio is the scan's, 2 (log_mgf(lam) - lam mean) / lam^2. The best grid
@@ -647,8 +657,7 @@ def refine_reference(scan, log_mgf, mean, cap):
         return 2.0 * (log_mgf(lam) - lam * mean) / (lam * lam)
 
     golden_value = golden_max(ratio, lo, hi, 1e-8)[1]
-    grid_reads = sum(lam in reads for lam in points)
-    return RefineReference(grid_reads, values[best], (lo, hi), golden_value, calls[0])
+    return RefineReference(values[best], (lo, hi), golden_value, calls[0])
 
 
 def assert_refines_like_golden_section(estimate, scan, log_mgf, mean, cap, rel=1e-13):
@@ -748,50 +757,53 @@ class TestBrentRefinement:
         )
 
 
-def walked_nan_points(log_mgf, cap, reach):
-    """Grid points whose array-form reading is NaN and that the scan evaluates by the scalar form."""
-    calls = []
+def assert_scans_like_the_walk(log_mgf, cap, reach):
+    """`_scan` of the kernel gives `loop_scan`'s estimate from no more reads, and every
+    walked grid point it skipped has a ratio below the best grid ratio.
 
-    def counted(lam):
-        calls.append(lam)
-        return log_mgf(lam)
-
-    counted.grid = log_mgf.grid
-    _scan(counted, cap, reach)
+    Returns the estimate, and the far points (those the array form leaves NaN)
+    read by `_scan` and walked by `loop_scan`.
+    """
+    bounded, walk = counting(log_mgf), counting(scalar_only(log_mgf))
+    estimate = _scan(bounded, cap, reach)
+    assert_same_estimate(estimate, loop_scan(walk, cap, reach))
     lams = scan_grid(cap)
-    nan = set(lams[np.isnan(log_mgf.grid(lams))].tolist())
-    return nan.intersection(calls)
+    on_grid = set(lams.tolist())
+    walked = {lam: 2.0 * log_mgf(lam) / (lam * lam) for lam in walk.calls if lam in on_grid}
+    far = set(lams[np.isnan(log_mgf.grid(lams))].tolist()).intersection(walked)
+    best = max(walked.values())
+    assert all(walked[lam] < best for lam in far.difference(bounded.calls))
+    # evaluations: the walked points the array form gave, and every scalar call
+    assert estimate.evaluations == len(walked) - len(far) + len(bounded.calls)
+    return estimate, len(far.intersection(bounded.calls)), len(far)
 
 
 def with_reading(log_mgf, lams, index, reading):
-    """``log_mgf`` whose array form reads ``reading`` at ``lams[index]``; at a NaN
-    reading, the scalar form gives inf there."""
+    """``log_mgf`` whose array form reads ``reading`` at ``lams[index]``. A NaN reading
+    runs from there outward on its side, and the scalar form gives inf wherever it does,
+    so the kernel's finite set is still an interval around 0."""
     lam_at = float(lams[index])
+
+    def outward(lam):
+        return lam * lam_at > 0 and abs(lam) >= abs(lam_at)
 
     def grid(lams):
         out = log_mgf.grid(lams)
-        out[index] = reading
+        if math.isnan(reading):
+            out[(lams * lam_at > 0) & (np.abs(lams) >= abs(lam_at))] = math.nan
+        else:
+            out[index] = reading
         return out
 
     def kernel(lam):
-        return math.inf if lam == lam_at and math.isnan(reading) else log_mgf(lam)
+        return math.inf if math.isnan(reading) and outward(lam) else log_mgf(lam)
 
     kernel.grid = grid
     return kernel
 
 
 class TestWalkMatchesLoopForm:
-    """The walk reads its ratios from one array and equals the loop of one ratio call per point."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(law=weighted_laws(), capped=st.booleans())
-    def test_weighted(self, law, capped):
-        log_mgf, _, reach, var = weighted_log_mgf(*law)
-        full = 2 * max(reach) / var
-        cap = min(full, 1.5 / sum(reach)) if capped else full  # a cap just past the series branch
-        # the far branch is scalar only: the array form reads NaN there
-        assert np.isnan(log_mgf.grid(scan_grid(full))).any()
-        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+    """The scan reads its ratios from one array and gives the estimate of one ratio call per point."""
 
     @pytest.mark.parametrize("model, prior, subset, m", [
         ("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}, None),
@@ -802,8 +814,8 @@ class TestWalkMatchesLoopForm:
         q = model_q_draws(model, prior, subset, m=m, draws=draws, seed=SeedSpec(3))
         log_mgf, _, reach, var = weighted_log_mgf(q, np.full(draws, 1.0 / draws))
         cap = min(_monte_carlo_window(draws), 2 * max(reach) / var)
-        assert walked_nan_points(log_mgf, cap, reach)
-        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+        _, read, walked = assert_scans_like_the_walk(log_mgf, cap, reach)
+        assert 0 < read < walked
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -814,23 +826,14 @@ class TestWalkMatchesLoopForm:
         p = BetaParams(math.exp(log_a), math.exp(log_b))
         mean, var = beta_mean_var(p)
         reach, log_mgf = (1.0 - mean, mean), beta_centered_log_mgf(p)
-        cap = 2 * max(reach) / var
-        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
+        assert_scans_like_the_walk(log_mgf, 2 * max(reach) / var, reach)
 
-    @pytest.mark.parametrize("alpha, beta", [(1e6, 1e6), (50.0, 0.1), (1e4, 3e4)])
-    def test_beta_walks_raw_series_points(self, alpha, beta):
-        # the raw series takes over on some walked points: the scalar form reads them
-        p = BetaParams(alpha, beta)
-        mean, var = beta_mean_var(p)
-        reach, log_mgf = (1.0 - mean, mean), beta_centered_log_mgf(p)
-        cap = 2 * max(reach) / var
-        assert walked_nan_points(log_mgf, cap, reach)
-        assert _scan(log_mgf, cap, reach) == loop_scan(log_mgf, cap, reach)
-
-    @pytest.mark.parametrize("index", [200, 205, 150, 399, 0])
+    @pytest.mark.parametrize("index", [200, 205, 150, 395, 20, 399, 0])
     @pytest.mark.parametrize("reading", [math.inf, -math.inf, math.nan])
     def test_nonfinite_value_raises_at_the_same_lambda(self, index, reading):
-        # inf or -inf read from the array form, or a NaN reading whose scalar value is inf
+        # inf or -inf read from the array form at one point, or NaN readings whose scalar
+        # value is inf from one point outward; 395 and 20 are the last points the walk
+        # reaches on each side, where no bound calls for a read
         p = BetaParams(2.0, 5.0)
         mean, var = beta_mean_var(p)
         reach = (1.0 - mean, mean)
@@ -838,17 +841,81 @@ class TestWalkMatchesLoopForm:
         lams = scan_grid(cap)
         kernel = with_reading(beta_centered_log_mgf(p), lams, index, reading)
         outcomes = []
-        for scan in (_scan, loop_scan):
+        for scan in (_scan, loop_scan, lambda *args: beta_proxy_estimate(p)):
             try:
-                outcomes.append(scan(kernel, cap, reach))
+                est = scan(kernel, cap, reach)
+                outcomes.append((est.value, est.argmax_lambda, est.grid_spec))
             except OverflowError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         # the walk stops before the outermost points, so an injection there is never read
         if index in (0, 399):
-            assert outcomes[0] == beta_proxy_estimate(p)
+            assert outcomes[0] == outcomes[2]
         else:
             assert outcomes[0] == f"log-MGF is not finite at lambda={float(lams[index])!r}"
+
+
+class TestBoundedScan:
+    """The scan skips the far points that a convexity bound rules out, and keeps the walk's estimate."""
+
+    def test_grid_laws(self):
+        for a in GRID:
+            for b in GRID:
+                p = BetaParams(a, b)
+                mean, var = beta_mean_var(p)
+                reach = (1.0 - mean, mean)
+                assert_scans_like_the_walk(beta_centered_log_mgf(p), 2 * max(reach) / var, reach)
+
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+    def test_conjectures(self, monkeypatch, method):
+        # the 30 instances of `conjectures` at its default seed, with 20 000 Monte Carlo draws
+        reads = [0, 0]
+
+        def scan(log_mgf, cap, reach):
+            estimate, read, walked = assert_scans_like_the_walk(log_mgf, cap, reach)
+            reads[0] += read
+            reads[1] += walked
+            return estimate
+
+        monkeypatch.setattr(concentration, "_scan", scan)
+        seed = SeedSpec(0)
+        for i, (model, prior, subset, m) in enumerate(_conjecture_instances(seed)):
+            if method == "exact":
+                evaluate_model(model, prior, subset, m=m)
+            else:
+                evaluate_model(model, prior, subset, m=m, method=method, draws=20_000,
+                               seed=seed.derived(i + 1))
+        # far points read against walked, when written: 674 of 2 672 exact, 457 of 1 923 Monte Carlo
+        assert 3 * reads[0] <= reads[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=weighted_laws(), capped=st.booleans())
+    def test_weighted(self, law, capped):
+        log_mgf, _, reach, var = weighted_log_mgf(*law)
+        full = 2 * max(reach) / var
+        cap = min(full, 1.5 / sum(reach)) if capped else full  # a cap just past the series branch
+        assert np.isnan(log_mgf.grid(scan_grid(full))).any()
+        assert_scans_like_the_walk(log_mgf, cap, reach)
+
+    @pytest.mark.parametrize("alpha, beta, value, argmax, scanned", [
+        (1.0, 1e7, 2.0363227736895597e-08, 35128588.20457565, "6.67119e+06 (-), 9.0037e+07 (+)"),
+        (3e7, 3e7, 4.1666665972222305e-09, -1.402644265212063, "2.1039e+08 (-), 2.1039e+08 (+)"),
+        (1e4, 3e4, 6.064549462729241e-06, 55420.359017497096, "80687.8 (-), 238200 (+)"),
+        (50.0, 0.1, 0.0038924288584230144, -187.38858433724835, "495.223 (-), 44.5469 (+)"),
+        (1e6, 1e6, 1.2499993750003137e-07, -0.04387538987613797, "7.13388e+06 (-), 7.13388e+06 (+)"),
+    ])
+    def test_raw_series_laws(self, alpha, beta, value, argmax, scanned):
+        # the walk reaches raw-series points of these laws, which the array form leaves NaN;
+        # the pins are the estimates of the scan that read every walked point
+        p = BetaParams(alpha, beta)
+        mean, var = beta_mean_var(p)
+        reach = (1.0 - mean, mean)
+        estimate, read, walked = assert_scans_like_the_walk(
+            beta_centered_log_mgf(p), 2 * max(reach) / var, reach
+        )
+        assert (estimate.value, estimate.argmax_lambda) == (value, argmax)
+        assert estimate.grid_spec.endswith(f"scanned to {scanned}")
+        assert 0 < read <= walked
 
 
 class TestKernelLifetime:

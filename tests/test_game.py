@@ -556,6 +556,12 @@ class TestSubsetSums:
             want = [sum((v[i] for i in range(k) if code >> i & 1), 0.0) for code in row]
             assert sums[t].tolist() == want
 
+    def test_transcript_sum_adds_left_to_right(self):
+        # Python 3.12's compensated sum gives 1.0 here; the table and the transcript path do not
+        codes = np.array([[2**10 - 1]], dtype=game._code_powers(10).dtype)
+        table_sum = game._subset_sums(codes, np.full((1, 10), 0.1))[0, 0]
+        assert game._left_sum([0.1] * 10) == table_sum == 0.9999999999999999
+
 
 def _total_variation(config, seed, trials):
     """TV(p, m) = sum |p_i - m_i| / 2 of each trial's instance, for a mean curator."""
