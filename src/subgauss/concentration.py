@@ -198,13 +198,15 @@ def _scan(
     most reach on each side, so on a run of skipped points K lies below the
     chord between the read points either side, or, past a side's outermost
     read point, below the line of slope reach from it; `_cell_bound` gives
-    the largest ratio that allows. The run of highest bound is read into
-    (at its outer end if that is the walk's front, else in its middle) until:
+    the largest ratio that allows. A run is open while it ends at its side's
+    last walked point, and the reach line bounds it then (a run that a
+    walked array-form point closes keeps that bound, which still holds).
+    The run of highest bound is read into (at its outer end if it is open,
+    else in its middle) until:
 
     - each step of the walk is decided: the best ratio read is above the
       step's stop bound, or no run's bound is;
-    - once the walk is over, each side's outermost walked point is read and
-      every run's bound is below the best ratio read.
+    - once the walk is over, every run's bound is below the best ratio read.
 
     So the stops, the best grid point (the lowest lambda among ties) and its
     walked neighbours, which are read, are those of reading every walked
@@ -213,15 +215,14 @@ def _scan(
     (an uncentered kernel minus lam mean), which no bound from its values
     can hold.
 
-    A non-finite value raises OverflowError at the first walked lambda that
-    has one. A read that raises first reads the skipped points walked before
-    it, in the walk's order; with each side's outermost walked point read, a
-    kernel whose finite set is an interval around 0 raises at the lambda the
-    point-by-point walk does. `_brent_max` refines strictly inside the
-    same-sign bracket of the best grid point, whose ends were read, so it
-    needs no value past the stop, never crosses 0 and never returns less
-    than the best grid value. ``evaluations`` counts the values read,
-    whichever form gave them.
+    Only values the estimate needs are read, and a non-finite one raises
+    OverflowError naming its lambda. A skipped point the bounds rule out
+    lies below the best ratio whether or not the kernel could give its
+    value, so a kernel that fails only there still gives the estimate.
+    `_brent_max` refines strictly inside the same-sign bracket of the best
+    grid point, whose ends were read, so it needs no value past the stop,
+    never crosses 0 and never returns less than the best grid value.
+    ``evaluations`` counts the values read, whichever form gave them.
     """
     if lambda_cap <= _LAMBDA_MIN:
         raise ValueError("lambda_cap must exceed the smallest grid magnitude")
@@ -254,41 +255,30 @@ def _scan(
     values = ([-math.inf] * n, [-math.inf] * n)
     walked = [0, 0]  # grid points walked on the - and + sides
     cells: list[list] = []  # [bound, side, first, last]: a run of skipped points
-    open_cells: list = [None, None]  # each side's cell that runs to its last walked point
     best = top = -math.inf  # the best ratio read, and the highest cell bound
 
     def read(side: int, i: int) -> None:
         nonlocal best
-        lam = signs[side] * mags[i]
-        try:
-            reading = finite(lam, log_mgf(lam) if math.isnan(kvals[side][i]) else kvals[side][i])
-        except Exception:
-            # the point-by-point walk read every skipped point before this one first
-            for j in range(i + 1):
-                for s in (1, 0):
-                    if (j < i or s > side) and j < walked[s] and math.isnan(kvals[s][j]):
-                        finite(signs[s] * mags[j], log_mgf(signs[s] * mags[j]))
-            raise
-        kvals[side][i] = reading
+        lam, reading = signs[side] * mags[i], kvals[side][i]
+        kvals[side][i] = reading = finite(lam, log_mgf(lam) if math.isnan(reading) else reading)
         values[side][i] = value = 2.0 * reading / (lam * lam)
         best = max(best, value)
 
-    def bound(side: int, first: int, last: int, closed: bool = True) -> float:
+    def bound(side: int, first: int, last: int) -> float:
         """`_cell_bound` of skipped points first..last, from the read point inside them (or
-        K(0) = 0) to the read point past them, or with slope reach if ``closed`` is False."""
+        K(0) = 0) to the read point past them, or with slope reach if they are open: if they
+        run to their side's last walked point."""
         t0, k0 = (mags[first - 1], kvals[side][first - 1]) if first else (0.0, 0.0)
+        closed = last + 1 < walked[side]
         slope = (kvals[side][last + 1] - k0) / (mags[last + 1] - t0) if closed else slopes[side]
         return _cell_bound(t0, k0, slope, mags[first], mags[last])
 
     def split(cell: list) -> None:
-        """Read one skipped point of ``cell``, its outer end if that is the walk's front, else
-        its middle, and put the runs either side of it in its place."""
+        """Read one skipped point of ``cell``, its outer end if the cell is open, else its
+        middle, and put the runs either side of it in its place."""
         nonlocal top
         _, side, first, last = cell
-        if cell is open_cells[side]:
-            j, open_cells[side] = last, None
-        else:
-            j = (first + last) // 2
+        j = last if last + 1 == walked[side] else (first + last) // 2
         read(side, j)
         cells.remove(cell)
         cells.extend([bound(side, a, b), side, a, b] for a, b in ((first, j - 1), (j + 1, last)) if a <= b)
@@ -304,7 +294,7 @@ def _scan(
             if stop < best:
                 continue
             walked[side] += 1
-            value, cell = ratios[side][i], open_cells[side]
+            value = ratios[side][i]
             if math.isfinite(value):
                 values[side][i] = value
                 if value > best:
@@ -312,21 +302,17 @@ def _scan(
             elif grid is None or not math.isnan(kvals[side][i]):
                 read(side, i)  # no array form, or a value that raises
             else:  # skipped: a new open cell starts, or the open cell grows by one point
-                if cell is None:
-                    open_cells[side] = cell = [-math.inf, side, i, i]
+                for cell in cells:
+                    if cell[1] == side and cell[3] == i - 1:
+                        break
+                else:
+                    cell = [-math.inf, side, i, i]
                     cells.append(cell)
-                cell[0], cell[3] = bound(side, cell[2], i, False), i
+                cell[0], cell[3] = bound(side, cell[2], i), i
                 top = max(top, cell[0])
-                continue
-            if cell is not None:  # the read point closes the open cell: a chord bounds it
-                open_cells[side] = None
-                cell[0] = bound(side, cell[2], i - 1)
-                top = max(c[0] for c in cells)
         if walked[0] <= i and walked[1] <= i:
             break
 
-    for cell in [c for c in open_cells if c is not None]:
-        split(cell)  # each side's outermost walked point
     while top >= best:  # a cell may hold the best grid point
         split(max(cells))
     scanned = [mags[k - 1] if k else 0.0 for k in walked]
@@ -404,9 +390,10 @@ def beta_proxy_estimate(p: BetaParams) -> VarianceProxyEstimate:
     about 1e-13 relative. Beyond,
     the raw series minus lam mu that takes over from the central series
     loses about eps mu / (|lam| Var) relative (5.8e-15 above Var at
-    Beta(5e6, 5e6)). Past alpha + beta of about 5e7 the raw series needs
-    more than 2^18 terms and raises OverflowError; a variance that
-    underflows raises ValueError.
+    Beta(5e6, 5e6)). Far out, the raw series needs more than 2^18 terms and
+    raises OverflowError, which the scan passes on only where the estimate
+    needs that value: Beta(5e6, 5e7) is answered, Beta(1, 6e7) raises at
+    lambda of about 4.5e8. A variance that underflows raises ValueError.
     """
     mean, var = beta_mean_var(p)
     return _certified_scan(beta_centered_log_mgf(p), (1.0 - mean, mean), var)

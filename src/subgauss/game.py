@@ -256,8 +256,6 @@ def _balanced_subset(prior: DirichletParams, n: int) -> list[int]:
         if mass + weights[i] <= target * (1.0 + 1e-12):
             chosen.append(i)
             mass += weights[i]
-    if not chosen:  # one category dominates; take everything else
-        chosen = order[1:]
     return chosen
 
 

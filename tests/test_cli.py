@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import subgauss
+from subgauss import checks
 from subgauss.cli import cli_dispatch
 from subgauss.reporting import emit_report, format_float
 
@@ -170,6 +171,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "failed: wilson_high <= delta: wilson_high=" in err
         assert err.index("wilson_high") < err.index("CHECKS FAILED")
+
+
+@pytest.mark.parametrize("failures, out_is_a_file, line", [
+    (0, True, "error: could not write reports: "),
+    (7, False, "lemma-checks: ... and 2 more failures"),
+])
+def test_exit_one_lines(failures, out_is_a_file, line, monkeypatch, tmp_path, capsys):
+    # reports that cannot be written, or more failures than the five listed one by one
+    rows = [{"check": "x <= 1", "x": 2 + i} for i in range(failures)]
+    result = checks.CheckResult({}, [], not failures, rows, None)
+    monkeypatch.setattr(checks, "lemma_checks", lambda: result)
+    out = tmp_path / "out"
+    if out_is_a_file:
+        out.write_text("")
+    assert cli_dispatch(["lemma-checks", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert line in err
+    assert err.count("failed: x <= 1: x=") == min(failures, 5)
 
 
 class TestArtifacts:
@@ -352,6 +371,11 @@ class TestJsonPath:
         # once written as their str, "{1, 2}"
         with pytest.raises(TypeError, match="set"):
             self.summary(tmp_path, "set", {"subset": {1, 2}})
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_report("c", {}, [], tmp_path, "xml")
+        assert not any(tmp_path.iterdir())
 
 
 # manifest keys of every run; "counts" only where the check reports work counts

@@ -39,6 +39,7 @@ from subgauss import (
 from subgauss import concentration
 from subgauss.checks import GRID, _conjecture_instances
 from subgauss.concentration import (
+    _cell_bound,
     _certified_scan,
     _monte_carlo_window,
     _scan,
@@ -150,6 +151,25 @@ def mpmath_ratio(a, b, lam):
         return float(2 * (mpmath.log(m) - lam * a / (a + b)) / lam**2)
 
 
+def quadrature_ratio(a, b, lam, widths=40):
+    """2 K(lam) / lam^2 of Beta(a, b) at 30 digits, K(lam) = ln E e^(lam (X - mu)) by quadrature
+    of x^(a-1) (1-x)^(b-1) e^(lam x) over ``widths`` widths either side of its mode."""
+    with mpmath.workdps(30):
+        a, b, lam = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(lam)
+
+        def log_density(x):
+            return (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) + lam * x
+
+        # the tilted mode solves (a-1)/x - (b-1)/(1-x) + lam = 0, times x (1-x) a quadratic
+        mode = next(x for x in mpmath.polyroots([lam, a + b - 2 - lam, 1 - a]) if 0 < x < 1)
+        width = 1 / mpmath.sqrt((a - 1) / mode**2 + (b - 1) / (1 - mode) ** 2)
+        peak = log_density(mode)
+        mass = mpmath.quad(lambda x: mpmath.exp(log_density(x) - peak),
+                           [max(mode - widths * width, 0), mode, min(mode + widths * width, 1)])
+        k = peak + mpmath.log(mass) - mpmath.log(mpmath.beta(a, b)) - lam * a / (a + b)
+        return float(2 * k / lam**2)
+
+
 class TestBetaProxyProperty:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -206,6 +226,14 @@ class TestBetaProxyProperty:
         _, var = beta_mean_var(p)
         est = beta_proxy_estimate(p)
         assert var * (1 - 1e-6) <= est.value <= beta_tight_proxy_bound(p) * (1 + 1e-12)
+
+    def test_large_total_answers_where_no_raw_series_value_is_needed(self):
+        # Beta(5e6, 5e7)'s raw series fails from lambda of about 2.3e8 out, at walked points
+        # that the reach line rules out (the argmax is 1.36e8); Beta(1, 3e7) needs such a value
+        est = beta_proxy_estimate(BetaParams(5e6, 5e7))
+        assert est.value == pytest.approx(quadrature_ratio(5e6, 5e7, est.argmax_lambda), rel=1e-12)
+        with pytest.raises(OverflowError, match="terms"):
+            beta_proxy_estimate(BetaParams(1.0, 3e7))
 
     def test_underflowed_variance_is_refused(self):
         # Var(Beta(1e150, 1)) = 1e-300 is representable; that of Beta(1e300, 1) is not
@@ -758,8 +786,9 @@ class TestBrentRefinement:
 
 
 def assert_scans_like_the_walk(log_mgf, cap, reach):
-    """`_scan` of the kernel gives `loop_scan`'s estimate from no more reads, and every
-    walked grid point it skipped has a ratio below the best grid ratio.
+    """`_scan` of the kernel gives `loop_scan`'s estimate from no more reads, reads by the
+    scalar form no grid point that `loop_scan` does not walk, and every walked grid point it
+    skipped has a ratio below the best grid ratio.
 
     Returns the estimate, and the far points (those the array form leaves NaN)
     read by `_scan` and walked by `loop_scan`.
@@ -770,6 +799,7 @@ def assert_scans_like_the_walk(log_mgf, cap, reach):
     lams = scan_grid(cap)
     on_grid = set(lams.tolist())
     walked = {lam: 2.0 * log_mgf(lam) / (lam * lam) for lam in walk.calls if lam in on_grid}
+    assert on_grid.intersection(bounded.calls) <= walked.keys()  # no point past a stop is read
     far = set(lams[np.isnan(log_mgf.grid(lams))].tolist()).intersection(walked)
     best = max(walked.values())
     assert all(walked[lam] < best for lam in far.difference(bounded.calls))
@@ -847,6 +877,16 @@ class TestWalkMatchesLoopForm:
                 outcomes.append((est.value, est.argmax_lambda, est.grid_spec))
             except OverflowError as exc:
                 outcomes.append(str(exc))
+        if math.isnan(reading):
+            # the scan reads a skipped point only where the estimate needs its value, so it
+            # raises at one of the injected points, or keeps the uninjected kernel's estimate
+            walk = loop_scan(beta_centered_log_mgf(p), cap, reach)
+            injected = lams[(lams * lams[index] > 0) & (np.abs(lams) >= abs(lams[index]))]
+            if index in (0, 20, 395, 399):
+                assert outcomes[0] == (walk.value, walk.argmax_lambda, walk.grid_spec)
+            else:
+                assert outcomes[0] in {f"log-MGF is not finite at lambda={lam!r}" for lam in injected.tolist()}
+            return
         assert outcomes[0] == outcomes[1]
         # the walk stops before the outermost points, so an injection there is never read
         if index in (0, 399):
@@ -916,6 +956,20 @@ class TestBoundedScan:
         assert (estimate.value, estimate.argmax_lambda) == (value, argmax)
         assert estimate.grid_spec.endswith(f"scanned to {scanned}")
         assert 0 < read <= walked
+
+
+@pytest.mark.parametrize("t0, k0, slope, t_first, t_last", [
+    (1.0, 0.5, 0.0, 2.0, 10.0),  # falls from t_first
+    (1.0, 0.5, -0.05, 2.0, 30.0),  # least at t = 22, inside the range
+    (1.0, -0.5, -0.1, 2.0, 10.0),  # rises to t_last
+    (0.0, 0.0, -1.0, 1e-3, 5.0),  # from K(0) = 0
+])
+def test_cell_bound_of_a_falling_line(t0, k0, slope, t_first, t_last):
+    # with slope <= 0 the line's ratio 2 (c0 + slope t) / t^2 has no interior maximum
+    ts = np.geomspace(t_first, t_last, 10_001)
+    dense = float(np.max(2.0 * (k0 + slope * (ts - t0)) / (ts * ts)))
+    bound = _cell_bound(t0, k0, slope, t_first, t_last)
+    assert dense <= bound <= dense + 2e-9 * abs(dense)
 
 
 class TestKernelLifetime:

@@ -502,6 +502,19 @@ class TestEvaluateModel:
 DEFAULT_INSTANCES = _conjecture_instances(SeedSpec(0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: evaluate_model("beta_binomial", BetaParams(1, 1), {6}, m=5),
+                 "subset entries must lie in 0..m", id="evaluate_model-outcome"),
+    pytest.param(lambda: evaluate_model("geometric", BetaParams(2, 1), {0}, method="quadrature"),
+                 "unknown method 'quadrature'", id="evaluate_model-method"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("negative_binomial", BetaParams(2, 1), None),
+                 "unknown model 'negative_binomial'", id="conjectured_scale-model"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestQueryBlockMatchesBroadcastForm:
     """Q from one log per point equals Q from xlogy/xlog1py on the whole (points, terms) array."""
 

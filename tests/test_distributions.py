@@ -26,7 +26,7 @@ from subgauss import (
     sample_chi,
 )
 from subgauss.checks import GRID
-from subgauss.distributions import _block_generators
+from subgauss.distributions import _block_generators, beta_centered_log_mgf, draw
 from subgauss.game import GameConfig, project_to_beta
 
 
@@ -289,6 +289,29 @@ def test_counts_and_orders_must_be_integers(call, name, value):
     # refused, not truncated: 2.5 once drew sqrt(2 Gamma(1.25)) and gave four Beta moments
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: chi_raw_moment(0, 2), "dimension must be a positive integer",
+                     id="chi_raw_moment-k_dim"),
+        pytest.param(lambda: chi_raw_moment(3, -1), "moment order must be nonnegative", id="chi_raw_moment-j"),
+        pytest.param(lambda: sample_chi(0, SeedSpec(0), 3), "dimension must be a positive integer",
+                     id="sample_chi-k_dim"),
+        pytest.param(lambda: draw([[0.5, 0.5]], np.random.default_rng(0), 3), "must be a 1-d sequence",
+                     id="draw-2d"),
+        pytest.param(lambda: draw([0.5, 0.6], np.random.default_rng(0), 3), "nonnegative and sum to 1",
+                     id="draw-sum"),
+        pytest.param(lambda: beta_centered_log_mgf(BetaParams(2, 5))(math.inf), "lambda must be finite",
+                     id="beta_centered_log_mgf-inf"),
+        pytest.param(lambda: beta_centered_log_mgf(BetaParams(2, 5))(math.nan), "lambda must be finite",
+                     id="beta_centered_log_mgf-nan"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestQuadratureOracle:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subgauss import (
@@ -231,6 +231,20 @@ class TestAnalysts:
         config = make_config(prior=DirichletParams((100.0, 1.0, 1.0)), n=0, analyst="variance_maximizer")
         for indices in queries(config):
             assert 0 < len(indices) < 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_alphas=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
+        dominance=st.floats(0.0, 6.0),
+        n=st.integers(0, 1000),
+    )
+    @example(log_alphas=[3.0, 0.0, 0.0], dominance=0.0, n=0)
+    def test_variance_maximizer_query_is_nonempty_and_proper(self, log_alphas, dominance, n):
+        # at most one weight exceeds half the total, and then every other one fits under it
+        alphas = [10.0 ** (x + (dominance if i == 0 else 0.0)) for i, x in enumerate(log_alphas)]
+        chosen = game._balanced_subset(DirichletParams(tuple(alphas)), n)
+        assert 0 < len(chosen) < len(alphas)
+        assert len(set(chosen)) == len(chosen)
 
     def test_static_random_reproducible_and_proper(self):
         config = make_config(k=6, prior=DirichletParams((1.0,) * 6), q=30)
@@ -553,7 +567,7 @@ class TestSubsetSums:
         for t in range(trials):
             v = values[t].tolist()
             row = codes[0 if shared else t].tolist()
-            want = [sum((v[i] for i in range(k) if code >> i & 1), 0.0) for code in row]
+            want = [game._left_sum(v[i] for i in range(k) if code >> i & 1) for code in row]
             assert sums[t].tolist() == want
 
     def test_transcript_sum_adds_left_to_right(self):
@@ -561,6 +575,17 @@ class TestSubsetSums:
         codes = np.array([[2**10 - 1]], dtype=game._code_powers(10).dtype)
         table_sum = game._subset_sums(codes, np.full((1, 10), 0.1))[0, 0]
         assert game._left_sum([0.1] * 10) == table_sum == 0.9999999999999999
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sample_instance(DirichletParams((1.0, 1.0)), -1, SeedSpec(0)), "n must be nonnegative",
+                 id="sample_instance-n"),
+    pytest.param(lambda: run_games(make_config(), -1, SeedSpec(0)), "trials must be nonnegative",
+                 id="run_games-trials"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _total_variation(config, seed, trials):

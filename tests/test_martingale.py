@@ -174,6 +174,12 @@ class TestSimulatePaths:
         assert np.array_equal(a.final_mean, b.final_mean)
 
 
+@pytest.mark.parametrize("horizon, trials", [(-1, 10), (10, 0)])
+def test_simulate_paths_refusals(horizon, trials):
+    with pytest.raises(ValueError, match="horizon must be >= 0 and trials >= 1"):
+        simulate_paths(BetaParams(1, 1), horizon, trials, SeedSpec(0))
+
+
 class TestStabilityDiagnostics:
     def test_replace_one_reaches_bound(self):
         report = stability_diagnostics(DirichletParams((1.0, 1.0)), 1, {0})
