@@ -244,7 +244,6 @@ def lemma_checks() -> CheckResult:
                     "alpha": a,
                     "beta": b,
                     "pair_bound_violations": pair_viol,
-                    "criterion_passed": pair_viol == 0,
                     "termwise_violations": term_viol,
                     "passed": pair_viol == 0 and term_viol == 0,
                 }

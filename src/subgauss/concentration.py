@@ -18,6 +18,7 @@ import numpy as np
 from .distributions import (
     _TAYLOR_ORDER,
     BetaParams,
+    _check_integer,
     _taylor_log_mgf,
     beta_centered_log_mgf,
     beta_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
@@ -447,6 +448,7 @@ def termwise_mgf_comparison(
     powers can compensate.
     """
     _check_sigma2(sigma2)
+    k_max = _check_integer("k_max", k_max)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     mean, _ = beta_mean_var(p)
@@ -504,7 +506,8 @@ def weighted_log_mgf(
     branch) the sum is shifted by lam max(x) (lam > 0) or lam min(x)
     (lam < 0) so no exponential overflows, and each lam costs an N-point
     exp and sum. ``log_mgf.grid(lams)`` evaluates the series branch on an
-    array of lam in one numpy pass, with values == log_mgf's, and NaN on the
+    array of lam in one numpy pass, by the numpy operations log_mgf runs on
+    one lam, so its values are == log_mgf's; it leaves NaN on the
     far branch: `_scan` reads a far point one lam at a time, and only where
     its convexity bounds cannot rule the point out. Every weighted
     sum is an `np.einsum` reduction: unlike `w @ v`, it never calls BLAS,
@@ -538,7 +541,7 @@ def weighted_log_mgf(
 
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:
-            return _taylor_log_mgf(taylor_terms(), lam)
+            return float(_taylor_log_mgf(taylor_terms(), lam))
         shift = lam * (hi if lam > 0 else lo)
         return shift + math.log(np.einsum("i,i->", w, np.exp(lam * x - shift)))
 

@@ -369,23 +369,11 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
     return out
 
 
-def _each(fn: Callable[..., float], *args):
-    """fn(*args) for scalar args, or fn of each element of array args.
-
-    numpy's exp and log1p differ from `math`'s in the last bit on a few
-    percent of inputs, so the array forms call `math` per element: their
-    values stay == the scalar forms'.
-    """
-    if isinstance(args[0], np.ndarray):
-        return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
-    return fn(*args)
-
-
 def _taylor_log_mgf(coeffs: Sequence[float], lam):
     """log1p(sum_{k=1}^{21} lam^k e_k) by Horner's rule, ``coeffs`` = (e_21, ..., e_1).
 
-    ``lam`` is a float or an array; an array is evaluated by the same
-    operations, element by element, so each value is == the float's.
+    ``lam`` is a float or an array; both run the same numpy operations, so
+    each value of an array is == the float's.
     With e_k = c_k / k!, c_k = E[(X - mu)^k], this is the log-MGF of X - mu
     near 0. If X has support width w and |lam| w <= 1, then |c_k| <= w^(k-2)
     sigma^2, so the terms past k = 21 sum to at most lam^2 sigma^2 e / 22!,
@@ -399,7 +387,7 @@ def _taylor_log_mgf(coeffs: Sequence[float], lam):
     acc = 0.0
     for c in coeffs:
         acc = acc * lam + c
-    return _each(math.log1p, acc * lam)
+    return np.log1p(acc * lam)
 
 
 def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
@@ -421,8 +409,9 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     The returned function has an array form ``grid(lams)``: the Taylor
     and central-series branches, whose cost does not grow with the law's
     size, for a whole array of lam in one numpy pass, with NaN where the raw
-    series takes over. Both forms run the same code for those branches, so
-    every value the array form gives is == the scalar form's.
+    series takes over. Both forms run the same numpy code for those branches
+    (the scalar form passes its lam to the central series as a one-element
+    array), so every value the array form gives is == the scalar form's.
     """
     flip = p.alpha > p.beta
     za, zb = (p.beta, p.alpha) if flip else (p.alpha, p.beta)
@@ -432,34 +421,30 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     near = np.exp(table[_TAYLOR_ORDER - 2 :: -1]).tolist() + [0.0]  # e_21 .. e_2, e_1 = 0
 
-    def central(lz, rising: bool):
-        """log1p of the central series at lz, a float or an array, all > 1 if ``rising``, else < -1.
+    def central(lz: np.ndarray, rising: bool) -> np.ndarray:
+        """log1p of the central series at each lz, all > 1 if ``rising``, else all < -1.
 
         NaN where the series has not converged or loses to the raw series.
         """
-        logs = np.multiply.outer(_each(math.log, abs(lz)), k)
+        logs = np.multiply.outer(np.log(np.abs(lz)), k)
         logs += table
         top = logs.max(axis=-1)
         tail = np.maximum(logs[..., -1], logs[..., -2])
         logs -= top[..., None]
         scaled = np.exp(logs, out=logs)
-        plain = scaled.sum(axis=-1)
-        alternating = plain if rising else (signs * scaled).sum(axis=-1)
-        return _each(settle, lz, top, tail, plain, alternating)
-
-    def settle(lz: float, top: float, tail: float, plain: float, alternating: float) -> float:
-        """One lz's value from its row of scaled terms (summed plain and alternating), or NaN."""
-        # the central terms converged within the table, at a representable size
-        if not (top < 700.0 and tail < top - _WINDOW_LOG):
-            return math.nan
-        total = math.exp(top) * plain  # sum |t_k|
-        if lz > 0.0:
-            return math.log1p(total)
-        signed = math.exp(top) * alternating
+        # NaN unless the central terms converged within the table, at a representable size:
+        # a NaN top makes its row NaN, and no exp(top) overflows
+        top[(top >= 700.0) | (tail >= top - _WINDOW_LOG)] = math.nan
+        scale = np.exp(top)
+        total = scale * scaled.sum(axis=-1)  # sum |t_k|
+        if rising:
+            return np.log1p(total)
+        signed = scale * (signs * scaled).sum(axis=-1)
         # alternating terms: keep their sum while its error beats the raw series'
-        if signed > -1.0 and total / (1.0 + signed) <= -lz * zb / s:
-            return math.log1p(signed)
-        return math.nan
+        # (a rounded 1 + signed may be 0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            signed[~((signed > -1.0) & (total / (1.0 + signed) <= -lz * zb / s))] = math.nan
+        return np.log1p(signed)
 
     def grid(lams: np.ndarray) -> np.ndarray:
         lz = -lams if flip else lams
@@ -478,8 +463,8 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
         lz = -lam if flip else lam  # the argument for Z - mu_Z
         mag = abs(lz)
         if mag <= 1.0:
-            return _taylor_log_mgf(near, lz)
-        value = central(lz, lz > 0.0)
+            return float(_taylor_log_mgf(near, lz))
+        value = float(central(np.array([lz]), lz > 0.0)[0])
         if not math.isnan(value):
             return value
         if lz > 0.0:
@@ -551,6 +536,7 @@ def draw(
     Categorical probabilities (a plain sequence) yield integer category
     indices.
     """
+    count = _check_integer("count", count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if isinstance(dist, BetaParams):

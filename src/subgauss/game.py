@@ -617,6 +617,7 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     probes and round loop with or without the cycle exit. The module
     docstring says why each gives ``run_game``'s errors.
     """
+    trials = _check_integer("trials", trials)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     _check_enough_data(config)
@@ -662,6 +663,7 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    successes, trials = _check_integer("successes", successes), _check_integer("trials", trials)
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
     z = 1.959963984540054  # the standard normal 0.975 quantile

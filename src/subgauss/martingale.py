@@ -19,6 +19,7 @@ from scipy.special import polygamma
 
 from .concentration import beta_proxy_bound, tail_frequencies
 from .distributions import BetaParams, DirichletParams, SeedSpec, _check_integer, draw
+from .game import project_to_beta
 
 __all__ = [
     "AzumaTotals",
@@ -181,11 +182,8 @@ def stability_diagnostics(
     n = _check_integer("n", n)
     if n < 1:
         raise ValueError(f"stability needs n >= 1 samples, got n={n}")
-    subset = frozenset(_check_integer("category index", i) for i in subset)
-    if not subset or not subset < set(range(prior.k)):
-        raise ValueError("subset must be a nonempty proper subset of the categories")
     a_total = prior.total
-    alpha_s = float(np.asarray(prior.alphas)[sorted(subset)].sum())
+    alpha_s = project_to_beta(prior, subset).alpha
     c_s = np.arange(n + 1, dtype=float)
     answers = _subset_answer(alpha_s, a_total, c_s, n)
 

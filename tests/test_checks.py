@@ -83,7 +83,7 @@ def test_lemma_checks_fail_where_the_criterion_fails(monkeypatch):
     assert result.failures and len(result.failures) <= len(checks.GRID) ** 2
     for row in result.failures:
         assert row["alpha"] in checks.GRID and row["beta"] in checks.GRID
-        assert row["pair_bound_violations"] > 0 and row["criterion_passed"] is False
+        assert row["pair_bound_violations"] > 0
         assert row["termwise_violations"] == 0
 
 
@@ -117,10 +117,10 @@ def test_ks_statistic_equals_scipy_kstest_on_projected_dirichlet_draws(i):
 
 # (summary, data) digests of each default run; conjectures is pinned at 20 000 draws in test_cli.py
 DEFAULT_DIGESTS = {
-    "verify-beta": ("eb58bc92", "b5e296b4"),  # since the scan was refined by Brent's method
+    "verify-beta": ("eb58bc92", "8e874607"),  # since the log-MGF array forms are numpy passes
     "verify-dirichlet": ("f3447508", "c36b6c39"),  # as when the KS statistic came from scipy
     "verify-chi": ("c04685b7", "38691e33"),
-    "lemma-checks": ("e993d5e9", "d702e6e4"),
+    "lemma-checks": ("e993d5e9", "185bd98a"),  # since criterion_passed left its rows
     "martingale": ("9ec966da", "84967c36"),  # since azuma_total is a trigamma difference
     "game": ("b0ee1262", "54071471"),
 }

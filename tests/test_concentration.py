@@ -627,6 +627,17 @@ class TestArrayForm:
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
         assert_same_estimate(beta_proxy_estimate(p), _certified_scan(scalar_only(log_mgf), reach, var))
 
+    @pytest.mark.parametrize("a, b", [(5e6, 5e7), (3e7, 3e7)])
+    def test_beta_largest_totals(self, a, b):
+        # two of the largest laws the scan answers: central rows whose top term is past
+        # e^700, and, at mu = 1/2, the table's -1e300 entries for the odd moments
+        p = BetaParams(a, b)
+        log_mgf = beta_centered_log_mgf(p)
+        mean, var = beta_mean_var(p)
+        grid = scan_grid(2 * max(1.0 - mean, mean) / var)
+        lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
+        assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
+
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws())
     def test_weighted(self, law):

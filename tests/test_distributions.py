@@ -24,10 +24,11 @@ from subgauss import (
     raw_moment_criterion,
     sample,
     sample_chi,
+    termwise_mgf_comparison,
 )
 from subgauss.checks import GRID
 from subgauss.distributions import _block_generators, beta_centered_log_mgf, draw
-from subgauss.game import GameConfig, project_to_beta
+from subgauss.game import GameConfig, project_to_beta, run_games, wilson_interval
 
 
 class TestParams:
@@ -282,6 +283,16 @@ class TestChiMoments:
         pytest.param(lambda v: chi_raw_moment(3, v), "j", id="chi_raw_moment-j"),
         pytest.param(lambda v: sample_chi(v, SeedSpec(0), 3), "k_dim", id="sample_chi-k_dim"),
         pytest.param(lambda v: sample_chi(3, SeedSpec(0), v), "count", id="sample_chi-count"),
+        pytest.param(lambda v: draw(BetaParams(1, 1), np.random.default_rng(0), v), "count",
+                     id="draw-count"),
+        pytest.param(lambda v: sample(DirichletParams((1, 2)), SeedSpec(0), v), "count",
+                     id="sample-count"),
+        pytest.param(lambda v: run_games(GameConfig(2, DirichletParams((1, 1)), 5, 2, 0.5, 0.1),
+                                         v, SeedSpec(0)), "trials", id="run_games-trials"),
+        pytest.param(lambda v: termwise_mgf_comparison(BetaParams(1, 2), 0.1, v), "k_max",
+                     id="termwise_mgf_comparison-k_max"),
+        pytest.param(lambda v: wilson_interval(v, 10), "successes", id="wilson_interval-successes"),
+        pytest.param(lambda v: wilson_interval(1, v), "trials", id="wilson_interval-trials"),
     ],
 )
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
