@@ -162,8 +162,9 @@ def _cell_bound(t0: float, k0: float, slope: float, t_first: float, t_last: floa
     The line is the chord of a convex K from a read point (t0, k0) to the
     next one out, or from the last read point with slope reach, K's largest
     slope; t0 < t_first. With c0 = k0 - slope t0, 2 (c0 + slope t) / t^2 is
-    largest at t = -2 c0 / slope, or at an end of the range. The bound is
-    widened by _BOUND_MARGIN relative, for the rounding of the values it
+    largest at an end of the range when slope <= 0, and otherwise at
+    t = -2 c0 / slope clamped to the range (t_first when c0 >= 0). The bound
+    is widened by _BOUND_MARGIN relative, for the rounding of the values it
     comes from.
     """
     if slope == math.inf:
@@ -171,10 +172,8 @@ def _cell_bound(t0: float, k0: float, slope: float, t_first: float, t_last: floa
     c0 = k0 - slope * t0
     if slope <= 0.0:
         spots = (t_first, t_last)
-    elif c0 < 0.0:
-        spots = (min(max(-2.0 * c0 / slope, t_first), t_last),)
     else:
-        spots = (t_first,)
+        spots = (min(max(-2.0 * c0 / slope, t_first), t_last),)
     top = max(2.0 * (k0 + slope * (t - t0)) / (t * t) for t in spots)
     return top + _BOUND_MARGIN * abs(top)
 

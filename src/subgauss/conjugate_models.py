@@ -36,6 +36,7 @@ from .distributions import (
     GammaParams,
     SeedSpec,
     _check_integer,
+    _left_sum,
     draw,
 )
 
@@ -247,7 +248,7 @@ def _prior_rule(
         # columns p_1 .. p_i, then the stick left over
         points, weights = np.ones((1, 1)), np.ones(1)
         for i in range(dims):
-            u, rest, w = _beta_rule(prior.alphas[i], sum(prior.alphas[i + 1 :]), nodes)
+            u, rest, w = _beta_rule(prior.alphas[i], _left_sum(prior.alphas[i + 1 :]), nodes)
             stick = points[:, -1:]
             head = np.repeat(points[:, :-1], nodes, axis=0)
             points = np.column_stack([head, (stick * u).ravel(), (stick * rest).ravel()])

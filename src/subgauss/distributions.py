@@ -12,7 +12,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,6 +50,19 @@ def _check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn: the plain left-to-right float sum.
+
+    Python's ``sum`` compensates the rounding of floats from 3.12 on, and
+    the game's batch path adds plainly, so the Dirichlet's totals and the
+    game's transcript path add with this on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _check_positive_finite(name: str, value) -> float:
@@ -93,7 +106,7 @@ class DirichletParams:
 
     @property
     def total(self) -> float:
-        return float(sum(self.alphas))
+        return _left_sum(self.alphas)
 
 
 @dataclass(frozen=True)

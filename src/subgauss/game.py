@@ -41,24 +41,26 @@ played in one of three shapes:
   fold's length, so each is the same float;
 - the adaptive correlator with sample split: the k probes at once, then one
   array step per round for all trials;
-- the adaptive correlator with a mean curator: the same, except that a trial
-  leaves the loop once its score vector equals its value after one of the
-  last few rounds. The curator's answers do not depend on the round, so
-  from the probes on, the next query, answer, truth and scores are a
-  function of the scores alone; a repeated state starts a cycle of rounds
-  whose errors are all counted already, and the largest error is final.
-  Equal scores compare ``==``, which counts 0.0 and -0.0 alike; they sort
-  alike and add alike to the positive prior means, so the rounds after
-  them are the same. Over 140 measured configurations (k from 2 to 20, n
-  from 0 to 1000, 1024 trials each) every trial left within 21 rounds past
-  the probes, so a game's cost stops growing with q once it has.
+- the adaptive correlator with a mean curator: the same, except that the
+  loop ends once every trial has cycled, that is, once each trial's score
+  vector has equalled its value after one of the last few rounds. The
+  curator's answers do not depend on the round, so from the probes on, the
+  next query, answer, truth and scores are a function of the scores alone;
+  a repeated state starts a cycle of rounds whose errors are all counted
+  already, and the largest error is final. A cycled trial plays on with the
+  block, and its later rounds leave its largest error as it is. Equal
+  scores compare ``==``, which counts 0.0 and -0.0 alike; they sort alike
+  and add alike to the positive prior means, so the rounds after them are
+  the same. Over 140 measured configurations (k from 2 to 20, n from 0 to
+  1000, 1024 trials each) every trial cycled within 21 rounds past the
+  probes, so a game's cost stops growing with q once it has.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from .distributions import (
     _block_generators,
     _check_integer,
     _check_real,
+    _left_sum,
     draw,
 )
 
@@ -193,19 +196,6 @@ def sample_instance(
     return true_p, counts
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """0.0 plus each value in turn: the plain left-to-right float sum.
-
-    Python's ``sum`` compensates the rounding of floats from 3.12 on, and
-    the batch path's table sums add plainly, so the transcript path adds
-    with this on every Python version.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) -> BetaParams:
     """Law of sum_{i in S} p_i under Dir(d): Beta(sum_S alpha_i, sum_rest alpha_i).
 
@@ -218,8 +208,10 @@ def project_to_beta(d: DirichletParams, subset: Sequence[int] | frozenset[int]) 
         raise DegenerateQueryError(
             "projection needs a nonempty proper subset of the categories"
         )
-    inside = _left_sum(d.alphas[i] for i in subset)
-    return BetaParams(inside, d.total - inside)
+    return BetaParams(
+        _left_sum(d.alphas[i] for i in sorted(subset)),
+        _left_sum(a for i, a in enumerate(d.alphas) if i not in subset),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +521,13 @@ def _play_adaptive(config: GameConfig, true_p, means, samples) -> np.ndarray:
     """Largest round errors against the adaptive correlator.
 
     The k singleton probes are whole-array operations. The later rounds run
-    one step at a time, since each query depends on the answers so far. With
-    a mean curator (``means`` given) a trial leaves the loop once its scores
-    equal their value after one of the last ``_CYCLE_LOOKBACK`` rounds: the
-    rounds from then on repeat rounds already counted.
+    one step at a time, since each query depends on the answers so far; each
+    round's sums (answer, truth, scored expectation) are one ``_masked_sums``
+    pass. With a mean curator (``means`` given) a trial has cycled once its
+    scores equal their value after one of the last ``_CYCLE_LOOKBACK``
+    rounds: its rounds from then on repeat rounds already counted, so its
+    largest error no longer changes, and the loop ends once every trial has
+    cycled.
     """
     k, q, n = config.k, config.q, config.n
     prior_mean = np.asarray(config.prior.alphas) / config.prior.total
@@ -545,36 +540,31 @@ def _play_adaptive(config: GameConfig, true_p, means, samples) -> np.ndarray:
     scores = np.zeros((len(true_p), k))
     scores[:, :probes] = answer - prior_mean[:probes]
 
-    half = max(1, k // 2)
-    active = np.arange(len(true_p))  # the rows of max_error still playing
+    half, size = max(1, k // 2), n // q
+    rows = np.arange(len(true_p))[:, None]
+    summed = [true_p] if means is None else [means, true_p]  # each round, with prior_mean + scores
+    cycled = np.zeros(len(true_p), dtype=bool)
     recent = [scores]  # post-probe states, newest first
     for r in range(k, q):
-        mask = np.zeros((len(active), k), dtype=bool)
+        mask = np.zeros((len(true_p), k), dtype=bool)
         top = np.argsort(-scores, axis=1, kind="stable")[:, :half]  # ties to the lowest index
-        mask[np.arange(len(active))[:, None], top] = True
+        mask[rows, top] = True
+        sums = _masked_sums(mask, np.stack([*summed, prior_mean + scores]))
         if means is None:
-            size = n // q
             fold = samples[:, r * size : (r + 1) * size if r < q - 1 else n]
             answer = np.take_along_axis(mask, fold, axis=1).mean(axis=1)
         else:
-            answer = _masked_sums(mask, means)
-        error = np.abs(answer - _masked_sums(mask, true_p))
-        max_error[active] = np.maximum(max_error[active], error)
-        share = (answer - _masked_sums(mask, prior_mean + scores)) / half
-        scores = np.where(mask, scores + share[:, None], scores)
+            answer = sums[0]
+        truth, expected = sums[-2:]
+        np.maximum(max_error, np.abs(answer - truth), out=max_error)
+        scores = np.where(mask, scores + ((answer - expected) / half)[:, None], scores)
         if means is None:  # sample-split answers depend on the round: no exit
             continue
-        repeats = np.zeros(len(active), dtype=bool)
         for past in recent:
-            repeats |= (scores == past).all(axis=1)
+            cycled |= (scores == past).all(axis=1)
+        if cycled.all():
+            break
         recent = [scores, *recent[: _CYCLE_LOOKBACK - 1]]
-        if repeats.any():
-            keep = ~repeats
-            active, means, true_p = active[keep], means[keep], true_p[keep]
-            recent = [state[keep] for state in recent]
-            scores = recent[0]
-            if not len(active):
-                break
     return max_error
 
 
@@ -614,8 +604,8 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     A block of up to ``_TRIAL_BLOCK`` trials is played in one of three
     shapes: non-adaptive queries as subset codes whose answers and truths
     come from per-trial tables of subset sums, and the adaptive correlator's
-    probes and round loop with or without the cycle exit. The module
-    docstring says why each gives ``run_game``'s errors.
+    probes and round loop, which ends early once every trial's scores have
+    cycled. The module docstring says why each gives ``run_game``'s errors.
     """
     trials = _check_integer("trials", trials)
     if trials < 0:

@@ -118,7 +118,7 @@ def test_ks_statistic_equals_scipy_kstest_on_projected_dirichlet_draws(i):
 # (summary, data) digests of each default run; conjectures is pinned at 20 000 draws in test_cli.py
 DEFAULT_DIGESTS = {
     "verify-beta": ("eb58bc92", "8e874607"),  # since the log-MGF array forms are numpy passes
-    "verify-dirichlet": ("f3447508", "c36b6c39"),  # as when the KS statistic came from scipy
+    "verify-dirichlet": ("f3447508", "4def1343"),  # since the alphas add left to right
     "verify-chi": ("c04685b7", "38691e33"),
     "lemma-checks": ("e993d5e9", "185bd98a"),  # since criterion_passed left its rows
     "martingale": ("9ec966da", "84967c36"),  # since azuma_total is a trigamma difference

@@ -974,10 +974,16 @@ class TestBoundedScan:
     (1.0, 0.5, -0.05, 2.0, 30.0),  # least at t = 22, inside the range
     (1.0, -0.5, -0.1, 2.0, 10.0),  # rises to t_last
     (0.0, 0.0, -1.0, 1e-3, 5.0),  # from K(0) = 0
+    (1.0, 0.1, 0.5, 1.2, 5.0),  # rising, c0 < 0: largest at t = 1.6, inside the range
+    (1.0, 0.1, 0.5, 2.0, 5.0),  # rising, c0 < 0: largest before the range, at t_first
+    (1.0, 0.1, 0.5, 1.1, 1.4),  # rising, c0 < 0: largest past the range, at t_last
+    (1.0, 0.5, 0.2, 2.0, 10.0),  # rising, c0 > 0: falls from t_first
+    (1.0, 0.5, 0.5, 2.0, 10.0),  # rising, c0 = 0: falls from t_first
 ])
 def test_cell_bound_of_a_falling_line(t0, k0, slope, t_first, t_last):
-    # with slope <= 0 the line's ratio 2 (c0 + slope t) / t^2 has no interior maximum
-    ts = np.geomspace(t_first, t_last, 10_001)
+    # with slope <= 0 the line's ratio 2 (c0 + slope t) / t^2 has no interior
+    # maximum; with slope > 0 it has one at -2 c0 / slope, before the range when c0 >= 0
+    ts = np.geomspace(t_first, t_last, 100_001)
     dense = float(np.max(2.0 * (k0 + slope * (ts - t0)) / (ts * ts)))
     bound = _cell_bound(t0, k0, slope, t_first, t_last)
     assert dense <= bound <= dense + 2e-9 * abs(dense)

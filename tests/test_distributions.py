@@ -49,6 +49,11 @@ class TestParams:
         with pytest.raises(ValueError, match="every alpha must be a real number, got '2'"):
             DirichletParams((1.0, "2"))
 
+    def test_dirichlet_total_adds_left_to_right(self):
+        # Python 3.12's compensated sum gives 1.0000000000000002 here
+        assert DirichletParams((1.0, 1e-16, 1e-16)).total == (1.0 + 1e-16) + 1e-16 == 1.0
+        assert DirichletParams((1e-16, 1e-16, 1.0)).total == (1e-16 + 1e-16) + 1.0
+
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             GammaParams(1.0, 0.0)

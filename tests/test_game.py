@@ -207,6 +207,12 @@ class TestProjectToBeta:
         with pytest.raises(DegenerateQueryError):
             project_to_beta(d, {0, 1, 2})
 
+    def test_vanishing_complement(self):
+        # the complement is summed over its own alphas: 1e20 + 1 - 1e20 would be 0
+        d = DirichletParams((1e20, 1.0))
+        assert project_to_beta(d, {0}) == BetaParams(1e20, 1.0)
+        assert project_to_beta(d, {1}) == BetaParams(1.0, 1e20)
+
     def test_indices_must_be_integers(self):
         # refused, not truncated: [1.7] once projected category 1 to Beta(2, 4)
         d = DirichletParams((1.0, 2.0, 3.0))
@@ -678,7 +684,25 @@ class TestCycleExit:
             k=10, prior=DirichletParams(SKEWED), n=37, q=1000, analyst="adaptive_correlator",
         )
         run_games(config, 12, SeedSpec(14))
-        assert 0 < len(calls) / 3 < 100  # three sums per round, of the 990 past the probes
+        assert 0 < len(calls) < 100  # one sums pass per round, of the 990 past the probes
+
+    def test_trials_that_cycle_at_different_rounds(self, monkeypatch):
+        # the CLI default prior: most trials cycle after one post-probe round,
+        # a few play on, and every trial's largest error is still run_game's
+        calls = []
+        masked_sums = game._masked_sums
+
+        def counted(mask, values):
+            calls.append(len(mask))
+            return masked_sums(mask, values)
+
+        monkeypatch.setattr(game, "_masked_sums", counted)
+        config = make_config(
+            k=10, prior=DirichletParams((1.0,) * 10), n=520, q=60, analyst="adaptive_correlator",
+        )
+        seed = SeedSpec(0)
+        assert run_games(config, 200, seed).tolist() == loop_max_errors(config, 200, seed)
+        assert 1 < len(calls) < 50
 
 
 class TestRequiredN:

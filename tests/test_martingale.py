@@ -262,6 +262,13 @@ class TestStabilityDiagnostics:
         assert sorted(f["subset"] for f in add_cell) == ["0", "0;1", "0;2", "1", "1;2", "2"]
         assert {f["linearity_defect"] for f in failures if f["k"] == 2} == {2e-12}
 
+    def test_vanishing_complement(self):
+        # the projection sums the complement's own alphas, so a prior whose
+        # total swallows the complement's mass still answers
+        report = stability_diagnostics(DirichletParams((1e20, 1.0)), 3, {0})
+        assert report.add_one_bound == 1.0 / (1e20 + 4.0)
+        assert report.max_add_one_change <= report.add_one_bound
+
     def test_subset_validation(self):
         d = DirichletParams((1.0, 1.0))
         with pytest.raises(ValueError):
