@@ -11,8 +11,8 @@ module is `concentration.check_beta_bound`'s `passed` (tau2_est <= bound
 (1 + 1e-6)), which AC1 reads, kept because the benchmark (`perfbench/`) reads
 it directly.
 
-`import subgauss` does not import this module: only the CLI and the tests
-run the criteria.
+The package import loads no submodule, this one included: only the CLI and
+the tests run the criteria.
 """
 from __future__ import annotations
 

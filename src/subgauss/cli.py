@@ -28,16 +28,13 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import _IMPORT_S as _PACKAGE_IMPORT_S
 from . import checks
 from . import game as game_mod
 from .distributions import DirichletParams, SeedSpec, _check_integer
 from .reporting import emit_report
 
-# Seconds spent importing: the package's import block plus this module's.
-# `python -m subgauss.cli` loads the package (NumPy, SciPy) before this
-# module's block runs, so the block alone would miss nearly all of it.
-_IMPORT_S = _PACKAGE_IMPORT_S + time.perf_counter() - _import_started
+# seconds this module's import block took; under `python -m subgauss.cli` it loads NumPy and SciPy
+_IMPORT_S = time.perf_counter() - _import_started
 
 
 class ConfigError(ValueError):

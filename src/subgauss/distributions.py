@@ -480,9 +480,8 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
         value = float(central(np.array([lz]), lz > 0.0)[0])
         if not math.isnan(value):
             return value
-        if lz > 0.0:
-            return _raw_log_mgf(za, zb, mag) - mag * (za / s)
-        return _raw_log_mgf(zb, za, mag) - mag * (zb / s)  # Z at -mag is 1 - Z at mag
+        a, b = (za, zb) if lz > 0.0 else (zb, za)  # Z at -mag is 1 - Z at mag
+        return _raw_log_mgf(a, b, mag) - mag * (a / s)
 
     log_mgf.grid = grid  # refers to no log_mgf: no reference cycle holds the kernel
     return log_mgf
@@ -499,8 +498,6 @@ def beta_log_mgf(p: BetaParams, lam: float) -> float:
     `beta_centered_log_mgf` once instead.
     """
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
     return lam * (p.alpha / p.total) + beta_centered_log_mgf(p)(lam)
 
 
@@ -563,8 +560,8 @@ def draw(
     probs = np.asarray(dist, dtype=float)
     if probs.ndim != 1 or probs.size < 2:
         raise ValueError("categorical probabilities must be a 1-d sequence")
-    if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ValueError("categorical probabilities must be nonnegative and sum to 1")
+    if not (probs >= 0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails >= 0
+        raise ValueError("categorical probabilities must be finite, nonnegative and sum to 1")
     edges = np.cumsum(probs)
     idx = np.searchsorted(edges, rng.random(count), side="right")
     return np.minimum(idx, probs.size - 1)

@@ -181,7 +181,7 @@ def _sample_instance(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (true_p, counts, sample sequence) for one game instance."""
     true_p = draw(prior, rng, 1)[0]
-    samples = draw(true_p, rng, n) if n > 0 else np.empty(0, dtype=int)
+    samples = draw(true_p, rng, n)
     counts = np.bincount(samples, minlength=prior.k).astype(int)
     return true_p, counts, samples
 
@@ -467,7 +467,9 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
     which yields the array-shape call's numbers without its per-call
     broadcast. The Dirichlet
     normalisation, the categorical inversion and the counts then run once
-    for the block, with the operations ``draw`` applies to one trial.
+    for the block, with the operations ``draw`` applies to one trial. A
+    true parameter that is not finite raises ValueError, as ``draw`` refuses
+    it in ``run_game``.
     """
     k, q, n = config.k, config.q, config.n
     trials = stop - start
@@ -482,11 +484,14 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
         codes = None
     for t, rng in enumerate(_block_generators(seed, start, stop)):
         gammas[t] = rng.standard_gamma(shape, size=k)
-        if n > 0:
-            uniforms[t] = rng.random(n)
+        uniforms[t] = rng.random(n)
         if codes is not None:
             _random_codes(rng, powers, codes[t])
     true_p = gammas / gammas.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(true_p).all(axis=1))  # 0/0: all Gamma variates underflowed
+    if bad.size:
+        raise ValueError(f"trial {start + bad[0]}'s true parameter is not finite: Gamma variates "
+                         f"{gammas[bad[0]]}")
     # A uniform's category is the number of cumsum edges <= it (searchsorted,
     # side "right") capped at k - 1, that is, the count over the first k - 1
     # edges, taken one column at a time.
@@ -599,7 +604,9 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     which hashes the block's numpy ``SeedSequence`` pools on arrays, with
     numpy's own ``SeedSequence`` as its reference. Raises ``ValueError``
     before drawing anything when the curator cannot answer from n samples
-    (empirical mean with n = 0, sample split with n < q).
+    (empirical mean with n = 0, sample split with n < q), and, as
+    ``run_game`` does, when a trial's true parameter is not finite (all its
+    Gamma variates underflowed to 0).
 
     A block of up to ``_TRIAL_BLOCK`` trials is played in one of three
     shapes: non-adaptive queries as subset codes whose answers and truths

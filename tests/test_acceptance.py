@@ -19,19 +19,16 @@ from closed_form import (
     poisson_query_moments,
     poly_raw_moments_under_beta,
 )
-from subgauss import (
+from subgauss import checks
+from subgauss.conjugate_models import _prior_rule, _query_values, mc_moments, model_q_draws
+from subgauss.distributions import (
     BetaParams,
     DirichletParams,
     GammaParams,
     SeedSpec,
     beta_raw_moments,
-    mc_moments,
-    model_q_draws,
-    required_n,
 )
-from subgauss import checks
-from subgauss.conjugate_models import _prior_rule, _query_values
-from subgauss.game import GameConfig
+from subgauss.game import GameConfig, required_n
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

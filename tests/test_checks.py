@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from subgauss import BetaParams, DirichletParams, SeedSpec, check_beta_bound, sample
 from subgauss import checks
 from subgauss.checks import _ks_statistic
 from subgauss.cli import cli_dispatch
+from subgauss.concentration import check_beta_bound
+from subgauss.distributions import BetaParams, DirichletParams, SeedSpec, sample
 from subgauss.game import GameConfig, project_to_beta
 
 # AC8's configuration

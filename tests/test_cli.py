@@ -415,3 +415,25 @@ def test_cold_start_loads_no_heavy_scipy_module():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert run.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "statement, absent",
+    [
+        ("import subgauss", ("numpy", "scipy", "subgauss.")),
+        ("from subgauss.game import run_games", ("scipy.linalg", "subgauss.conjugate_models")),
+    ],
+    ids=["package", "game"],
+)
+def test_import_loads_only_what_it_names(statement, absent):
+    # module-name prefixes; the package import loads no submodule, so importing one
+    # module loads only that module's own imports
+    code = (
+        "import sys\n"
+        f"{statement}\n"
+        f"print(' '.join(m for m in sys.modules if m.startswith({absent!r})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(subgauss.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.split() == []

@@ -18,24 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subgauss
-from subgauss import (
-    BetaParams,
-    SeedSpec,
-    beta_log_mgf,
-    beta_mean_var,
-    beta_proxy_bound,
-    beta_proxy_estimate,
-    beta_raw_moments,
-    beta_tight_proxy_bound,
-    check_beta_bound,
-    chi_raw_moment,
-    empirical_log_mgf,
-    raw_moment_criterion,
-    sample,
-    tail_bound,
-    termwise_mgf_comparison,
-    variance_proxy_sup,
-)
 from subgauss import concentration
 from subgauss.checks import GRID, _conjecture_instances
 from subgauss.concentration import (
@@ -43,11 +25,29 @@ from subgauss.concentration import (
     _certified_scan,
     _monte_carlo_window,
     _scan,
+    beta_proxy_bound,
+    beta_proxy_estimate,
+    beta_tight_proxy_bound,
+    check_beta_bound,
+    empirical_log_mgf,
+    raw_moment_criterion,
+    tail_bound,
+    termwise_mgf_comparison,
+    variance_proxy_sup,
     weighted_log_mgf,
     weighted_proxy_sup,
 )
 from subgauss.conjugate_models import _prior_rule, evaluate_model, model_q_draws
-from subgauss.distributions import beta_centered_log_mgf
+from subgauss.distributions import (
+    BetaParams,
+    SeedSpec,
+    beta_centered_log_mgf,
+    beta_log_mgf,
+    beta_mean_var,
+    beta_raw_moments,
+    chi_raw_moment,
+    sample,
+)
 
 
 class TestVarianceProxySup:

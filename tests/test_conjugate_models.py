@@ -19,24 +19,26 @@ from closed_form import (
     poisson_query_moments,
     poly_raw_moments_under_beta,
 )
-from subgauss import (
-    BetaParams,
-    DirichletParams,
+from subgauss import conjugate_models
+from subgauss.checks import _conjecture_instances
+from subgauss.concentration import beta_proxy_bound, beta_proxy_estimate, weighted_proxy_sup
+from subgauss.conjugate_models import (
     ExactModeError,
-    GammaParams,
-    SeedSpec,
-    beta_proxy_bound,
-    beta_proxy_estimate,
-    beta_raw_moments,
+    _prior_rule,
+    _query_block,
+    _query_values,
     evaluate_model,
     mc_moments,
     model_q_draws,
 )
-from subgauss import conjugate_models
-from subgauss.checks import _conjecture_instances
-from subgauss.concentration import weighted_proxy_sup
-from subgauss.conjugate_models import _prior_rule, _query_block, _query_values
-from subgauss.distributions import draw
+from subgauss.distributions import (
+    BetaParams,
+    DirichletParams,
+    GammaParams,
+    SeedSpec,
+    beta_raw_moments,
+    draw,
+)
 
 
 class TestBinomialPoly:

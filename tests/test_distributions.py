@@ -12,22 +12,23 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from closed_form import beta_expect
-from subgauss import (
+from subgauss.checks import GRID
+from subgauss.concentration import raw_moment_criterion, termwise_mgf_comparison
+from subgauss.distributions import (
     BetaParams,
     DirichletParams,
     GammaParams,
     SeedSpec,
+    _block_generators,
+    beta_centered_log_mgf,
     beta_log_mgf,
     beta_mean_var,
     beta_raw_moments,
     chi_raw_moment,
-    raw_moment_criterion,
+    draw,
     sample,
     sample_chi,
-    termwise_mgf_comparison,
 )
-from subgauss.checks import GRID
-from subgauss.distributions import _block_generators, beta_centered_log_mgf, draw
 from subgauss.game import GameConfig, project_to_beta, run_games, wilson_interval
 
 
@@ -319,10 +320,16 @@ def test_counts_and_orders_must_be_integers(call, name, value):
                      id="draw-2d"),
         pytest.param(lambda: draw([0.5, 0.6], np.random.default_rng(0), 3), "nonnegative and sum to 1",
                      id="draw-sum"),
+        pytest.param(lambda: draw([math.nan, 0.5], np.random.default_rng(0), 4), "must be finite",
+                     id="draw-nan"),
         pytest.param(lambda: beta_centered_log_mgf(BetaParams(2, 5))(math.inf), "lambda must be finite",
                      id="beta_centered_log_mgf-inf"),
         pytest.param(lambda: beta_centered_log_mgf(BetaParams(2, 5))(math.nan), "lambda must be finite",
                      id="beta_centered_log_mgf-nan"),
+        pytest.param(lambda: beta_log_mgf(BetaParams(2, 5), math.inf), "lambda must be finite",
+                     id="beta_log_mgf-inf"),
+        pytest.param(lambda: beta_log_mgf(BetaParams(2, 5), math.nan), "lambda must be finite",
+                     id="beta_log_mgf-nan"),
     ],
 )
 def test_refusals(call, message):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subgauss import (
-    BetaParams,
+from subgauss import game
+from subgauss.distributions import BetaParams, DirichletParams, SeedSpec, beta_mean_var
+from subgauss.game import (
+    ANALYST_KINDS,
+    CURATOR_KINDS,
     DegenerateQueryError,
-    DirichletParams,
     GameConfig,
     QuerySpec,
-    SeedSpec,
-    beta_mean_var,
     estimate_failure_rate,
     project_to_beta,
     required_n,
@@ -24,8 +24,6 @@ from subgauss import (
     sample_instance,
     wilson_interval,
 )
-from subgauss import game
-from subgauss.game import ANALYST_KINDS, CURATOR_KINDS
 
 from closed_form import required_n_search
 
@@ -410,6 +408,17 @@ class TestRunGames:
     def test_posterior_mean_without_data(self, analyst):
         config = make_config(n=0, q=6, analyst=analyst)
         assert run_games(config, 20, SeedSpec(5)).tolist() == loop_max_errors(config, 20, SeedSpec(5))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_refuses_a_true_parameter_that_is_not_finite(self):
+        # all three Gamma variates of this trial underflow to 0, so its Dirichlet draw is 0/0
+        # (the divide warning); run_game once scored it a win and run_games a NaN error
+        config = make_config(prior=DirichletParams((0.005,) * 3), n=20, q=5)
+        seed = SeedSpec(1, 74394)
+        with pytest.raises(ValueError, match="categorical probabilities must be finite"):
+            run_game(config, seed)
+        with pytest.raises(ValueError, match=r"trial 0's true parameter is not finite"):
+            run_games(config, 1, seed)
 
     @pytest.mark.parametrize("n", [8, 29])
     @pytest.mark.parametrize("analyst", ANALYST_KINDS)

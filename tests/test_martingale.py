@@ -11,18 +11,16 @@ import pytest
 from closed_form import step_increment
 from scipy.special import polygamma
 
-from subgauss import (
-    BetaParams,
-    DirichletParams,
-    SeedSpec,
+from subgauss import checks, martingale
+from subgauss.distributions import BetaParams, DirichletParams, SeedSpec
+from subgauss.game import required_n
+from subgauss.martingale import (
     azuma_total,
-    required_n,
     simulate_paths,
     stability_diagnostics,
     step_variance_proxy,
     two_point_variance_proxy,
 )
-from subgauss import checks, martingale
 
 
 class TestTwoPointProxy:
