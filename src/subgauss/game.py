@@ -25,9 +25,13 @@ the tests compare it with. Each trial's generator makes only its raw draws
 (Gamma variates, uniforms, static-random query rows). Under a symmetric
 prior the k Gamma variates are one scalar-shape ``standard_gamma(alpha,
 size=k)`` call, the same stream as the array-shape call at a fraction of
-its cost. The normalisation, categorical inversion and counts run as
-whole-array operations that repeat ``draw``'s arithmetic. The block is then
-played in one of three shapes:
+its cost. The normalisation and categorical inversion run as whole-array
+operations that repeat ``draw``'s arithmetic: a sample's category is the
+number of the first k - 1 cumsum edges at or below its uniform, kept one
+byte wide up to k = 256, and since the edges never decrease, each
+category's count is the difference of two consecutive edges' tallies of
+such uniforms, read off the same comparisons. The block is then played in
+one of three shapes:
 
 - static-random and variance-maximizer analysts: the queries never depend
   on the answers, so every round's answer and truth are read at once from
@@ -341,7 +345,8 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
 
 
 # Trials played together by ``run_games``. Per trial, one block holds the n
-# uniforms and categorical samples (float64 and intp), the static-random
+# uniforms (float64), the n categorical samples and one row of inversion
+# comparisons (a byte each up to 256 categories), the static-random
 # analyst's q subset codes, and for the non-adaptive analysts a table of up
 # to 1024 subset sums and a few float rows of q answers, truths and errors;
 # everything else is k values per trial. No (trials, n, k) array and no
@@ -426,15 +431,15 @@ def _subset_sums(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sums of ``values`` over ``mask`` along the last (category) axis, added left to right.
 
-    The k columns are added in turn from 0.0, the order of Python's ``sum``
-    over sorted indices, so each sum is bit-identical to the transcript
-    path's; a pairwise ``.sum`` would not be. ``mask`` and ``values``
-    broadcast against each other, and no temporary keeps the category axis.
+    ``np.add.accumulate`` adds the k columns in turn, the order of
+    ``_left_sum`` over sorted indices, so each sum is bit-identical to the
+    transcript path's; a pairwise ``.sum`` would not be. Starting from the
+    first column instead of from 0.0 could change only the sign of a sum
+    whose every term is -0.0, and an adaptive round always masks out some
+    category, whose term is +0.0. ``mask`` and ``values`` broadcast against
+    each other.
     """
-    total = np.zeros(np.broadcast_shapes(mask.shape, values.shape)[:-1])
-    for j in range(values.shape[-1]):
-        total += np.where(mask[..., j], values[..., j], 0.0)
-    return total
+    return np.add.accumulate(np.where(mask, values, 0.0), axis=-1)[..., -1]
 
 
 def _fold_of(n: int, q: int) -> np.ndarray:
@@ -465,11 +470,13 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
     ``_random_codes`` as each trial draws them. When every prior alpha is
     equal the Gamma variates are drawn as ``standard_gamma(alpha, size=k)``,
     which yields the array-shape call's numbers without its per-call
-    broadcast. The Dirichlet
-    normalisation, the categorical inversion and the counts then run once
-    for the block, with the operations ``draw`` applies to one trial. A
-    true parameter that is not finite raises ValueError, as ``draw`` refuses
-    it in ``run_game``.
+    broadcast. The Dirichlet normalisation and the categorical inversion
+    then run once for the block, with the operations ``draw`` applies to one
+    trial. The inversion is k - 1 comparisons of the uniforms with one cumsum
+    edge each, into one reused bool buffer: each adds to the samples, which
+    are ``np.min_scalar_type(k - 1)`` wide, and its row tallies give the
+    counts (module docstring). A true parameter that is not finite raises
+    ValueError, as ``draw`` refuses it in ``run_game``.
     """
     k, q, n = config.k, config.q, config.n
     trials = stop - start
@@ -484,7 +491,7 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
         codes = None
     for t, rng in enumerate(_block_generators(seed, start, stop)):
         gammas[t] = rng.standard_gamma(shape, size=k)
-        uniforms[t] = rng.random(n)
+        rng.random(out=uniforms[t])
         if codes is not None:
             _random_codes(rng, powers, codes[t])
     true_p = gammas / gammas.sum(axis=1, keepdims=True)
@@ -494,13 +501,18 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
                          f"{gammas[bad[0]]}")
     # A uniform's category is the number of cumsum edges <= it (searchsorted,
     # side "right") capped at k - 1, that is, the count over the first k - 1
-    # edges, taken one column at a time.
+    # edges, taken one column at a time. The edges never decrease, so
+    # at_least[:, j] = #(category >= j) = #(edge j - 1 <= u) for 0 < j < k.
     edges = np.cumsum(true_p, axis=1)
-    samples = np.zeros((trials, n), dtype=np.intp)
+    samples = np.zeros((trials, n), dtype=np.min_scalar_type(k - 1))
+    hit = np.empty((trials, n), dtype=bool)
+    at_least = np.zeros((trials, k + 1), dtype=np.intp)
+    at_least[:, 0] = n
     for j in range(k - 1):
-        samples += edges[:, j, None] <= uniforms
-    cells = samples + k * np.arange(trials)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=trials * k).reshape(trials, k)
+        np.less_equal(edges[:, j, None], uniforms, out=hit)
+        samples += hit
+        at_least[:, j + 1] = np.count_nonzero(hit, axis=1)
+    counts = at_least[:, :-1] - at_least[:, 1:]
     return true_p, counts, samples, codes
 
 

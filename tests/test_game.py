@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,6 +591,70 @@ class TestSubsetSums:
         codes = np.array([[2**10 - 1]], dtype=game._code_powers(10).dtype)
         table_sum = game._subset_sums(codes, np.full((1, 10), 0.1))[0, 0]
         assert game._left_sum([0.1] * 10) == table_sum == 0.9999999999999999
+
+
+class TestMaskedSums:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 24), trials=st.integers(1, 5), master=st.integers(0, 2**32 - 1))
+    def test_equals_a_left_to_right_sum(self, k, trials, master):
+        # the adaptive rounds' (answer, truth, scored expectation) stack; the
+        # scored expectations prior_mean + scores can be negative
+        rng = np.random.default_rng(master)
+        values = rng.standard_normal((3, trials, k)) * 10.0 ** rng.integers(-3, 4, (3, trials, k))
+        values[rng.random((3, trials, k)) < 0.2] = 0.0
+        mask = rng.random((trials, k)) < rng.random()
+        sums = game._masked_sums(mask, values)
+        assert sums.shape == (3, trials)
+        for s in range(3):
+            for t in range(trials):
+                total = 0.0
+                for j in range(k):
+                    if mask[t, j]:
+                        total += float(values[s, t, j])
+                assert sums[s, t] == total
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("k,n", [(2, 0), (2, 40), (3, 1), (10, 520), (17, 33), (70, 90)])
+    def test_counts_are_the_samples_bincount(self, k, n):
+        config = make_config(k=k, prior=DirichletParams(tuple(0.3 + i % 5 for i in range(k))), n=n)
+        _, counts, samples, _ = game._draw_block(config, SeedSpec(23, k), 0, 40)
+        assert samples.shape == (40, n)
+        want = [np.bincount(row, minlength=k).tolist() for row in samples]
+        assert counts.tolist() == want
+
+    @pytest.mark.parametrize("k", [2, 10, 256, 257])
+    def test_samples_are_as_wide_as_the_largest_category(self, k):
+        config = make_config(k=k, prior=DirichletParams((1.0,) * k), n=30)
+        _, counts, samples, _ = game._draw_block(config, SeedSpec(24), 0, 8)
+        assert samples.dtype == np.min_scalar_type(k - 1)
+        assert samples.dtype.itemsize == (1 if k <= 256 else 2)
+        assert (counts.sum(axis=1) == 30).all()
+
+    @pytest.mark.parametrize("k", [256, 257])
+    @pytest.mark.parametrize("curator", ["sample_split", "posterior_mean"])
+    @pytest.mark.parametrize("analyst", ANALYST_KINDS)
+    def test_equals_run_game_past_one_byte(self, analyst, curator, k):
+        # k = 256 fills a uint8 category and k = 257 takes uint16; codes are Python ints
+        config = make_config(k=k, prior=DirichletParams(tuple(0.5 + i % 4 for i in range(k))),
+                             n=50, q=12, analyst=analyst, curator=curator)
+        seed = SeedSpec(25, k)
+        assert run_games(config, 20, seed).tolist() == loop_max_errors(config, 20, seed)
+
+    @pytest.mark.parametrize("analyst", ANALYST_KINDS)
+    def test_no_wide_temporaries(self, analyst):
+        # apart from its float64 uniforms, a block's (trials, n) arrays are a
+        # byte per entry: the traced peak stays within 1.5 times the uniforms
+        trials, n = 256, 500
+        config = make_config(k=10, prior=DirichletParams((1.0,) * 10), n=n, q=5, analyst=analyst)
+        game._draw_block(config, SeedSpec(1), 0, trials)
+        tracemalloc.start()
+        try:
+            game._draw_block(config, SeedSpec(1), 0, trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * trials * n
 
 
 @pytest.mark.parametrize("call, message", [
