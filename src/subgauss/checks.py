@@ -462,15 +462,8 @@ def conjectures(seed: SeedSpec, draws: int | None = None) -> CheckResult:
         max_ratio[model] = max(max_ratio.get(model, 0.0), exact.ratio)
         evaluations += [exact.estimate.evaluations, mc.estimate.evaluations]
         rows += [
-            {
-                "model": rep.model,
-                "params": json.dumps(rep.params).replace(",", ";"),
-                "subset": rep.subset_desc.replace(",", ";"),
-                "tau2_est": rep.tau2_est,
-                "scale": rep.scale,
-                "ratio": rep.ratio,
-                "method": rep.method,
-            }
+            {**instance, "tau2_est": rep.tau2_est, "scale": rep.scale, "ratio": rep.ratio,
+             "method": rep.method}
             for rep in (exact, mc)
         ]
     summary = {"instances": len(instances), "mc_draws": count, "max_ratio_per_model": max_ratio}

@@ -19,6 +19,7 @@ from .distributions import (
     _TAYLOR_ORDER,
     BetaParams,
     _check_integer,
+    _check_positive_finite,
     _taylor_log_mgf,
     beta_centered_log_mgf,
     beta_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
@@ -35,6 +36,9 @@ __all__ = [
     "raw_moment_criterion",
     "termwise_mgf_comparison",
     "tail_bound",
+    "tail_frequencies",
+    "weighted_log_mgf",
+    "weighted_proxy_sup",
     "empirical_log_mgf",
     "beta_proxy_bound",
     "beta_tight_proxy_bound",
@@ -409,11 +413,6 @@ def check_beta_bound(p: BetaParams) -> BetaBoundCheck:
     )
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
-
-
 def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of E[X^(j+2)]/E[X^j] <= E[X]^2 + (j+1) sigma^2, as arrays over j = 0..J-2.
 
@@ -423,7 +422,7 @@ def raw_moment_criterion(moments: np.ndarray, sigma2: float) -> tuple[np.ndarray
     for all j, the upper tail of X - E[X] is sigma^2-subgaussian, so this is
     a sufficient one-sided criterion rather than a tau^2 estimator.
     """
-    _check_sigma2(sigma2)
+    sigma2 = _check_positive_finite("sigma2", sigma2)
     values = np.asarray(moments, dtype=float)
     if values.ndim != 1 or values.size < 3:
         raise ValueError(f"raw moments must be a 1-D array of 3 or more, got shape {values.shape}")
@@ -446,7 +445,7 @@ def termwise_mgf_comparison(
     lhs > rhs does not by itself refute subgaussianity, since neighboring
     powers can compensate.
     """
-    _check_sigma2(sigma2)
+    sigma2 = _check_positive_finite("sigma2", sigma2)
     k_max = _check_integer("k_max", k_max)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -466,7 +465,7 @@ def termwise_mgf_comparison(
 
 def tail_bound(sigma2: float, epsilon: float) -> float:
     """One-sided subgaussian tail bound P(X - E X >= eps) <= exp(-eps^2/(2 sigma^2))."""
-    _check_sigma2(sigma2)
+    sigma2 = _check_positive_finite("sigma2", sigma2)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     return math.exp(-epsilon * epsilon / (2.0 * sigma2))
@@ -511,15 +510,16 @@ def weighted_log_mgf(
     its convexity bounds cannot rule the point out. Every weighted
     sum is an `np.einsum` reduction: unlike `w @ v`, it never calls BLAS,
     whose threaded dot product rounds differently with the thread count.
-    Constant values (Var = 0) are refused.
+    Constant values (Var = 0) and a Var past the float range are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     v, w = v[w > 0], w[w > 0]  # the law's support
     mean = float(np.einsum("i,i->", w, v))
-    x = v - mean
+    with np.errstate(over="ignore"):  # a spread past ~1e154 gives Var = inf, refused below
+        x = v - mean
+        var = float(np.einsum("i,i->", w, x * x))
     hi, lo = float(x.max()), float(x.min())
-    var = float(np.einsum("i,i->", w, x * x))
-    if not var > 0.0:
+    if not 0.0 < var < math.inf:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     near: list[float] = []  # e_21 .. e_1 once built
 

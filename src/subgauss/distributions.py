@@ -322,8 +322,8 @@ def _raw_log_mgf(a: float, b: float, lam: float) -> float:
     interior peak (64 terms for a peak at k = 0, where the decay need not be
     quadratic) and doubles until both ends are negligible. It is summed
     pairwise, its first term from `_log_rising` and the rest from the term
-    ratios; t_0 = 1 is a second local peak, so the sum restarts at k = 0
-    when it matters. A window past _MAX_TERMS raises OverflowError.
+    ratios; t_0 = 1 is a second local peak, so the sum restarts at k = 0 when
+    it matters. A window past _MAX_TERMS, or a non-finite peak, raises OverflowError.
     """
     s = a + b
     bq, c = s + 1.0 - lam, s - lam * a  # (k+1)(s+k) - lam (a+k) = k^2 + bq k + c
@@ -336,9 +336,10 @@ def _raw_log_mgf(a: float, b: float, lam: float) -> float:
         peak = (math.sqrt(disc) - bq) / 2.0
     curvature = 1.0 / (peak + 1.0) + 1.0 / (s + peak) - 1.0 / (a + peak)
     half = 16 + int(9.0 / math.sqrt(curvature)) if peak > 0.0 and curvature > 0.0 else 64
-    lo = max(0, int(peak) - half)
+    finite = math.isfinite(peak)  # a, b or lam near the float range's top can leave no peak
+    lo = max(0, int(peak) - half) if finite else 0
     while True:
-        if int(peak) + half - lo > _MAX_TERMS:
+        if not finite or int(peak) + half - lo > _MAX_TERMS:
             raise OverflowError(
                 f"the Beta({a:g}, {b:g}) series at lambda={lam:g} needs more than {_MAX_TERMS} terms"
             )
@@ -510,18 +511,18 @@ def chi_raw_moment(k_dim: int, j: int) -> float:
     """E[X^j] for X the Euclidean norm of a standard k_dim-dim Gaussian.
 
     Equals 2^(j/2) * Gamma((k+j)/2) / Gamma(k/2); satisfies the recurrence
-    E[X^(j+2)] = (k+j) E[X^j].
+    E[X^(j+2)] = (k+j) E[X^j]. ValueError past the float range (j above about 300).
     """
     k_dim, j = _check_integer("k_dim", k_dim), _check_integer("j", j)
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    return math.exp(
-        0.5 * j * math.log(2.0)
-        + math.lgamma(0.5 * (k_dim + j))
-        - math.lgamma(0.5 * k_dim)
-    )
+    log_moment = 0.5 * j * math.log(2.0) + math.lgamma(0.5 * (k_dim + j)) - math.lgamma(0.5 * k_dim)
+    try:
+        return math.exp(log_moment)
+    except OverflowError:
+        raise ValueError(f"E[X^j] at k_dim={k_dim}, j={j} passes the float range") from None
 
 
 # ---------------------------------------------------------------------------

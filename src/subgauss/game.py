@@ -122,6 +122,12 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class GameConfig:
+    """One game's settings. Building one raises ValueError for a non-integer k,
+    n or q, a non-real epsilon or delta, a prior not of dimension k, n < 0,
+    q < 1, epsilon outside (0, 1], delta outside (0, 1), an unknown analyst or
+    curator, and a curator that n samples leave nothing to answer from: the
+    empirical mean at n = 0, and sample split (a sample per round) at n < q."""
+
     k: int
     prior: DirichletParams
     n: int
@@ -148,6 +154,10 @@ class GameConfig:
             raise ValueError(f"unknown analyst {self.analyst!r}")
         if self.curator not in CURATOR_KINDS:
             raise ValueError(f"unknown curator {self.curator!r}")
+        if self.curator == "empirical_mean" and self.n == 0:
+            raise ValueError("the empirical-mean curator cannot answer with no data")
+        if self.curator == "sample_split" and self.n < self.q:
+            raise ValueError("sample-split fold is empty (need n >= q)")
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,6 @@ def run_game(config: GameConfig, seed: SeedSpec, *, record_rounds: bool = True) 
     loop, so it keeps its own arithmetic: left-to-right sums over sorted indices and
     a numpy mean of each fold's hits.
     """
-    _check_enough_data(config)
     k, n, q = config.k, config.n, config.q
     rng = seed.generator()
     true_p, counts, samples = _sample_instance(rng, config.prior, n)
@@ -356,17 +365,6 @@ _TRIAL_BLOCK = 1024
 # Earlier post-probe states each adaptive-correlator trial is compared with
 # for the cycle exit (``_play_adaptive``).
 _CYCLE_LOOKBACK = 4
-
-
-def _check_enough_data(config: GameConfig) -> None:
-    """Refuse, before any draw, a curator that n samples leave nothing to answer from.
-
-    The empirical mean needs a sample, and sample split one per round.
-    """
-    if config.curator == "empirical_mean" and config.n == 0:
-        raise ValueError("the empirical-mean curator cannot answer with no data")
-    if config.curator == "sample_split" and config.n < config.q:
-        raise ValueError("sample-split fold is empty (need n >= q)")
 
 
 def _code_powers(k: int) -> np.ndarray:
@@ -614,9 +612,7 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     ``run_game(config, seed.derived(t)).max_error`` exactly. The generators themselves are
     derived for a whole block at once by ``distributions._block_generators``,
     which hashes the block's numpy ``SeedSequence`` pools on arrays, with
-    numpy's own ``SeedSequence`` as its reference. Raises ``ValueError``
-    before drawing anything when the curator cannot answer from n samples
-    (empirical mean with n = 0, sample split with n < q), and, as
+    numpy's own ``SeedSequence`` as its reference. Raises ``ValueError``, as
     ``run_game`` does, when a trial's true parameter is not finite (all its
     Gamma variates underflowed to 0).
 
@@ -629,7 +625,6 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     trials = _check_integer("trials", trials)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    _check_enough_data(config)
     max_error = np.empty(trials)
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)

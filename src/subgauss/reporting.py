@@ -77,14 +77,15 @@ def emit_report(
 ) -> RunManifest:
     """Write <cmd>-summary.json and/or <cmd>-data.csv plus manifest.json.
 
-    CSV: header row, comma separator, '.' decimal point. JSON: sorted keys;
-    numpy values are written as Python ones, and a value json cannot write
-    (a set, say) raises TypeError. The manifest lists each payload file with
-    its sha256 and the versions of Python, numpy, scipy and subgauss, and is
-    written last. `timings` (seconds per stage) and `counts` (work counts,
-    such as log-MGF evaluations) go into the manifest only, so the payload
-    digests do not depend on them; the manifest leaves out either key where
-    it is None.
+    CSV: header row, comma separator, '.' decimal point, and a comma inside a
+    cell written as ';', so every row keeps the header's column count. JSON:
+    sorted keys; numpy values are written as Python ones, and a value json
+    cannot write (a set, say) raises TypeError. The manifest lists each
+    payload file with its sha256 and the versions of Python, numpy, scipy and
+    subgauss, and is written last. `timings` (seconds per stage) and `counts`
+    (work counts, such as log-MGF evaluations) go into the manifest only, so
+    the payload digests do not depend on them; the manifest leaves out either
+    key where it is None.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -98,7 +99,7 @@ def emit_report(
         fieldnames = list(rows[0].keys())
         lines = [",".join(fieldnames)]
         for row in rows:
-            lines.append(",".join(format_float(row.get(name)) for name in fieldnames))
+            lines.append(",".join(format_float(row.get(name)).replace(",", ";") for name in fieldnames))
         outputs.append(_write(out / f"{command}-data.csv", "\n".join(lines) + "\n"))
 
     manifest = RunManifest(

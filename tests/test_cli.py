@@ -2,8 +2,11 @@
 
 import csv
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +144,20 @@ class TestExitCodes:
         out = tmp_path / "r"
         assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
         assert "exceeds 2^40" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"curator": "sample_split", "n": 10, "q": 100}, {"curator": "empirical_mean", "n": 0}],
+        ids=["sample_split", "empirical_mean"],
+    )
+    def test_config_its_curator_cannot_play_is_refused(self, entry, tmp_path, capsys):
+        # these once reached the game and exited 1 with a traceback
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
+        assert "invalid game configuration" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_trials_must_be_positive(self, tmp_path, capsys):
@@ -349,6 +366,12 @@ class TestFloatFormatting:
         assert float(rows[0]["critical"]) == summary["critical"]
 
 
+def test_csv_cells_keep_their_commas_out(tmp_path):
+    emit_report("c", {}, [{"text": "a,b", "x": 0.5}], tmp_path, "csv")
+    lines = (tmp_path / "c-data.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["text,x", "a;b,0.5"]
+
+
 class TestJsonPath:
     def summary(self, tmp_path, name, summary):
         emit_report("c", summary, [], tmp_path / name, "json")
@@ -437,3 +460,21 @@ def test_import_loads_only_what_it_names(statement, absent):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert run.stdout.split() == []
+
+
+def test_all_lists_each_public_definition():
+    # a module's __all__ names every public function and class it defines, and nothing it lacks
+    checked = []
+    for info in pkgutil.iter_modules(subgauss.__path__):
+        module = importlib.import_module(f"subgauss.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        defined = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert sorted(defined - set(module.__all__)) == [], module.__name__
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+        checked.append(info.name)
+    assert "concentration" in checked

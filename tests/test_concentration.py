@@ -204,12 +204,13 @@ class TestBetaProxyProperty:
             est = beta_proxy_estimate(p)
             assert math.isfinite(est.value) and time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("a, b", [(1.0, 1e14), (1.0, 1e10), (5e11, 5e11)])
+    @pytest.mark.parametrize("a, b", [(1.0, 1e14), (1.0, 1e10), (5e11, 5e11), (1e300, 1e300)])
     def test_far_totals_raise_in_bounded_time(self, a, b):
         # the raw series needs O(sqrt(lambda)) terms; past 2^18 it raises
-        # rather than building arrays that grow with alpha + beta
+        # rather than building arrays that grow with alpha + beta. At 1e300 its
+        # peak is not a finite float, and int(nan) once escaped as a ValueError
         start = time.perf_counter()
-        with pytest.raises(OverflowError, match="terms"):
+        with pytest.raises(OverflowError, match="needs more than 262144 terms"):
             beta_proxy_estimate(BetaParams(a, b))
         assert time.perf_counter() - start < 1.0
 
@@ -359,6 +360,21 @@ class TestTermwiseComparison:
             termwise_mgf_comparison(BetaParams(1, 2), sigma2, 6)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: tail_bound(True, 1.0), id="tail_bound"),
+        pytest.param(lambda: raw_moment_criterion([1.0, 0.5, 0.3], True), id="raw_moment_criterion"),
+        pytest.param(lambda: termwise_mgf_comparison(BetaParams(1, 2), True, 4),
+                     id="termwise_mgf_comparison"),
+    ],
+)
+def test_sigma2_is_refused_unless_real(call):
+    # True once passed as sigma2 = 1.0
+    with pytest.raises(ValueError, match="sigma2 must be a real number, got True"):
+        call()
+
+
 class TestTailBound:
     def test_values(self):
         assert tail_bound(0.1, 0.3) == pytest.approx(math.exp(-0.45), rel=1e-14)
@@ -413,6 +429,11 @@ class TestAffineScaling:
         points, weights = _prior_rule(BetaParams(1, 1))
         with pytest.raises(ValueError, match="no lambda cap"):
             weighted_proxy_sup(0.0 * points, weights)
+
+    def test_overflowing_variance_rejected(self):
+        # Var of {0, 1e300} is 2.5e599; its overflow once escaped as a RuntimeWarning
+        with pytest.raises(ValueError, match="Var = inf leaves no lambda cap"):
+            weighted_proxy_sup([0.0, 1e300], [0.5, 0.5])
 
     def test_reflection_matches_swapped_params(self):
         for a in GRID:

@@ -314,6 +314,9 @@ def test_counts_and_orders_must_be_integers(call, name, value):
         pytest.param(lambda: chi_raw_moment(0, 2), "dimension must be a positive integer",
                      id="chi_raw_moment-k_dim"),
         pytest.param(lambda: chi_raw_moment(3, -1), "moment order must be nonnegative", id="chi_raw_moment-j"),
+        # once a bare "math range error" from math.exp
+        pytest.param(lambda: chi_raw_moment(1, 400), r"k_dim=1, j=400 passes the float range",
+                     id="chi_raw_moment-float_range"),
         pytest.param(lambda: sample_chi(0, SeedSpec(0), 3), "dimension must be a positive integer",
                      id="sample_chi-k_dim"),
         pytest.param(lambda: draw([[0.5, 0.5]], np.random.default_rng(0), 3), "must be a 1-d sequence",

@@ -322,9 +322,8 @@ class TestRunGame:
         assert len(transcript.rounds) == 5
 
     def test_sample_split_needs_enough_data(self):
-        config = make_config(curator="sample_split", n=2, q=5)
-        with pytest.raises(ValueError):
-            run_game(config, SeedSpec(2))
+        with pytest.raises(ValueError, match=r"need n >= q"):
+            make_config(curator="sample_split", n=2, q=5)
 
     def test_record_rounds_off(self):
         transcript = run_game(make_config(), SeedSpec(5), record_rounds=False)
@@ -360,16 +359,6 @@ class TestRunGame:
 
 def loop_max_errors(config, trials, seed):
     return [run_game(config, seed.derived(t), record_rounds=False).max_error for t in range(trials)]
-
-
-def _no_draws(*args, **kwargs):
-    raise AssertionError("made a generator before rejecting the configuration")
-
-
-def _forbid_draws(monkeypatch):
-    """Make both ways of deriving a game's generator raise."""
-    monkeypatch.setattr(SeedSpec, "generator", _no_draws)
-    monkeypatch.setattr(game, "_block_generators", _no_draws)
 
 
 class TestRunGames:
@@ -478,21 +467,16 @@ class TestRunGames:
         monkeypatch.setattr("subgauss.game._TRIAL_BLOCK", 7)
         assert run_games(config, 25, SeedSpec(8)).tolist() == whole.tolist()
 
-    def test_sample_split_needs_n_at_least_q(self, monkeypatch):
-        _forbid_draws(monkeypatch)
-        config = make_config(curator="sample_split", n=4, q=5)
+    def test_sample_split_needs_n_at_least_q(self):
+        # refused when the config is built, so no game path is reached and nothing is drawn
         with pytest.raises(ValueError, match=r"need n >= q"):
-            run_games(config, 10, SeedSpec(2))
-        with pytest.raises(ValueError, match=r"need n >= q"):
-            run_game(config, SeedSpec(2))
+            make_config(curator="sample_split", n=4, q=5)
+        make_config(curator="sample_split", n=5, q=5)
 
-    def test_empirical_mean_needs_data(self, monkeypatch):
-        _forbid_draws(monkeypatch)
-        config = make_config(curator="empirical_mean", n=0)
+    def test_empirical_mean_needs_data(self):
         with pytest.raises(ValueError, match="cannot answer with no data"):
-            run_games(config, 10, SeedSpec(2))
-        with pytest.raises(ValueError, match="cannot answer with no data"):
-            run_game(config, SeedSpec(2))
+            make_config(curator="empirical_mean", n=0)
+        make_config(curator="empirical_mean", n=1)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     @pytest.mark.parametrize("q", [200, 1000])
