@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from . import concentration as conc
 from . import conjugate_models as models
@@ -89,9 +88,12 @@ def _ks_statistic(draws: np.ndarray, a: float, b: float) -> float:
 
     The same arithmetic as SciPy's one-sample `kstest` against the Beta CDF:
     the largest gap either way between the empirical CDF and the Beta CDF at
-    the sorted draws.
+    the sorted draws. scipy's `betainc` is imported here, so that only
+    `verify_dirichlet` loads scipy.
     """
-    cdf = special.betainc(a, b, np.sort(draws))
+    from scipy.special import betainc
+
+    cdf = betainc(a, b, np.sort(draws))
     n = cdf.size
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
@@ -155,7 +157,9 @@ def verify_dirichlet(seed: SeedSpec, trials: int | None = None) -> CheckResult:
     pairs = _count(trials, 20)
     n_draws = 10**5
     rng = seed.generator(999)
-    critical = float(special.kolmogi(1e-3)) / math.sqrt(n_draws)
+    from scipy.special import kolmogi
+
+    critical = float(kolmogi(1e-3)) / math.sqrt(n_draws)
     rows = []
     for i in range(pairs):
         k = int(rng.integers(2, 9))

@@ -33,7 +33,7 @@ from . import game as game_mod
 from .distributions import DirichletParams, SeedSpec, _check_integer
 from .reporting import emit_report
 
-# seconds this module's import block took; under `python -m subgauss.cli` it loads NumPy and SciPy
+# seconds this module's import block took: NumPy, and no SciPy (verify-dirichlet loads it to run)
 _IMPORT_S = time.perf_counter() - _import_started
 
 

@@ -20,6 +20,7 @@ from .distributions import (
     BetaParams,
     _check_integer,
     _check_positive_finite,
+    _check_real,
     _taylor_log_mgf,
     beta_centered_log_mgf,
     beta_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
@@ -466,6 +467,7 @@ def termwise_mgf_comparison(
 def tail_bound(sigma2: float, epsilon: float) -> float:
     """One-sided subgaussian tail bound P(X - E X >= eps) <= exp(-eps^2/(2 sigma^2))."""
     sigma2 = _check_positive_finite("sigma2", sigma2)
+    epsilon = _check_real("epsilon", epsilon)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     return math.exp(-epsilon * epsilon / (2.0 * sigma2))
@@ -476,8 +478,13 @@ def tail_frequencies(
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(eps, freq, bound, se) per eps: the frequency of ``deviations`` >= eps,
     its bound min(1, sides * `tail_bound`), sides 1 or 2 (for |X - E X|), and
-    its standard error, floored at that of one event in N."""
+    its standard error, floored at that of one event in N. Other ``sides``
+    and an empty ``deviations`` are refused."""
+    if _check_integer("sides", sides) not in (1, 2):
+        raise ValueError(f"sides must be 1 or 2, got {sides}")
     n = deviations.size
+    if n == 0:
+        raise ValueError("tail frequencies need at least one deviation")
     rows = []
     for eps in epsilons:
         freq = float((deviations >= eps).mean())

@@ -19,8 +19,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .concentration import (
     VarianceProxyEstimate,
@@ -132,10 +130,10 @@ def _query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.nd
 
     Q sums its nonnegative terms, each formed in log space, so no size cap
     applies; Q expanded into powers of p would lose ~2^degree * eps near p = 1.
-    The logs are taken once per point (log p and log(1 - p), log p_i, or the
-    log rate), and each term is one 1-D exp of its log coefficient plus each
-    count times its log. A count of 0 contributes 0, as in xlogy, even where
-    its log is -inf: Q is the pmf at a zero probability too, which a
+    The logs are taken once per point by numpy (log p and log1p(-p), log p_i,
+    or the log rate), and each term is one 1-D exp of its log coefficient
+    (`math.lgamma`) plus each count times its log. A count of 0 contributes
+    0 even where its log is -inf: Q is the pmf at a zero probability too, which a
     Dirichlet draw has where a Gamma variate underflows. ``sum`` adds the
     terms left to right, which is numpy's ``.sum(axis=1)`` of them for up to
     7 terms, exactly; past that numpy pairs them 8 ways, and the two sums may
@@ -143,47 +141,57 @@ def _query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.nd
     """
     if model in ("beta_binomial", "geometric"):
         counts = _outcome_counts(subset)
-        log_p, log_q = xlogy(1.0, points), xlog1py(1.0, -points)
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.log(points), np.log1p(-points)
         if model == "geometric":  # p (1-p)^c
             return sum(np.exp(log_p + _times(c, log_q)) for c in counts)
         if counts[-1] > m:
             raise ValueError("subset entries must lie in 0..m")
-        c = np.asarray(counts, dtype=float)
-        log_coeff = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
         return sum(
-            np.exp(coeff + _times(c, log_p) + _times(m - c, log_q))
-            for c, coeff in zip(counts, log_coeff.tolist())
+            np.exp(_log_multinomial(m, (c, m - c)) + _times(c, log_p) + _times(m - c, log_q))
+            for c in counts
         )
     if model == "multinomial":
         vectors = _check_count_vectors(subset, m, points.shape[1])
-        log_coeff = gammaln(m + 1.0) - gammaln(np.asarray(vectors, dtype=float) + 1.0).sum(axis=1)
-        with np.errstate(divide="ignore"):  # numpy's log, which the BLAS product form
-            logs = np.log(points).T  # took too; scipy's log rounds a few points differently
+        with np.errstate(divide="ignore"):
+            logs = np.log(points).T
         return sum(
-            np.exp(sum(_times(x_i, log_i) for x_i, log_i in zip(x, logs)) + coeff)
-            for x, coeff in zip(vectors, log_coeff.tolist())
+            np.exp(sum(_times(x_i, log_i) for x_i, log_i in zip(x, logs)) + _log_multinomial(m, x))
+            for x in vectors
         )
     if model == "poisson_gamma":
         counts = _outcome_counts(subset)
-        log_rate = xlogy(1.0, points)
-        return sum(np.exp(_times(c, log_rate) - points - gammaln(c + 1.0)) for c in counts)
+        with np.errstate(divide="ignore"):
+            log_rate = np.log(points)
+        return sum(np.exp(_times(c, log_rate) - points - math.lgamma(c + 1.0)) for c in counts)
     raise ValueError(f"unknown model {model!r}")
 
 
 def _times(count: int, log: np.ndarray) -> np.ndarray | float:
-    """xlogy(count, e^log) from the log: count * log, and 0 at count 0 even where log is -inf."""
+    """count * log, and 0 at count 0 even where log is -inf (a zero probability or rate)."""
     return count * log if count else 0.0
+
+
+def _log_multinomial(m: int, counts) -> float:
+    """ln of the multinomial coefficient m! / prod(c_i!), by `math.lgamma`, the factorials
+    subtracted left to right."""
+    out = math.lgamma(m + 1.0)
+    for c in counts:
+        out -= math.lgamma(c + 1.0)
+    return out
 
 
 def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of a probability law from its Jacobi matrix (orthonormal recurrence).
 
-    Nodes are the eigenvalues (Golub-Welsch); weights are 1 / sum_k p_k(x)^2
+    Nodes are the eigenvalues (Golub-Welsch), by numpy's `eigvalsh` of the
+    dense matrix (a few ms at 256 nodes; the rules are cached, and numpy's
+    linalg is loaded with numpy); weights are 1 / sum_k p_k(x)^2
     over the orthonormal polynomials, which, unlike squared eigenvector
     components, keeps tail weights accurate. No normalising constant is
     formed, so none overflows; a node whose sum overflows gets weight 0.
     """
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     prev, cur, total = np.zeros_like(nodes), np.ones_like(nodes), np.ones_like(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(off)):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "BetaParams",
@@ -303,10 +302,40 @@ def _stirling_tail(y):
     ) / y
 
 
+# Bernoulli numbers B_2, B_4, ..., B_12 of trigamma's asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _trigamma_difference(x: float, h: float) -> float:
+    """psi'(x) - psi'(x + h) = sum_{k>=0} 1/(x+k)^2 - 1/(x+h+k)^2 for x > 0, h >= 0.
+
+    Formed from h, so nothing cancels when h << x. The recurrence psi'(y) =
+    1/y^2 + psi'(y + 1) moves x up to y >= 20, where psi'(y) ~ 1/y + 1/(2y^2)
+    + sum_n B_2n / y^(2n+1) to ~1e-17 relative. Each difference of powers
+    u^n - v^n (u = 1/y, v = 1/(y + h)) is (u - v) times the positive sum
+    u^(n-1) + u^(n-2) v + ... + v^(n-1), and u - v = h u v, so every term is a
+    product with no subtraction; only the series' signs alternate, in
+    corrections below 1/(2y) of the leading term.
+    """
+    total = 0.0
+    while x < 20.0:
+        u, v = 1.0 / x, 1.0 / (x + h)
+        total += h * u * v * (u + v)  # 1/x^2 - 1/(x+h)^2
+        x += 1.0
+    u, v = 1.0 / x, 1.0 / (x + h)
+    powers = [1.0]  # u^(n-1) + ... + v^(n-1) for n = 1, 2, ...
+    for n in range(1, 2 * len(_BERNOULLI) + 1):
+        powers.append(u * powers[-1] + v ** n)
+    series = powers[0] + 0.5 * powers[1]
+    for n, b in enumerate(_BERNOULLI, start=1):
+        series += b * powers[2 * n]
+    return total + h * u * v * series
+
+
 def _log_rising(x: float, k):
     """ln Gamma(x+k)/Gamma(x) for k >= 0 to ~eps * k ln(x+k), also where ln Gamma(x) is huge."""
     if x < 20.0:
-        return gammaln(x + k) - gammaln(x)
+        return math.lgamma(x + k) - math.lgamma(x)
     y = x + k
     return (x - 0.5) * np.log1p(k / x) + k * (np.log(y) - 1.0) + _stirling_tail(y) - _stirling_tail(x)
 
@@ -347,7 +376,7 @@ def _raw_log_mgf(a: float, b: float, lam: float) -> float:
         steps = np.log(lam * (a + k) / ((s + k) * (k + 1.0)))  # ln t_{k+1}/t_k
         rel = np.concatenate(([0.0], np.cumsum(steps)))  # ln t_k / t_lo
         top = float(rel.max())
-        anchor = lo * math.log(lam) + float(_log_rising(a, lo) - _log_rising(s, lo) - gammaln(lo + 1.0))
+        anchor = lo * math.log(lam) + float(_log_rising(a, lo) - _log_rising(s, lo) - math.lgamma(lo + 1.0))
         if lo > 0 and anchor + top < _WINDOW_LOG:  # t_0 = 1 is not negligible
             lo = 0
         elif (lo == 0 or rel[0] < top - _WINDOW_LOG) and rel[-1] < top - _WINDOW_LOG:

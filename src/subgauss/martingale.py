@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .concentration import beta_proxy_bound, tail_frequencies
-from .distributions import BetaParams, DirichletParams, SeedSpec, _check_integer, draw
+from .distributions import (
+    BetaParams, DirichletParams, SeedSpec, _check_integer, _trigamma_difference, draw,
+)
 from .game import project_to_beta
 
 __all__ = [
@@ -93,9 +94,9 @@ def azuma_total(prior: BetaParams, horizon: int = 10**6) -> AzumaTotals:
     """Telescoped step-proxy total against the closed-form trajectory bound.
 
     partial_sum = sum_{k=1..horizon} 1/(4(s+k)^2), s = alpha+beta, is the
-    trigamma difference (psi'(s+1) - psi'(s+horizon+1))/4, within
-    4 eps (s+horizon+1)/horizon relative (eps = 2^-52; it cancels when
-    horizon << s). tail_remainder = 1/(4(s+horizon+1/2)) dominates the
+    trigamma difference (psi'(s+1) - psi'(s+horizon+1))/4, formed from the
+    horizon by `_trigamma_difference` to ~1e-15 relative, also where horizon
+    << s. tail_remainder = 1/(4(s+horizon+1/2)) dominates the
     remaining tail by telescoping, and the grand total never exceeds
     theorem_bound = 1/(4(alpha+beta)+2); `checks.martingale` checks it.
     """
@@ -103,7 +104,7 @@ def azuma_total(prior: BetaParams, horizon: int = 10**6) -> AzumaTotals:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     s = prior.total
-    partial = 0.25 * float(polygamma(1, s + 1.0) - polygamma(1, s + horizon + 1.0))
+    partial = 0.25 * _trigamma_difference(s + 1.0, float(horizon))
     remainder = 0.25 / (s + horizon + 0.5)
     return AzumaTotals(partial_sum=partial, tail_remainder=remainder,
                        theorem_bound=beta_proxy_bound(prior))

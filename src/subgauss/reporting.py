@@ -6,6 +6,9 @@ sorted. The manifest is written last and records a digest per emitted file.
 Every JSON file is one `json.dumps` of plain values (dataclasses go through
 `dataclasses.asdict`); its `default` writes numpy scalars and arrays as
 Python values and raises TypeError for anything else json cannot write.
+The manifest's scipy version is read from the installed package's metadata
+(`importlib.metadata`), once per process at the first `emit_report`, so no
+run imports scipy to report it.
 """
 from __future__ import annotations
 
@@ -14,10 +17,10 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 
@@ -37,6 +40,19 @@ class RunManifest:
     created_at: str
     timings: dict | None = None  # seconds per stage, where the caller timed them
     counts: dict | None = None  # work counts, where the check reports them
+
+
+@lru_cache(maxsize=1)
+def _versions() -> dict:
+    """Versions of Python, numpy, scipy and subgauss; scipy's from its metadata, unimported."""
+    from importlib import metadata
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+        "subgauss": __version__,
+    }
 
 
 def format_float(value) -> str:
@@ -108,12 +124,7 @@ def emit_report(
         master_seed=master_seed,
         artifact_version=ARTIFACT_VERSION,
         outputs=tuple(outputs),
-        versions={
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "subgauss": __version__,
-        },
+        versions=dict(_versions()),
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         timings=timings,
         counts=counts,

@@ -13,8 +13,8 @@ best grid point before Brent's method did; the scan's tests compare the two.
 game's sample size before its closed form did; `required_n` is checked
 against it. `step_increment` is the two-valued law of one posterior-mean
 step, against which `subgauss.martingale.step_variance_proxy` is checked.
-`broadcast_query_block` is the query functional as one scipy call and one
-``.sum(axis=1)`` on the whole (points, terms) array, and `loop_scan` the
+`broadcast_query_block` is the query functional as one log-times-count and
+one ``.sum(axis=1)`` on the whole (points, terms) array, and `loop_scan` the
 tau^2 scan that read its grid by one ratio call per point; the library's
 per-point-log functional and bounded scan are checked against them.
 `counting` wraps a log-MGF to record the lambda of each scalar call, so a
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, logsumexp
 
 from subgauss.concentration import (
     _LAMBDA_MIN,
@@ -366,30 +366,46 @@ def required_n_search(epsilon: float, delta: float, q: int, prior_mass: float) -
     return hi
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _count_times(counts: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """counts * logs, broadcast, and 0 wherever the count is 0 (also at a log of -inf)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(counts == 0.0, 0.0, counts * logs)
+
+
 def broadcast_query_block(model: str, subset, m: int | None, points: np.ndarray) -> np.ndarray:
     """Q at parameter points, each term's log formed on the whole (points, terms)
-    array by xlogy/xlog1py (a BLAS product for the multinomial) and summed by
-    ``.sum(axis=1)``."""
+    array (a BLAS product for the multinomial) from numpy's logs and `math.lgamma`,
+    and summed by ``.sum(axis=1)``."""
     if model in ("beta_binomial", "geometric"):
         c, p = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.log(p), np.log1p(-p)
         if model == "geometric":  # p (1-p)^c
-            return np.exp(xlogy(1.0, p) + xlog1py(c, -p)).sum(axis=1)
+            return np.exp(log_p + _count_times(c, log_q)).sum(axis=1)
         if c[-1] > m:
             raise ValueError("subset entries must lie in 0..m")
-        log_coeff = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
-        return np.exp(log_coeff + xlogy(c, p) + xlog1py(m - c, -p)).sum(axis=1)
+        log_coeff = _lgamma(m + 1.0) - _lgamma(c + 1.0) - _lgamma(m - c + 1.0)
+        return np.exp(log_coeff + _count_times(c, log_p) + _count_times(m - c, log_q)).sum(axis=1)
     if model == "multinomial":
         vectors = _check_count_vectors(subset, m, points.shape[1])
         x = np.asarray(vectors, dtype=float)  # (s, k)
-        log_coeff = gammaln(m + 1.0) - gammaln(x + 1.0).sum(axis=1)
+        log_coeff = _lgamma(m + 1.0)
+        for column in x.T:
+            log_coeff = log_coeff - _lgamma(column + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_terms = np.log(points) @ x.T
+            logs = np.log(points)
+            log_terms = logs @ x.T
         zero = (points == 0.0).any(axis=1)  # the product gives log(0) * 0 = NaN
-        log_terms[zero] = xlogy(x, points[zero, None, :]).sum(axis=2)
+        log_terms[zero] = _count_times(x, logs[zero, None, :]).sum(axis=2)
         return np.exp(log_terms + log_coeff).sum(axis=1)
     if model == "poisson_gamma":
         c, rate = np.asarray(_outcome_counts(subset), dtype=float), points[:, None]
-        return np.exp(xlogy(c, rate) - rate - gammaln(c + 1.0)).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_rate = np.log(rate)
+        return np.exp(_count_times(c, log_rate) - rate - _lgamma(c + 1.0)).sum(axis=1)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -122,7 +122,7 @@ DEFAULT_DIGESTS = {
     "verify-dirichlet": ("f3447508", "4def1343"),  # since the alphas add left to right
     "verify-chi": ("c04685b7", "38691e33"),
     "lemma-checks": ("e993d5e9", "185bd98a"),  # since criterion_passed left its rows
-    "martingale": ("9ec966da", "84967c36"),  # since azuma_total is a trigamma difference
+    "martingale": ("968ee110", "84967c36"),  # since azuma_total's difference is formed from h
     "game": ("b0ee1262", "54071471"),
 }
 

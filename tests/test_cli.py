@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import subgauss
 from subgauss import checks
@@ -223,6 +224,7 @@ class TestArtifacts:
         }
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "subgauss"}
         assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["versions"]["scipy"] == scipy.__version__  # read from its metadata
         assert manifest["versions"]["subgauss"] == subgauss.__version__
         with open(out / "lemma-checks-data.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -305,8 +307,9 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
             assert len(list(csv.DictReader(fh))) == 60  # 30 instances x 2 methods
         digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
-    # the bytes at 20 000 draws, with both modes scanning the centered weighted kernel
-    assert [d[:8] for d in digests[0]] == ["7dd3dcbb", "7e4987ce"]
+    # the bytes at 20 000 draws, with both modes scanning the centered weighted kernel,
+    # since Q takes numpy's logs and math.lgamma's coefficients
+    assert [d[:8] for d in digests[0]] == ["61842874", "4dabce1b"]
     counts = read_json(tmp_path / "a" / "manifest.json")["counts"]  # over the 60 estimates
     assert set(counts) == {"log_mgf_evaluations", "log_mgf_evaluations_max"}
     assert 2 * 200 < counts["log_mgf_evaluations_max"] < counts["log_mgf_evaluations"]
@@ -445,8 +448,9 @@ def test_cold_start_loads_no_heavy_scipy_module():
     [
         ("import subgauss", ("numpy", "scipy", "subgauss.")),
         ("from subgauss.game import run_games", ("scipy.linalg", "subgauss.conjugate_models")),
+        ("import subgauss.cli", ("scipy",)),
     ],
-    ids=["package", "game"],
+    ids=["package", "game", "cli"],
 )
 def test_import_loads_only_what_it_names(statement, absent):
     # module-name prefixes; the package import loads no submodule, so importing one
@@ -460,6 +464,31 @@ def test_import_loads_only_what_it_names(statement, absent):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert run.stdout.split() == []
+
+
+def test_runs_load_scipy_only_for_the_ks_test(tmp_path):
+    # game and verify-chi at default arguments load no scipy module; verify-dirichlet's
+    # KS test loads scipy.special, and nothing loads scipy.linalg
+    code = (
+        "import sys\n"
+        "from subgauss.cli import cli_dispatch\n"
+        "def loaded():\n"
+        "    return ' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or '-'\n"
+        f"cli_dispatch(['game', '--out', {str(tmp_path / 'game')!r}])\n"
+        f"cli_dispatch(['verify-chi', '--out', {str(tmp_path / 'chi')!r}])\n"
+        "print(loaded())\n"
+        f"cli_dispatch(['verify-dirichlet', '--trials', '1', '--out', {str(tmp_path / 'dir')!r}])\n"
+        "print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(subgauss.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    after_game_and_chi, after_dirichlet = run.stdout.splitlines()
+    assert after_game_and_chi == "-"
+    assert "scipy.special" in after_dirichlet.split()
+    assert not [m for m in after_dirichlet.split() if m.startswith("scipy.linalg")]
+    assert (tmp_path / "game" / "game-summary.json").exists()
+    assert (tmp_path / "chi" / "verify-chi-summary.json").exists()
 
 
 def test_all_lists_each_public_definition():

@@ -32,6 +32,7 @@ from subgauss.concentration import (
     empirical_log_mgf,
     raw_moment_criterion,
     tail_bound,
+    tail_frequencies,
     termwise_mgf_comparison,
     variance_proxy_sup,
     weighted_log_mgf,
@@ -390,6 +391,12 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(sigma2, epsilon)
 
+    @pytest.mark.parametrize("epsilon", [True, "0.2"])
+    def test_epsilon_is_refused_unless_real(self, epsilon):
+        # True was read as 1.0, and "0.2" raised a bare TypeError from >=
+        with pytest.raises(ValueError, match=f"epsilon must be a real number, got {epsilon!r}"):
+            tail_bound(0.1, epsilon)
+
     def test_monotonicities(self):
         eps = np.linspace(0.05, 1.0, 30)
         bounds = [tail_bound(0.05, e) for e in eps]
@@ -407,6 +414,26 @@ class TestTailBound:
             freq = float((draws - mean >= eps).mean())
             se = math.sqrt(max(freq * (1 - freq), 1e-7) / draws.size)
             assert freq <= tail_bound(sigma2, eps) + 4.0 * se
+
+
+class TestTailFrequencies:
+    def test_rows(self):
+        deviations = np.array([0.05, 0.15, 0.25, 0.35])
+        rows = tail_frequencies(deviations, 0.01, (0.1, 0.3), sides=2)
+        se = math.sqrt((1.0 / 4) / 4)  # floored at one event in 4: 0.75 * 0.25 < 1/4
+        assert rows == ((0.1, 0.75, 1.0, se),  # 2 exp(-1/2) > 1
+                        (0.3, 0.25, 2.0 * tail_bound(0.01, 0.3), se))
+
+    @pytest.mark.parametrize("sides", [0, 3, True, 2.0])
+    def test_sides_are_one_or_two(self, sides):
+        # sides=3 once tripled the bound
+        with pytest.raises(ValueError, match="sides must be"):
+            tail_frequencies(np.array([0.1, 0.2]), 0.01, (0.1,), sides=sides)
+
+    def test_no_deviations_are_refused(self):
+        # the mean of an empty array once escaped as a RuntimeWarning
+        with pytest.raises(ValueError, match="at least one deviation"):
+            tail_frequencies(np.array([]), 0.01, (0.1,), sides=1)
 
 
 class TestAffineScaling:
@@ -972,7 +999,8 @@ class TestBoundedScan:
     @pytest.mark.parametrize("alpha, beta, value, argmax, scanned", [
         (1.0, 1e7, 2.0363227736895597e-08, 35128588.20457565, "6.67119e+06 (-), 9.0037e+07 (+)"),
         (3e7, 3e7, 4.1666665972222305e-09, -1.402644265212063, "2.1039e+08 (-), 2.1039e+08 (+)"),
-        (1e4, 3e4, 6.064549462729241e-06, 55420.359017497096, "80687.8 (-), 238200 (+)"),
+        # since the raw series' anchor takes ln k! from math.lgamma (1 ulp from gammaln's)
+        (1e4, 3e4, 6.064549462729258e-06, 55420.35817446955, "80687.8 (-), 238200 (+)"),
         (50.0, 0.1, 0.0038924288584230144, -187.38858433724835, "495.223 (-), 44.5469 (+)"),
         (1e6, 1e6, 1.2499993750003137e-07, -0.04387538987613797, "7.13388e+06 (-), 7.13388e+06 (+)"),
     ])

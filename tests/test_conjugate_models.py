@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
 from closed_form import (
     PolynomialInP,
@@ -24,6 +26,10 @@ from subgauss.checks import _conjecture_instances
 from subgauss.concentration import beta_proxy_bound, beta_proxy_estimate, weighted_proxy_sup
 from subgauss.conjugate_models import (
     ExactModeError,
+    _beta_rule,
+    _gamma_rule,
+    _gauss_rule,
+    _log_multinomial,
     _prior_rule,
     _query_block,
     _query_values,
@@ -518,7 +524,8 @@ def test_refusals(call, message):
 
 
 class TestQueryBlockMatchesBroadcastForm:
-    """Q from one log per point equals Q from xlogy/xlog1py on the whole (points, terms) array."""
+    """Q from one log per point equals Q from the logs broadcast over the whole (points, terms)
+    array; both take numpy's log and log1p and `math.lgamma`."""
 
     @pytest.mark.parametrize("index", range(len(DEFAULT_INSTANCES)))
     def test_default_instances(self, index):
@@ -562,21 +569,113 @@ class TestQueryBlockMatchesBroadcastForm:
         assert (np.abs(new - old) <= bound * old).all()
         assert (new != old).any()  # the bound, not equality, is what is checked here
 
-    def test_scipy_logs_take_one_dimensional_arrays(self, monkeypatch):
-        # xlogy and xlog1py run once per point, never on the (points, terms) array
+    def test_logs_take_one_value_per_point(self, monkeypatch):
+        # numpy's log and log1p each run once on the block of points (a row of
+        # coordinates per Dirichlet point), never on the (points, terms) array
         shapes = []
 
         def recorded(fn):
-            def call(x, y):
-                shapes.append((np.ndim(x), np.ndim(y)))
-                return fn(x, y)
+            def call(x):
+                shapes.append(np.shape(x))
+                return fn(x)
             return call
 
-        for name in ("xlogy", "xlog1py"):
-            monkeypatch.setattr(conjugate_models, name, recorded(getattr(conjugate_models, name)))
+        class RecordingNumpy:
+            log, log1p = staticmethod(recorded(np.log)), staticmethod(recorded(np.log1p))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(conjugate_models, "np", RecordingNumpy())
         for model, prior, subset, m in DEFAULT_INSTANCES:
-            _query_values(model, subset, m, draw(prior, np.random.default_rng(1), 1000))
-        assert shapes and set(shapes) == {(0, 1)}
+            points = draw(prior, np.random.default_rng(1), 1000)
+            shapes.clear()
+            _query_values(model, subset, m, points)
+            logs = 2 if model in ("beta_binomial", "geometric") else 1
+            assert shapes == [points.shape] * logs, model
+
+
+EPS = np.finfo(float).eps
+
+
+class TestGaussRules:
+    # Nodes: an eigen-solve is accurate to a few eps of the matrix norm, 1 for the Beta rules
+    # (measured at most 2 eps in p). Weights: 1 / sum p_k(x)^2 at a node off by delta is off by
+    # delta times the log-slope of that sum, up to ~n^2 near the ends (measured at most
+    # 4.2 n^2 eps, Beta(1, 1) at 128 nodes; scipy's tridiagonal solver gave the same).
+
+    @pytest.mark.parametrize("nodes", [32, 64, 128, 256])
+    def test_beta_half_half_is_gauss_chebyshev(self, nodes):
+        # a zero Jacobi diagonal, where numpy's dense and scipy's tridiagonal solvers round apart
+        p, q, weights = _beta_rule(0.5, 0.5, nodes)
+        cos = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
+        assert np.abs(p - np.sort((1 + cos) / 2)).max() <= 4 * EPS
+        assert np.abs(q - np.sort((1 - cos) / 2)[::-1]).max() <= 4 * EPS
+        assert np.abs(weights * nodes - 1.0).max() <= 8 * nodes**2 * EPS
+
+    @pytest.mark.parametrize("nodes", [32, 64, 128, 256])
+    def test_beta_one_one_is_gauss_legendre(self, nodes):
+        p, q, weights = _beta_rule(1.0, 1.0, nodes)
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        assert np.abs(p - (1 + x) / 2).max() <= 4 * EPS
+        assert np.abs(q - (1 - x) / 2).max() <= 4 * EPS
+        assert np.abs(weights / (w / 2) - 1.0).max() <= 8 * nodes**2 * EPS
+
+    def test_nodes_match_scipys_tridiagonal_solver(self, monkeypatch):
+        # Jacobi matrices of Beta(a, b) and Gamma(a) rules, a, b in 0.005..1000
+        matrices = []
+        monkeypatch.setattr(conjugate_models, "_gauss_rule",
+                            lambda diag, off: matrices.append((diag, off)) or _gauss_rule(diag, off))
+        shapes = (0.005, 0.1, 0.5, 1.0, 7.0, 1000.0)
+        for nodes in (32, 256):
+            for a in shapes:
+                _gamma_rule.__wrapped__(a, nodes)
+                for b in shapes:
+                    _beta_rule.__wrapped__(a, b, nodes)
+        assert len(matrices) == 2 * 42
+        for diag, off in matrices:
+            want = eigh_tridiagonal(diag, off, eigvals_only=True)
+            # measured at most 6.5 eps: Beta(1/2, 1/2) at 256 nodes, the zero-diagonal case
+            assert np.abs(_gauss_rule(diag, off)[0] - want).max() <= 8 * EPS * np.abs(want).max()
+
+
+class TestLogsAgainstTheirOracles:
+    @pytest.mark.parametrize("index", range(len(DEFAULT_INSTANCES)))
+    def test_numpy_logs_within_one_ulp(self, index):
+        # at the points a default `conjectures` run evaluates Q at (its rules, and the first
+        # 2 000 of its 20 000 draws), each log is within 1 ulp of the correctly rounded one;
+        # scipy's xlog1py(1, -p), which the Beta models took before, was up to 2 ulps off there
+        model, prior, subset, m = DEFAULT_INSTANCES[index]
+        draws = draw(prior, SeedSpec(0).derived(index + 1).generator(), 20_000)[:2000]
+        points = np.concatenate([x.ravel() for x in (draws, *_prior_rule(prior)[:1],
+                                                     *_prior_rule(prior, refine=2)[:1])])
+        points = np.unique(points[points > 0.0])  # a Dirichlet rule repeats its coordinates
+        logs = [(np.log(points), points, lambda x: mpmath.log(x))]
+        if isinstance(prior, BetaParams):
+            below = points[points < 1.0]
+            logs.append((np.log1p(-below), below, lambda x: mpmath.log(1 - mpmath.mpf(x))))
+        for log, xs, exact in logs:
+            with mpmath.workdps(40):
+                want = np.array([float(exact(x)) for x in xs.tolist()])
+            assert (np.abs(log - want) <= np.spacing(np.abs(want))).all()
+
+    def test_coefficients_against_exact_integers(self):
+        # ln m! / prod c_i! by math.lgamma, against the log of the exact integer, to 4 ulps of
+        # ln m! per factorial (math.lgamma is within 3 ulps on 1..200); gammaln as a second oracle
+        cases = [(m, (c, m - c)) for m in range(61) for c in range(m + 1)]
+        cases += [(m, (a, b, m - a - b)) for m in (2, 5, 12, 40) for a in range(m + 1)
+                  for b in range(m - a + 1)]
+        for m, counts in cases:
+            exact = math.factorial(m)
+            for c in counts:
+                exact //= math.factorial(c)
+            with mpmath.workdps(40):
+                want = float(mpmath.log(exact))
+            tol = 4 * (len(counts) + 1) * math.ulp(math.lgamma(m + 1.0))
+            got = _log_multinomial(m, counts)
+            assert abs(got - want) <= tol, (m, counts)
+            scipy_value = gammaln(m + 1.0) - sum(gammaln(c + 1.0) for c in counts)
+            assert abs(got - scipy_value) <= 2 * tol, (m, counts)
 
 
 class TestDrawCount:

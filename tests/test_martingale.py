@@ -137,16 +137,28 @@ class TestAzumaTotal:
         with pytest.raises(ValueError):
             azuma_total(BetaParams(1, 1), 0)
 
-    @pytest.mark.parametrize("s", [1e-2, 0.3, 1.0, 2.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("s", [1e-2, 0.3, 1.0, 2.0, 10.0, 19.5, 20.0, 1e3, 1e6, 1e15])
     def test_within_stated_accuracy_of_mpmath(self, s):
-        # relative error below 4 eps (s+h+1)/h; h << s is where the difference cancels
+        # relative error below 4 eps (measured at most 1.8 eps), on both sides of the
+        # recurrence's y >= 20 and also where h << s
         prior = BetaParams(s / 2, s / 2)
         total = mpmath.mpf(prior.total)
         for h in (1, 2, 10, 10**3, 10**6, 10**9, 10**12):
             with mpmath.workdps(40):
                 want = (mpmath.polygamma(1, total + 1) - mpmath.polygamma(1, total + h + 1)) / 4
                 error = float(abs(azuma_total(prior, h).partial_sum - want) / want)
-            assert error <= 4.0 * np.finfo(float).eps * (prior.total + h + 1) / h
+            assert error <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("h", [1, 10, 10**6])
+    def test_short_horizon_does_not_cancel(self, s, h):
+        # psi'(s+1) - psi'(s+h+1) as a difference of two trigammas was 3.3e-12 off at
+        # (1e6, 100) and 1.2e-5 off at (1e12, 10)
+        with mpmath.workdps(50):
+            total = mpmath.mpf(s)
+            want = (mpmath.polygamma(1, total + 1) - mpmath.polygamma(1, total + h + 1)) / 4
+            error = abs(azuma_total(BetaParams(s / 2, s / 2), h).partial_sum - want) / want
+        assert float(error) <= 1e-13
 
     def test_horizon_costs_nothing(self):
         # the partial sum is a trigamma difference: no array of horizon terms
