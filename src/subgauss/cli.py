@@ -14,13 +14,19 @@ count, at least 100. Exit codes: 0 all checks passed, 1 at least one check
 failed (its first failing rows are logged), 2 usage or configuration error.
 Progress goes to stderr; data goes only to the output files. The run manifest
 also records the seconds spent importing (`import_s`) and running the check
-(`run_s`).
+(`run_s`). OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
 """
 from __future__ import annotations
 
+import os
 import time
 
 _import_started = time.perf_counter()
+
+# One OpenBLAS thread, set before numpy loads: the first `eigvalsh` of a fresh
+# process could stall about 0.5 s with two, and no sum here needs BLAS
+# (weighted sums are `einsum` reductions). A value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json

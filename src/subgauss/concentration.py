@@ -54,6 +54,18 @@ _REFINE_TOL = 1e-8
 # A skipped grid point is read unless its ratio bound, widened by this much
 # relative, is below the ratio it is compared with.
 _BOUND_MARGIN = 1e-9
+# `weighted_log_mgf`'s array form reads the far branch too on a law of at most
+# this many points, so `_scan` skips none of its grid points. The crossover: a
+# whole certified scan of a law of N random points took, median over 8 laws,
+# 0.61 / 0.79 / 0.91 / 1.02 / 1.19 times the lazy reads' time at N = 128 / 256 /
+# 512 / 1024 / 2048 (2 CPUs, numpy 2.4.6). This covers exact mode's 128- and
+# 256-node 1-D rules; 20 000 Monte Carlo draws and the 16 384-point Dirichlet
+# rules keep the lazy reads.
+_WHOLE_GRID_POINTS = 1024
+# ... in blocks of lambda of at most this many exponentials: 0.5 MB of floats.
+_GRID_BLOCK_ELEMENTS = 2**16
+# k! for k = 1..21, dividing `weighted_log_mgf`'s Taylor sums
+_FACTORIALS = np.array([math.factorial(k) for k in range(1, _TAYLOR_ORDER + 1)], dtype=float)
 
 
 def beta_proxy_bound(p: BetaParams) -> float:
@@ -206,6 +218,9 @@ def _scan(
     the largest ratio that allows. A run is open while it ends at its side's
     last walked point, and the reach line bounds it then (a run that a
     walked array-form point closes keeps that bound, which still holds).
+    An open run's reach-line bound is fixed once the run's end is past the
+    line's peak -2 c0 / slope (see `_cell_bound`), and is not recomputed as
+    the run grows from there: the same bound, from fewer calls.
     The run of highest bound is read into (at its outer end if it is open,
     else in its middle) until:
 
@@ -260,6 +275,7 @@ def _scan(
     values = ([-math.inf] * n, [-math.inf] * n)
     walked = [0, 0]  # grid points walked on the - and + sides
     cells: list[list] = []  # [bound, side, first, last]: a run of skipped points
+    peaks = [math.inf, math.inf]  # `peak` of each side's open cell
     best = top = -math.inf  # the best ratio read, and the highest cell bound
 
     def read(side: int, i: int) -> None:
@@ -277,6 +293,14 @@ def _scan(
         closed = last + 1 < walked[side]
         slope = (kvals[side][last + 1] - k0) / (mags[last + 1] - t0) if closed else slopes[side]
         return _cell_bound(t0, k0, slope, mags[first], mags[last])
+
+    def peak(side: int, first: int) -> float:
+        """|lam| past which an open cell from ``first`` keeps its bound: -2 c0 / slope, where
+        the ratio on the reach line from the read point inside it (or K(0) = 0) peaks; inf
+        unless 0 < slope < inf."""
+        t0, k0 = (mags[first - 1], kvals[side][first - 1]) if first else (0.0, 0.0)
+        slope = slopes[side]
+        return -2.0 * (k0 - slope * t0) / slope if 0.0 < slope < math.inf else math.inf
 
     def split(cell: list) -> None:
         """Read one skipped point of ``cell``, its outer end if the cell is open, else its
@@ -313,7 +337,10 @@ def _scan(
                 else:
                     cell = [-math.inf, side, i, i]
                     cells.append(cell)
-                cell[0], cell[3] = bound(side, cell[2], i), i
+                    peaks[side] = peak(side, i)
+                if cell[3] == i or mags[i - 1] < peaks[side]:  # else the bound stays as it is
+                    cell[0] = bound(side, cell[2], i)
+                cell[3] = i
                 top = max(top, cell[0])
         if walked[0] <= i and walked[1] <= i:
             break
@@ -507,20 +534,33 @@ def weighted_log_mgf(
     once, maybe past the branch): its truncation error is at most 1.3e-20 relative, and no term
     cancels against a leading 1, so the ratio 2 log_mgf/lam^2 stays a lower
     estimate as lam -> 0. e_1 is the centering's rounding residual, kept so
-    that both branches describe the same points. Past that range (the far
-    branch) the sum is shifted by lam max(x) (lam > 0) or lam min(x)
-    (lam < 0) so no exponential overflows, and each lam costs an N-point
-    exp and sum. ``log_mgf.grid(lams)`` evaluates the series branch on an
-    array of lam in one numpy pass, by the numpy operations log_mgf runs on
-    one lam, so its values are == log_mgf's; it leaves NaN on the
-    far branch: `_scan` reads a far point one lam at a time, and only where
-    its convexity bounds cannot rule the point out. Every weighted
-    sum is an `np.einsum` reduction: unlike `w @ v`, it never calls BLAS,
-    whose threaded dot product rounds differently with the thread count.
-    Constant values (Var = 0) and a Var past the float range are refused.
+    that both branches describe the same points. The table sums running
+    powers x^k, one in-place multiply and one sum per order, and divides the
+    sums by k!. x^21 is finite while max|x| <= 4.6e14; a wider law's series
+    branch (|lam| <= 1 / range < 2.2e-15) raises OverflowError.
+
+    Past that range (the far branch) the sum is shifted by lam max(x)
+    (lam > 0) or lam min(x) (lam < 0) so no exponential overflows: the
+    exponents are lam (x - max x) or lam (x - min x), from a shifted copy of
+    x made at the sign's first far read, and each lam costs one N-point
+    multiply, exp and sum into a reused buffer.
+
+    ``log_mgf.grid(lams)`` evaluates the series branch on an array of lam in
+    one numpy pass, by the numpy operations log_mgf runs on one lam, so its
+    values are == log_mgf's. On a law of at most _WHOLE_GRID_POINTS points
+    (1024, the measured crossover) it fills the far branch too, in blocks of
+    lam of at most _GRID_BLOCK_ELEMENTS exponentials, and log_mgf runs the
+    same block code on one lam. On a larger law it leaves the far branch
+    NaN: `_scan` reads a far point one lam at a time, and only where its
+    convexity bounds cannot rule the point out. Every weighted sum is an
+    `np.einsum` reduction: unlike `w @ v`, it never calls BLAS, whose
+    threaded dot product rounds differently with the thread count. Constant
+    values (Var = 0) and a Var past the float range are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    v, w = v[w > 0], w[w > 0]  # the law's support
+    support = w > 0
+    if not support.all():  # keep the law's support; Monte Carlo weights all are
+        v, w = v[support], w[support]
     mean = float(np.einsum("i,i->", w, v))
     with np.errstate(over="ignore"):  # a spread past ~1e154 gives Var = inf, refused below
         x = v - mean
@@ -529,27 +569,63 @@ def weighted_log_mgf(
     if not 0.0 < var < math.inf:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     near: list[float] = []  # e_21 .. e_1 once built
+    shifted: dict[bool, np.ndarray] = {}  # x - max x (lam > 0), x - min x (lam < 0), once read
+    whole = x.size <= _WHOLE_GRID_POINTS
+    rows = max(1, _GRID_BLOCK_ELEMENTS // x.size) if whole else 1  # lam per far block
+    buffer: list[np.ndarray] = []  # (rows, N) exponentials, once read
 
     def taylor_terms() -> list[float]:
         if not near:
-            term = np.ones_like(x)
-            for k in range(1, _TAYLOR_ORDER + 1):
-                term = term * x / k  # x^k / k!
-                near.insert(0, float(np.einsum("i,i->", w, term)))
+            power = np.ones_like(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.array([np.einsum("i,i->", w, np.multiply(power, x, out=power))
+                                 for _ in range(_TAYLOR_ORDER)])  # sum_i w_i x_i^k
+            if not np.isfinite(sums).all():
+                raise OverflowError(f"x^21 overflows at max|x| = {max(hi, -lo):g}, past 4.6e14")
+            near.extend((sums / _FACTORIALS)[::-1].tolist())
         return near
+
+    def far_setup(positive: bool) -> tuple[np.ndarray, float, np.ndarray]:
+        """x - edge for lam of this sign, the edge (max x or min x) and the exp buffer."""
+        edge = hi if positive else lo
+        if positive not in shifted:
+            shifted[positive] = x - edge
+        if not buffer:
+            buffer.append(np.empty((rows, x.size)))
+        return shifted[positive], edge, buffer[0]
+
+    def far(lams: np.ndarray) -> np.ndarray:
+        """The far branch at each lam of ``lams``, all of one sign, ``rows`` lam at a time."""
+        xs, edge, exps = far_setup(bool(lams[0] > 0))
+        sums = np.empty(lams.size)
+        for start in range(0, lams.size, rows):
+            block = exps[: min(rows, lams.size - start)]
+            np.multiply(lams[start : start + rows, None], xs, out=block)
+            np.exp(block, out=block)
+            np.einsum("ij,j->i", block, w, out=sums[start : start + rows])
+        return lams * edge + np.log(sums)
 
     def grid(lams: np.ndarray) -> np.ndarray:
         out = np.full(lams.shape, math.nan)
         close = abs(lams) * (hi - lo) <= 1.0
         if close.any():
             out[close] = _taylor_log_mgf(taylor_terms(), lams[close])
+        if whole:
+            for side in ((lams > 0.0) & ~close, (lams < 0.0) & ~close):
+                if side.any():
+                    out[side] = far(lams[side])
         return out
 
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:
             return float(_taylor_log_mgf(taylor_terms(), lam))
-        shift = lam * (hi if lam > 0 else lo)
-        return shift + math.log(np.einsum("i,i->", w, np.exp(lam * x - shift)))
+        if whole:
+            return float(far(np.array([lam]))[0])
+        xs, edge, exps = far_setup(lam > 0)
+        row = exps[0]
+        np.multiply(xs, lam, out=row)
+        np.exp(row, out=row)
+        return lam * edge + math.log(np.einsum("i,i->", w, row))
 
     log_mgf.grid = grid  # refers to no log_mgf: no reference cycle holds the N points
     return log_mgf, mean, (hi, -lo), var

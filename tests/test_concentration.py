@@ -1,11 +1,13 @@
 """Tests for variance-proxy estimation and the subgaussianity criteria."""
 
 import gc
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from typing import NamedTuple
@@ -21,6 +23,7 @@ import subgauss
 from subgauss import concentration
 from subgauss.checks import GRID, _conjecture_instances
 from subgauss.concentration import (
+    _brent_max,
     _cell_bound,
     _certified_scan,
     _monte_carlo_window,
@@ -521,6 +524,15 @@ def weighted_laws(draw):
     return np.array([low, low + gap, *rest]), w / w.sum()
 
 
+def mpmath_log_mgf(v, w, mean, lam):
+    """ln sum_i w_i e^(lam (v_i - mean)) / sum_i w_i in 50-digit mpmath, centered at ``mean``."""
+    with mpmath.workdps(50):
+        lam_mp, mean_mp = mpmath.mpf(lam), mpmath.mpf(mean)
+        terms = [mpmath.mpf(wi) * mpmath.exp(lam_mp * (mpmath.mpf(vi) - mean_mp))
+                 for vi, wi in zip(v, w)]
+        return float(mpmath.log(mpmath.fsum(terms) / mpmath.fsum(map(mpmath.mpf, w))))
+
+
 class TestWeightedLogMgf:
     def test_bernoulli_law_and_certified_cap(self):
         p = 0.2
@@ -561,6 +573,33 @@ class TestWeightedLogMgf:
         with pytest.raises(ValueError):  # Var = 0: no cap; evaluate_model reports 0
             weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))
 
+    def test_zero_weights_leave_the_support(self):
+        log_mgf, mean, reach, var = weighted_log_mgf(np.array([0.0, 0.3, 1.0, -5.0]),
+                                                     np.array([0.5, 0.5, 0.0, 0.0]))
+        support = weighted_log_mgf(np.array([0.0, 0.3]), np.array([0.5, 0.5]))
+        assert (mean, reach, var) == support[1:]
+        for lam in (-50.0, -2.0, 0.5, 3.0, 50.0):  # both branches
+            assert log_mgf(lam) == support[0](lam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(law=weighted_laws(), scale=st.floats(0.1, 1.0), negative=st.booleans())
+    def test_series_of_a_wide_law(self, law, scale, negative):
+        # the Taylor table sums running powers x^k, and x^21 is finite while max|x| <= 4.6e14:
+        # a law of that width keeps the series branch to the mpmath bound above
+        v, w = law
+        v = v / (v.max() - v.min()) * 4.5e14
+        log_mgf, mean, _, _ = weighted_log_mgf(v, w)
+        lam = (-scale if negative else scale) / (v.max() - v.min())
+        assert log_mgf(lam) == pytest.approx(mpmath_log_mgf(v, w, mean, lam), rel=1e-12)
+
+    def test_series_past_the_accepted_width_raises(self):
+        # wider than 4.6e14, x^21 overflows: the series branch (|lam| <= 1e-15 here) raises,
+        # and the far branch still answers
+        log_mgf = weighted_log_mgf(np.array([0.0, 1e15]), np.array([0.5, 0.5]))[0]
+        with pytest.raises(OverflowError, match="x\\^21 overflows"):
+            log_mgf(5e-16)
+        assert log_mgf(2e-15) == pytest.approx(math.log(math.cosh(1.0)), rel=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws(), scale=st.floats(0.1, 10.0), negative=st.booleans())
     def test_matches_mpmath_on_both_sides_of_the_series_switch(self, law, scale, negative):
@@ -568,12 +607,7 @@ class TestWeightedLogMgf:
         v, w = law
         log_mgf, mean, _, _ = weighted_log_mgf(v, w)
         lam = (-scale if negative else scale) / (v.max() - v.min())
-        with mpmath.workdps(50):
-            lam_mp, mean_mp = mpmath.mpf(lam), mpmath.mpf(mean)
-            terms = [mpmath.mpf(wi) * mpmath.exp(lam_mp * (mpmath.mpf(vi) - mean_mp))
-                     for vi, wi in zip(v, w)]
-            want = float(mpmath.log(mpmath.fsum(terms) / mpmath.fsum(map(mpmath.mpf, w))))
-        assert log_mgf(lam) == pytest.approx(want, rel=1e-12)
+        assert log_mgf(lam) == pytest.approx(mpmath_log_mgf(v, w, mean, lam), rel=1e-12)
 
 
 def continuity_gap(log_mgf, switch):
@@ -984,17 +1018,42 @@ class TestBoundedScan:
             else:
                 evaluate_model(model, prior, subset, m=m, method=method, draws=20_000,
                                seed=seed.derived(i + 1))
-        # far points read against walked, when written: 674 of 2 672 exact, 457 of 1 923 Monte Carlo
+        # far points read against walked, when written: 40 of 193 exact (the 1-D rules' far
+        # branch comes from the array form), 437 of 1 923 Monte Carlo
         assert 3 * reads[0] <= reads[1]
 
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws(), capped=st.booleans())
     def test_weighted(self, law, capped):
-        log_mgf, _, reach, var = weighted_log_mgf(*law)
+        # these laws are small enough for whole-grid far reads; with the cutoff at 0 the
+        # array form leaves their far branch NaN, as it does a larger law's
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(concentration, "_WHOLE_GRID_POINTS", 0)
+            log_mgf, _, reach, var = weighted_log_mgf(*law)
         full = 2 * max(reach) / var
         cap = min(full, 1.5 / sum(reach)) if capped else full  # a cap just past the series branch
         assert np.isnan(log_mgf.grid(scan_grid(full))).any()
         assert_scans_like_the_walk(log_mgf, cap, reach)
+
+    def test_frozen_open_cell_bound(self, monkeypatch):
+        # an open run's bound is not recomputed past its reach line's peak, and every Beta
+        # estimate is as before: sha256 of the (value, argmax, grid_spec, evaluations) reprs,
+        # from 377 `_cell_bound` calls when each growth recomputed it
+        calls = []
+
+        def cell_bound(*args):
+            calls.append(args)
+            return _cell_bound(*args)
+
+        monkeypatch.setattr(concentration, "_cell_bound", cell_bound)
+        fields = []
+        for a in GRID:
+            for b in GRID:
+                e = beta_proxy_estimate(BetaParams(a, b))
+                fields.append((e.value, e.argmax_lambda, e.grid_spec, e.evaluations))
+        digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+        assert digest[:16] == "c081cdeee2c69fcc"
+        assert len(calls) == 167
 
     @pytest.mark.parametrize("alpha, beta, value, argmax, scanned", [
         (1.0, 1e7, 2.0363227736895597e-08, 35128588.20457565, "6.67119e+06 (-), 9.0037e+07 (+)"),
@@ -1016,6 +1075,61 @@ class TestBoundedScan:
         assert (estimate.value, estimate.argmax_lambda) == (value, argmax)
         assert estimate.grid_spec.endswith(f"scanned to {scanned}")
         assert 0 < read <= walked
+
+
+class TestWholeGridReads:
+    """A law of at most `_WHOLE_GRID_POINTS` points gives its far branch in the array form too."""
+
+    @staticmethod
+    def assert_whole_grid(v, w):
+        log_mgf, _, reach, var = weighted_log_mgf(v, w)
+        lams = np.concatenate([scan_grid(2 * max(reach) / var), around(1.0 / sum(reach))])
+        values = log_mgf.grid(lams)
+        assert not np.isnan(values).any()
+        assert values.tolist() == [log_mgf(lam) for lam in lams.tolist()]
+        # `_scan` reads no point by the scalar form outside Brent's refinement
+        kernel, refined = counting(log_mgf), []
+
+        def brent_max(fn, *args):
+            return _brent_max(lambda lam: refined.append(lam) or fn(lam), *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(concentration, "_brent_max", brent_max)
+            estimate = _certified_scan(kernel, reach, var)
+        assert kernel.calls == refined
+        assert_same_estimate(estimate, _certified_scan(scalar_only(log_mgf), reach, var))
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=weighted_laws())
+    def test_small_laws(self, law):
+        self.assert_whole_grid(*law)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 8.0)])
+    def test_at_the_cutoff(self, a, b):
+        n = concentration._WHOLE_GRID_POINTS
+        v = np.random.default_rng(n).beta(a, b, n + 1)
+        self.assert_whole_grid(v[:n], np.full(n, 1.0 / n))
+        log_mgf, _, reach, var = weighted_log_mgf(v, np.full(n + 1, 1.0 / (n + 1)))
+        assert np.isnan(log_mgf.grid(scan_grid(2 * max(reach) / var))).any()  # one point more
+
+    def test_grid_stays_in_its_block_budget(self):
+        # 400 lambdas at the cutoff would be a 3.3 MB matrix; the blocks hold 0.5 MB, plus
+        # numpy's 128 KiB buffer for the broadcasting multiply, per-lambda vectors and the
+        # law's shifted copies (a few KB each)
+        n = concentration._WHOLE_GRID_POINTS
+        v = np.random.default_rng(1).beta(2.0, 3.0, n)
+        log_mgf, _, reach, var = weighted_log_mgf(v, np.full(n, 1.0 / n))
+        lams = scan_grid(2 * max(reach) / var)
+        tracemalloc.start()
+        try:
+            values = log_mgf.grid(lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.isnan(values).any()
+        budget = 8 * concentration._GRID_BLOCK_ELEMENTS
+        assert budget <= 600_000 < 8 * lams.size * n
+        assert peak <= budget + 200_000
 
 
 @pytest.mark.parametrize("t0, k0, slope, t_first, t_last", [
