@@ -54,15 +54,13 @@ _REFINE_TOL = 1e-8
 # A skipped grid point is read unless its ratio bound, widened by this much
 # relative, is below the ratio it is compared with.
 _BOUND_MARGIN = 1e-9
-# `weighted_log_mgf`'s array form reads the far branch too on a law of at most
-# this many points, so `_scan` skips none of its grid points. The crossover: a
-# whole certified scan of a law of N random points took, median over 8 laws,
-# 0.61 / 0.79 / 0.91 / 1.02 / 1.19 times the lazy reads' time at N = 128 / 256 /
-# 512 / 1024 / 2048 (2 CPUs, numpy 2.4.6). This covers exact mode's 128- and
-# 256-node 1-D rules; 20 000 Monte Carlo draws and the 16 384-point Dirichlet
-# rules keep the lazy reads.
-_WHOLE_GRID_POINTS = 1024
-# ... in blocks of lambda of at most this many exponentials: 0.5 MB of floats.
+# `weighted_log_mgf`'s array form fills the far branch too, so `_scan` skips no
+# grid point, on a law whose far exponentials for one sign of the scan grid fit
+# in this many floats (0.5 MB): _POINTS_PER_SIGN N <= 2^16, N <= 327. That
+# covers exact mode's 1-D Gauss rules of 128, 236 (a doubled Gamma rule's 256
+# less 20 underflowed weights) and 256 points: a whole scan took 0.61 / 0.79
+# times the lazy reads' time at N = 128 / 256 (2 CPUs). The Dirichlet rules'
+# 16 384 and 65 536 points and 20 000 or 200 000 Monte Carlo draws stay lazy.
 _GRID_BLOCK_ELEMENTS = 2**16
 # k! for k = 1..21, dividing `weighted_log_mgf`'s Taylor sums
 _FACTORIALS = np.array([math.factorial(k) for k in range(1, _TAYLOR_ORDER + 1)], dtype=float)
@@ -524,40 +522,46 @@ def tail_frequencies(
 def weighted_log_mgf(
     values: np.ndarray, weights: np.ndarray
 ) -> tuple[Callable[[float], float], float, tuple[float, float], float]:
-    """(log_mgf, mean, reach, var) of the law with weight w_i (summing to 1) on v_i.
+    """(log_mgf, mean, reach, var) of the law with weight w_i on v_i.
 
-    log_mgf(lam) = ln sum_i w_i e^(lam x_i), x_i = v_i - mean, is centered;
-    reach = (max x, -min x). For |lam| * range <= 1 it is the series
-    log1p(sum_{k=1}^{21} lam^k e_k), e_k = sum_i w_i x_i^k / k!, by Horner's
-    rule (`distributions._taylor_log_mgf`) on a table built at the branch's
-    first call (`_check_rule_resolves` evaluates a law of up to 2^18 points
-    once, maybe past the branch): its truncation error is at most 1.3e-20 relative, and no term
-    cancels against a leading 1, so the ratio 2 log_mgf/lam^2 stays a lower
-    estimate as lam -> 0. e_1 is the centering's rounding residual, kept so
+    The weights must be finite, nonnegative and sum to 1 within 1e-9; a zero
+    weight leaves its point out. log_mgf(lam) = ln sum_i w_i e^(lam x_i),
+    x_i = v_i - mean, is centered; reach = (max x, -min x). For
+    |lam| * range <= 1 it is the series log1p(sum_{k=1}^{21} lam^k e_k),
+    e_k = sum_i w_i x_i^k / k!, by Horner's rule
+    (`distributions._taylor_log_mgf`) on a table built at the branch's first
+    call (`_check_rule_resolves` evaluates a law of up to 2^18 points once,
+    maybe past the branch): its truncation error is at most 1.3e-20
+    relative, and no term cancels against a leading 1, so the ratio
+    2 log_mgf/lam^2 stays a lower estimate as lam -> 0. e_1 is the centering's rounding residual, kept so
     that both branches describe the same points. The table sums running
     powers x^k, one in-place multiply and one sum per order, and divides the
     sums by k!. x^21 is finite while max|x| <= 4.6e14; a wider law's series
     branch (|lam| <= 1 / range < 2.2e-15) raises OverflowError.
 
-    Past that range (the far branch) the sum is shifted by lam max(x)
-    (lam > 0) or lam min(x) (lam < 0) so no exponential overflows: the
-    exponents are lam (x - max x) or lam (x - min x), from a shifted copy of
-    x made at the sign's first far read, and each lam costs one N-point
-    multiply, exp and sum into a reused buffer.
+    Past that range (the far branch) it is lam edge + ln sum_i w_i
+    e^(lam (x_i - edge)), edge = max x (lam > 0) or min x (lam < 0), so no
+    exponential overflows: `far` gives it at lams of one sign in one
+    (len(lams), N) pass over a copy of x - edge and a reused buffer. At
+    |lam| * range in [1, 2] on 2-40-point laws it is within 8e-15 relative
+    of 50-digit mpmath with log-weights in [-3, 0], but 3.1e-12 in [-12, 0]:
+    a small edge weight leaves the log small next to lam edge, and they cancel.
 
     ``log_mgf.grid(lams)`` evaluates the series branch on an array of lam in
     one numpy pass, by the numpy operations log_mgf runs on one lam, so its
-    values are == log_mgf's. On a law of at most _WHOLE_GRID_POINTS points
-    (1024, the measured crossover) it fills the far branch too, in blocks of
-    lam of at most _GRID_BLOCK_ELEMENTS exponentials, and log_mgf runs the
-    same block code on one lam. On a larger law it leaves the far branch
-    NaN: `_scan` reads a far point one lam at a time, and only where its
-    convexity bounds cannot rule the point out. Every weighted sum is an
-    `np.einsum` reduction: unlike `w @ v`, it never calls BLAS, whose
-    threaded dot product rounds differently with the thread count. Constant
-    values (Var = 0) and a Var past the float range are refused.
+    values are == log_mgf's. Where one sign of the scan grid fits the far
+    branch in _GRID_BLOCK_ELEMENTS exponentials (at most 327 points) it
+    fills that branch too, one `far` call per sign, as log_mgf calls `far`
+    on its one lam. On a larger law it leaves the far branch NaN: `_scan`
+    reads a far point one lam at a time, and only where its convexity
+    bounds cannot rule the point out. Every weighted sum is an `np.einsum`
+    reduction: unlike `w @ v`, it never calls BLAS, whose threaded dot
+    product rounds differently with the thread count. Constant values
+    (Var = 0) and a Var past the float range are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if not (w >= 0).all() or abs(float(w.sum()) - 1.0) > 1e-9:  # NaN fails >= 0, inf the sum
+        raise ValueError("weights must be finite, nonnegative and sum to 1 within 1e-9")
     support = w > 0
     if not support.all():  # keep the law's support; Monte Carlo weights all are
         v, w = v[support], w[support]
@@ -570,9 +574,8 @@ def weighted_log_mgf(
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     near: list[float] = []  # e_21 .. e_1 once built
     shifted: dict[bool, np.ndarray] = {}  # x - max x (lam > 0), x - min x (lam < 0), once read
-    whole = x.size <= _WHOLE_GRID_POINTS
-    rows = max(1, _GRID_BLOCK_ELEMENTS // x.size) if whole else 1  # lam per far block
-    buffer: list[np.ndarray] = []  # (rows, N) exponentials, once read
+    exps = np.empty((0, x.size))  # far exponentials, as many rows as the largest call so far
+    whole = _POINTS_PER_SIGN * x.size <= _GRID_BLOCK_ELEMENTS
 
     def taylor_terms() -> list[float]:
         if not near:
@@ -585,25 +588,19 @@ def weighted_log_mgf(
             near.extend((sums / _FACTORIALS)[::-1].tolist())
         return near
 
-    def far_setup(positive: bool) -> tuple[np.ndarray, float, np.ndarray]:
-        """x - edge for lam of this sign, the edge (max x or min x) and the exp buffer."""
+    def far(lams: np.ndarray) -> np.ndarray:
+        """The far branch at each lam of ``lams``, all of one sign, in one (len(lams), N) pass."""
+        nonlocal exps
+        positive = bool(lams[0] > 0)
         edge = hi if positive else lo
         if positive not in shifted:
             shifted[positive] = x - edge
-        if not buffer:
-            buffer.append(np.empty((rows, x.size)))
-        return shifted[positive], edge, buffer[0]
-
-    def far(lams: np.ndarray) -> np.ndarray:
-        """The far branch at each lam of ``lams``, all of one sign, ``rows`` lam at a time."""
-        xs, edge, exps = far_setup(bool(lams[0] > 0))
-        sums = np.empty(lams.size)
-        for start in range(0, lams.size, rows):
-            block = exps[: min(rows, lams.size - start)]
-            np.multiply(lams[start : start + rows, None], xs, out=block)
-            np.exp(block, out=block)
-            np.einsum("ij,j->i", block, w, out=sums[start : start + rows])
-        return lams * edge + np.log(sums)
+        if len(exps) < lams.size:
+            exps = np.empty((lams.size, x.size))
+        block = exps[: lams.size]
+        np.multiply(lams[:, None], shifted[positive], out=block)
+        np.exp(block, out=block)
+        return lams * edge + np.log(np.einsum("ij,j->i", block, w))
 
     def grid(lams: np.ndarray) -> np.ndarray:
         out = np.full(lams.shape, math.nan)
@@ -619,13 +616,7 @@ def weighted_log_mgf(
     def log_mgf(lam: float) -> float:
         if abs(lam) * (hi - lo) <= 1.0:
             return float(_taylor_log_mgf(taylor_terms(), lam))
-        if whole:
-            return float(far(np.array([lam]))[0])
-        xs, edge, exps = far_setup(lam > 0)
-        row = exps[0]
-        np.multiply(xs, lam, out=row)
-        np.exp(row, out=row)
-        return lam * edge + math.log(np.einsum("i,i->", w, row))
+        return float(far(np.array([lam]))[0])
 
     log_mgf.grid = grid  # refers to no log_mgf: no reference cycle holds the N points
     return log_mgf, mean, (hi, -lo), var

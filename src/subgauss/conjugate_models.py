@@ -323,14 +323,14 @@ def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[np.ndarray, np.ndarray]
 def conjectured_scale(
     model: str, prior: BetaParams | DirichletParams | GammaParams, m: int | None
 ) -> float:
-    """The conjectured variance-proxy scale, implemented literally (constants reported separately)."""
-    if model in ("beta_binomial", "multinomial"):
-        return m / prior.total
+    """The conjectured variance-proxy scale, implemented literally (constants reported
+    separately), of a model, prior and m that `_check_model` accepts."""
+    m = _check_model(model, prior, m)
     if model == "geometric":
         return 1.0 / prior.alpha
     if model == "poisson_gamma":
         return 1.0 / prior.beta
-    raise ValueError(f"unknown model {model!r}")
+    return m / prior.total
 
 
 def _check_rule_resolves(model, prior, subset, m, estimate: VarianceProxyEstimate) -> None:

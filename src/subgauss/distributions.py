@@ -616,6 +616,8 @@ def sample_chi(k_dim: int, seed: SeedSpec, count: int) -> np.ndarray:
     k_dim, count = _check_integer("k_dim", k_dim), _check_integer("count", count)
     if k_dim < 1:
         raise ValueError("dimension must be a positive integer")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     out = seed.generator().standard_gamma(0.5 * k_dim, size=count)
     out *= 2.0
     return np.sqrt(out, out=out)

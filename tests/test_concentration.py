@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subgauss
-from subgauss import concentration
+from subgauss import concentration, conjugate_models
 from subgauss.checks import GRID, _conjecture_instances
 from subgauss.concentration import (
     _brent_max,
@@ -573,6 +573,22 @@ class TestWeightedLogMgf:
         with pytest.raises(ValueError):  # Var = 0: no cap; evaluate_model reports 0
             weighted_log_mgf(np.full(4, 0.5), np.full(4, 0.25))
 
+    @pytest.mark.parametrize("weights", [
+        [0.2, 0.2, 0.2],  # once tau^2 = 480.4 from weighted_proxy_sup
+        [0.6, 0.6, -0.2],  # once a RuntimeWarning from log1p
+        [0.5, 0.5, math.nan],  # once dropped with the zero weights
+        [0.5, 0.5, math.inf],
+    ])
+    def test_weights_that_are_not_a_law_are_refused(self, weights):
+        for call in (weighted_log_mgf, weighted_proxy_sup):
+            with pytest.raises(ValueError, match="weights must be finite, nonnegative and sum to 1"):
+                call(np.array([0.0, 1.0, 2.0]), np.array(weights))
+
+    def test_monte_carlo_weights_are_a_law(self):
+        # 1/N summed over the CLI's default 200 000 draws is off 1 by rounding alone
+        n = 200_000
+        assert weighted_log_mgf(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n))[1] == pytest.approx(0.5)
+
     def test_zero_weights_leave_the_support(self):
         log_mgf, mean, reach, var = weighted_log_mgf(np.array([0.0, 0.3, 1.0, -5.0]),
                                                      np.array([0.5, 0.5, 0.0, 0.0]))
@@ -1003,6 +1019,14 @@ class TestBoundedScan:
     def test_conjectures(self, monkeypatch, method):
         # the 30 instances of `conjectures` at its default seed, with 20 000 Monte Carlo draws
         reads = [0, 0]
+        whole = {}  # law size: whether the array form fills its far branch
+
+        def law(values, weights):
+            kernel = weighted_log_mgf(values, weights)
+            log_mgf, _, reach, var = kernel
+            full_grid = log_mgf.grid(scan_grid(2 * max(reach) / var))
+            whole[np.count_nonzero(weights)] = not np.isnan(full_grid).any()
+            return kernel
 
         def scan(log_mgf, cap, reach):
             estimate, read, walked = assert_scans_like_the_walk(log_mgf, cap, reach)
@@ -1011,6 +1035,8 @@ class TestBoundedScan:
             return estimate
 
         monkeypatch.setattr(concentration, "_scan", scan)
+        monkeypatch.setattr(concentration, "weighted_log_mgf", law)
+        monkeypatch.setattr(conjugate_models, "weighted_log_mgf", law)
         seed = SeedSpec(0)
         for i, (model, prior, subset, m) in enumerate(_conjecture_instances(seed)):
             if method == "exact":
@@ -1021,14 +1047,22 @@ class TestBoundedScan:
         # far points read against walked, when written: 40 of 193 exact (the 1-D rules' far
         # branch comes from the array form), 437 of 1 923 Monte Carlo
         assert 3 * reads[0] <= reads[1]
+        # the scanned rules and draws and the doubled rules: whole-grid at N <= 327 points,
+        # the 1-D Gauss rules (236 where 20 of a doubled Gamma rule's weights underflow)
+        if method == "exact":
+            assert whole == {128: True, 236: True, 256: True, 16_384: False, 65_536: False}
+        else:
+            assert whole == {20_000: False}
+            law(np.linspace(0.0, 1.0, 200_000), np.full(200_000, 1 / 200_000))  # CLI default
+            assert whole[200_000] is False
 
     @settings(max_examples=60, deadline=None)
     @given(law=weighted_laws(), capped=st.booleans())
     def test_weighted(self, law, capped):
-        # these laws are small enough for whole-grid far reads; with the cutoff at 0 the
+        # these laws are small enough for whole-grid far reads; with no block budget the
         # array form leaves their far branch NaN, as it does a larger law's
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(concentration, "_WHOLE_GRID_POINTS", 0)
+            patch.setattr(concentration, "_GRID_BLOCK_ELEMENTS", 0)
             log_mgf, _, reach, var = weighted_log_mgf(*law)
         full = 2 * max(reach) / var
         cap = min(full, 1.5 / sum(reach)) if capped else full  # a cap just past the series branch
@@ -1078,7 +1112,8 @@ class TestBoundedScan:
 
 
 class TestWholeGridReads:
-    """A law of at most `_WHOLE_GRID_POINTS` points gives its far branch in the array form too."""
+    """A law whose far exponentials for one sign of the scan grid fit `_GRID_BLOCK_ELEMENTS`,
+    of at most 327 points, gives its far branch in the array form too."""
 
     @staticmethod
     def assert_whole_grid(v, w):
@@ -1106,17 +1141,18 @@ class TestWholeGridReads:
 
     @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 8.0)])
     def test_at_the_cutoff(self, a, b):
-        n = concentration._WHOLE_GRID_POINTS
+        n = concentration._GRID_BLOCK_ELEMENTS // concentration._POINTS_PER_SIGN
+        assert n == 327
         v = np.random.default_rng(n).beta(a, b, n + 1)
         self.assert_whole_grid(v[:n], np.full(n, 1.0 / n))
         log_mgf, _, reach, var = weighted_log_mgf(v, np.full(n + 1, 1.0 / (n + 1)))
         assert np.isnan(log_mgf.grid(scan_grid(2 * max(reach) / var))).any()  # one point more
 
     def test_grid_stays_in_its_block_budget(self):
-        # 400 lambdas at the cutoff would be a 3.3 MB matrix; the blocks hold 0.5 MB, plus
-        # numpy's 128 KiB buffer for the broadcasting multiply, per-lambda vectors and the
-        # law's shifted copies (a few KB each)
-        n = concentration._WHOLE_GRID_POINTS
+        # both signs' 400 lambdas at the cutoff would be a 1.05 MB matrix; one sign's 200 fit
+        # the 0.5 MB budget, and its buffer serves the other sign, plus per-lambda vectors
+        # and the law's shifted copies (a few KB each)
+        n = concentration._GRID_BLOCK_ELEMENTS // concentration._POINTS_PER_SIGN
         v = np.random.default_rng(1).beta(2.0, 3.0, n)
         log_mgf, _, reach, var = weighted_log_mgf(v, np.full(n, 1.0 / n))
         lams = scan_grid(2 * max(reach) / var)
@@ -1130,6 +1166,25 @@ class TestWholeGridReads:
         budget = 8 * concentration._GRID_BLOCK_ELEMENTS
         assert budget <= 600_000 < 8 * lams.size * n
         assert peak <= budget + 200_000
+
+    def test_lazy_reads_are_the_whole_grid_values(self):
+        # one far implementation: a law past the cutoff, read one lambda at a time, gives the
+        # far values its array form gives once the budget admits it (`math.log` of each read's
+        # sum, where `np.log` takes the array form's, differs on 5 of these 6 126 sums)
+        n = 400
+        v, w = np.random.default_rng(n).beta(2.0, 3.0, n), np.full(n, 1.0 / n)
+        lazy, _, reach, var = weighted_log_mgf(v, w)
+        cap, switch = 2 * max(reach) / var, 1.0 / sum(reach)
+        dense = np.geomspace(switch, cap, 3000)  # and the scan grid's far points
+        lams = np.concatenate([scan_grid(cap), around(switch), -dense, dense])
+        far = np.isnan(lazy.grid(lams))
+        assert far.sum() > 6000
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(concentration, "_GRID_BLOCK_ELEMENTS", concentration._POINTS_PER_SIGN * n)
+            whole = weighted_log_mgf(v, w)[0]
+        values = whole.grid(lams)
+        assert not np.isnan(values).any()
+        assert [lazy(lam) for lam in lams[far].tolist()] == values[far].tolist()
 
 
 @pytest.mark.parametrize("t0, k0, slope, t_first, t_last", [

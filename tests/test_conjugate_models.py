@@ -517,6 +517,20 @@ DEFAULT_INSTANCES = _conjecture_instances(SeedSpec(0))
                  "unknown method 'quadrature'", id="evaluate_model-method"),
     pytest.param(lambda: conjugate_models.conjectured_scale("negative_binomial", BetaParams(2, 1), None),
                  "unknown model 'negative_binomial'", id="conjectured_scale-model"),
+    # conjectured_scale checks the model, prior and m as evaluate_model does: these once
+    # raised AttributeError or TypeError, or returned 0.0, 1.25 and a scale for a Beta prior
+    pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", GammaParams(2, 1), 5),
+                 "needs a BetaParams prior, got GammaParams", id="conjectured_scale-prior"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(2, 1), None),
+                 "needs a positive trial count m", id="conjectured_scale-m-none"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(2, 1), 0),
+                 "needs a positive trial count m", id="conjectured_scale-m-zero"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(1, 1), 2.5),
+                 "m must be an integer, got 2.5", id="conjectured_scale-m-float"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("multinomial", BetaParams(2, 1), 5),
+                 "needs a DirichletParams prior, got BetaParams", id="conjectured_scale-multinomial"),
+    pytest.param(lambda: conjugate_models.conjectured_scale("geometric", BetaParams(2, 1), 3),
+                 "takes no trial count m, got 3", id="conjectured_scale-geometric-m"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):

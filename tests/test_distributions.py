@@ -332,6 +332,9 @@ def test_counts_and_orders_must_be_integers(call, name, value):
                      id="chi_raw_moment-float_range"),
         pytest.param(lambda: sample_chi(0, SeedSpec(0), 3), "dimension must be a positive integer",
                      id="sample_chi-k_dim"),
+        # once numpy's "negative dimensions are not allowed"
+        pytest.param(lambda: sample_chi(3, SeedSpec(0), -1), "count must be nonnegative",
+                     id="sample_chi-count"),
         pytest.param(lambda: draw([[0.5, 0.5]], np.random.default_rng(0), 3), "must be a 1-d sequence",
                      id="draw-2d"),
         pytest.param(lambda: draw([0.5, 0.6], np.random.default_rng(0), 3), "nonnegative and sum to 1",
