@@ -10,11 +10,15 @@ and every other subcommand that draws random numbers from --seed, else 0.
 `game` plays --trials games, else the config's "trials", else the default of
 `checks.game`. `verify-beta` and `lemma-checks` draw none and take neither
 --seed nor --trials; `conjectures` reads --trials as its Monte Carlo draw
-count, at least 100. Exit codes: 0 all checks passed, 1 at least one check
-failed (its first failing rows are logged), 2 usage or configuration error.
-Progress goes to stderr; data goes only to the output files. The run manifest
-also records the seconds spent importing (`import_s`) and running the check
-(`run_s`). OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
+count. The library checks both as they are parsed, and its refusal is the
+usage error: --seed by `SeedSpec` (an integer in [0, 2^64)), --trials by
+`distributions._check_at_least` (an integer of at least 1, or
+`concentration._MIN_MONTE_CARLO_DRAWS` = 100 for `conjectures`). Exit codes: 0
+all checks passed, 1 at least one check failed (its first failing rows are
+logged), 2 usage or configuration error. Progress goes to stderr; data goes
+only to the output files. The run manifest also records the seconds spent
+importing (`import_s`) and running the check (`run_s`). OpenBLAS runs one
+thread unless OPENBLAS_NUM_THREADS is set.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ _import_started = time.perf_counter()
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +41,8 @@ from typing import Callable, NamedTuple
 
 from . import checks
 from . import game as game_mod
-from .distributions import DirichletParams, SeedSpec, _check_integer
+from .concentration import _MIN_MONTE_CARLO_DRAWS
+from .distributions import DirichletParams, SeedSpec, _check_at_least, _check_integer
 from .reporting import emit_report
 
 # seconds this module's import block took: NumPy, and no SciPy (verify-dirichlet loads it to run)
@@ -129,23 +135,19 @@ def _describe(row: dict) -> str:
     return f"{row['check']}: {cells}" if "check" in row else cells
 
 
-def _count_at_least(floor: int):
-    """An argparse type: an integer of at least ``floor``."""
+def _checked(check: Callable[[int], object]) -> Callable[[str], int]:
+    """An argparse type: an integer that ``check`` accepts. ``check``'s ValueError
+    becomes the usage error (exit 2), with its message."""
 
-    def count(text: str) -> int:
-        value = int(text)
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+    def integer(text: str) -> int:
+        value = int(text)  # a non-integer is argparse's own "invalid integer value"
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
-    return count
-
-
-def _master_seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         if command.seeded:
             # only `game` reads a config, which is a second seed source
             seed_default = None if name == "game" else 0
-            sp.add_argument("--seed", type=_master_seed, default=seed_default, help="master seed (u64)")
-            floor = 100 if name == "conjectures" else 1  # the Monte Carlo log-MGF's floor
+            sp.add_argument("--seed", type=_checked(SeedSpec), default=seed_default, help="master seed (u64)")
+            floor = _MIN_MONTE_CARLO_DRAWS if name == "conjectures" else 1
             sp.add_argument(
-                "--trials", type=_count_at_least(floor), default=None,
-                help=f"trial/draw override (>= {floor})",
+                "--trials", type=_checked(functools.partial(_check_at_least, "trials", floor=floor)),
+                default=None, help=f"trial/draw override (>= {floor})",
             )
         sp.add_argument("--out", default="reports", help="output directory")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="both", dest="fmt")

@@ -18,7 +18,9 @@ import numpy as np
 from .distributions import (
     _TAYLOR_ORDER,
     BetaParams,
+    _check_at_least,
     _check_integer,
+    _check_law,
     _check_positive_finite,
     _check_real,
     _taylor_log_mgf,
@@ -469,12 +471,10 @@ def termwise_mgf_comparison(
     lhs[n] = E[X^n]/n! is the coefficient of lam^n in E[exp(lam X)], and
     rhs[n] that of lam^n in exp(lam*mean + lam^2 sigma2/2). A power where
     lhs > rhs does not by itself refute subgaussianity, since neighboring
-    powers can compensate.
+    powers can compensate. sigma2 is positive and finite, k_max an integer >= 2.
     """
     sigma2 = _check_positive_finite("sigma2", sigma2)
-    k_max = _check_integer("k_max", k_max)
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    k_max = _check_at_least("k_max", k_max, 2)
     mean, _ = beta_mean_var(p)
     half_sigma2 = 0.5 * sigma2
     factorials = np.array([math.factorial(n) for n in range(k_max + 1)], dtype=float)
@@ -525,7 +525,8 @@ def weighted_log_mgf(
     """(log_mgf, mean, reach, var) of the law with weight w_i on v_i.
 
     The weights must be finite, nonnegative and sum to 1 within 1e-9; a zero
-    weight leaves its point out. log_mgf(lam) = ln sum_i w_i e^(lam x_i),
+    weight leaves its point out. The values must be finite, in a 1-D array of
+    the weights' length. log_mgf(lam) = ln sum_i w_i e^(lam x_i),
     x_i = v_i - mean, is centered; reach = (max x, -min x). For
     |lam| * range <= 1 it is the series log1p(sum_{k=1}^{21} lam^k e_k),
     e_k = sum_i w_i x_i^k / k!, by Horner's rule
@@ -560,8 +561,9 @@ def weighted_log_mgf(
     (Var = 0) and a Var past the float range are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    if not (w >= 0).all() or abs(float(w.sum()) - 1.0) > 1e-9:  # NaN fails >= 0, inf the sum
-        raise ValueError("weights must be finite, nonnegative and sum to 1 within 1e-9")
+    _check_law("weights", w)
+    if v.ndim != 1 or v.shape != w.shape or not np.isfinite(v).all():
+        raise ValueError(f"values must be finite, 1-D and of the weights' shape {w.shape}, got {v.shape}")
     support = w > 0
     if not support.all():  # keep the law's support; Monte Carlo weights all are
         v, w = v[support], w[support]
@@ -631,6 +633,10 @@ def weighted_proxy_sup(
     return _certified_scan(log_mgf, reach, var, cap)
 
 
+# fewest draws of a Monte Carlo log-MGF: empirical_log_mgf, evaluate_model, conjectures --trials
+_MIN_MONTE_CARLO_DRAWS = 100
+
+
 def _monte_carlo_window(draws: int) -> float:
     """|lambda| cap of a Monte Carlo log-MGF: e^|lambda| <= 1e6 / sqrt(draws) bounds its error."""
     return math.log(1e6 / math.sqrt(draws))
@@ -646,8 +652,8 @@ def empirical_log_mgf(samples: np.ndarray) -> tuple[Callable[[float], float], fl
     """
     values = np.asarray(samples, dtype=float)
     n = values.size
-    if n < 100:
-        raise ValueError("empirical MGF needs at least 100 samples")
+    if n < _MIN_MONTE_CARLO_DRAWS:
+        raise ValueError(f"samples must hold at least {_MIN_MONTE_CARLO_DRAWS} draws, got {n}")
     centered, mean, _, _ = weighted_log_mgf(values, np.full(n, 1.0 / n))
 
     def log_mgf(lam: float) -> float:

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .concentration import (
+    _MIN_MONTE_CARLO_DRAWS,
     VarianceProxyEstimate,
     _monte_carlo_window,
     empirical_log_mgf,  # noqa: F401  rebound by perfbench/tracing.py
@@ -33,6 +34,7 @@ from .distributions import (
     DirichletParams,
     GammaParams,
     SeedSpec,
+    _check_at_least,
     _check_integer,
     _left_sum,
     draw,
@@ -278,7 +280,7 @@ def model_q_draws(
     ``draws`` is an integer >= 0; a float or a bool is refused with ValueError.
     """
     m = _check_model(model, prior, m)
-    draws = _check_integer("draws", draws)
+    draws = _check_at_least("draws", draws, 0)
     return _query_values(model, subset, m, draw(prior, seed.generator(), draws))
 
 
@@ -296,10 +298,7 @@ def _check_model(model: str, prior, m) -> int | None:
         if m is not None:
             raise ValueError(f"model {model!r} takes no trial count m, got {m!r}")
         return None
-    m = 0 if m is None else _check_integer("m", m)
-    if m < 1:
-        raise ValueError(f"model {model!r} needs a positive trial count m")
-    return m
+    return _check_at_least("m", m, 1)
 
 
 def mc_moments(q_draws: np.ndarray, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,9 +364,9 @@ def evaluate_model(
     Exact mode (the default) takes the prior's Gauss rule (`_prior_rule`;
     Dirichlet priors need k <= 4) and no cap; it raises ExactModeError when a
     rule with twice the nodes per coordinate moves the ratio at the argmax by
-    more than 1e-8 relative. Monte Carlo mode takes ``draws`` >= 100 prior
-    draws from ``seed`` (an integer: a float or a bool is refused), weights
-    1/draws and the cap ln(1e6/sqrt(draws)). A Q
+    more than 1e-8 relative. Monte Carlo mode takes ``draws`` prior draws, an
+    integer >= 100 (`_MIN_MONTE_CARLO_DRAWS`; in exact mode any integer), from
+    ``seed``, weights 1/draws and the cap ln(1e6/sqrt(draws)). A Q
     spreading by at most 1e-12 reports tau^2 = 0 unscanned (Hoeffding bounds
     it by 2.5e-25). The prior must be of the model's family and the subset
     a nonempty set of integer outcomes (count vectors for the multinomial).
@@ -376,8 +375,8 @@ def evaluate_model(
     """
     m = _check_model(model, prior, m)
     draws = _check_integer("draws", draws)
-    if method == "monte_carlo" and draws < 100:
-        raise ValueError(f"Monte Carlo mode needs at least 100 draws, got {draws}")
+    if method == "monte_carlo":
+        draws = _check_at_least("draws", draws, _MIN_MONTE_CARLO_DRAWS)
     scale = conjectured_scale(model, prior, m)
 
     if method == "exact":

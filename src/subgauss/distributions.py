@@ -71,9 +71,34 @@ def _check_positive_finite(name: str, value) -> float:
     return value
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, 1.5 and True are refused rather than truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_at_least(name: str, value, floor: int) -> int:
+    """``value`` as an int of at least ``floor``; `_check_integer` refuses a non-integer."""
+    value = _check_integer(name, value)
+    if value < floor:
+        raise ValueError(f"{name} must be an integer of at least {floor}, got {value}")
+    return value
+
+
+def _check_law(name: str, probs: np.ndarray) -> None:
+    """Refuse ``probs`` unless they are finite, nonnegative and sum to 1 within 1e-9."""
+    if not (probs >= 0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails >= 0, inf the sum
+        raise ValueError(f"{name} must be finite, nonnegative and sum to 1 within 1e-9")
+
+
 @dataclass(frozen=True)
-class BetaParams:
-    """Shape parameters (alpha, beta) of a Beta distribution on [0, 1]."""
+class _AlphaBeta:
+    """Positive finite alpha and beta, the fields of `BetaParams` and `GammaParams`. Neither
+    subclasses the other, and ``__eq__`` compares classes: BetaParams(1, 2) != GammaParams(1, 2)."""
 
     alpha: float
     beta: float
@@ -81,6 +106,11 @@ class BetaParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_positive_finite("alpha", self.alpha))
         object.__setattr__(self, "beta", _check_positive_finite("beta", self.beta))
+
+
+@dataclass(frozen=True)
+class BetaParams(_AlphaBeta):
+    """Shape parameters (alpha, beta) of a Beta distribution on [0, 1]."""
 
     @property
     def total(self) -> float:
@@ -109,20 +139,13 @@ class DirichletParams:
 
 
 @dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parameters of a Gamma distribution on [0, inf)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _check_positive_finite("alpha", self.alpha))
-        object.__setattr__(self, "beta", _check_positive_finite("beta", self.beta))
+class GammaParams(_AlphaBeta):
+    """Shape/rate parameters (alpha, beta) of a Gamma distribution on [0, inf)."""
 
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus a stream id; equal specs give bit-identical streams.
+    """Integer master seed in [0, 2^64) and stream id >= 0; equal specs give bit-identical streams.
 
     Substreams (``generator(sub)``) and derived specs (``derived(offset)``)
     are statistically independent, so per-trial work can run in parallel
@@ -137,13 +160,10 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         master = _check_integer("master_seed", self.master_seed)
-        stream = _check_integer("stream_id", self.stream_id)
         if not 0 <= master < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master}")
-        if stream < 0:
-            raise ValueError(f"stream_id must be nonnegative, got {stream}")
         object.__setattr__(self, "master_seed", master)
-        object.__setattr__(self, "stream_id", stream)
+        object.__setattr__(self, "stream_id", _check_at_least("stream_id", self.stream_id, 0))
 
     def generator(self, substream: int = 0) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -153,16 +173,6 @@ class SeedSpec:
 
     def derived(self, offset: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_id + offset)
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int: numpy integers pass, 1.5 and True are refused rather than truncated."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
@@ -277,10 +287,8 @@ def _block_generators(seed: SeedSpec, start: int, stop: int):
 
 
 def beta_raw_moments(p: BetaParams, j_max: int) -> np.ndarray:
-    """Array of E[X^j] for j = 0..j_max via the cumulative ratio product."""
-    j_max = _check_integer("j_max", j_max)
-    if j_max < 0:
-        raise ValueError("moment order must be nonnegative")
+    """Array of E[X^j] for j = 0..j_max (an integer >= 0) via the cumulative ratio product."""
+    j_max = _check_at_least("j_max", j_max, 0)
     r = np.arange(j_max, dtype=float)
     ratios = (p.alpha + r) / (p.total + r)
     return np.concatenate(([1.0], np.cumprod(ratios)))
@@ -540,13 +548,10 @@ def chi_raw_moment(k_dim: int, j: int) -> float:
     """E[X^j] for X the Euclidean norm of a standard k_dim-dim Gaussian.
 
     Equals 2^(j/2) * Gamma((k+j)/2) / Gamma(k/2); satisfies the recurrence
-    E[X^(j+2)] = (k+j) E[X^j]. ValueError past the float range (j above about 300).
+    E[X^(j+2)] = (k+j) E[X^j]. k_dim is an integer >= 1 and j one >= 0;
+    ValueError past the float range (j above about 300).
     """
-    k_dim, j = _check_integer("k_dim", k_dim), _check_integer("j", j)
-    if k_dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
+    k_dim, j = _check_at_least("k_dim", k_dim, 1), _check_at_least("j", j, 0)
     log_moment = 0.5 * j * math.log(2.0) + math.lgamma(0.5 * (k_dim + j)) - math.lgamma(0.5 * k_dim)
     try:
         return math.exp(log_moment)
@@ -573,12 +578,11 @@ def draw(
     scale 1 without its per-call scale broadcast. A Beta variate adds its two
     Gamma columns directly, the same sum as ``g.sum(axis=1)`` without the
     short-axis reduction.
-    Categorical probabilities (a plain sequence) yield integer category
-    indices.
+    Categorical probabilities (a plain 1-d sequence of at least 2, finite,
+    nonnegative and summing to 1 within 1e-9) yield integer category
+    indices. ``count`` is an integer >= 0.
     """
-    count = _check_integer("count", count)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _check_at_least("count", count, 0)
     if isinstance(dist, BetaParams):
         g = rng.standard_gamma(np.array([dist.alpha, dist.beta]), size=(count, 2))
         return g[:, 0] / (g[:, 0] + g[:, 1])
@@ -590,8 +594,7 @@ def draw(
     probs = np.asarray(dist, dtype=float)
     if probs.ndim != 1 or probs.size < 2:
         raise ValueError("categorical probabilities must be a 1-d sequence")
-    if not (probs >= 0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails >= 0
-        raise ValueError("categorical probabilities must be finite, nonnegative and sum to 1")
+    _check_law("categorical probabilities", probs)
     edges = np.cumsum(probs)
     idx = np.searchsorted(edges, rng.random(count), side="right")
     return np.minimum(idx, probs.size - 1)
@@ -611,13 +614,9 @@ def sample_chi(k_dim: int, seed: SeedSpec, count: int) -> np.ndarray:
 
     The squared norm is Chi^2(k_dim) = 2 Gamma(k_dim / 2), so each variate is
     drawn as sqrt(2 G), G ~ Gamma(k_dim / 2): one draw per variate, whatever
-    k_dim is.
+    k_dim (an integer >= 1) is. ``count`` is an integer >= 0.
     """
-    k_dim, count = _check_integer("k_dim", k_dim), _check_integer("count", count)
-    if k_dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    k_dim, count = _check_at_least("k_dim", k_dim, 1), _check_at_least("count", count, 0)
     out = seed.generator().standard_gamma(0.5 * k_dim, size=count)
     out *= 2.0
     return np.sqrt(out, out=out)

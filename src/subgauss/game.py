@@ -73,6 +73,7 @@ from .distributions import (
     DirichletParams,
     SeedSpec,
     _block_generators,
+    _check_at_least,
     _check_integer,
     _check_real,
     _left_sum,
@@ -138,14 +139,13 @@ class GameConfig:
     curator: str = "posterior_mean"
 
     def __post_init__(self) -> None:
-        for name in ("k", "n", "q"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "k", _check_integer("k", self.k))
+        object.__setattr__(self, "n", _check_at_least("n", self.n, 0))
+        object.__setattr__(self, "q", _check_at_least("q", self.q, 1))
         for name in ("epsilon", "delta"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.prior.k != self.k:
             raise ValueError("prior dimension must equal k")
-        if self.n < 0 or self.q < 1:
-            raise ValueError("need n >= 0 and q >= 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0.0 < self.delta < 1.0:
@@ -203,9 +203,8 @@ def _sample_instance(
 def sample_instance(
     prior: DirichletParams, n: int, seed: SeedSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw true_p from the prior and n categorical samples, returned as counts."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Draw true_p from the prior and n (an integer >= 0) categorical samples, returned as counts."""
+    n = _check_at_least("n", n, 0)
     true_p, counts, _ = _sample_instance(seed.generator(), prior, n)
     return true_p, counts
 
@@ -602,7 +601,7 @@ def _play_block(config: GameConfig, seed: SeedSpec, start: int, stop: int) -> np
 
 
 def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
-    """Largest round error of each of ``trials`` games, played together in blocks.
+    """Largest round error of each of ``trials`` (an integer >= 0) games, played together in blocks.
 
     RNG contract: trial t draws from the stream of
     ``seed.derived(t).generator()`` alone. Its instance (true parameter, then
@@ -622,9 +621,7 @@ def run_games(config: GameConfig, trials: int, seed: SeedSpec) -> np.ndarray:
     probes and round loop, which ends early once every trial's scores have
     cycled. The module docstring says why each gives ``run_game``'s errors.
     """
-    trials = _check_integer("trials", trials)
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    trials = _check_at_least("trials", trials, 0)
     max_error = np.empty(trials)
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
@@ -639,13 +636,14 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
     1/(4(A+n)+2); a union bound over q queries then gives total failure
     probability delta. n = ceil((ln(2q/delta)/eps^2 - 1)/2 - A), clamped at
     0, then stepped past rounding to the smallest n the float test accepts.
+    It takes epsilon > 0, 0 < delta < 1, an integer q >= 1 and prior_mass > 0.
     OverflowError past n = 2^40; ValueError for a delta/q below the normal
     floats, where the test's exp underflows and can accept too small an n.
     """
     epsilon, delta = _check_real("epsilon", epsilon), _check_real("delta", delta)
-    prior_mass, q = _check_real("prior_mass", prior_mass), _check_integer("q", q)
-    if epsilon <= 0 or delta <= 0 or delta >= 1 or q < 1 or prior_mass <= 0:
-        raise ValueError("need epsilon > 0, 0 < delta < 1, q >= 1, prior_mass > 0")
+    prior_mass, q = _check_real("prior_mass", prior_mass), _check_at_least("q", q, 1)
+    if epsilon <= 0 or delta <= 0 or delta >= 1 or prior_mass <= 0:
+        raise ValueError("need epsilon > 0, 0 < delta < 1, prior_mass > 0")
     threshold = delta / q
     if threshold < sys.float_info.min:
         raise ValueError(f"delta/q = {delta!r}/{q} underflows the normal floats")
@@ -666,10 +664,11 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    successes, trials = _check_integer("successes", successes), _check_integer("trials", trials)
-    if trials < 1 or not 0 <= successes <= trials:
-        raise ValueError("need 0 <= successes <= trials with trials >= 1")
+    """95% Wilson score interval for a binomial proportion: ``successes`` of ``trials``,
+    integers with trials >= 1 and 0 <= successes <= trials."""
+    successes, trials = _check_integer("successes", successes), _check_at_least("trials", trials, 1)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials] = [0, {trials}], got {successes}")
     z = 1.959963984540054  # the standard normal 0.975 quantile
     p_hat = successes / trials
     z2 = z * z
@@ -693,10 +692,10 @@ def estimate_failure_rate(
     instance and then its analyst's queries from ``seed.derived(t)`` alone
     (over-drawn static-random query rows are never used), and loses when its
     largest error exceeds epsilon, exactly as ``run_game(config,
-    seed.derived(t))`` would.
+    seed.derived(t))`` would. ``trials`` is an integer >= 100, enough for a
+    meaningful rate.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful rate estimate")
+    trials = _check_at_least("trials", trials, 100)
     failures = int(np.count_nonzero(run_games(config, trials, seed) > config.epsilon))
     low, high = wilson_interval(failures, trials)
     return FailureRateEstimate(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .concentration import beta_proxy_bound, tail_frequencies
 from .distributions import (
-    BetaParams, DirichletParams, SeedSpec, _check_integer, _trigamma_difference, draw,
+    BetaParams, DirichletParams, SeedSpec, _check_at_least, _trigamma_difference, draw,
 )
 from .game import project_to_beta
 
@@ -98,11 +98,9 @@ def azuma_total(prior: BetaParams, horizon: int = 10**6) -> AzumaTotals:
     horizon by `_trigamma_difference` to ~1e-15 relative, also where horizon
     << s. tail_remainder = 1/(4(s+horizon+1/2)) dominates the
     remaining tail by telescoping, and the grand total never exceeds
-    theorem_bound = 1/(4(alpha+beta)+2); `checks.martingale` checks it.
+    theorem_bound = 1/(4(alpha+beta)+2); `checks.martingale` checks it. ``horizon`` is an integer >= 1.
     """
-    horizon = _check_integer("horizon", horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = _check_at_least("horizon", horizon, 1)
     s = prior.total
     partial = 0.25 * _trigamma_difference(s + 1.0, float(horizon))
     remainder = 0.25 / (s + horizon + 0.5)
@@ -120,11 +118,10 @@ def simulate_paths(
     success counts matter for the mean, so the blocks between the nonzero
     checkpoints horizon // 4, horizon // 2 and horizon are drawn binomially;
     the checkpointed path is distributed exactly as the step-by-step one.
-    Tail frequencies are reported at each eps in _TAIL_EPS.
+    Tail frequencies are reported at each eps in _TAIL_EPS. ``horizon`` is an
+    integer >= 0 and ``trials`` one >= 1.
     """
-    horizon, trials = _check_integer("horizon", horizon), _check_integer("trials", trials)
-    if horizon < 0 or trials < 1:
-        raise ValueError("horizon must be >= 0 and trials >= 1")
+    horizon, trials = _check_at_least("horizon", horizon, 0), _check_at_least("trials", trials, 1)
     rng = seed.generator()
     true_p = draw(prior, rng, trials)
     s0 = prior.total
@@ -179,10 +176,9 @@ def stability_diagnostics(
     (bound 1/(A+n+1)); a replaced one lowers c_S >= 1 or raises c_S <= n - 1
     by 1 (bound 1/(A+n)). a is linear in the empirical mean c_S/n with slope
     n/(A+n) <= 1; the report gives the largest defect from that line.
+    ``n`` is an integer >= 1.
     """
-    n = _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"stability needs n >= 1 samples, got n={n}")
+    n = _check_at_least("n", n, 1)
     a_total = prior.total
     alpha_s = project_to_beta(prior, subset).alpha
     c_s = np.arange(n + 1, dtype=float)

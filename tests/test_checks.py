@@ -32,7 +32,7 @@ def test_count_below_one_is_refused(check, trials):
     # neither the default nor an empty run: either would pass vacuously; nor is a
     # bool or a fraction a count
     if type(trials) is int:
-        message = rf"trials must be at least 1, got {trials}$"
+        message = rf"trials must be an integer of at least 1, got {trials}$"
     else:
         message = rf"trials must be an integer, got {trials}$"
     with pytest.raises(ValueError, match=message):

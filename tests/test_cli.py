@@ -60,6 +60,21 @@ class TestExitCodes:
         assert "error: argument" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["martingale", "--seed", "-1"], "master_seed must be a 64-bit unsigned integer, got -1"),
+            (["verify-chi", "--seed", str(2**64)],
+             f"master_seed must be a 64-bit unsigned integer, got {2**64}"),
+            (["game", "--trials", "0"], "trials must be an integer of at least 1, got 0"),
+            (["conjectures", "--trials", "50"], "trials must be an integer of at least 100, got 50"),
+        ],
+    )
+    def test_the_library_refuses_trials_and_seed(self, argv, message, tmp_path, capsys):
+        # SeedSpec and _check_at_least check the options; the CLI keeps no copy of their rules
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert f"error: argument {argv[1]}: {message}\n" in capsys.readouterr().err
+
     def test_only_game_takes_a_config(self, tmp_path, capsys):
         out = tmp_path / "r"
         argv = ["conjectures", "--config", str(tmp_path / "nope.json"), "--trials", "100"]

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -583,6 +584,18 @@ class TestWeightedLogMgf:
         for call in (weighted_log_mgf, weighted_proxy_sup):
             with pytest.raises(ValueError, match="weights must be finite, nonnegative and sum to 1"):
                 call(np.array([0.0, 1.0, 2.0]), np.array(weights))
+
+    @pytest.mark.parametrize("values, shape", [
+        ([0.0, 1.0, math.inf], "(3,)"),  # once a RuntimeWarning from subtract
+        ([0.0, 1.0, math.nan], "(3,)"),  # once "Var = nan leaves no lambda cap"
+        ([0.0, 1.0, 2.0, 3.0], "(4,)"),  # once numpy's einsum "operands could not be broadcast"
+        ([[0.0, 1.0, 2.0]], "(1, 3)"),
+    ])
+    def test_values_that_do_not_fit_the_weights_are_refused(self, values, shape):
+        message = f"values must be finite, 1-D and of the weights' shape (3,), got {shape}"
+        for call in (weighted_log_mgf, weighted_proxy_sup):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(np.array(values), np.full(3, 1.0 / 3.0))
 
     def test_monte_carlo_weights_are_a_law(self):
         # 1/N summed over the CLI's default 200 000 draws is off 1 by rounding alone

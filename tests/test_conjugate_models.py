@@ -465,7 +465,7 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("draws", [0, 99])
     def test_too_few_draws_are_refused(self, draws):
-        with pytest.raises(ValueError, match="at least 100 draws"):
+        with pytest.raises(ValueError, match=f"draws must be an integer of at least 100, got {draws}$"):
             evaluate_model("geometric", BetaParams(2, 1), {0}, method="monte_carlo", draws=draws)
 
     @pytest.mark.parametrize(
@@ -522,9 +522,9 @@ DEFAULT_INSTANCES = _conjecture_instances(SeedSpec(0))
     pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", GammaParams(2, 1), 5),
                  "needs a BetaParams prior, got GammaParams", id="conjectured_scale-prior"),
     pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(2, 1), None),
-                 "needs a positive trial count m", id="conjectured_scale-m-none"),
+                 "m must be an integer, got None", id="conjectured_scale-m-none"),
     pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(2, 1), 0),
-                 "needs a positive trial count m", id="conjectured_scale-m-zero"),
+                 "m must be an integer of at least 1, got 0", id="conjectured_scale-m-zero"),
     pytest.param(lambda: conjugate_models.conjectured_scale("beta_binomial", BetaParams(1, 1), 2.5),
                  "m must be an integer, got 2.5", id="conjectured_scale-m-float"),
     pytest.param(lambda: conjugate_models.conjectured_scale("multinomial", BetaParams(2, 1), 5),

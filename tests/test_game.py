@@ -55,8 +55,8 @@ class TestGameConfig:
         "overrides,message",
         [
             ({"prior": DirichletParams((1.0, 1.0))}, "prior dimension must equal k"),
-            ({"n": -1}, r"need n >= 0 and q >= 1"),
-            ({"q": 0}, r"need n >= 0 and q >= 1"),
+            ({"n": -1}, "n must be an integer of at least 0, got -1"),
+            ({"q": 0}, "q must be an integer of at least 1, got 0"),
             ({"epsilon": 0.0}, r"epsilon must lie in \(0, 1\]"),
             ({"epsilon": 1.5}, r"epsilon must lie in \(0, 1\]"),
             ({"epsilon": math.nan}, r"epsilon must lie in \(0, 1\]"),
@@ -642,10 +642,10 @@ class TestDrawBlock:
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: sample_instance(DirichletParams((1.0, 1.0)), -1, SeedSpec(0)), "n must be nonnegative",
-                 id="sample_instance-n"),
-    pytest.param(lambda: run_games(make_config(), -1, SeedSpec(0)), "trials must be nonnegative",
-                 id="run_games-trials"),
+    pytest.param(lambda: sample_instance(DirichletParams((1.0, 1.0)), -1, SeedSpec(0)),
+                 "n must be an integer of at least 0, got -1", id="sample_instance-n"),
+    pytest.param(lambda: run_games(make_config(), -1, SeedSpec(0)),
+                 "trials must be an integer of at least 0, got -1", id="run_games-trials"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
@@ -833,10 +833,14 @@ class TestWilsonInterval:
             assert low <= s / n <= high
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^trials must be an integer of at least 1, got 0$"):
             wilson_interval(5, 0)
-        with pytest.raises(ValueError):
-            wilson_interval(7, 5)
+        for successes in (7, -1):
+            with pytest.raises(ValueError, match=rf"^successes must lie in \[0, trials\] = \[0, 5\], got {successes}$"):
+                wilson_interval(successes, 5)
+        for successes in (2.5, 3.0, True):  # refused, not truncated
+            with pytest.raises(ValueError, match=rf"^successes must be an integer, got {successes!r}$"):
+                wilson_interval(successes, 5)
 
 
 class TestFailureRate:

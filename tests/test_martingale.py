@@ -186,7 +186,9 @@ class TestSimulatePaths:
 
 @pytest.mark.parametrize("horizon, trials", [(-1, 10), (10, 0)])
 def test_simulate_paths_refusals(horizon, trials):
-    with pytest.raises(ValueError, match="horizon must be >= 0 and trials >= 1"):
+    message = ("horizon must be an integer of at least 0, got -1" if horizon < 0
+               else "trials must be an integer of at least 1, got 0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_paths(BetaParams(1, 1), horizon, trials, SeedSpec(0))
 
 
@@ -246,7 +248,7 @@ class TestStabilityDiagnostics:
 
     @pytest.mark.parametrize("k, n", [(3, 0)])
     def test_refuses_past_the_exhaustive_sweep(self, k, n):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1, got 0"):
             stability_diagnostics(DirichletParams((1.0,) * k), n, {0})
 
     def test_sweep_names_a_failing_cell(self, monkeypatch):
