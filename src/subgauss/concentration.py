@@ -218,9 +218,6 @@ def _scan(
     the largest ratio that allows. A run is open while it ends at its side's
     last walked point, and the reach line bounds it then (a run that a
     walked array-form point closes keeps that bound, which still holds).
-    An open run's reach-line bound is fixed once the run's end is past the
-    line's peak -2 c0 / slope (see `_cell_bound`), and is not recomputed as
-    the run grows from there: the same bound, from fewer calls.
     The run of highest bound is read into (at its outer end if it is open,
     else in its middle) until:
 
@@ -275,7 +272,6 @@ def _scan(
     values = ([-math.inf] * n, [-math.inf] * n)
     walked = [0, 0]  # grid points walked on the - and + sides
     cells: list[list] = []  # [bound, side, first, last]: a run of skipped points
-    peaks = [math.inf, math.inf]  # `peak` of each side's open cell
     best = top = -math.inf  # the best ratio read, and the highest cell bound
 
     def read(side: int, i: int) -> None:
@@ -293,14 +289,6 @@ def _scan(
         closed = last + 1 < walked[side]
         slope = (kvals[side][last + 1] - k0) / (mags[last + 1] - t0) if closed else slopes[side]
         return _cell_bound(t0, k0, slope, mags[first], mags[last])
-
-    def peak(side: int, first: int) -> float:
-        """|lam| past which an open cell from ``first`` keeps its bound: -2 c0 / slope, where
-        the ratio on the reach line from the read point inside it (or K(0) = 0) peaks; inf
-        unless 0 < slope < inf."""
-        t0, k0 = (mags[first - 1], kvals[side][first - 1]) if first else (0.0, 0.0)
-        slope = slopes[side]
-        return -2.0 * (k0 - slope * t0) / slope if 0.0 < slope < math.inf else math.inf
 
     def split(cell: list) -> None:
         """Read one skipped point of ``cell``, its outer end if the cell is open, else its
@@ -330,17 +318,12 @@ def _scan(
                     best = value
             elif grid is None or not math.isnan(kvals[side][i]):
                 read(side, i)  # no array form, or a value that raises
-            else:  # skipped: a new open cell starts, or the open cell grows by one point
-                for cell in cells:
-                    if cell[1] == side and cell[3] == i - 1:
-                        break
-                else:
+            else:  # skipped: the side's open cell grows by one point, or a new one starts
+                cell = next((c for c in cells if c[1] == side and c[3] == i - 1), None)
+                if cell is None:
                     cell = [-math.inf, side, i, i]
                     cells.append(cell)
-                    peaks[side] = peak(side, i)
-                if cell[3] == i or mags[i - 1] < peaks[side]:  # else the bound stays as it is
-                    cell[0] = bound(side, cell[2], i)
-                cell[3] = i
+                cell[0], cell[3] = bound(side, cell[2], i), i
                 top = max(top, cell[0])
         if walked[0] <= i and walked[1] <= i:
             break
@@ -507,6 +490,7 @@ def tail_frequencies(
     and an empty ``deviations`` are refused."""
     if _check_integer("sides", sides) not in (1, 2):
         raise ValueError(f"sides must be 1 or 2, got {sides}")
+    deviations = np.asarray(deviations, dtype=float)
     n = deviations.size
     if n == 0:
         raise ValueError("tail frequencies need at least one deviation")
@@ -524,9 +508,9 @@ def weighted_log_mgf(
 ) -> tuple[Callable[[float], float], float, tuple[float, float], float]:
     """(log_mgf, mean, reach, var) of the law with weight w_i on v_i.
 
-    The weights must be finite, nonnegative and sum to 1 within 1e-9; a zero
-    weight leaves its point out. The values must be finite, in a 1-D array of
-    the weights' length. log_mgf(lam) = ln sum_i w_i e^(lam x_i),
+    The weights must be a 1-D array, finite, nonnegative and sum to 1 within
+    1e-9; a zero weight leaves its point out. The values must be finite, in a
+    1-D array of the weights' length. log_mgf(lam) = ln sum_i w_i e^(lam x_i),
     x_i = v_i - mean, is centered; reach = (max x, -min x). For
     |lam| * range <= 1 it is the series log1p(sum_{k=1}^{21} lam^k e_k),
     e_k = sum_i w_i x_i^k / k!, by Horner's rule
@@ -561,6 +545,8 @@ def weighted_log_mgf(
     (Var = 0) and a Var past the float range are refused.
     """
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"weights must be 1-D, got shape {w.shape}")
     _check_law("weights", w)
     if v.ndim != 1 or v.shape != w.shape or not np.isfinite(v).all():
         raise ValueError(f"values must be finite, 1-D and of the weights' shape {w.shape}, got {v.shape}")

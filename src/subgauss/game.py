@@ -75,6 +75,7 @@ from .distributions import (
     _block_generators,
     _check_at_least,
     _check_integer,
+    _check_positive_finite,
     _check_real,
     _left_sum,
     draw,
@@ -636,14 +637,17 @@ def required_n(epsilon: float, delta: float, q: int, prior_mass: float) -> int:
     1/(4(A+n)+2); a union bound over q queries then gives total failure
     probability delta. n = ceil((ln(2q/delta)/eps^2 - 1)/2 - A), clamped at
     0, then stepped past rounding to the smallest n the float test accepts.
-    It takes epsilon > 0, 0 < delta < 1, an integer q >= 1 and prior_mass > 0.
+    It takes epsilon > 0, 0 < delta < 1, an integer q >= 1 and a finite
+    prior_mass > 0; a NaN is refused by name.
     OverflowError past n = 2^40; ValueError for a delta/q below the normal
     floats, where the test's exp underflows and can accept too small an n.
     """
     epsilon, delta = _check_real("epsilon", epsilon), _check_real("delta", delta)
-    prior_mass, q = _check_real("prior_mass", prior_mass), _check_at_least("q", q, 1)
-    if epsilon <= 0 or delta <= 0 or delta >= 1 or prior_mass <= 0:
-        raise ValueError("need epsilon > 0, 0 < delta < 1, prior_mass > 0")
+    prior_mass, q = _check_positive_finite("prior_mass", prior_mass), _check_at_least("q", q, 1)
+    if not epsilon > 0:  # NaN fails every comparison
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     threshold = delta / q
     if threshold < sys.float_info.min:
         raise ValueError(f"delta/q = {delta!r}/{q} underflows the normal floats")

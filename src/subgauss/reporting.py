@@ -16,7 +16,7 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -101,7 +101,7 @@ def emit_report(
     subgauss, and is written last. `timings` (seconds per stage) and `counts`
     (work counts, such as log-MGF evaluations) go into the manifest only, so
     the payload digests do not depend on them; the manifest leaves out either
-    key where it is None.
+    key where it is None. Returns the manifest as a `RunManifest`.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -118,18 +118,17 @@ def emit_report(
             lines.append(",".join(format_float(row.get(name)).replace(",", ";") for name in fieldnames))
         outputs.append(_write(out / f"{command}-data.csv", "\n".join(lines) + "\n"))
 
-    manifest = RunManifest(
-        command=command,
-        config=config or {},
-        master_seed=master_seed,
-        artifact_version=ARTIFACT_VERSION,
-        outputs=tuple(outputs),
-        versions=dict(_versions()),
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        timings=timings,
-        counts=counts,
-    )
-    optional = ("timings", "counts")  # left out where None
-    record = {k: v for k, v in asdict(manifest).items() if v is not None or k not in optional}
-    _write(out / "manifest.json", _json(record))
-    return manifest
+    manifest = {
+        "command": command,
+        "config": config or {},
+        "master_seed": master_seed,
+        "artifact_version": ARTIFACT_VERSION,
+        "outputs": tuple(outputs),
+        "versions": dict(_versions()),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    for key, value in (("timings", timings), ("counts", counts)):
+        if value is not None:
+            manifest[key] = value
+    _write(out / "manifest.json", _json(manifest))
+    return RunManifest(**manifest)

@@ -116,7 +116,7 @@ def test_ks_statistic_equals_scipy_kstest_on_projected_dirichlet_draws(i):
     assert _ks_statistic(draws, a, b) == stats.kstest(draws, stats.beta(a, b).cdf).statistic
 
 
-# (summary, data) digests of each default run; conjectures is pinned at 20 000 draws in test_cli.py
+# (summary, data) digests of each default run, conjectures at its default 200 000 draws
 DEFAULT_DIGESTS = {
     "verify-beta": ("eb58bc92", "8e874607"),  # since the log-MGF array forms are numpy passes
     "verify-dirichlet": ("f3447508", "4def1343"),  # since the alphas add left to right
@@ -124,6 +124,9 @@ DEFAULT_DIGESTS = {
     "lemma-checks": ("e993d5e9", "185bd98a"),  # since criterion_passed left its rows
     "martingale": ("968ee110", "84967c36"),  # since azuma_total's difference is formed from h
     "game": ("b0ee1262", "54071471"),
+    # since the weighted log-MGF's Taylor table sums running powers and its far reads take
+    # pre-shifted exponents, whole-grid on the 1-D Gauss rules (was 20572291/2a67d304)
+    "conjectures": ("a0dec83b", "deef28b0"),
 }
 
 

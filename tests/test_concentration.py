@@ -434,6 +434,12 @@ class TestTailFrequencies:
         with pytest.raises(ValueError, match="sides must be"):
             tail_frequencies(np.array([0.1, 0.2]), 0.01, (0.1,), sides=sides)
 
+    def test_a_list_reads_as_its_array(self):
+        # a list once raised AttributeError: 'list' object has no attribute 'size'
+        deviations = [0.05, 0.15, 0.25, 0.35]
+        assert (tail_frequencies(deviations, 0.01, (0.1, 0.3), sides=1)
+                == tail_frequencies(np.array(deviations), 0.01, (0.1, 0.3), sides=1))
+
     def test_no_deviations_are_refused(self):
         # the mean of an empty array once escaped as a RuntimeWarning
         with pytest.raises(ValueError, match="at least one deviation"):
@@ -584,6 +590,12 @@ class TestWeightedLogMgf:
         for call in (weighted_log_mgf, weighted_proxy_sup):
             with pytest.raises(ValueError, match="weights must be finite, nonnegative and sum to 1"):
                 call(np.array([0.0, 1.0, 2.0]), np.array(weights))
+
+    def test_weights_that_are_not_1d_are_refused(self):
+        # once refused as "values must be finite, 1-D and of the weights' shape (1, 2)"
+        for call in (weighted_log_mgf, weighted_proxy_sup):
+            with pytest.raises(ValueError, match=r"^weights must be 1-D, got shape \(1, 2\)$"):
+                call(np.array([0.0, 1.0]), np.array([[0.5, 0.5]]))
 
     @pytest.mark.parametrize("values, shape", [
         ([0.0, 1.0, math.inf], "(3,)"),  # once a RuntimeWarning from subtract
@@ -1082,10 +1094,10 @@ class TestBoundedScan:
         assert np.isnan(log_mgf.grid(scan_grid(full))).any()
         assert_scans_like_the_walk(log_mgf, cap, reach)
 
-    def test_frozen_open_cell_bound(self, monkeypatch):
-        # an open run's bound is not recomputed past its reach line's peak, and every Beta
-        # estimate is as before: sha256 of the (value, argmax, grid_spec, evaluations) reprs,
-        # from 377 `_cell_bound` calls when each growth recomputed it
+    def test_open_cell_bound_recomputed_at_each_growth(self, monkeypatch):
+        # each growth of a side's open run recomputes its bound, and every Beta estimate is
+        # pinned: sha256 of the (value, argmax, grid_spec, evaluations) reprs, from 377
+        # `_cell_bound` calls on the 81 GRID laws
         calls = []
 
         def cell_bound(*args):
@@ -1100,7 +1112,7 @@ class TestBoundedScan:
                 fields.append((e.value, e.argmax_lambda, e.grid_spec, e.evaluations))
         digest = hashlib.sha256(repr(fields).encode()).hexdigest()
         assert digest[:16] == "c081cdeee2c69fcc"
-        assert len(calls) == 167
+        assert len(calls) == 377
 
     @pytest.mark.parametrize("alpha, beta, value, argmax, scanned", [
         (1.0, 1e7, 2.0363227736895597e-08, 35128588.20457565, "6.67119e+06 (-), 9.0037e+07 (+)"),

@@ -646,9 +646,25 @@ class TestDrawBlock:
                  "n must be an integer of at least 0, got -1", id="sample_instance-n"),
     pytest.param(lambda: run_games(make_config(), -1, SeedSpec(0)),
                  "trials must be an integer of at least 0, got -1", id="run_games-trials"),
+    # a NaN once passed the range check and was refused as "required n exceeds 2^40", and
+    # an infinite prior mass reached math.ceil
+    pytest.param(lambda: required_n(math.nan, 0.05, 10, 1.0),
+                 "epsilon must be positive, got nan", id="required_n-epsilon-nan"),
+    pytest.param(lambda: required_n(0.0, 0.05, 10, 1.0),
+                 "epsilon must be positive, got 0.0", id="required_n-epsilon-zero"),
+    pytest.param(lambda: required_n(0.1, math.nan, 10, 1.0),
+                 r"delta must lie in \(0, 1\), got nan", id="required_n-delta-nan"),
+    pytest.param(lambda: required_n(0.1, 1.5, 10, 1.0),
+                 r"delta must lie in \(0, 1\), got 1.5", id="required_n-delta-above-one"),
+    pytest.param(lambda: required_n(0.1, 0.05, 10, math.nan),
+                 "prior_mass must be positive and finite, got nan", id="required_n-prior_mass-nan"),
+    pytest.param(lambda: required_n(0.1, 0.05, 10, math.inf),
+                 "prior_mass must be positive and finite, got inf", id="required_n-prior_mass-inf"),
+    pytest.param(lambda: required_n(0.1, 0.05, 10, 0.0),
+                 "prior_mass must be positive and finite, got 0.0", id="required_n-prior_mass-zero"),
 ])
 def test_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 
@@ -806,10 +822,7 @@ class TestRequiredN:
         assert required_n(1.0, 0.05, 10, 5.0) == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            required_n(0.0, 0.05, 10, 1.0)
-        with pytest.raises(ValueError):
-            required_n(0.1, 1.5, 10, 1.0)
+        # the range refusals are rows of test_refusals.
         # delta/q = 2^-1073: the float test accepts n = 370, where the exact tail
         # 2 e^-744.2 = 1.26e-323 exceeds it; the search returns that n
         assert required_n_search(1.0, 1e-323, 1, 1.6) == 370
