@@ -195,23 +195,32 @@ def _cell_bound(t0: float, k0: float, slope: float, t_first: float, t_last: floa
     return top + _BOUND_MARGIN * abs(top)
 
 
+def _check_cap(name: str, cap) -> float:
+    """``cap`` as a float above the scan grid's smallest |lambda|, _LAMBDA_MIN; NaN is refused."""
+    cap = _check_real(name, cap)
+    if not cap > _LAMBDA_MIN:
+        raise ValueError(f"{name} must exceed {_LAMBDA_MIN:g}, got {cap!r}")
+    return cap
+
+
 def _scan(
     log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
 ) -> VarianceProxyEstimate:
     """Grid-plus-Brent supremum of 2 log_mgf(lam) / lam^2 for |lam| <= lambda_cap.
 
-    ``log_mgf`` is centered, lam -> ln E[e^(lam (X - E X))], and ``reach`` is
+    ``log_mgf`` is centered, lam -> ln E[e^(lam (X - E X))], and its array
+    form ``log_mgf.grid(lams)`` gives each value == the scalar form's, or NaN
+    where it declines the point (a far branch). ``reach`` is
     (max X - E X, E X - min X) of a bounded law, or infinities. The ratio is
     then at most 2 reach[0] / lam for lam > 0 and 2 reach[1] / |lam| for
     lam < 0, so each sign's grid is walked outward, + before - at each
     magnitude, until that bound falls below the best ratio of the points
     walked before: no point past the stop holds the grid's best.
 
-    An array form ``log_mgf.grid(lams)`` gives all grid values in one call,
-    and all grid ratios come from it in one numpy expression, the same IEEE
-    operations as the scalar ratio. A walked point it leaves NaN (a far
-    branch) is skipped, and read by the scalar form only where no bound rules
-    it out. K = log_mgf is convex, K(0) = 0, and its slope in |lam| is at
+    All grid ratios come from one array-form call, in one numpy expression,
+    the same IEEE operations as the scalar ratio. A declined walked point is
+    skipped, and read by the scalar form only where no bound rules it out.
+    K = log_mgf is convex, K(0) = 0, and its slope in |lam| is at
     most reach on each side, so on a run of skipped points K lies below the
     chord between the read points either side, or, past a side's outermost
     read point, below the line of slope reach from it; `_cell_bound` gives
@@ -227,10 +236,7 @@ def _scan(
 
     So the stops, the best grid point (the lowest lambda among ties) and its
     walked neighbours, which are read, are those of reading every walked
-    point, and no point past a stop is read. A kernel without an array form
-    is read at every walked point: near 0 its ratio may be rounding alone
-    (an uncentered kernel minus lam mean), which no bound from its values
-    can hold.
+    point, and no point past a stop is read.
 
     Only values the estimate needs are read, and a non-finite one raises
     OverflowError naming its lambda. A skipped point the bounds rule out
@@ -239,10 +245,10 @@ def _scan(
     `_brent_max` refines strictly inside the same-sign bracket of the best
     grid point, whose ends were read, so it needs no value past the stop,
     never crosses 0 and never returns less than the best grid value.
-    ``evaluations`` counts the values read, whichever form gave them.
+    ``evaluations`` counts the values read, whichever form gave them. A
+    ``lambda_cap`` not above _LAMBDA_MIN (NaN included) is refused.
     """
-    if lambda_cap <= _LAMBDA_MIN:
-        raise ValueError("lambda_cap must exceed the smallest grid magnitude")
+    lambda_cap = _check_cap("lambda_cap", lambda_cap)
     calls = [0]  # Brent's evaluations
 
     def finite(lam: float, value: float) -> float:
@@ -257,8 +263,7 @@ def _scan(
     n = _POINTS_PER_SIGN
     magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
     lams = np.concatenate([-magnitudes[::-1], magnitudes])
-    grid = getattr(log_mgf, "grid", None)
-    readings = grid(lams) if grid is not None else np.full(2 * n, math.nan)
+    readings = log_mgf.grid(lams)
     # Python floats round as numpy's float64 does, and are faster to index and
     # combine; like them, lam * lam may overflow to inf (|lam| past 1.3e154)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,8 +321,8 @@ def _scan(
                 values[side][i] = value
                 if value > best:
                     best = value
-            elif grid is None or not math.isnan(kvals[side][i]):
-                read(side, i)  # no array form, or a value that raises
+            elif not math.isnan(kvals[side][i]):
+                read(side, i)  # a value that raises
             else:  # skipped: the side's open cell grows by one point, or a new one starts
                 cell = next((c for c in cells if c[1] == side and c[3] == i - 1), None)
                 if cell is None:
@@ -361,19 +366,20 @@ def variance_proxy_sup(
 ) -> VarianceProxyEstimate:
     """Estimate tau^2 as the supremum of 2 (ln M(lam) - lam mean) / lam^2 for |lam| <= lambda_cap.
 
-    ``log_mgf`` is the uncentered ln E[e^(lam X)], ``mean`` is E X. The kernel
-    and its array form ``log_mgf.grid``, if any, are centered, then scanned by
-    `_scan` with no certified stop: a lower estimate of the supremum, up to
-    the rounding of ``log_mgf`` and of the centering. A non-finite value
-    raises OverflowError. Bounded laws scan their centered kernel instead.
+    ``log_mgf`` is the uncentered ln E[e^(lam X)], ``mean`` is E X. The
+    centered kernel is scanned by `_scan` with no certified stop: a lower
+    estimate of the supremum, up to the rounding of ``log_mgf`` and of the
+    centering. Its array form declines no point, so every walked point is
+    read: near 0 the ratio may be rounding alone, which no bound can hold.
+    A non-finite value raises OverflowError. Bounded laws scan their
+    centered kernel instead.
     """
 
     def centered(lam: float) -> float:
         return log_mgf(lam) - lam * mean
 
-    grid = getattr(log_mgf, "grid", None)
-    if grid is not None:
-        centered.grid = lambda lams: grid(lams) - lams * mean
+    # refers to no centered: no reference cycle holds the kernel
+    centered.grid = lambda lams: np.array([log_mgf(lam) - lam * mean for lam in lams.tolist()])
     return _scan(centered, lambda_cap, (math.inf, math.inf))
 
 
@@ -385,9 +391,11 @@ def _certified_scan(
 
     Past 2 max(reach) / Var the ratio is below Var, its limit at 0 (see
     `_scan`), so the scan holds the supremum over |lam| <= cap, and over all
-    lam at the default cap. Var = 0 (a constant, or an underflowed variance)
-    leaves no cap and is refused.
+    lam at the default cap. A cap not above _LAMBDA_MIN (NaN included) is
+    refused, and so is Var = 0 (a constant, or an underflowed variance),
+    which leaves no cap.
     """
+    cap = _check_cap("cap", cap)
     if not var > 0.0:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     return _scan(log_mgf, min(cap, 2.0 * max(reach) / var), reach)
@@ -454,10 +462,13 @@ def termwise_mgf_comparison(
     lhs[n] = E[X^n]/n! is the coefficient of lam^n in E[exp(lam X)], and
     rhs[n] that of lam^n in exp(lam*mean + lam^2 sigma2/2). A power where
     lhs > rhs does not by itself refute subgaussianity, since neighboring
-    powers can compensate. sigma2 is positive and finite, k_max an integer >= 2.
+    powers can compensate. sigma2 is positive and finite, k_max an integer in
+    [2, 170]: 170! is the largest factorial below the float range.
     """
     sigma2 = _check_positive_finite("sigma2", sigma2)
     k_max = _check_at_least("k_max", k_max, 2)
+    if k_max > 170:
+        raise ValueError(f"k_max must be at most 170, got {k_max}: {k_max}! is past the float range")
     mean, _ = beta_mean_var(p)
     half_sigma2 = 0.5 * sigma2
     factorials = np.array([math.factorial(n) for n in range(k_max + 1)], dtype=float)
@@ -486,11 +497,15 @@ def tail_frequencies(
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(eps, freq, bound, se) per eps: the frequency of ``deviations`` >= eps,
     its bound min(1, sides * `tail_bound`), sides 1 or 2 (for |X - E X|), and
-    its standard error, floored at that of one event in N. Other ``sides``
-    and an empty ``deviations`` are refused."""
+    its standard error, floored at that of one event in N. Other ``sides``,
+    and ``deviations`` that are empty, not 1-D or not finite, are refused."""
     if _check_integer("sides", sides) not in (1, 2):
         raise ValueError(f"sides must be 1 or 2, got {sides}")
     deviations = np.asarray(deviations, dtype=float)
+    if deviations.ndim != 1:
+        raise ValueError(f"deviations must be 1-D, got shape {deviations.shape}")
+    if not np.isfinite(deviations).all():  # a NaN is below every eps, and would bias a frequency low
+        raise ValueError("deviations must be finite")
     n = deviations.size
     if n == 0:
         raise ValueError("tail frequencies need at least one deviation")
@@ -527,7 +542,7 @@ def weighted_log_mgf(
     Past that range (the far branch) it is lam edge + ln sum_i w_i
     e^(lam (x_i - edge)), edge = max x (lam > 0) or min x (lam < 0), so no
     exponential overflows: `far` gives it at lams of one sign in one
-    (len(lams), N) pass over a copy of x - edge and a reused buffer. At
+    (len(lams), N) pass over the law's x - edge and a reused buffer. At
     |lam| * range in [1, 2] on 2-40-point laws it is within 8e-15 relative
     of 50-digit mpmath with log-weights in [-3, 0], but 3.1e-12 in [-12, 0]:
     a small edge weight leaves the log small next to lam edge, and they cancel.
@@ -561,7 +576,7 @@ def weighted_log_mgf(
     if not 0.0 < var < math.inf:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     near: list[float] = []  # e_21 .. e_1 once built
-    shifted: dict[bool, np.ndarray] = {}  # x - max x (lam > 0), x - min x (lam < 0), once read
+    shifted = {True: x - hi, False: x - lo}  # x - edge for lam > 0 and lam < 0
     exps = np.empty((0, x.size))  # far exponentials, as many rows as the largest call so far
     whole = _POINTS_PER_SIGN * x.size <= _GRID_BLOCK_ELEMENTS
 
@@ -581,8 +596,6 @@ def weighted_log_mgf(
         nonlocal exps
         positive = bool(lams[0] > 0)
         edge = hi if positive else lo
-        if positive not in shifted:
-            shifted[positive] = x - edge
         if len(exps) < lams.size:
             exps = np.empty((lams.size, x.size))
         block = exps[: lams.size]

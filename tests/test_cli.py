@@ -483,28 +483,32 @@ def test_import_loads_only_what_it_names(statement, absent):
 
 
 def test_runs_load_scipy_only_for_the_ks_test(tmp_path):
-    # game and verify-chi at default arguments load no scipy module; verify-dirichlet's
-    # KS test loads scipy.special, and nothing loads scipy.linalg
+    # the six subcommands other than verify-dirichlet load no scipy module (martingale and
+    # conjectures with fewer trials); verify-dirichlet's KS test loads scipy.special, and
+    # nothing loads scipy.linalg
+    scipy_free = [
+        ["game"], ["verify-chi"], ["verify-beta"], ["lemma-checks"],
+        ["martingale", "--trials", "10"], ["conjectures", "--trials", "100"],
+    ]
     code = (
         "import sys\n"
         "from subgauss.cli import cli_dispatch\n"
         "def loaded():\n"
         "    return ' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or '-'\n"
-        f"cli_dispatch(['game', '--out', {str(tmp_path / 'game')!r}])\n"
-        f"cli_dispatch(['verify-chi', '--out', {str(tmp_path / 'chi')!r}])\n"
-        "print(loaded())\n"
+        + "".join(f"cli_dispatch({args + ['--out', str(tmp_path / args[0])]!r})\n" for args in scipy_free)
+        + "print(loaded())\n"
         f"cli_dispatch(['verify-dirichlet', '--trials', '1', '--out', {str(tmp_path / 'dir')!r}])\n"
         "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(subgauss.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    after_game_and_chi, after_dirichlet = run.stdout.splitlines()
-    assert after_game_and_chi == "-"
+    after_scipy_free, after_dirichlet = run.stdout.splitlines()
+    assert after_scipy_free == "-"
     assert "scipy.special" in after_dirichlet.split()
     assert not [m for m in after_dirichlet.split() if m.startswith("scipy.linalg")]
-    assert (tmp_path / "game" / "game-summary.json").exists()
-    assert (tmp_path / "chi" / "verify-chi-summary.json").exists()
+    for command, *_ in scipy_free:
+        assert (tmp_path / command / f"{command}-summary.json").exists()
 
 
 def test_all_lists_each_public_definition():

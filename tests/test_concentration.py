@@ -79,9 +79,24 @@ class TestVarianceProxySup:
         with pytest.raises(OverflowError):
             variance_proxy_sup(lambda lam: math.inf, 0.0, 10.0)
 
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            variance_proxy_sup(lambda lam: 0.0, 0.0, 1e-5)
+    @pytest.mark.parametrize("call, message", [
+        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, 1e-5), "lambda_cap must exceed 0.001, got 1e-05"),
+        # NaN once raised OverflowError "log-MGF is not finite at lambda=nan"
+        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, math.nan), "lambda_cap must exceed 0.001, got nan"),
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], math.nan), "cap must exceed 0.001, got nan"),
+        # once refused as "lambda_cap must exceed the smallest grid magnitude"
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 1e-4), "cap must exceed 0.001, got 0.0001"),
+    ])
+    def test_cap_validation(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("log_mgf, mean, cap", [
+        (lambda lam: 0.3 * lam + 0.35 * lam * lam, 0.3, 50.0),
+        (lambda lam: beta_log_mgf(BetaParams(1, 2), lam), 1.0 / 3.0, 20.0),
+    ], ids=["gaussian", "beta"])
+    def test_plain_callable_reads_like_the_walk(self, log_mgf, mean, cap):
+        assert_reads_like_the_walk(log_mgf, mean, cap)
 
     def test_estimate_reports_grid(self):
         est = beta_proxy_estimate(BetaParams(2, 2))
@@ -109,10 +124,7 @@ class TestVarianceProxySup:
                 _certified_scan(kernel, reach, var)
                 on_grid = set(scan_grid(cap).tolist())
                 refined += sum(lam not in on_grid for lam in kernel.calls)  # Brent's reads
-                golden += refine_reference(
-                    lambda kernel: _certified_scan(kernel, reach, var),
-                    beta_centered_log_mgf(p), 0.0, cap,
-                ).golden_calls
+                golden += refine_reference(beta_centered_log_mgf(p), 0.0, cap, reach).golden_calls
         assert 2 * refined <= golden  # 894 against 3311 when written
 
 
@@ -358,6 +370,12 @@ class TestTermwiseComparison:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             termwise_mgf_comparison(BetaParams(1, 1), 0.1, 1)
+        # 170! is the largest factorial below the float range; 171 once raised a bare
+        # OverflowError "int too large to convert to float"
+        lhs, rhs = termwise_mgf_comparison(BetaParams(1, 1), 0.1, 170)
+        assert lhs.size == rhs.size == 171 and np.isfinite(lhs).all() and np.isfinite(rhs).all()
+        with pytest.raises(ValueError, match=r"^k_max must be at most 170, got 171: 171! is past the float range$"):
+            termwise_mgf_comparison(BetaParams(1, 1), 0.1, 171)
 
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -0.1])
     def test_sigma2_must_be_positive_and_finite(self, sigma2):
@@ -444,6 +462,18 @@ class TestTailFrequencies:
         # the mean of an empty array once escaped as a RuntimeWarning
         with pytest.raises(ValueError, match="at least one deviation"):
             tail_frequencies(np.array([]), 0.01, (0.1,), sides=1)
+
+    @pytest.mark.parametrize("deviations, message", [
+        # a NaN once counted as below every eps: [nan, 0.1] reported 0.5 at eps = 0.1
+        (np.array([math.nan, 0.1]), "deviations must be finite"),
+        (np.array([math.inf, 0.1]), "deviations must be finite"),
+        # a 2-D array was once pooled
+        (np.array([[0.05, 0.15], [0.25, 0.35]]), r"deviations must be 1-D, got shape \(2, 2\)"),
+        (0.1, r"deviations must be 1-D, got shape \(\)"),
+    ])
+    def test_deviations_that_are_not_finite_and_1d_are_refused(self, deviations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tail_frequencies(deviations, 0.01, (0.1,), sides=1)
 
 
 class TestAffineScaling:
@@ -714,8 +744,17 @@ def assert_array_form_is_scalar_form(log_mgf, lams):
     return lams[np.isnan(values)]
 
 
+def assert_reads_like_the_walk(log_mgf, mean, cap):
+    """`variance_proxy_sup` gives `loop_scan`'s estimate of the centered kernel, from as many
+    reads: its array form declines no point, so the scan reads every walked point."""
+    estimate = variance_proxy_sup(log_mgf, mean, cap)
+    walk = loop_scan(lambda lam: log_mgf(lam) - lam * mean, cap, (math.inf, math.inf))
+    fields = [(e.value, e.argmax_lambda, e.grid_spec, e.evaluations) for e in (estimate, walk)]
+    assert fields[0] == fields[1]
+
+
 def scalar_only(log_mgf):
-    """``log_mgf`` without its array form, so a scan evaluates every point by the scalar form."""
+    """``log_mgf`` without its array form, so `loop_scan` reads every walked point by the scalar form."""
     return lambda lam: log_mgf(lam)
 
 
@@ -748,7 +787,8 @@ class TestArrayForm:
         lams = np.concatenate([grid, around(1.0), handovers(log_mgf, grid)])
         # NaN only past the Taylor branch, where the raw series may take over
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) > 1.0).all()
-        assert_same_estimate(beta_proxy_estimate(p), _certified_scan(scalar_only(log_mgf), reach, var))
+        walk = loop_scan(scalar_only(log_mgf), 2 * max(reach) / var, reach)
+        assert_same_estimate(beta_proxy_estimate(p), walk)
 
     @pytest.mark.parametrize("a, b", [(5e6, 5e7), (3e7, 3e7)])
     def test_beta_largest_totals(self, a, b):
@@ -770,7 +810,8 @@ class TestArrayForm:
         lams = np.concatenate([scan_grid(2 * max(reach) / var), around(1.0 / width)])
         # the array form leaves the far branch NaN
         assert (np.abs(assert_array_form_is_scalar_form(log_mgf, lams)) * width > 1.0).all()
-        assert_same_estimate(weighted_proxy_sup(v, w), _certified_scan(scalar_only(log_mgf), reach, var))
+        walk = loop_scan(scalar_only(log_mgf), 2 * max(reach) / var, reach)
+        assert_same_estimate(weighted_proxy_sup(v, w), walk)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_empirical(self, seed):
@@ -778,9 +819,7 @@ class TestArrayForm:
         draws = sample(p, SeedSpec(seed), 5000)
         log_mgf, cap = empirical_log_mgf(draws)
         assert_array_form_is_scalar_form(log_mgf, scan_grid(cap))
-        mean = float(draws.mean())
-        plain = variance_proxy_sup(scalar_only(log_mgf), mean, cap)
-        assert_same_estimate(variance_proxy_sup(log_mgf, mean, cap), plain)
+        assert_reads_like_the_walk(log_mgf, float(draws.mean()), cap)
 
 
 class RefineReference(NamedTuple):
@@ -790,25 +829,25 @@ class RefineReference(NamedTuple):
     golden_calls: int
 
 
-def refine_reference(scan, log_mgf, mean, cap):
-    """The best grid point of ``scan`` on a scalar-only ``log_mgf``, which it reads at every
+def refine_reference(log_mgf, mean, cap, reach):
+    """The best grid point of `loop_scan`, which reads the centered scalar kernel at every
     walked point, and `golden_max` on that point's bracket.
 
-    ``scan`` takes a kernel and scans it to ``cap``, whose grid is `scan_grid`;
-    the ratio is the scan's, 2 (log_mgf(lam) - lam mean) / lam^2. The best grid
-    point (the lowest lambda among ties) and its same-sign neighbours bracket
-    the golden-section search, to the absolute tolerance 1e-8 it used.
+    `loop_scan` walks ``log_mgf`` minus lam ``mean`` to ``cap``, whose grid is
+    `scan_grid`, with the scan's ``reach``; the ratio is the scan's,
+    2 (log_mgf(lam) - lam mean) / lam^2. The best grid point (the lowest lambda
+    among ties) and its same-sign neighbours bracket the golden-section
+    search, to the absolute tolerance 1e-8 it used.
     """
     reads = {}
 
-    def recorded(lam):
-        reads[lam] = log_mgf(lam)
+    def centered(lam):
+        reads[lam] = log_mgf(lam) - lam * mean
         return reads[lam]
 
-    scan(recorded)
+    loop_scan(centered, cap, reach)
     points = scan_grid(cap).tolist()
-    values = [2.0 * (reads[lam] - lam * mean) / (lam * lam) if lam in reads else -math.inf
-              for lam in points]
+    values = [2.0 * reads[lam] / (lam * lam) if lam in reads else -math.inf for lam in points]
     best, n = values.index(max(values)), len(points) // 2
     side = range(0, n) if best < n else range(n, 2 * n)
     lo, hi = points[max(best - 1, side[0])], points[min(best + 1, side[-1])]
@@ -822,10 +861,10 @@ def refine_reference(scan, log_mgf, mean, cap):
     return RefineReference(values[best], (lo, hi), golden_value, calls[0])
 
 
-def assert_refines_like_golden_section(estimate, scan, log_mgf, mean, cap, rel=1e-13):
+def assert_refines_like_golden_section(estimate, log_mgf, mean, cap, reach, rel=1e-13):
     """The estimate is at least the best grid value, within ``rel`` of that point
     refined by `golden_max`, and its argmax lies in the same bracket."""
-    ref = refine_reference(scan, log_mgf, mean, cap)
+    ref = refine_reference(log_mgf, mean, cap, reach)
     assert estimate.value >= ref.grid_best
     assert estimate.value == pytest.approx(max(ref.grid_best, ref.golden_value), rel=rel, abs=0.0)
     assert ref.bracket[0] <= estimate.argmax_lambda <= ref.bracket[1]
@@ -858,8 +897,7 @@ class TestBrentRefinement:
         mean, var = beta_mean_var(p)
         reach = (1.0 - mean, mean)
         assert_refines_like_golden_section(
-            beta_proxy_estimate(p), lambda kernel: _certified_scan(kernel, reach, var),
-            beta_centered_log_mgf(p), 0.0, 2 * max(reach) / var,
+            beta_proxy_estimate(p), beta_centered_log_mgf(p), 0.0, 2 * max(reach) / var, reach,
         )
 
     @settings(max_examples=30, deadline=None)
@@ -868,8 +906,7 @@ class TestBrentRefinement:
         v, w = law
         log_mgf, _, reach, var = weighted_log_mgf(v, w)
         assert_refines_like_golden_section(
-            weighted_proxy_sup(v, w), lambda kernel: _certified_scan(kernel, reach, var),
-            log_mgf, 0.0, 2 * max(reach) / var,
+            weighted_proxy_sup(v, w), log_mgf, 0.0, 2 * max(reach) / var, reach,
         )
 
     @settings(max_examples=20, deadline=None)
@@ -888,7 +925,7 @@ class TestBrentRefinement:
         estimate = variance_proxy_sup(log_mgf, mean, cap)
         rel = max(1e-13, 2 * rounding_spread(log_mgf, mean, estimate.argmax_lambda))
         assert_refines_like_golden_section(
-            estimate, lambda kernel: variance_proxy_sup(kernel, mean, cap), log_mgf, mean, cap, rel,
+            estimate, log_mgf, mean, cap, (math.inf, math.inf), rel,
         )
 
     @settings(max_examples=20, deadline=None)
@@ -914,8 +951,7 @@ class TestBrentRefinement:
         if abs(estimate.argmax_lambda) * sum(reach) > 1.0:
             rel = max(rel, 2 * rounding_spread(log_mgf, 0.0, estimate.argmax_lambda))
         assert_refines_like_golden_section(
-            estimate, lambda kernel: _certified_scan(kernel, reach, var, window),
-            log_mgf, 0.0, min(window, 2 * max(reach) / var), rel,
+            estimate, log_mgf, 0.0, min(window, 2 * max(reach) / var), reach, rel,
         )
 
 
@@ -1157,7 +1193,7 @@ class TestWholeGridReads:
             patch.setattr(concentration, "_brent_max", brent_max)
             estimate = _certified_scan(kernel, reach, var)
         assert kernel.calls == refined
-        assert_same_estimate(estimate, _certified_scan(scalar_only(log_mgf), reach, var))
+        assert_same_estimate(estimate, loop_scan(scalar_only(log_mgf), 2 * max(reach) / var, reach))
 
     @settings(max_examples=40, deadline=None)
     @given(law=weighted_laws())
