@@ -13,7 +13,8 @@ and every other subcommand that draws random numbers from --seed, else 0.
 count. The library checks both as they are parsed, and its refusal is the
 usage error: --seed by `SeedSpec` (an integer in [0, 2^64)), --trials by
 `distributions._check_at_least` (an integer of at least 1, or
-`concentration._MIN_MONTE_CARLO_DRAWS` = 100 for `conjectures`). Exit codes: 0
+`concentration._MIN_MONTE_CARLO_DRAWS` = 100 for `conjectures` and
+`martingale._MIN_PATHS` = 2 for `martingale`). Exit codes: 0
 all checks passed, 1 at least one check failed (its first failing rows are
 logged), 2 usage or configuration error. Progress goes to stderr; data goes
 only to the output files. The run manifest also records the seconds spent
@@ -43,6 +44,7 @@ from . import checks
 from . import game as game_mod
 from .concentration import _MIN_MONTE_CARLO_DRAWS
 from .distributions import DirichletParams, SeedSpec, _check_at_least, _check_integer
+from .martingale import _MIN_PATHS
 from .reporting import emit_report
 
 # seconds this module's import block took: NumPy, and no SciPy (verify-dirichlet loads it to run)
@@ -162,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
             # only `game` reads a config, which is a second seed source
             seed_default = None if name == "game" else 0
             sp.add_argument("--seed", type=_checked(SeedSpec), default=seed_default, help="master seed (u64)")
-            floor = _MIN_MONTE_CARLO_DRAWS if name == "conjectures" else 1
+            floors = {"conjectures": _MIN_MONTE_CARLO_DRAWS, "martingale": _MIN_PATHS}
+            floor = floors.get(name, 1)
             sp.add_argument(
                 "--trials", type=_checked(functools.partial(_check_at_least, "trials", floor=floor)),
                 default=None, help=f"trial/draw override (>= {floor})",

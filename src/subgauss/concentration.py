@@ -47,8 +47,8 @@ __all__ = [
     "beta_tight_proxy_bound",
 ]
 
-# The scan's grid: |lambda| log-spaced from _LAMBDA_MIN to the cap,
-# _POINTS_PER_SIGN points per sign. Brent's method polishes the best point
+# The scan's grid: _POINTS_PER_SIGN |lambda| per sign, log-spaced from _LAMBDA_MIN
+# min(1, cap, 1 / max(reach)) to the cap. Brent's method polishes the best point
 # until it is bracketed to within _REFINE_TOL |lambda| on either side.
 _POINTS_PER_SIGN = 200
 _LAMBDA_MIN = 1e-3
@@ -195,14 +195,6 @@ def _cell_bound(t0: float, k0: float, slope: float, t_first: float, t_last: floa
     return top + _BOUND_MARGIN * abs(top)
 
 
-def _check_cap(name: str, cap) -> float:
-    """``cap`` as a float above the scan grid's smallest |lambda|, _LAMBDA_MIN; NaN is refused."""
-    cap = _check_real(name, cap)
-    if not cap > _LAMBDA_MIN:
-        raise ValueError(f"{name} must exceed {_LAMBDA_MIN:g}, got {cap!r}")
-    return cap
-
-
 def _scan(
     log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
 ) -> VarianceProxyEstimate:
@@ -245,10 +237,20 @@ def _scan(
     `_brent_max` refines strictly inside the same-sign bracket of the best
     grid point, whose ends were read, so it needs no value past the stop,
     never crosses 0 and never returns less than the best grid value.
-    ``evaluations`` counts the values read, whichever form gave them. A
-    ``lambda_cap`` not above _LAMBDA_MIN (NaN included) is refused.
+    ``evaluations`` counts the values read, whichever form gave them.
+
+    The grid's |lam| runs from _LAMBDA_MIN min(1, lambda_cap, 1 / max(reach)),
+    the reach term for a bounded law only, to ``lambda_cap``: below any cap,
+    and _LAMBDA_MIN for a law in [0, 1] at a cap of 1 or more. A
+    ``lambda_cap`` that is not positive and finite (NaN included) is refused,
+    and so is one whose grid's smallest lam^2 is not a normal float (a cap
+    below about 1.5e-151).
     """
-    lambda_cap = _check_cap("lambda_cap", lambda_cap)
+    lambda_cap = _check_positive_finite("lambda_cap", lambda_cap)
+    widest = max(reach)  # a bounded law's largest distance from its mean
+    floor = _LAMBDA_MIN * min(1.0, lambda_cap, 1.0 / widest if widest < math.inf else 1.0)
+    if not floor * floor >= np.finfo(float).tiny:  # a subnormal lam^2 rounds the ratio, then is 0
+        raise ValueError(f"a lambda cap of {lambda_cap!r} is too small: lambda^2 underflows")
     calls = [0]  # Brent's evaluations
 
     def finite(lam: float, value: float) -> float:
@@ -261,7 +263,7 @@ def _scan(
         return 2.0 * finite(lam, log_mgf(lam)) / (lam * lam)
 
     n = _POINTS_PER_SIGN
-    magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
+    magnitudes = np.geomspace(floor, lambda_cap, n)
     lams = np.concatenate([-magnitudes[::-1], magnitudes])
     readings = log_mgf.grid(lams)
     # Python floats round as numpy's float64 does, and are faster to index and
@@ -351,7 +353,7 @@ def _scan(
     arg, val = _brent_max(ratio, lo, hi, signs[side] * mags[i], best, known)
 
     spec = (
-        f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
+        f"signed log grid |lambda| in [{floor:g}, {lambda_cap:g}], "
         f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )
@@ -371,8 +373,9 @@ def variance_proxy_sup(
     estimate of the supremum, up to the rounding of ``log_mgf`` and of the
     centering. Its array form declines no point, so every walked point is
     read: near 0 the ratio may be rounding alone, which no bound can hold.
-    A non-finite value raises OverflowError. Bounded laws scan their
-    centered kernel instead.
+    A non-finite value raises OverflowError. The grid starts at _LAMBDA_MIN
+    min(1, lambda_cap); a ``lambda_cap`` that is not positive and finite is
+    refused. Bounded laws scan their centered kernel instead.
     """
 
     def centered(lam: float) -> float:
@@ -391,11 +394,13 @@ def _certified_scan(
 
     Past 2 max(reach) / Var the ratio is below Var, its limit at 0 (see
     `_scan`), so the scan holds the supremum over |lam| <= cap, and over all
-    lam at the default cap. A cap not above _LAMBDA_MIN (NaN included) is
+    lam at the default cap. A cap that is not positive (NaN included) is
     refused, and so is Var = 0 (a constant, or an underflowed variance),
     which leaves no cap.
     """
-    cap = _check_cap("cap", cap)
+    cap = _check_real("cap", cap)
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap!r}")
     if not var > 0.0:
         raise ValueError(f"Var = {var!r} leaves no lambda cap")
     return _scan(log_mgf, min(cap, 2.0 * max(reach) / var), reach)
@@ -627,7 +632,9 @@ def weighted_proxy_sup(
     values: np.ndarray, weights: np.ndarray, cap: float = math.inf
 ) -> VarianceProxyEstimate:
     """tau^2 of the law with weight w_i on v_i over |lambda| <= cap: `_certified_scan`
-    of its centered log-MGF, the supremum over all lambda at the default cap."""
+    of its centered log-MGF, the supremum over all lambda at the default cap. The grid's
+    floor is at most _LAMBDA_MIN / max(reach) (see `_scan`), so a wide law's grid scales
+    with it; a cap that is not positive (NaN included) is refused."""
     log_mgf, _, reach, var = weighted_log_mgf(values, weights)
     return _certified_scan(log_mgf, reach, var, cap)
 

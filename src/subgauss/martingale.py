@@ -35,6 +35,8 @@ __all__ = [
 
 # the deviations at which `simulate_paths` reports tail frequencies
 _TAIL_EPS = (0.1, 0.2, 0.3)
+# fewest paths of `simulate_paths`, the fewest with a standard error: martingale --trials
+_MIN_PATHS = 2
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,11 @@ def simulate_paths(
     checkpoints horizon // 4, horizon // 2 and horizon are drawn binomially;
     the checkpointed path is distributed exactly as the step-by-step one.
     Tail frequencies are reported at each eps in _TAIL_EPS. ``horizon`` is an
-    integer >= 0 and ``trials`` one >= 1.
+    integer >= 0 and ``trials`` one >= 2 (_MIN_PATHS): the standard error of
+    the mean total increment needs two paths.
     """
-    horizon, trials = _check_at_least("horizon", horizon, 0), _check_at_least("trials", trials, 1)
+    horizon = _check_at_least("horizon", horizon, 0)
+    trials = _check_at_least("trials", trials, _MIN_PATHS)
     rng = seed.generator()
     true_p = draw(prior, rng, trials)
     s0 = prior.total
@@ -143,7 +147,7 @@ def simulate_paths(
     final_mean = (prior.alpha + successes) / (s0 + seen)
     total_increment = final_mean - x0
     mean_inc = float(total_increment.mean())
-    se_inc = float(total_increment.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se_inc = float(total_increment.std(ddof=1) / math.sqrt(trials))
 
     tail_rows = tail_frequencies(np.abs(total_increment), beta_proxy_bound(prior), _TAIL_EPS,
                                  sides=2)

@@ -409,13 +409,21 @@ def broadcast_query_block(model: str, subset, m: int | None, points: np.ndarray)
     raise ValueError(f"unknown model {model!r}")
 
 
+def scan_magnitudes(lambda_cap: float, reach: tuple[float, float]) -> np.ndarray:
+    """The scan grid's |lambda|, log-spaced to ``lambda_cap`` from 1e-3 times the least of 1,
+    the cap and, for a bounded law (finite ``reach``), 1 over its largest distance from its mean."""
+    widest = max(reach)
+    scales = [1.0, lambda_cap] + ([1.0 / widest] if widest < math.inf else [])
+    return np.geomspace(_LAMBDA_MIN * min(scales), lambda_cap, _POINTS_PER_SIGN)
+
+
 def loop_scan(
     log_mgf: Callable[[float], float], lambda_cap: float, reach: tuple[float, float]
 ) -> VarianceProxyEstimate:
     """The grid-plus-Brent tau^2 scan, each walked point read by one call of a
     counting ratio closure (the array form's reading, or ``log_mgf`` where it is NaN)."""
-    if lambda_cap <= _LAMBDA_MIN:
-        raise ValueError("lambda_cap must exceed the smallest grid magnitude")
+    if not 0.0 < lambda_cap < math.inf:
+        raise ValueError("lambda_cap must be positive and finite")
     calls = [0]
 
     def ratio(lam: float, value: float = math.nan) -> float:
@@ -427,7 +435,7 @@ def loop_scan(
         return 2.0 * value / (lam * lam)
 
     n = _POINTS_PER_SIGN
-    magnitudes = np.geomspace(_LAMBDA_MIN, lambda_cap, n)
+    magnitudes = scan_magnitudes(lambda_cap, reach)
     lams = np.concatenate([-magnitudes[::-1], magnitudes])
     grid = getattr(log_mgf, "grid", None)
     points = lams.tolist()
@@ -450,7 +458,7 @@ def loop_scan(
         known = []
     arg, val = _brent_max(ratio, points[lo], points[hi], points[best], values[best], known)
     spec = (
-        f"signed log grid |lambda| in [{_LAMBDA_MIN:g}, {lambda_cap:g}], "
+        f"signed log grid |lambda| in [{magnitudes[0]:g}, {lambda_cap:g}], "
         f"{n} points/sign, Brent refine to {_REFINE_TOL:g} |lambda|; "
         f"scanned to {scanned[0]:g} (-), {scanned[1]:g} (+)"
     )

@@ -48,6 +48,7 @@ class TestExitCodes:
             ["game", "--trials", "0"],
             ["game", "--trials", "-5"],
             ["martingale", "--trials", "0"],
+            ["martingale", "--trials", "1"],
             ["martingale", "--seed", "-1"],
             ["verify-chi", "--seed", str(2**64)],
             ["game", "--seed", "-1"],
@@ -68,6 +69,8 @@ class TestExitCodes:
              f"master_seed must be a 64-bit unsigned integer, got {2**64}"),
             (["game", "--trials", "0"], "trials must be an integer of at least 1, got 0"),
             (["conjectures", "--trials", "50"], "trials must be an integer of at least 100, got 50"),
+            # one path once ran, and failed AC6 with a standard error of 0.0
+            (["martingale", "--trials", "1"], "trials must be an integer of at least 2, got 1"),
         ],
     )
     def test_the_library_refuses_trials_and_seed(self, argv, message, tmp_path, capsys):

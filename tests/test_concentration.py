@@ -16,7 +16,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 import pytest
-from closed_form import counting, golden_max, loop_scan
+from closed_form import counting, golden_max, loop_scan, scan_magnitudes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +42,7 @@ from subgauss.concentration import (
     weighted_log_mgf,
     weighted_proxy_sup,
 )
-from subgauss.conjugate_models import _prior_rule, evaluate_model, model_q_draws
+from subgauss.conjugate_models import _beta_rule, _prior_rule, evaluate_model, model_q_draws
 from subgauss.distributions import (
     BetaParams,
     SeedSpec,
@@ -53,6 +53,7 @@ from subgauss.distributions import (
     chi_raw_moment,
     sample,
 )
+from subgauss.martingale import two_point_variance_proxy
 
 
 class TestVarianceProxySup:
@@ -80,16 +81,37 @@ class TestVarianceProxySup:
             variance_proxy_sup(lambda lam: math.inf, 0.0, 10.0)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, 1e-5), "lambda_cap must exceed 0.001, got 1e-05"),
         # NaN once raised OverflowError "log-MGF is not finite at lambda=nan"
-        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, math.nan), "lambda_cap must exceed 0.001, got nan"),
-        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], math.nan), "cap must exceed 0.001, got nan"),
-        # once refused as "lambda_cap must exceed the smallest grid magnitude"
-        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 1e-4), "cap must exceed 0.001, got 0.0001"),
+        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, math.nan),
+         "lambda_cap must be positive and finite, got nan"),
+        # inf once built a grid of NaN and inf magnitudes, with two RuntimeWarnings
+        (lambda: variance_proxy_sup(lambda lam: 0.5 * lam * lam, 0.0, math.inf),
+         "lambda_cap must be positive and finite, got inf"),
+        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, 0.0), "lambda_cap must be positive and finite, got 0.0"),
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], math.nan), "cap must be positive, got nan"),
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 0.0), "cap must be positive, got 0.0"),
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], -1.0), "cap must be positive, got -1.0"),
+        # the grid's lambda^2 would be subnormal: the two-point ratio reads 1/4 (1 + 1.1e-7) at a
+        # cap of 1e-155, and divides by 0 at 1e-160
+        (lambda: variance_proxy_sup(lambda lam: 0.0, 0.0, 1e-160),
+         "a lambda cap of 1e-160 is too small: lambda^2 underflows"),
+        (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 1e-155),
+         "a lambda cap of 1e-155 is too small: lambda^2 underflows"),
     ])
     def test_cap_validation(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_caps_below_the_unit_floor_are_scanned(self):
+        # a cap at or below 1e-3 was once refused; the grid now starts at 1e-3 of it. The
+        # Gaussian's ratio is its variance at every lambda, and the symmetric two-point law's
+        # is 1/4 (1 - lambda^2 / 12 + ...), within 1e-9 of 1/4 at |lambda| <= 1e-4
+        est = variance_proxy_sup(lambda lam: 0.3 * lam + 0.35 * lam * lam, 0.3, 1e-5)
+        assert est.value == pytest.approx(0.7, rel=1e-6)
+        assert est.grid_spec.startswith("signed log grid |lambda| in [1e-08, 1e-05], ")
+        est = weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 1e-4)
+        assert 0.25 * (1 - 1e-9) <= est.value <= 0.25 * (1 + 2e-15)
+        assert est.grid_spec.startswith("signed log grid |lambda| in [1e-07, 0.0001], ")
 
     @pytest.mark.parametrize("log_mgf, mean, cap", [
         (lambda lam: 0.3 * lam + 0.35 * lam * lam, 0.3, 50.0),
@@ -122,7 +144,7 @@ class TestVarianceProxySup:
                 reach, cap = (1.0 - mean, mean), 2 * max(1.0 - mean, mean) / var
                 kernel = counting(beta_centered_log_mgf(p))
                 _certified_scan(kernel, reach, var)
-                on_grid = set(scan_grid(cap).tolist())
+                on_grid = set(scan_grid(cap, reach).tolist())
                 refined += sum(lam not in on_grid for lam in kernel.calls)  # Brent's reads
                 golden += refine_reference(beta_centered_log_mgf(p), 0.0, cap, reach).golden_calls
         assert 2 * refined <= golden  # 894 against 3311 when written
@@ -705,9 +727,10 @@ class TestSeriesSwitchContinuity:
         assert continuity_gap(log_mgf, 1.0 / (v.max() - v.min())) <= 1e-13
 
 
-def scan_grid(cap):
-    """The scan's signed grid, |lambda| log-spaced from 1e-3 to ``cap``, 200 points per sign."""
-    magnitudes = np.geomspace(1e-3, cap, 200)
+def scan_grid(cap, reach=(1.0, 1.0)):
+    """The scan's signed grid to ``cap``, 200 points per sign, for a law of ``reach`` (by
+    default one in [0, 1], whose grid starts at 1e-3 for a cap of at least 1)."""
+    magnitudes = scan_magnitudes(cap, reach)
     return np.concatenate([-magnitudes[::-1], magnitudes])
 
 
@@ -846,7 +869,7 @@ def refine_reference(log_mgf, mean, cap, reach):
         return reads[lam]
 
     loop_scan(centered, cap, reach)
-    points = scan_grid(cap).tolist()
+    points = scan_grid(cap, reach).tolist()
     values = [2.0 * reads[lam] / (lam * lam) if lam in reads else -math.inf for lam in points]
     best, n = values.index(max(values)), len(points) // 2
     side = range(0, n) if best < n else range(n, 2 * n)
@@ -966,7 +989,7 @@ def assert_scans_like_the_walk(log_mgf, cap, reach):
     bounded, walk = counting(log_mgf), counting(scalar_only(log_mgf))
     estimate = _scan(bounded, cap, reach)
     assert_same_estimate(estimate, loop_scan(walk, cap, reach))
-    lams = scan_grid(cap)
+    lams = scan_grid(cap, reach)
     on_grid = set(lams.tolist())
     walked = {lam: 2.0 * log_mgf(lam) / (lam * lam) for lam in walk.calls if lam in on_grid}
     assert on_grid.intersection(bounded.calls) <= walked.keys()  # no point past a stop is read
@@ -1002,6 +1025,27 @@ def with_reading(log_mgf, lams, index, reading):
     return kernel
 
 
+class TestTwoPointLaws:
+    """The law 1 - mu on 0, mu on R has tau^2 = R^2 K(mu), K the two-point constant of
+    Kearns and Saul (closed form in `martingale`), at every width R."""
+
+    @pytest.mark.parametrize("width", [1e-3, 1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("mu", [0.3, 0.1, 0.01])
+    def test_closed_form(self, mu, width):
+        # 26 % low at mu = 0.1, R = 1e4, and refused at mu = 0.3, R = 1e4, while the grid
+        # started at 1e-3 for every law
+        value = weighted_proxy_sup([0.0, width], [1.0 - mu, mu]).value
+        assert abs(value / (width**2 * two_point_variance_proxy(mu)) - 1.0) <= 2e-15
+
+    @pytest.mark.parametrize("width", [1e-3, 1.0, 1e2, 1e3, 1e4, 1e6])
+    def test_symmetric_law_at_its_limit(self, width):
+        # at mu = 1/2 the supremum R^2 / 4 is the lambda -> 0 limit; the grid's first point,
+        # 1e-3 / max(1, R / 2), reads R^2 / 4 (1 - 1.7e-7) at most (3.9 % low at R = 1e3 once)
+        quarter = width**2 / 4
+        value = weighted_proxy_sup([0.0, width], [0.5, 0.5]).value
+        assert (1 - 2e-7) * quarter <= value <= (1 + 2e-15) * quarter
+
+
 class TestWalkMatchesLoopForm:
     """The scan reads its ratios from one array and gives the estimate of one ratio call per point."""
 
@@ -1016,6 +1060,36 @@ class TestWalkMatchesLoopForm:
         cap = min(_monte_carlo_window(draws), 2 * max(reach) / var)
         _, read, walked = assert_scans_like_the_walk(log_mgf, cap, reach)
         assert 0 < read < walked
+
+    @staticmethod
+    def monte_carlo_law():
+        """`test_monte_carlo`'s geometric law, whose far points are read lazily."""
+        draws = 20_000
+        q = model_q_draws("geometric", BetaParams(2.0, 1.0), {0, 1, 2, 3, 5}, draws=draws,
+                          seed=SeedSpec(3))
+        return q, np.full(draws, 1.0 / draws), _monte_carlo_window(draws)
+
+    @staticmethod
+    def beta_rule_law():
+        """Beta(50, 50)'s 128-node Gauss rule, whose whole grid is read at once."""
+        p, _, weights = _beta_rule(50.0, 50.0, 128)
+        return p, weights, math.inf
+
+    @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("law", ["monte_carlo_law", "beta_rule_law"])
+    def test_scaled_law(self, law, scale):
+        # tau^2(c X) = c^2 tau^2(X): c X to cap / c scans like the walk, on a grid whose floor
+        # is 1e-3 / max(reach) once the law is wider than 1, and to the same tau^2
+        values, weights, window = getattr(self, law)()
+
+        def scan(c):
+            log_mgf, _, reach, var = weighted_log_mgf(c * values, weights)
+            estimate, read, walked = assert_scans_like_the_walk(
+                log_mgf, min(window / c, 2 * max(reach) / var), reach)
+            assert (0 < read < walked) if window < math.inf else walked == 0
+            return estimate.value
+
+        assert abs(scan(scale) / scale**2 / scan(1.0) - 1.0) <= 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -55,7 +55,7 @@ SITES = [
     ("simulate_paths-horizon", lambda v: martingale.simulate_paths(BetaParams(1, 2), v, 10, SeedSpec(0)),
      "horizon", 0),
     ("simulate_paths-trials", lambda v: martingale.simulate_paths(BetaParams(1, 2), 10, v, SeedSpec(0)),
-     "trials", 1),
+     "trials", 2),
     ("stability_diagnostics-n", lambda v: martingale.stability_diagnostics(PRIOR, v, {0}), "n", 1),
     ("checks-trials", lambda v: checks._count(v, 5), "trials", 1),
 ]

@@ -184,10 +184,11 @@ class TestSimulatePaths:
         assert np.array_equal(a.final_mean, b.final_mean)
 
 
-@pytest.mark.parametrize("horizon, trials", [(-1, 10), (10, 0)])
+@pytest.mark.parametrize("horizon, trials", [(-1, 10), (10, 1)])
 def test_simulate_paths_refusals(horizon, trials):
+    # one path once reported a standard error of 0.0, which failed AC6 on any nonzero mean
     message = ("horizon must be an integer of at least 0, got -1" if horizon < 0
-               else "trials must be an integer of at least 1, got 0")
+               else "trials must be an integer of at least 2, got 1")
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_paths(BetaParams(1, 1), horizon, trials, SeedSpec(0))
 
