@@ -421,24 +421,24 @@ def _central_log_terms(a: float, b: float) -> np.ndarray:
 
 
 def _taylor_log_mgf(coeffs: Sequence[float], lam):
-    """log1p(sum_{k=1}^{21} lam^k e_k) by Horner's rule, ``coeffs`` = (e_21, ..., e_1).
+    """log1p(sum_{k=2}^{21} lam^k e_k) by Horner's rule, ``coeffs`` = (e_21, ..., e_2).
 
     ``lam`` is a float or an array; both run the same numpy operations, so
     each value of an array is == the float's.
-    With e_k = c_k / k!, c_k = E[(X - mu)^k], this is the log-MGF of X - mu
-    near 0. If X has support width w and |lam| w <= 1, then |c_k| <= w^(k-2)
-    sigma^2, so the terms past k = 21 sum to at most lam^2 sigma^2 e / 22!,
-    while the whole sum S = E e^(lam (X - mu)) - 1 = E[e^y - 1 - y] >=
-    lam^2 sigma^2 / (2e), as e^y - 1 - y >= y^2 / (2e) for |y| <= 1. So the
+    With e_k = c_k / k!, c_k = E[y^k], y = X - mu, this is the log-MGF of a
+    centered law near 0: E y = 0, so there is no e_1 term, and the ratio
+    2 log_mgf / lam^2 has no 1 / lam term to swamp it as lam -> 0. If X has
+    support width w and |lam| w <= 1, then |c_k| <= w^(k-2) sigma^2, so the
+    terms past k = 21 sum to at most lam^2 sigma^2 e / 22!, while the whole
+    sum S = E e^(lam y) - 1 = E[e^(lam y) - 1 - lam y] (as E y = 0) >=
+    lam^2 sigma^2 / (2e), as e^t - 1 - t >= t^2 / (2e) for |t| <= 1. So the
     truncation error is at most 2e^2/22! ~ 1.3e-20 relative, and the
     terms' rounding is amplified by sum|t_k| / S <= 2e(e - 2) < e^2 at most.
-    e_1 = 0 for an exactly centered law; a law centered in floats passes its
-    rounding residual.
     """
     acc = 0.0
     for c in coeffs:
         acc = acc * lam + c
-    return np.log1p(acc * lam)
+    return np.log1p(acc * lam * lam)
 
 
 def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
@@ -446,9 +446,10 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
 
     Let Z be X or 1 - X, whichever has mean mu_Z <= 1/2; the central
     moments of Z are all >= 0 (`_central_log_terms`). For |lam| <= 1 (Z has
-    support width 1) the log-MGF is the series through lam^21, by Horner's
-    rule on a table built once (`_taylor_log_mgf`, which bounds its
-    truncation by 1.3e-20 relative). Past that, on the side where
+    support width 1) the log-MGF is the centered series lam^2 e_2 + ... +
+    lam^21 e_21, e_k = c_k / k! (c_1 = 0), by Horner's rule on a table built
+    once (`_taylor_log_mgf`, which bounds its truncation by 1.3e-20
+    relative). Past that, on the side where
     every term lam^k c_k/k! is >= 0, the log-MGF is log1p of their sum, with
     no cancellation at any lam. On the other side the terms alternate; their
     sum is used while its rounding error, eps * sum|t_k| / sum t_k, is below
@@ -470,7 +471,7 @@ def beta_centered_log_mgf(p: BetaParams) -> Callable[[float], float]:
     table = _central_log_terms(za, zb)[2:]
     k = np.arange(2, _CENTRAL_TERMS + 1, dtype=float)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
-    near = np.exp(table[_TAYLOR_ORDER - 2 :: -1]).tolist() + [0.0]  # e_21 .. e_2, e_1 = 0
+    near = np.exp(table[_TAYLOR_ORDER - 2 :: -1]).tolist()  # e_21 .. e_2
 
     def central(lz: np.ndarray, rising: bool) -> np.ndarray:
         """log1p of the central series at each lz, all > 1 if ``rising``, else all < -1.
@@ -564,6 +565,15 @@ def chi_raw_moment(k_dim: int, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _normalized(dist: BetaParams | DirichletParams, g: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """g / totals, refusing a sample where a draw's Gamma variates, and so its total, are all 0."""
+    undefined = np.count_nonzero(totals == 0.0)
+    if undefined:
+        raise ValueError(f"{dist} drew {undefined} of {len(totals)} samples as 0/0: "
+                         "all their Gamma variates underflowed to 0")
+    return g / totals
+
+
 def draw(
     dist: BetaParams | DirichletParams | GammaParams | Sequence[float],
     rng: np.random.Generator,
@@ -578,6 +588,9 @@ def draw(
     scale 1 without its per-call scale broadcast. A Beta variate adds its two
     Gamma columns directly, the same sum as ``g.sum(axis=1)`` without the
     short-axis reduction.
+    A Beta or Dirichlet draw whose Gamma variates all underflow to 0 would
+    be 0/0: a sample holding one (Beta(0.005, 0.005) draws 593 in 10^6)
+    raises ValueError naming the law and the count.
     Categorical probabilities (a plain 1-d sequence of at least 2, finite,
     nonnegative and summing to 1 within 1e-9) yield integer category
     indices. ``count`` is an integer >= 0.
@@ -585,10 +598,10 @@ def draw(
     count = _check_at_least("count", count, 0)
     if isinstance(dist, BetaParams):
         g = rng.standard_gamma(np.array([dist.alpha, dist.beta]), size=(count, 2))
-        return g[:, 0] / (g[:, 0] + g[:, 1])
+        return _normalized(dist, g[:, 0], g[:, 0] + g[:, 1])
     if isinstance(dist, DirichletParams):
         g = rng.standard_gamma(np.asarray(dist.alphas), size=(count, dist.k))
-        return g / g.sum(axis=1, keepdims=True)
+        return _normalized(dist, g, g.sum(axis=1, keepdims=True))
     if isinstance(dist, GammaParams):
         return rng.gamma(dist.alpha, scale=1.0 / dist.beta, size=count)
     probs = np.asarray(dist, dtype=float)

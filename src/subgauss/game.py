@@ -492,8 +492,9 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
         rng.random(out=uniforms[t])
         if codes is not None:
             _random_codes(rng, powers, codes[t])
-    true_p = gammas / gammas.sum(axis=1, keepdims=True)
-    bad = np.flatnonzero(~np.isfinite(true_p).all(axis=1))  # 0/0: all Gamma variates underflowed
+    with np.errstate(invalid="ignore"):  # 0/0 where all Gamma variates underflow, refused below
+        true_p = gammas / gammas.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(true_p).all(axis=1))
     if bad.size:
         raise ValueError(f"trial {start + bad[0]}'s true parameter is not finite: Gamma variates "
                          f"{gammas[bad[0]]}")

@@ -124,9 +124,9 @@ DEFAULT_DIGESTS = {
     "lemma-checks": ("e993d5e9", "185bd98a"),  # since criterion_passed left its rows
     "martingale": ("968ee110", "84967c36"),  # since azuma_total's difference is formed from h
     "game": ("b0ee1262", "54071471"),
-    # since the weighted log-MGF's Taylor table sums running powers and its far reads take
-    # pre-shifted exponents, whole-grid on the 1-D Gauss rules (was 20572291/2a67d304)
-    "conjectures": ("a0dec83b", "deef28b0"),
+    # since the weighted log-MGF's Taylor table is a centered law's, with no e_1 term, summed
+    # over x / unit for a power-of-two unit (was a0dec83b/deef28b0)
+    "conjectures": ("a0dec83b", "f85f5c28"),
 }
 
 

@@ -326,9 +326,9 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
         digests.append([sha256(out / f"conjectures-{kind}") for kind in ("summary.json", "data.csv")])
     assert digests[0] == digests[1]
     # the bytes at 20 000 draws, with both modes scanning the centered weighted kernel,
-    # since its Taylor table sums running powers and its far reads take pre-shifted
-    # exponents, whole-grid on the 1-D Gauss rules (was 61842874/4dabce1b)
-    assert [d[:8] for d in digests[0]] == ["3d51bf16", "827aebb9"]
+    # since its Taylor table is a centered law's, with no e_1 term, summed over x / unit for
+    # a power-of-two unit (was 3d51bf16/827aebb9)
+    assert [d[:8] for d in digests[0]] == ["3d51bf16", "da04ff2a"]
     counts = read_json(tmp_path / "a" / "manifest.json")["counts"]  # over the 60 estimates
     assert set(counts) == {"log_mgf_evaluations", "log_mgf_evaluations_max"}
     assert 2 * 200 < counts["log_mgf_evaluations_max"] < counts["log_mgf_evaluations"]

@@ -97,6 +97,11 @@ class TestVarianceProxySup:
          "a lambda cap of 1e-160 is too small: lambda^2 underflows"),
         (lambda: weighted_proxy_sup([0.0, 1.0], [0.5, 0.5], 1e-155),
          "a lambda cap of 1e-155 is too small: lambda^2 underflows"),
+        # a subnormal Var: these two-point laws once read 30 % and 51 % low, and Beta(1e160, 1)
+        # was refused as "lambda_cap must be positive and finite, got inf"
+        (lambda: weighted_proxy_sup([0.0, 1e-154], [0.9, 0.1]), "Var = 9e-310 leaves no lambda cap"),
+        (lambda: weighted_proxy_sup([0.0, 1e-157], [0.9, 0.1]), "Var = 9e-316 leaves no lambda cap"),
+        (lambda: beta_proxy_estimate(BetaParams(1e160, 1.0)), "Var = 1e-320 leaves no lambda cap"),
     ])
     def test_cap_validation(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -675,22 +680,25 @@ class TestWeightedLogMgf:
             assert log_mgf(lam) == support[0](lam)
 
     @settings(max_examples=30, deadline=None)
-    @given(law=weighted_laws(), scale=st.floats(0.1, 1.0), negative=st.booleans())
-    def test_series_of_a_wide_law(self, law, scale, negative):
-        # the Taylor table sums running powers x^k, and x^21 is finite while max|x| <= 4.6e14:
-        # a law of that width keeps the series branch to the mpmath bound above
+    @given(law=weighted_laws(), log_width=st.floats(math.log(1e-150), math.log(1e150)),
+           scale=st.floats(0.1, 1.0), negative=st.booleans())
+    def test_series_of_a_wide_law(self, law, log_width, scale, negative):
+        # the Taylor table sums powers of x / unit, unit the power of two just above max|x|, so
+        # a law of any width keeps the series branch to the mpmath bound above (x^21 once
+        # overflowed past a width of 4.6e14, and e_1 swamped the ratio of a narrow law)
         v, w = law
-        v = v / (v.max() - v.min()) * 4.5e14
+        v = v / (v.max() - v.min()) * math.exp(log_width)
         log_mgf, mean, _, _ = weighted_log_mgf(v, w)
         lam = (-scale if negative else scale) / (v.max() - v.min())
         assert log_mgf(lam) == pytest.approx(mpmath_log_mgf(v, w, mean, lam), rel=1e-12)
 
-    def test_series_past_the_accepted_width_raises(self):
-        # wider than 4.6e14, x^21 overflows: the series branch (|lam| <= 1e-15 here) raises,
-        # and the far branch still answers
-        log_mgf = weighted_log_mgf(np.array([0.0, 1e15]), np.array([0.5, 0.5]))[0]
-        with pytest.raises(OverflowError, match="x\\^21 overflows"):
-            log_mgf(5e-16)
+    def test_series_past_the_old_overflow_width(self):
+        # wider than 4.6e14, x^21 once overflowed and the series branch (|lam| <= 1e-15 here)
+        # raised OverflowError; both branches now answer
+        v, w = np.array([0.0, 1e15]), np.array([0.5, 0.5])
+        log_mgf, mean, _, _ = weighted_log_mgf(v, w)
+        for lam in (5e-16, -5e-16, 1e-17):
+            assert log_mgf(lam) == pytest.approx(mpmath_log_mgf(v, w, mean, lam), rel=1e-12)
         assert log_mgf(2e-15) == pytest.approx(math.log(math.cosh(1.0)), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -1029,15 +1037,19 @@ class TestTwoPointLaws:
     """The law 1 - mu on 0, mu on R has tau^2 = R^2 K(mu), K the two-point constant of
     Kearns and Saul (closed form in `martingale`), at every width R."""
 
-    @pytest.mark.parametrize("width", [1e-3, 1.0, 1e2, 1e4, 1e6])
+    WIDTHS = [1e-150, 1e-100, 1e-80, 1e-30, 1e-17, 1e-11, 1e-3, 1.0, 1e2, 1e4, 1e6, 1e15, 1e50,
+              1e100, 1e150]
+
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("mu", [0.3, 0.1, 0.01])
     def test_closed_form(self, mu, width):
         # 26 % low at mu = 0.1, R = 1e4, and refused at mu = 0.3, R = 1e4, while the grid
-        # started at 1e-3 for every law
+        # started at 1e-3 for every law; refused past R = 4.6e14 while x^21 overflowed, and
+        # up to 1.5e139 times high at R = 1e-152 while the Taylor table kept e_1
         value = weighted_proxy_sup([0.0, width], [1.0 - mu, mu]).value
         assert abs(value / (width**2 * two_point_variance_proxy(mu)) - 1.0) <= 2e-15
 
-    @pytest.mark.parametrize("width", [1e-3, 1.0, 1e2, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("width", sorted({1e3, *WIDTHS}))
     def test_symmetric_law_at_its_limit(self, width):
         # at mu = 1/2 the supremum R^2 / 4 is the lambda -> 0 limit; the grid's first point,
         # 1e-3 / max(1, R / 2), reads R^2 / 4 (1 - 1.7e-7) at most (3.9 % low at R = 1e3 once)
@@ -1075,11 +1087,12 @@ class TestWalkMatchesLoopForm:
         p, _, weights = _beta_rule(50.0, 50.0, 128)
         return p, weights, math.inf
 
-    @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-12, 10.0, 1e3, 1e5, 1e100])
     @pytest.mark.parametrize("law", ["monte_carlo_law", "beta_rule_law"])
     def test_scaled_law(self, law, scale):
         # tau^2(c X) = c^2 tau^2(X): c X to cap / c scans like the walk, on a grid whose floor
-        # is 1e-3 / max(reach) once the law is wider than 1, and to the same tau^2
+        # is 1e-3 / max(reach) once the law is wider than 1, and to the same tau^2 (at c = 1e100
+        # x^21 once overflowed, and at c <= 1e-12 the Taylor table's e_1 swamped the ratio)
         values, weights, window = getattr(self, law)()
 
         def scan(c):

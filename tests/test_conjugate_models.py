@@ -267,6 +267,22 @@ class TestEvaluateModel:
         assert mc.method == "monte_carlo"
         assert abs(mc.tau2_est - exact.tau2_est) <= 0.3 * exact.tau2_est
 
+    @pytest.mark.parametrize("model, prior, outcome", [
+        ("geometric", BetaParams(50.0, 1.0), 15),
+        ("geometric", BetaParams(20.0, 2.0), 35),
+        ("poisson_gamma", GammaParams(0.5, 2.0), 28),
+    ])
+    def test_narrow_monte_carlo_queries_read_their_variance(self, model, prior, outcome):
+        # Q spreads by 3e-12 to 7e-12 over these draws, so lambda * spread << 1 across the
+        # whole window and tau^2 is the draws' variance (to 2e-11, by 50-digit mpmath); while
+        # the Taylor table kept the centering's residual e_1 they read 13.5, 35.3 and 35.4 times it
+        seed, draws = SeedSpec(3), 20_000
+        report = evaluate_model(model, prior, {outcome}, method="monte_carlo", draws=draws, seed=seed)
+        q = model_q_draws(model, prior, {outcome}, draws=draws, seed=seed)
+        mean = math.fsum(q) / draws
+        variance = math.fsum((q - mean) ** 2) / draws
+        assert abs(report.tau2_est / variance - 1.0) <= 1e-9
+
     def test_large_argmax_instances_match_quadrature(self):
         # both suprema lie near |lambda| = 12
         half = mpmath.mpf(1) / 2

@@ -281,6 +281,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(BetaParams(1, 1), SeedSpec(0), -1)
 
+    @pytest.mark.parametrize("dist, undefined", [
+        (BetaParams(0.005, 0.005), 593),
+        (DirichletParams((0.005,) * 3), 13),
+    ])
+    def test_a_draw_of_0_over_0_is_refused(self, dist, undefined):
+        # every Gamma variate of such a draw underflows to 0; the sample once held it as NaN
+        message = f"{dist} drew {undefined} of 1000000 samples as 0/0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            sample(dist, SeedSpec(1), 10**6)
+
 
 class TestChiMoments:
     def test_second_moment_is_dimension(self):

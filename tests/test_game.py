@@ -1,6 +1,7 @@
 """Tests for the curator/analyst game: answering, projection, strategies, rates."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -399,13 +400,14 @@ class TestRunGames:
         config = make_config(n=0, q=6, analyst=analyst)
         assert run_games(config, 20, SeedSpec(5)).tolist() == loop_max_errors(config, 20, SeedSpec(5))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_refuses_a_true_parameter_that_is_not_finite(self):
-        # all three Gamma variates of this trial underflow to 0, so its Dirichlet draw is 0/0
-        # (the divide warning); run_game once scored it a win and run_games a NaN error
+        # all three Gamma variates of this trial underflow to 0, so its Dirichlet draw is 0/0:
+        # run_game once scored it a win and run_games a NaN error; `draw` now refuses it (run_game
+        # once divided with a warning and refused the categorical draw that followed)
         config = make_config(prior=DirichletParams((0.005,) * 3), n=20, q=5)
         seed = SeedSpec(1, 74394)
-        with pytest.raises(ValueError, match="categorical probabilities must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                "DirichletParams(alphas=(0.005, 0.005, 0.005)) drew 1 of 1 samples as 0/0")):
             run_game(config, seed)
         with pytest.raises(ValueError, match=r"trial 0's true parameter is not finite"):
             run_games(config, 1, seed)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import time
 
 import mpmath
@@ -191,6 +192,14 @@ def test_simulate_paths_refusals(horizon, trials):
                else "trials must be an integer of at least 2, got 1")
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_paths(BetaParams(1, 1), horizon, trials, SeedSpec(0))
+
+
+def test_simulate_paths_refuses_a_prior_draw_of_0_over_0():
+    # 442 of these true parameters are 0/0; they once failed inside numpy's binomial with
+    # "p < 0, p > 1 or p contains NaNs", after a RuntimeWarning
+    message = "BetaParams(alpha=0.001, beta=0.001) drew 442 of 2000 samples as 0/0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        simulate_paths(BetaParams(1e-3, 1e-3), 100, 2000, SeedSpec(1))
 
 
 class TestStabilityDiagnostics:
