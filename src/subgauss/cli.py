@@ -2,24 +2,26 @@
 
 Subcommands: verify-beta, verify-dirichlet, verify-chi, lemma-checks,
 martingale, game, conjectures. Each runs one criterion of `subgauss.checks`,
-the same functions the acceptance tests call; `game` first loads its JSON
-configuration over `_DEFAULT_GAME` and refuses any key but its own, "trials"
-and the prior's "alphas". Every run is deterministic given (config,
---seed); `game` takes its seed from --seed, else the config's "seed", else 0,
-and every other subcommand that draws random numbers from --seed, else 0.
-`game` plays --trials games, else the config's "trials", else the default of
-`checks.game`. `verify-beta` and `lemma-checks` draw none and take neither
---seed nor --trials; `conjectures` reads --trials as its Monte Carlo draw
-count. The library checks both as they are parsed, and its refusal is the
-usage error: --seed by `SeedSpec` (an integer in [0, 2^64)), --trials by
+the same functions the acceptance tests call, and every run is deterministic
+given its arguments, which the manifest records as "argv". Every subcommand
+that draws random numbers takes --seed (default 0) and --trials (default:
+its check's own count); `verify-beta` and `lemma-checks` draw none and take
+neither, and `conjectures` reads --trials as its Monte Carlo draw count. The
+library checks both as they are parsed, and its refusal is the usage error:
+--seed by `SeedSpec` (an integer in [0, 2^64)), --trials by
 `distributions._check_at_least` (an integer of at least 1, or
 `concentration._MIN_MONTE_CARLO_DRAWS` = 100 for `conjectures` and
-`martingale._MIN_PATHS` = 2 for `martingale`). Exit codes: 0
-all checks passed, 1 at least one check failed (its first failing rows are
-logged), 2 usage or configuration error. Progress goes to stderr; data goes
-only to the output files. The run manifest also records the seconds spent
-importing (`import_s`) and running the check (`run_s`). OpenBLAS runs one
-thread unless OPENBLAS_NUM_THREADS is set.
+`martingale._MIN_PATHS` = 2 for `martingale`). `game` takes one flag per
+`game.GameConfig` setting: --alphas (the Dirichlet prior, whose length is
+k; default ten 1.0s), --n (default `game.required_n` at the other
+settings), --q (1000), --epsilon (0.1), --delta (0.05), --analyst
+(adaptive_correlator) and --curator (posterior_mean). `DirichletParams`,
+`GameConfig` and `required_n` check them, and their refusal is a usage
+error too. Exit codes: 0 all checks passed, 1 at least one check failed (its
+first failing rows are logged), 2 usage or configuration error. Progress
+goes to stderr; data goes only to the output files. The run manifest also
+records the seconds spent importing (`import_s`) and running the check
+(`run_s`). OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
 """
 from __future__ import annotations
 
@@ -35,15 +37,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import functools
-import json
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import checks
 from . import game as game_mod
 from .concentration import _MIN_MONTE_CARLO_DRAWS
-from .distributions import DirichletParams, SeedSpec, _check_at_least, _check_integer
+from .distributions import DirichletParams, SeedSpec, _check_at_least
 from .martingale import _MIN_PATHS
 from .reporting import emit_report
 
@@ -55,58 +55,20 @@ class ConfigError(ValueError):
     """Bad usage or configuration input; maps to exit code 2."""
 
 
-_DEFAULT_GAME = {
-    "k": 10,
-    "prior": {"alphas": [1.0] * 10},
-    "n": None,  # filled from required_n
-    "q": 1000,
-    "epsilon": 0.1,
-    "delta": 0.05,
-    "analyst": "adaptive_correlator",
-    "curator": "posterior_mean",
-    "seed": 0,
-}
-
-
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_game_config(args) -> tuple[game_mod.GameConfig, int | None, SeedSpec]:
-    raw = dict(_DEFAULT_GAME)
-    if args.config is not None:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config {args.config!r} must hold a JSON object, not {loaded!r}")
-        unknown = sorted(set(loaded) - set(_DEFAULT_GAME) - {"trials"})
-        if isinstance(loaded.get("prior"), dict):
-            unknown += [f"prior.{key}" for key in sorted(set(loaded["prior"]) - {"alphas"})]
-        if unknown:
-            raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
-        raw.update(loaded)
-    try:
-        trials = args.trials
-        if trials is None and "trials" in raw:  # checked as `checks.game` checks it
-            trials = checks._count(raw["trials"], None)
-        seed = SeedSpec(_check_integer("seed", raw["seed"]) if args.seed is None else args.seed)
-        prior = DirichletParams(tuple(raw["prior"]["alphas"]))
-        settings = {key: raw[key] for key in _DEFAULT_GAME if key not in ("prior", "seed")}
-        if settings["n"] is None:  # GameConfig and required_n check the types
-            settings["n"] = game_mod.required_n(raw["epsilon"], raw["delta"], raw["q"], prior.total)
-        config = game_mod.GameConfig(prior=prior, **settings)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid game configuration: {exc}") from exc
-    return config, trials, seed
-
-
 def _cmd_game(args) -> checks.CheckResult:
-    config, trials, seed = _load_game_config(args)
-    args.seed = seed.master_seed  # the manifest records the seed actually used
+    try:  # DirichletParams, GameConfig and required_n own the game's rules
+        prior = DirichletParams(tuple(args.alphas))
+        n = game_mod.required_n(args.epsilon, args.delta, args.q, prior.total) if args.n is None else args.n
+        config = game_mod.GameConfig(k=prior.k, prior=prior, n=n, q=args.q, epsilon=args.epsilon,
+                                     delta=args.delta, analyst=args.analyst, curator=args.curator)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid game configuration: {exc}") from exc
     _log(f"game: n={config.n}, q={config.q}, analyst={config.analyst}")
-    return checks.game(config, seed, trials)
+    return checks.game(config, SeedSpec(args.seed), args.trials)
 
 
 class _Command(NamedTuple):
@@ -161,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         if command.seeded:
-            # only `game` reads a config, which is a second seed source
-            seed_default = None if name == "game" else 0
-            sp.add_argument("--seed", type=_checked(SeedSpec), default=seed_default, help="master seed (u64)")
+            sp.add_argument("--seed", type=_checked(SeedSpec), default=0, help="master seed (u64)")
             floors = {"conjectures": _MIN_MONTE_CARLO_DRAWS, "martingale": _MIN_PATHS}
             floor = floors.get(name, 1)
             sp.add_argument(
@@ -172,8 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--out", default="reports", help="output directory")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="both", dest="fmt")
-        if name == "game":
-            sp.add_argument("--config", default=None, help="JSON config path")
+        if name == "game":  # checked as `_cmd_game` builds the config
+            sp.add_argument("--alphas", type=float, nargs="+", default=[1.0] * 10,
+                            help="Dirichlet prior; its length is k (default: ten 1.0s)")
+            sp.add_argument("--n", type=int, default=None, help="sample size (default: game.required_n)")
+            sp.add_argument("--q", type=int, default=1000, help="queries per game")
+            sp.add_argument("--epsilon", type=float, default=0.1, help="largest error a game may win with")
+            sp.add_argument("--delta", type=float, default=0.05, help="failure-rate bound the check tests")
+            sp.add_argument("--analyst", default="adaptive_correlator",
+                            help=", ".join(game_mod.ANALYST_KINDS))
+            sp.add_argument("--curator", default="posterior_mean", help=", ".join(game_mod.CURATOR_KINDS))
     return parser
 
 

@@ -110,7 +110,12 @@ class _AlphaBeta:
 
 @dataclass(frozen=True)
 class BetaParams(_AlphaBeta):
-    """Shape parameters (alpha, beta) of a Beta distribution on [0, 1]."""
+    """Shape parameters (alpha, beta) of a Beta distribution on [0, 1], with a finite alpha + beta."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not math.isfinite(self.total):  # every moment and draw divides by it
+            raise ValueError(f"alpha + beta must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
 
     @property
     def total(self) -> float:
@@ -119,7 +124,7 @@ class BetaParams(_AlphaBeta):
 
 @dataclass(frozen=True)
 class DirichletParams:
-    """Concentration parameters of a Dirichlet distribution on the simplex."""
+    """Concentration parameters of a Dirichlet distribution on the simplex, with a finite total."""
 
     alphas: tuple[float, ...]
 
@@ -127,6 +132,8 @@ class DirichletParams:
         alphas = tuple(_check_positive_finite("every alpha", a) for a in self.alphas)
         if len(alphas) < 2:
             raise ValueError("a Dirichlet needs at least 2 categories")
+        if not math.isfinite(_left_sum(alphas)):  # every moment and draw divides by it
+            raise ValueError(f"the alphas' total must be finite, got alphas={alphas!r}")
         object.__setattr__(self, "alphas", alphas)
 
     @property

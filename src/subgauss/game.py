@@ -78,6 +78,7 @@ from .distributions import (
     _check_positive_finite,
     _check_real,
     _left_sum,
+    _normalized,
     draw,
 )
 
@@ -470,11 +471,12 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
     which yields the array-shape call's numbers without its per-call
     broadcast. The Dirichlet normalisation and the categorical inversion
     then run once for the block, with the operations ``draw`` applies to one
-    trial. The inversion is k - 1 comparisons of the uniforms with one cumsum
-    edge each, into one reused bool buffer: each adds to the samples, which
-    are ``np.min_scalar_type(k - 1)`` wide, and its row tallies give the
-    counts (module docstring). A true parameter that is not finite raises
-    ValueError, as ``draw`` refuses it in ``run_game``.
+    trial: its `_normalized` divides, and refuses a trial whose Gamma
+    variates all underflow to 0 with ``draw``'s ValueError. The inversion is
+    k - 1 comparisons of the uniforms with one cumsum edge each, into one
+    reused bool buffer: each adds to the samples, which are
+    ``np.min_scalar_type(k - 1)`` wide, and its row tallies give the counts
+    (module docstring).
     """
     k, q, n = config.k, config.q, config.n
     trials = stop - start
@@ -492,12 +494,7 @@ def _draw_block(config: GameConfig, seed: SeedSpec, start: int, stop: int):
         rng.random(out=uniforms[t])
         if codes is not None:
             _random_codes(rng, powers, codes[t])
-    with np.errstate(invalid="ignore"):  # 0/0 where all Gamma variates underflow, refused below
-        true_p = gammas / gammas.sum(axis=1, keepdims=True)
-    bad = np.flatnonzero(~np.isfinite(true_p).all(axis=1))
-    if bad.size:
-        raise ValueError(f"trial {start + bad[0]}'s true parameter is not finite: Gamma variates "
-                         f"{gammas[bad[0]]}")
+    true_p = _normalized(config.prior, gammas, gammas.sum(axis=1, keepdims=True))
     # A uniform's category is the number of cumsum edges <= it (searchsorted,
     # side "right") capped at k - 1, that is, the count over the first k - 1
     # edges, taken one column at a time. The edges never decrease, so

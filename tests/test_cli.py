@@ -33,9 +33,6 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert cli_dispatch(["lemma-checks", "--bogus"]) == 2
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert cli_dispatch(["game", "--config", str(tmp_path / "nope.json")]) == 2
-
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
 
@@ -78,10 +75,11 @@ class TestExitCodes:
         assert cli_dispatch(argv + ["--out", str(tmp_path / "r")]) == 2
         assert f"error: argument {argv[1]}: {message}\n" in capsys.readouterr().err
 
-    def test_only_game_takes_a_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["verify-beta", "verify-dirichlet", "verify-chi", "lemma-checks",
+                                         "martingale", "game", "conjectures"])
+    def test_no_subcommand_takes_a_config(self, command, tmp_path, capsys):
         out = tmp_path / "r"
-        argv = ["conjectures", "--config", str(tmp_path / "nope.json"), "--trials", "100"]
-        assert cli_dispatch(argv + ["--out", str(out)]) == 2
+        assert cli_dispatch([command, "--config", str(tmp_path / "x.json"), "--out", str(out)]) == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
@@ -101,109 +99,54 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"game"'])
-    def test_config_must_be_an_object(self, text, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(text)
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [("--q", "2.5", "int"), ("--n", "40.5", "int"), ("--trials", "2.5", "integer"),
+         ("--seed", "1.5", "integer")],
+    )
+    def test_game_integers_are_not_truncated(self, flag, value, kind, tmp_path, capsys):
         out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert "must hold a JSON object" in capsys.readouterr().err
+        assert cli_dispatch(["game", flag, value, "--out", str(out)]) == 2
+        assert f"error: argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_game_misspelt_flags_are_refused(self, tmp_path, capsys):
+        # misspelt config keys once ran at the defaults and failed a check nobody asked for
+        out = tmp_path / "r"
+        assert cli_dispatch(["game", "--epsilonn", "0.9", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --epsilonn 0.9" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "entry",
-        [{"q": 2.5}, {"n": 40.5}, {"k": 4.5}, {"trials": 2.5}, {"q": "10"}, {"trials": True},
-         {"seed": 1.5}],
+        "flags, message",
+        [
+            # required_n's OverflowError once escaped as a traceback
+            (["--epsilon", "1e-7"], "required n exceeds 2^40"),
+            # these two once reached the game and exited 1 with a traceback
+            (["--curator", "sample_split", "--n", "10", "--q", "100"], "sample-split fold is empty"),
+            (["--curator", "empirical_mean", "--n", "0"], "the empirical-mean curator cannot answer"),
+            (["--epsilon", "nan"], "epsilon must be positive, got nan"),
+            (["--alphas", "1"], "a Dirichlet needs at least 2 categories"),
+            (["--alphas", "1e308", "1e308"], "the alphas' total must be finite"),
+            # no argparse `choices=`: GameConfig is the one owner of the analyst kinds
+            (["--analyst", "nobody"], "unknown analyst 'nobody'"),
+        ],
+        ids=["n_cap", "sample_split", "empirical_mean", "epsilon", "k", "total", "analyst"],
     )
-    def test_config_integers_are_not_truncated(self, entry, tmp_path, capsys):
-        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "n": 40, "q": 10, "epsilon": 0.3,
-                  "delta": 0.1, "trials": 20, **entry}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+    def test_game_settings_the_library_refuses(self, flags, message, tmp_path, capsys):
+        # DirichletParams, GameConfig and required_n check the flags; the CLI keeps no copy of
+        # their rules
         out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert cli_dispatch(["game", *flags, "--out", str(out)]) == 2
+        assert f"error: invalid game configuration: {message}" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "entry",
-        [{"epsilon": True}, {"delta": "0.05"}, {"prior": {"alphas": [True, "2", 1, 1]}}],
-    )
-    def test_config_reals_are_not_converted(self, entry, tmp_path, capsys):
-        # epsilon = true once played with epsilon = 1.0 and exited 1
-        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "q": 10, "epsilon": 0.3,
-                  "delta": 0.1, "trials": 20, **entry}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert "must be a real number" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "entry, names",
-        [({"epsilonn": 0.9, "analystt": "nobody"}, "analystt, epsilonn"),
-         ({"prior": {"alphas": [1.0] * 4, "beta": 2.0}}, "prior.beta")],
-    )
-    def test_config_unknown_keys_are_refused(self, entry, names, tmp_path, capsys):
-        # misspelt keys once ran at the defaults and failed a check nobody asked for
-        config = {"k": 4, "prior": {"alphas": [1.0] * 4}, "q": 10, "epsilon": 0.3,
-                  "delta": 0.1, "trials": 20, **entry}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert f"has unknown keys: {names}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_config_past_the_sample_size_cap_is_refused(self, tmp_path, capsys):
-        # required_n's OverflowError once escaped as a traceback
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"epsilon": 1e-7}))
-        out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert "exceeds 2^40" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "entry",
-        [{"curator": "sample_split", "n": 10, "q": 100}, {"curator": "empirical_mean", "n": 0}],
-        ids=["sample_split", "empirical_mean"],
-    )
-    def test_config_its_curator_cannot_play_is_refused(self, entry, tmp_path, capsys):
-        # these once reached the game and exited 1 with a traceback
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(entry))
-        out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 2
-        assert "invalid game configuration" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_config_trials_must_be_positive(self, tmp_path, capsys):
-        path = tmp_path / "zero.json"
-        path.write_text(json.dumps({"trials": 0}))
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
 
     def test_failing_checks_exit_one(self, tmp_path, capsys):
         # with no data and a tiny epsilon the prior-mean answer almost surely
         # misses, so the Wilson upper bound exceeds delta and the run fails
-        config = {
-            "k": 3,
-            "prior": {"alphas": [1.0, 1.0, 1.0]},
-            "n": 0,
-            "q": 10,
-            "epsilon": 0.01,
-            "delta": 0.01,
-            "analyst": "static_random",
-            "curator": "posterior_mean",
-            "trials": 100,
-        }
-        path = tmp_path / "hard.json"
-        path.write_text(json.dumps(config))
-        code = cli_dispatch(
-            ["game", "--config", str(path), "--out", str(tmp_path / "r")]
-        )
-        assert code == 1
+        flags = ["--alphas", "1", "1", "1", "--n", "0", "--q", "10", "--epsilon", "0.01",
+                 "--delta", "0.01", "--analyst", "static_random", "--trials", "100"]
+        assert cli_dispatch(["game", *flags, "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert "failed: wilson_high <= delta: wilson_high=" in err
         assert err.index("wilson_high") < err.index("CHECKS FAILED")
@@ -273,22 +216,11 @@ class TestArtifacts:
         outputs = read_json(out / "manifest.json")["outputs"]
         assert [o["path"] for o in outputs] == [str(out / "verify-dirichlet-data.csv")]
 
-    def test_game_runs_from_config(self, tmp_path, capsys):
-        config = {
-            "k": 4,
-            "prior": {"alphas": [1.0, 1.0, 1.0, 1.0]},
-            "n": 40,
-            "q": 25,
-            "epsilon": 0.3,
-            "delta": 0.1,
-            "analyst": "adaptive_correlator",
-            "curator": "posterior_mean",
-            "trials": 120,
-        }
-        path = tmp_path / "game.json"
-        path.write_text(json.dumps(config))
+    def test_game_runs_from_flags(self, tmp_path, capsys):
         out = tmp_path / "r"
-        assert cli_dispatch(["game", "--config", str(path), "--out", str(out)]) == 0
+        flags = ["--alphas", "1", "1", "1", "1", "--n", "40", "--q", "25", "--epsilon", "0.3",
+                 "--delta", "0.1", "--trials", "120"]
+        assert cli_dispatch(["game", *flags, "--out", str(out)]) == 0
         summary = read_json(out / "game-summary.json")
         assert summary["trials"] == 120
         assert summary["wilson_high"] <= 0.1
@@ -296,6 +228,7 @@ class TestArtifacts:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 120
         assert {"trial", "max_error", "win"} <= set(rows[0])
+        assert read_json(out / "manifest.json")["config"] == {"argv": ["game", *flags, "--out", str(out)]}
 
 
 def sha256(path):
@@ -334,24 +267,36 @@ def test_conjectures_pass_and_reproduce(tmp_path, capsys):
     assert 2 * 200 < counts["log_mgf_evaluations_max"] < counts["log_mgf_evaluations"]
 
 
-class TestGameSeed:
-    CONFIG = {"k": 4, "prior": {"alphas": [1.0] * 4}, "n": 40, "q": 25, "epsilon": 0.3,
-              "delta": 0.1, "trials": 50}
+@pytest.mark.parametrize(
+    "flags, code, digests",
+    [
+        (["--alphas", "0.5", "1", "2", "0.5", "--q", "30", "--epsilon", "0.2", "--delta", "0.1",
+          "--analyst", "static_random", "--curator", "sample_split", "--trials", "50", "--seed", "7"],
+         1, ["3599300c", "64082787"]),
+        (["--alphas", "1", "1", "1", "1", "1", "1", "--n", "200", "--q", "50", "--analyst",
+          "variance_maximizer", "--curator", "empirical_mean", "--trials", "120", "--seed", "3"],
+         0, ["6b9054c6", "67a5d5ca"]),
+        (["--alphas", "2", "1", "0.5", "--q", "100", "--epsilon", "0.15", "--trials", "200",
+          "--seed", "11"], 0, ["185f46ed", "38f03104"]),
+    ],
+    ids=["sample_split", "empirical_mean", "posterior_mean"],
+)
+def test_game_flags_reproduce_the_config_runs(flags, code, digests, tmp_path, capsys):
+    # the summary/data bytes and exit code of the same settings given as a JSON config file,
+    # before the flags replaced it; the first fails its check at these settings
+    assert cli_dispatch(["game", *flags, "--out", str(tmp_path)]) == code
+    assert [sha256(tmp_path / f"game-{kind}")[:8] for kind in ("summary.json", "data.csv")] == digests
 
-    def run(self, tmp_path, name, seed_key, flags=()):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({**self.CONFIG, "seed": seed_key}))
-        out = tmp_path / name
-        cli_dispatch(["game", "--config", str(path), "--out", str(out), *flags])
-        return sha256(out / "game-data.csv"), read_json(out / "manifest.json")["master_seed"]
 
-    def test_config_seed_is_used(self, tmp_path, capsys):
-        zero, five = self.run(tmp_path, "zero", 0), self.run(tmp_path, "five", 5)
-        assert zero[0] != five[0]
-        assert (zero[1], five[1]) == (0, 5)
-
-    def test_flag_overrides_config_seed(self, tmp_path, capsys):
-        assert self.run(tmp_path, "flag", 0, ["--seed", "5"]) == self.run(tmp_path, "key", 5)
+def test_game_seed_is_used_and_recorded(tmp_path, capsys):
+    runs = []
+    for seed in ("0", "5"):
+        out = tmp_path / seed
+        cli_dispatch(["game", "--alphas", "1", "1", "1", "1", "--n", "40", "--q", "25", "--epsilon",
+                      "0.3", "--delta", "0.1", "--trials", "50", "--seed", seed, "--out", str(out)])
+        runs.append((sha256(out / "game-data.csv"), read_json(out / "manifest.json")["master_seed"]))
+    assert runs[0][0] != runs[1][0]
+    assert (runs[0][1], runs[1][1]) == (0, 5)
 
 
 class TestDeterminism:

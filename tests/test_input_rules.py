@@ -1,15 +1,18 @@
-"""The integer floors of the library's entry points, each checked by one owner.
+"""The integer floors of the library's entry points, each checked by one owner,
+and the finite totals of the Beta and Dirichlet parameters.
 
 Every site below calls `distributions._check_at_least`. One below its floor, a
 float and a bool are refused with a message that names the parameter (and
 the floor, where the value is an integer), and the floor itself is accepted.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from subgauss import checks, concentration, conjugate_models, distributions, game, martingale
-from subgauss.distributions import BetaParams, DirichletParams, SeedSpec
+from subgauss.distributions import BetaParams, DirichletParams, GammaParams, SeedSpec
 
 PRIOR = DirichletParams((1.0, 1.0, 1.0))
 
@@ -84,3 +87,29 @@ def test_a_non_integer_is_refused(call, name, floor, value):
 @floor_sites
 def test_the_floor_is_accepted(call, name, floor):
     call(floor)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BetaParams(1e308, 1e308), "alpha + beta must be finite, got alpha=1e+308, beta=1e+308"),
+        (lambda: DirichletParams((1e308, 1e308)),
+         "the alphas' total must be finite, got alphas=(1e+308, 1e+308)"),
+        (lambda: DirichletParams((1e308, 1e308, 1.0)),
+         "the alphas' total must be finite, got alphas=(1e+308, 1e+308, 1.0)"),
+    ],
+    ids=["beta", "dirichlet", "dirichlet-3"],
+)
+def test_a_total_past_the_float_range_is_refused(build, message):
+    # once accepted: beta_mean_var gave (0.0, 0.0) and beta_raw_moments [1, 0, 0, 0];
+    # beta_proxy_estimate refused "Var = 0.0", project_to_beta blamed "alpha ... got inf", and
+    # sample, run_game and run_games overflowed with a RuntimeWarning
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_the_largest_finite_totals_are_accepted():
+    assert BetaParams(8e307, 8e307).total == 1.6e308
+    assert DirichletParams((8e307, 8e307, 1.0)).total == 1.6e308
+    # a Gamma's alpha and beta are never added, so it keeps only the per-field rule
+    assert GammaParams(1e308, 1e308).alpha == 1e308
